@@ -1,9 +1,10 @@
 """Command-line front end: bound tables, crossover scans, LP certificates,
 hyperbolic bounds, overlap fractions, and the asymptotic rate.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numeric non-convergence
-(with a JSON diagnostic on stderr).  Identical configurations produce
-byte-identical output.
+Exit codes: 0 success, 2 invalid configuration (including parameters
+outside a bound's domain), 3 numeric non-convergence (with a JSON
+diagnostic on stderr).  Identical configurations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import euclid_bounds as eb
@@ -66,6 +66,10 @@ class RunConfig:
         bad = [m for m in self.methods if m not in eb.METHODS]
         if bad:
             raise ConfigError(f"unknown methods: {bad}")
+        if self.command in ("table", "bound"):
+            missing = [m for m in self.methods if m not in _BOUND_FUNCS]
+            if missing:
+                raise ConfigError(f"methods without a table implementation: {missing}")
 
 
 def render_round_up(v: LogScaled, sig_digits: int) -> str:
@@ -120,25 +124,16 @@ def _record_row(rec) -> dict:
 
 
 def bound_rows(dims: list[int], methods: list[str]) -> list[dict]:
-    """One row per (dimension, method), computed in parallel across
-    dimensions and emitted ordered by dimension regardless of completion."""
-
-    def one_dim(n: int) -> list[dict]:
-        return [_record_row(_BOUND_FUNCS[m](n)) for m in methods]
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(dims)))) as pool:
-        chunks = list(pool.map(one_dim, sorted(dims)))
-    return [row for chunk in chunks for row in chunk]
+    """One row per (dimension, method), ordered by dimension, then by the
+    order of ``methods``."""
+    return [_record_row(_BOUND_FUNCS[m](n)) for n in sorted(dims) for m in methods]
 
 
 def crossover_scan(lo: int, hi: int) -> list[tuple[int, str]]:
     """Best historical method for each n in [lo, hi]."""
     if not 4 <= lo <= hi <= 800:
         raise ConfigError("crossover scan requires 4 <= lo <= hi <= 800")
-    dims = list(range(lo, hi + 1))
-    with ThreadPoolExecutor(max_workers=min(8, len(dims))) as pool:
-        best = list(pool.map(eb.best_method, dims))
-    return list(zip(dims, best))
+    return [(n, eb.best_method(n)) for n in range(lo, hi + 1)]
 
 
 def _transitions(scan: list[tuple[int, str]]) -> list[dict]:
@@ -296,14 +291,16 @@ def run(cfg: RunConfig) -> int:
         cfg.validate()
         _COMMANDS[cfg.command](cfg)
         return 0
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (NonConvergenceError, IntegrandError, slp.LPInfeasibleError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 3
+    except ValueError as exc:
+        # ConfigError and the bounds' domain errors; IntegrandError is a
+        # ValueError too, and the clause above keeps it at exit 3
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ ever touching a denormal.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .specfun import (
     NonConvergenceError,
     Quadrature,
     bessel_first_zero,
+    golden_section_min,
     integrate,
     log_binomial,
     log_gamma,
@@ -82,14 +82,12 @@ class RateResult:
 # Gegenbauer contexts are shared across bound computations; the root caches
 # make repeated scans over dimensions cheap.
 _CTX_CACHE: dict[int, GegenbauerContext] = {}
-_CTX_LOCK = threading.Lock()
 
 
 def shared_context(n: int) -> GegenbauerContext:
     ctx = _CTX_CACHE.get(n)
     if ctx is None:
-        with _CTX_LOCK:
-            ctx = _CTX_CACHE.setdefault(n, GegenbauerContext(n))
+        ctx = _CTX_CACHE.setdefault(n, GegenbauerContext(n))
     return ctx
 
 
@@ -349,21 +347,7 @@ def optimize_asymptotic_rate() -> RateResult:
     Golden-section search to 1e-9; the minimizer sits near 1.0995 and the
     minimum near -0.5990 bits per dimension.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1e-6, math.pi / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = _rate_objective(c), _rate_objective(d)
-    while b - a > 1e-9:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _rate_objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _rate_objective(d)
-    theta = 0.5 * (a + b)
+    theta = golden_section_min(_rate_objective, 1e-6, math.pi / 2.0, 1e-9)
     return RateResult(theta_star=theta, rate_log2=_rate_objective(theta))
 
 

@@ -24,6 +24,7 @@ from .euclid_bounds import BoundRecord, kl_spherical_code_bound, shared_context
 from .specfun import (
     LogScaled,
     Quadrature,
+    golden_section_min,
     incomplete_beta,
     integrate,
     log_gamma,
@@ -154,21 +155,7 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     def objective(theta: float) -> float:
         return hyp_density_bound(n, r, theta, refined).value.log_value
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.pi / 3.0, math.pi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-6:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    best_theta = 0.5 * (a + b)
+    best_theta = golden_section_min(objective, math.pi / 3.0, math.pi, 1e-6)
     best = objective(best_theta)
 
     k = 1

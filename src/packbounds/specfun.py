@@ -31,6 +31,7 @@ __all__ = [
     "bessel_j",
     "bessel_first_zero",
     "incomplete_beta",
+    "golden_section_min",
 ]
 
 LN10 = math.log(10.0)
@@ -484,3 +485,30 @@ def incomplete_beta(u: float, alpha: float, beta: float) -> float:
     if alpha <= 0 or beta <= 0:
         raise ValueError("incomplete_beta requires alpha, beta > 0")
     return float(betainc(alpha, beta, u) * math.exp(betaln(alpha, beta)))
+
+
+# ---------------------------------------------------------------------------
+# One-dimensional minimization
+# ---------------------------------------------------------------------------
+
+
+def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Golden-section search for a minimum of f on [a, b].
+
+    The bracket shrinks until its width is <= tol; returns its midpoint.
+    To maximize, minimize the negation: it takes the same branches.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .euclid_bounds import shared_context
 from .orthopoly import GegenbauerContext
-from .specfun import LogScaled, Quadrature, integrate, log_gamma
+from .specfun import LogScaled, Quadrature, golden_section_min, integrate, log_gamma
 
 __all__ = [
     "LPProblem",
@@ -308,24 +308,6 @@ def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
     return weights @ table
 
 
-def _golden_max(fun, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    m = 0.5 * (a + b)
-    return m, fun(m)
-
-
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
     """All real critical points of g in (-1, 1).
 
@@ -364,7 +346,8 @@ def _max_violation(
         (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
     )[0] + 1
     for i in interior:
-        t, v = _golden_max(g1, ts[i - 1], ts[i + 1])
+        t = golden_section_min(lambda t: -g1(t), ts[i - 1], ts[i + 1], 1e-12)
+        v = g1(t)
         if v > best_v:
             best_t, best_v = t, v
     crit = _critical_points(ctx, weights)

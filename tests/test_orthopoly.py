@@ -114,12 +114,21 @@ def test_roots_increasing_in_k():
 
 def test_root_cache_reuse_and_thread_safety():
     import concurrent.futures
+    import sys
 
+    # mixed degrees up to 150 also make threads grow the off-diagonal memo
+    degrees = [1 + (37 * i) % 150 for i in range(600)]
     ctx = GegenbauerContext(17)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        res = list(pool.map(lambda k: ctx.largest_root(1 + (k % 30)), range(240)))
-    for k in range(1, 31):
-        assert ctx.largest_root(k) == res[k - 1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            res = list(pool.map(ctx.largest_root, degrees, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = GegenbauerContext(17)
+    for k, r in zip(degrees, res):
+        assert ctx.largest_root(k) == r == serial.largest_root(k)
 
 
 def _root_by_polynomial_bisection(ctx, k):
@@ -201,3 +210,62 @@ def test_poly_value_at_one():
     )
     assert math.isclose(poly.value_at_one(), direct, rel_tol=1e-12)
     assert math.isclose(poly(1.0), direct, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact roots: every route must return the original bisection's float
+# ---------------------------------------------------------------------------
+
+
+def _reference_largest_root(n, k):
+    # the original Sturm bisection over numpy scalars, kept verbatim as the
+    # definition of the roots (the CSV prints repr(acos(root)))
+    if k == 1:
+        return 0.0
+    a = n / 2.0 - 1.0
+    j = np.arange(2.0, k)
+    b2 = np.empty(k - 1)
+    b2[0] = 1.0 / (2.0 * (1.0 + a))
+    b2[1:] = j * (j + 2 * a - 1) / (4 * (j + a - 1) * (j + a))
+
+    def count_below(sigma: float) -> int:
+        # Sturm count of eigenvalues below sigma (LDL^T sign pattern)
+        cnt = 0
+        d = -sigma
+        if d < 0:
+            cnt += 1
+        for bb in b2:
+            if d == 0.0:
+                d = -1e-300
+            d = -sigma - bb / d
+            if d < 0:
+                cnt += 1
+        return cnt
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if count_below(mid) >= k:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14:
+            break
+    assert hi - lo <= 1e-12
+    return 0.5 * (lo + hi)
+
+
+EXACT_DEGREES = range(1, 91)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 24, 101, 400, 800, 801])
+def test_roots_bit_identical_to_bisection(n):
+    ref = {k: _reference_largest_root(n, k) for k in EXACT_DEGREES}
+    ascending = GegenbauerContext(n)  # extrapolation + Newton from k = 5 on
+    assert {k: ascending.largest_root(k) for k in EXACT_DEGREES} == ref
+    descending = GegenbauerContext(n)  # no cached neighbours: bisection
+    assert {k: descending.largest_root(k) for k in reversed(EXACT_DEGREES)} == ref
+    shuffled = GegenbauerContext(n)
+    order = list(EXACT_DEGREES)
+    np.random.default_rng(n).shuffle(order)
+    assert {k: shuffled.largest_root(k) for k in order} == ref

@@ -11,6 +11,7 @@ from packbounds.specfun import (
     Quadrature,
     bessel_first_zero,
     bessel_j,
+    golden_section_min,
     incomplete_beta,
     integrate,
     integrate_real_line,
@@ -171,9 +172,24 @@ def test_first_zero_half_integer_is_pi():
     assert math.isclose(bessel_first_zero(0.5), math.pi, rel_tol=1e-13)
 
 
-@pytest.mark.parametrize("nu", [0.0, 1.0, 6.0, 24.0, 57.0, 150.0, 300.0, 400.0])
+# First zeros j_(nu,1), computed once with mpmath at 50 digits by
+#   float(mp.besseljzero(mp.mpf(nu), 1))  (with mp.mp.dps = 50)
+# and stored here because the large orders take mpmath seconds each.
+BESSEL_FIRST_ZEROS = {
+    0.0: 2.404825557695773,
+    1.0: 3.8317059702075125,
+    6.0: 9.936109524217684,
+    24.0: 29.710508889811234,
+    57.0: 64.41016470864179,
+    150.0: 160.05457959243037,
+    300.0: 312.5773616068493,
+    400.0: 413.8135410752814,
+}
+
+
+@pytest.mark.parametrize("nu", list(BESSEL_FIRST_ZEROS))
 def test_first_zero_vs_high_precision(nu):
-    ref = float(mp.besseljzero(mp.mpf(nu), 1))
+    ref = BESSEL_FIRST_ZEROS[nu]
     assert math.isclose(bessel_first_zero(nu), ref, rel_tol=1e-10)
 
 
@@ -303,3 +319,10 @@ def test_quadrature_config_validation():
         Quadrature(scheme="romberg")
     with pytest.raises(ValueError):
         Quadrature(rel_tol=0.0)
+
+
+def test_golden_section_min_brackets_the_minimum():
+    f = lambda x: (x - 0.3) ** 2  # noqa: E731
+    assert abs(golden_section_min(f, 0.0, 1.0, 1e-10) - 0.3) < 1e-10
+    # maximizing f through its negation; that maximum sits at the end x = 1
+    assert abs(golden_section_min(lambda x: -f(x), 0.0, 1.0, 1e-10) - 1.0) < 1e-10
