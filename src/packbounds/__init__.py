@@ -21,7 +21,6 @@ from .euclid_bounds import (
 )
 from .hyperbolic import (
     HyperbolicGeometry,
-    OverlapResult,
     hyp_ball_volume,
     hyp_bound_optimized,
     hyp_density_bound,

@@ -52,21 +52,18 @@ class RunConfig:
     refined: bool = False
     samples: int | None = None
     format: str = "text"
-    rel_tol: float = 1e-11
     seed: int = 0
     output_path: str | None = None
 
     def validate(self) -> None:
-        if self.command in ("table", "bound") and not self.dims:
-            raise ConfigError("dimension-indexed commands need --dims")
-        if self.rel_tol <= 0:
-            raise ConfigError("rel_tol must be positive")
+        if self.command == "table" and not self.dims:
+            raise ConfigError("table needs --dims")
         if self.format not in ("csv", "json", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
         bad = [m for m in self.methods if m not in eb.METHODS]
         if bad:
             raise ConfigError(f"unknown methods: {bad}")
-        if self.command in ("table", "bound"):
+        if self.command == "table":
             missing = [m for m in self.methods if m not in _BOUND_FUNCS]
             if missing:
                 raise ConfigError(f"methods without a table implementation: {missing}")
@@ -276,7 +273,6 @@ def _cmd_rate(cfg: RunConfig) -> None:
 
 _COMMANDS = {
     "table": _cmd_table,
-    "bound": _cmd_table,
     "crossover": _cmd_crossover,
     "lp": _cmd_lp,
     "hyperbolic": _cmd_hyperbolic,
@@ -319,20 +315,6 @@ def _parse_methods(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _read_config_file(path: str) -> dict:
-    overrides = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            overrides[key] = val
-    return overrides
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="packbounds",
@@ -340,21 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, dims=False):
+    def common(p):
         p.add_argument("--format", choices=("csv", "json", "text"), default=None)
         p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="key=value overrides file")
-        if dims:
-            p.add_argument("--dims", type=_parse_dims, required=False)
 
     p = sub.add_parser("table", help="bound table over dimensions")
-    common(p, dims=True)
-    p.add_argument("--methods", type=_parse_methods, default=None)
-
-    p = sub.add_parser("bound", help="bounds for a single dimension")
-    common(p, dims=True)
+    common(p)
+    p.add_argument("--dims", type=_parse_dims, required=False)
     p.add_argument("--methods", type=_parse_methods, default=None)
 
     p = sub.add_parser("crossover", help="best historical method per dimension")
@@ -389,12 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    overrides = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    if "rel_tol" in overrides:
-        cfg.rel_tol = float(overrides["rel_tol"])
-    if "seed" in overrides:
-        cfg.seed = int(overrides["seed"])
-
     if getattr(args, "dims", None) is not None:
         cfg.dims = args.dims
     if getattr(args, "n", None) is not None:
@@ -410,21 +379,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.format = args.format
     elif args.command in ("rate", "lp"):
         cfg.format = "json"
-    if getattr(args, "rel_tol", None) is not None:
-        cfg.rel_tol = args.rel_tol
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = config_from_args(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return run(cfg)
+    return run(config_from_args(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,23 +8,24 @@ vol(B_r)/vol(B_R).
 
 The overlap of two radius-R balls at center distance r, normalized by the
 ball volume, is computed three ways: the exact R -> infinity limit through
-the incomplete beta function, a finite-R double integral over triangle side
-lengths, and a Monte-Carlo sampler in the hyperboloid model that serves as
-an independent oracle for the other two.
+the incomplete beta function, a finite-R radial integral whose integrand is
+the regularized incomplete beta share of each sphere about one center, and
+a Monte-Carlo sampler in the hyperboloid model that serves as an
+independent oracle for the other two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import betainc
 
 from .euclid_bounds import BoundRecord, kl_spherical_code_bound, shared_context
 from .specfun import (
     LogScaled,
     Quadrature,
-    golden_section_min,
     incomplete_beta,
     integrate,
     log_gamma,
@@ -32,7 +33,6 @@ from .specfun import (
 
 __all__ = [
     "HyperbolicGeometry",
-    "OverlapResult",
     "hyp_ball_volume",
     "radius_from_angle",
     "hyp_density_bound",
@@ -40,9 +40,6 @@ __all__ = [
     "overlap_limit",
     "overlap_finite",
     "overlap_monte_carlo",
-    "overlap_report",
-    "hyperbolic_triangle_angle",
-    "euclidean_triangle_angle",
 ]
 
 
@@ -145,37 +142,22 @@ def hyp_density_bound(
 def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     """Minimize hyp_density_bound over theta in [pi/3, pi].
 
-    Golden-section on the log objective locates the right neighborhood; the
-    objective is piecewise in theta (the code bound jumps when the root
-    degree k changes, and each piece is increasing), so the search then
-    snaps to the candidate angles acos(t_(n,k)) and returns the best.
+    The code bound A(n, theta) is constant while its degree k is fixed, and
+    both sin^(n-1)(theta/2) and vol(B_r)/vol(B_R(theta)) increase with
+    theta, so on each piece the bound is least at the piece's left end:
+    pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
+    evaluated once at each of these angles, in that order, and the first
+    minimal record is returned.
     """
     ctx = shared_context(n)
-
-    def objective(theta: float) -> float:
-        return hyp_density_bound(n, r, theta, refined).value.log_value
-
-    best_theta = golden_section_min(objective, math.pi / 3.0, math.pi, 1e-6)
-    best = objective(best_theta)
-
+    best = hyp_density_bound(n, r, math.pi / 3.0, refined)
     k = 1
     while ctx.largest_root(k) <= 0.5:
-        theta_k = math.acos(ctx.largest_root(k))
-        val = objective(theta_k)
-        if val < best:
-            best, best_theta = val, theta_k
+        record = hyp_density_bound(n, r, math.acos(ctx.largest_root(k)), refined)
+        if record.value < best.value:
+            best = record
         k += 1
-    if objective(math.pi) < best:
-        best, best_theta = objective(math.pi), math.pi
-    record = hyp_density_bound(n, r, best_theta, refined)
-    return BoundRecord(
-        dimension=n,
-        method=record.method,
-        value=record.value,
-        k_star=record.k_star,
-        theta_star=best_theta,
-        diagnostics=dict(record.diagnostics, optimized=True),
-    )
+    return replace(best, diagnostics=dict(best.diagnostics, optimized=True))
 
 
 # ---------------------------------------------------------------------------
@@ -196,37 +178,20 @@ def overlap_limit(n: int, r: float) -> float:
     return incomplete_beta(u, a, a) / incomplete_beta(0.5, a, a)
 
 
-def _log_C(r1: float, r: float, r2, d_lo, d_hi_to_b) -> np.ndarray:
-    # C = (cosh r2 - cosh|r - r1|)(cosh(r + r1) - cosh r2) written as
-    # 4 sinh((r2+a)/2) sinh((r2-a)/2) sinh((b+r2)/2) sinh((b-r2)/2) with
-    # a = |r - r1|, b = r + r1; the boundary gaps r2 - a and b - r2 are
-    # passed in exactly, so there is no cancellation at the triangle edge
-    a = abs(r - r1)
-    b = r + r1
-    return (
-        math.log(4.0)
-        + np.log(np.sinh((r2 + a) / 2.0))
-        + np.log(np.sinh(d_lo / 2.0))
-        + np.log(np.sinh((b + r2) / 2.0))
-        + np.log(np.sinh(d_hi_to_b / 2.0))
-    )
+def overlap_finite(n: int, r: float, R: float) -> float:
+    """vol(B_R(x1) ^ B_R(x2))/vol(B_R) at center distance r, as one radial
+    integral.
 
+    In polar coordinates about x1, the sphere of radius s lies in B_R(x2) on
+    a cap whose share of the sphere is I_x((n-1)/2, (n-1)/2), with
+    x = sinh((R+s-r)/2) sinh((R-s+r)/2) / (sinh s sinh r).  Spheres with
+    s < R - r lie wholly inside, so
 
-def overlap_finite(
-    n: int,
-    r: float,
-    R: float,
-    quad: Quadrature | None = None,
-) -> float:
-    """vol(B_R(x1) ^ B_R(x2))/vol(B_R) at center distance r, by the radial
-    convolution integral over triangle side lengths (r, r1, r2):
+        overlap = [vol(B_(R-r)) (only when r < R)
+                   + Omega_n int_|R-r|^R sinh^(n-1)s I_x ds] / vol(B_R).
 
-        pref / sinh^(n-2) r * int int sinh r1 sinh r2 C^((n-3)/2) dr1 dr2,
-
-    pref = 2 pi^((n-1)/2) / Gamma((n-1)/2), over r1, r2 <= R forming a
-    triangle with r.  The integrand is evaluated in log scale (large n R
-    would overflow) and the inner integral uses tanh-sinh, which absorbs
-    the C^(-1/2) boundary singularity at n = 2.
+    The band integrand is scaled by its peak at s = R, and s = |R-r| + L t^2,
+    L = R - |R-r|, absorbs the x^((n-1)/2) edge at s = |R-r|.
     """
     if n < 2:
         raise ValueError("overlap_finite requires n >= 2")
@@ -238,65 +203,25 @@ def overlap_finite(
         return 1.0
     if r >= 2.0 * R:
         return 0.0
-    half = (n - 3) / 2.0
-    r1_lo, r1_hi = max(0.0, r - R), R
+    a = (n - 1) / 2.0
+    lo = abs(R - r)
+    length = R - lo
+    # R+s-r and R-s+r from the exact offset d = s - |R-r|: 2(R-r)+d and
+    # 2r-d, or d and 2R-d when r > R; forming them from s cancels at r << R
+    near, far = (2.0 * (R - r), 2.0 * r) if r < R else (0.0, 2.0 * R)
+    peak = (n - 1) * math.log(math.sinh(R))
 
-    # overall scale from a coarse interior probe
-    scale = -math.inf
-    for x1 in np.linspace(r1_lo, r1_hi, 17)[1:-1]:
-        lo, hi = abs(r - x1), min(r + x1, R)
-        if hi <= lo:
-            continue
-        p2 = np.linspace(lo, hi, 17)[1:-1]
-        logs = (
-            np.log(np.sinh(x1))
-            + np.log(np.sinh(p2))
-            + half * _log_C(x1, r, p2, p2 - lo, (r + x1) - p2)
-        )
-        scale = max(scale, float(np.max(logs)))
+    def band(t: np.ndarray) -> np.ndarray:
+        d = length * t * t
+        s = lo + d
+        x = np.sinh((near + d) / 2.0) * np.sinh((far - d) / 2.0) / (np.sinh(s) * math.sinh(r))
+        weight = np.exp((n - 1) * np.log(np.sinh(s)) - peak)
+        return weight * betainc(a, a, np.minimum(x, 1.0)) * 2.0 * length * t
 
-    inner_q = Quadrature(rel_tol=1e-10, abs_tol=1e-14)
-
-    def inner(r1: float) -> float:
-        lo, hi = abs(r - r1), min(r + r1, R)
-        length = hi - lo
-        if length < 1e-14 or r1 <= 0.0:
-            return 0.0
-        slack = (r + r1) - hi  # 0 when the triangle edge, R-cut otherwise
-
-        def f(tau: np.ndarray) -> np.ndarray:
-            # r2 = lo + length sin^2(pi tau / 2): both boundary gaps are
-            # computed exactly and C^((n-3)/2) becomes smooth in tau
-            s2 = np.sin(0.5 * math.pi * tau) ** 2
-            d_lo = length * s2
-            d_hi = length - d_lo
-            r2 = lo + d_lo
-            jac = length * 0.5 * math.pi * np.sin(math.pi * tau)
-            logs = (
-                math.log(math.sinh(r1))
-                + np.log(np.sinh(r2))
-                + half * _log_C(r1, r, r2, d_lo, slack + d_hi)
-                - scale
-            )
-            return np.exp(logs) * jac
-
-        return integrate(f, 0.0, 1.0, inner_q, raise_on_failure=False).value
-
-    outer_q = quad or Quadrature(rel_tol=1e-9, abs_tol=1e-13)
-    outer = lambda arr: np.array([inner(float(x)) for x in arr])  # noqa: E731
-    if r1_lo < r < r1_hi:  # |r - r1| kinks there
-        res_val = (
-            integrate(outer, r1_lo, r, outer_q).value
-            + integrate(outer, r, r1_hi, outer_q).value
-        )
-    else:
-        res_val = integrate(outer, r1_lo, r1_hi, outer_q).value
-    log_pref = math.log(2.0) + ((n - 1) / 2.0) * math.log(math.pi) - log_gamma(
-        (n - 1) / 2.0
-    )
-    log_conv = log_pref - (n - 2) * math.log(math.sinh(r)) + scale + math.log(res_val)
+    res = integrate(band, 0.0, 1.0, Quadrature(rel_tol=1e-12))
     vol = hyp_ball_volume(n, R)
-    return math.exp(log_conv - vol.log_value)
+    inside = (hyp_ball_volume(n, R - r) / vol).to_float() if r < R else 0.0
+    return inside + math.exp(log_sphere_surface(n) + peak - vol.log_value) * res.value
 
 
 # antiderivatives of sinh^(n-1) for the radial inverse-CDF sampler
@@ -356,50 +281,3 @@ def overlap_monte_carlo(
     mean = hits / samples
     stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)
     return mean, stderr
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    """Overlap fraction of two radius-R balls at center distance r: the
-    asymptotic limit, finite-R values, and an optional Monte-Carlo check."""
-
-    n: int
-    r: float
-    limit_value: float
-    finite_R_values: tuple[tuple[float, float], ...]
-    mc_estimate: tuple[float, float, int] | None = None
-
-
-def overlap_report(
-    n: int,
-    r: float,
-    R_values,
-    mc_samples: int | None = None,
-    seed: int = 0,
-) -> OverlapResult:
-    finite = tuple((float(R), overlap_finite(n, r, R)) for R in R_values)
-    mc = None
-    if mc_samples:
-        mean, stderr = overlap_monte_carlo(n, r, max(R_values), mc_samples, seed)
-        mc = (mean, stderr, mc_samples)
-    return OverlapResult(
-        n=n, r=r, limit_value=overlap_limit(n, r), finite_R_values=finite, mc_estimate=mc
-    )
-
-
-# ---------------------------------------------------------------------------
-# Triangle angles (shared by the property suites)
-# ---------------------------------------------------------------------------
-
-
-def hyperbolic_triangle_angle(a: float, b: float, c: float) -> float:
-    """Angle opposite side c in the hyperbolic triangle with sides a, b, c."""
-    num = math.cosh(a) * math.cosh(b) - math.cosh(c)
-    den = math.sinh(a) * math.sinh(b)
-    return math.acos(max(-1.0, min(1.0, num / den)))
-
-
-def euclidean_triangle_angle(a: float, b: float, c: float) -> float:
-    """Angle opposite side c in the planar triangle with sides a, b, c."""
-    cosg = (a * a + b * b - c * c) / (2.0 * a * b)
-    return math.acos(max(-1.0, min(1.0, cosg)))

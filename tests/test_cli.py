@@ -73,3 +73,60 @@ def test_crossover_rows_match_best_method(capsys):
     assert [(int(n), m) for n, m in rows[1:]] == [
         (n, eb.best_method(n)) for n in range(4, 41)
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--dims", "8"],
+        ["table", "--dims", "8", "--rel-tol", "1e-3"],
+        ["table", "--dims", "8", "--config", "overrides.txt"],
+    ],
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# sha256 of the 30 hyperbolic json rows n in {2, 8, 24, 100, 200}, r in
+# {0.5, 1, 2}, coarse then refined, as printed by the first release
+HYPERBOLIC_GRID_SHA256 = "ab40b034532583ce15824629cf8c89da330f8ec096424d2d0e3277ce415b98ae"
+
+
+def test_hyperbolic_rows_pinned(capsys):
+    out = []
+    for n in (2, 8, 24, 100, 200):
+        for r in ("0.5", "1", "2"):
+            for extra in ([], ["--refined"]):
+                argv = ["hyperbolic", "--n", str(n), "--r", r, "--format", "json", *extra]
+                code, text, err = _run(capsys, argv)
+                assert code == 0 and err == ""
+                out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == HYPERBOLIC_GRID_SHA256
+
+
+def test_rate_bytes_pinned(capsys):
+    code, out, err = _run(capsys, ["rate"])
+    assert code == 0 and err == ""
+    assert out == '{"rate_log2": -0.5990557668603105, "theta_star": 1.0995124125315596}\n'
+
+
+@pytest.mark.parametrize(
+    "n, r, R, reference",
+    [
+        (2, "1", "2", 0.5997449840416943),
+        (4, "2", "8", 0.1346271485473766),
+        (10, "0.5", "3", 0.46500140385683136),
+        (50, "2", "8", 8.62748328069956e-11),
+    ],
+)
+def test_overlap_json(capsys, n, r, R, reference):
+    code, out, err = _run(capsys, ["overlap", "--n", str(n), "--r", r, "--R", R, "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["n"], doc["r"], doc["R"]) == (n, float(r), float(R))
+    assert 0.0 <= doc["finite"] <= 1.0
+    assert doc["finite"] == pytest.approx(reference, rel=1e-8, abs=0)
+    assert 0.0 < doc["limit"] <= 1.0

@@ -1,0 +1,137 @@
+import math
+
+import numpy as np
+import pytest
+
+from packbounds import hyperbolic as hyp
+from packbounds.euclid_bounds import kl_spherical_code_bound, shared_context
+
+# overlap_finite of the first release (the benchmark's reference values),
+# each within about 6e-10 of the true overlap
+SEED_OVERLAPS = {
+    (2, 1.0, 2.0): 0.5997449840416943,
+    (2, 0.5, 3.0): 0.8259886142158414,
+    (2, 1.0, 5.0): 0.6900331363835829,
+    (2, 2.0, 8.0): 0.4484641579054199,
+    (3, 1.0, 2.0): 0.48124675656964483,
+    (3, 0.5, 3.0): 0.7488730796759185,
+    (3, 1.0, 5.0): 0.5375117418320601,
+    (3, 2.0, 8.0): 0.23840338021783872,
+    (4, 1.0, 2.0): 0.3905627351239743,
+    (4, 0.5, 3.0): 0.687314736082595,
+    (4, 1.0, 5.0): 0.4331446372201625,
+    (4, 2.0, 8.0): 0.1346271485473766,
+    (10, 1.0, 2.0): 0.13144850477750672,
+    (10, 0.5, 3.0): 0.46500140385683136,
+    (10, 1.0, 5.0): 0.15236830848459104,
+    (10, 2.0, 8.0): 0.00645833740297554,
+    (50, 1.0, 2.0): 0.0003638556477499398,
+    (50, 0.5, 3.0): 0.08160333313177903,
+    (50, 1.0, 5.0): 0.0006397435618665155,
+    (50, 2.0, 8.0): 8.62748328069956e-11,
+}
+
+# 30-digit mpmath quadrature of the radial form; the n = 2 and n = 3 cap
+# shares are written as acos(c)/pi and (1 - c)/2, without the beta function
+MPMATH_OVERLAPS = {
+    (2, 1.0, 2.0): 0.59974498407011839097,
+    (2, 2.0, 8.0): 0.44846415776056563692,
+    (4, 2.0, 8.0): 0.13462714847035289915,
+    (3, 0.5, 3.0): 0.74887307982854807958,
+    (2, 3.0, 2.0): 0.087199546534132886521,  # r > R: no sphere lies wholly inside
+    (3, 3.0, 2.0): 0.028629113456762083998,
+}
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 5.0, 20.0])
+def test_ball_volume_closed_forms(r):
+    v2 = hyp.hyp_ball_volume(2, r).log_value
+    v3 = hyp.hyp_ball_volume(3, r).log_value
+    assert v2 == pytest.approx(math.log(2.0 * math.pi * (math.cosh(r) - 1.0)), abs=1e-12)
+    assert v3 == pytest.approx(math.log(math.pi * (math.sinh(2.0 * r) - 2.0 * r)), abs=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(SEED_OVERLAPS))
+def test_overlap_matches_seed_values(key):
+    assert hyp.overlap_finite(*key) == pytest.approx(SEED_OVERLAPS[key], rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("key", sorted(MPMATH_OVERLAPS))
+def test_overlap_matches_high_precision(key):
+    assert hyp.overlap_finite(*key) == pytest.approx(MPMATH_OVERLAPS[key], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "n, r, R",
+    [(2, 1e-6, 1.0), (5, 1e-9, 45.0), (3, 2.0, 2.0), (2, 3.999, 2.0), (200, 1.0, 40.0),
+     (200, 79.0, 40.0), (50, 7.9, 4.0), (24, 0.01, 0.02)],
+)
+def test_overlap_is_a_fraction(n, r, R):
+    assert 0.0 <= hyp.overlap_finite(n, r, R) <= 1.0
+
+
+def test_overlap_edges():
+    assert hyp.overlap_finite(4, 0.0, 2.0) == 1.0
+    assert hyp.overlap_finite(4, 4.0, 2.0) == 0.0
+    assert hyp.overlap_finite(4, 5.0, 2.0) == 0.0
+    # the overlap falls as the centers move apart
+    values = [hyp.overlap_finite(3, r, 2.0) for r in (0.5, 1.0, 2.0, 3.0, 3.9)]
+    assert values == sorted(values, reverse=True)
+    for bad in [(1, 1.0, 2.0), (3, 1.0, 0.0), (3, -1.0, 2.0)]:
+        with pytest.raises(ValueError):
+            hyp.overlap_finite(*bad)
+
+
+def test_overlap_tends_to_limit():
+    limit = hyp.overlap_limit(20, 1.0)
+    gaps = [abs(hyp.overlap_finite(20, 1.0, R) - limit) for R in (3.0, 6.0, 12.0, 30.0)]
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] <= 1e-12 * limit
+
+
+@pytest.mark.parametrize("n, r, R", [(2, 1.0, 2.0), (3, 1.0, 2.0), (4, 1.0, 2.0), (3, 3.0, 2.0)])
+def test_overlap_agrees_with_monte_carlo(n, r, R):
+    mean, stderr = hyp.overlap_monte_carlo(n, r, R, 200_000, seed=11)
+    assert abs(mean - hyp.overlap_finite(n, r, R)) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 24, 100])
+@pytest.mark.parametrize("r", [0.25, 1.0, 2.0])
+def test_refined_at_most_coarse(n, r):
+    for theta in (math.pi / 3.0, 1.3, math.pi / 2.0, 2.5, math.pi):
+        coarse = hyp.hyp_density_bound(n, r, theta)
+        refined = hyp.hyp_density_bound(n, r, theta, refined=True)
+        assert refined.value <= coarse.value
+    assert hyp.hyp_bound_optimized(n, r, True).value <= hyp.hyp_bound_optimized(n, r).value
+
+
+def _candidate_angles(n):
+    ctx = shared_context(n)
+    angles = [math.pi / 3.0]
+    k = 1
+    while ctx.largest_root(k) <= 0.5:
+        angles.append(math.acos(ctx.largest_root(k)))
+        k += 1
+    return angles
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 24])
+@pytest.mark.parametrize("r", [0.25, 0.5, 2.0])
+@pytest.mark.parametrize("refined", [False, True])
+def test_optimized_is_the_minimum(n, r, refined):
+    best = hyp.hyp_bound_optimized(n, r, refined)
+    assert best.diagnostics["optimized"] is True
+    candidates = _candidate_angles(n)
+    assert best.theta_star in candidates
+    grid = list(np.linspace(math.pi / 3.0, math.pi, 41))
+    for theta in candidates + grid:
+        assert best.value <= hyp.hyp_density_bound(n, r, theta, refined).value
+
+
+def test_optimized_takes_the_left_end_at_n4():
+    # the least bound lies on the piece that starts at pi/3, not at a root
+    # angle: a search that never evaluates pi/3 lands on pi/2 (log 1.8115)
+    best = hyp.hyp_bound_optimized(4, 0.25, refined=True)
+    assert best.theta_star == math.pi / 3.0
+    assert best.k_star == kl_spherical_code_bound(4, math.pi / 3.0)[1] == 2
+    assert best.value.log_value == pytest.approx(1.6902138568112424, rel=1e-12)
