@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("csv", "json", "text"), default=None)
         p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("table", help="bound table over dimensions")
     common(p)
@@ -356,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--R", dest="R", type=float, required=True)
     p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("rate", help="asymptotic per-dimension exponent")
     common(p)

@@ -100,10 +100,6 @@ class HyperbolicGeometry:
     def R(self) -> float:
         return radius_from_angle(self.r, self.theta)
 
-    def volume_ratio(self) -> LogScaled:
-        """vol(B_r)/vol(B_R), always <= sin^(n-1)(theta/2)."""
-        return hyp_ball_volume(self.n, self.r) / hyp_ball_volume(self.n, self.R)
-
 
 def hyp_density_bound(
     n: int,
@@ -120,11 +116,20 @@ def hyp_density_bound(
     code bound.
     """
     geom = HyperbolicGeometry(n, r, theta)
+    return _density_record(geom, hyp_ball_volume(n, r) if refined else None, code_bound)
+
+
+def _density_record(
+    geom: HyperbolicGeometry, vol_r: LogScaled | None, code_bound: LogScaled | None = None
+) -> BoundRecord:
+    """``hyp_density_bound`` for a checked geometry: refined, with
+    vol(B_r) = ``vol_r``, when ``vol_r`` is given."""
+    n, r, theta = geom.n, geom.r, geom.theta
     k_used = None
     if code_bound is None:
         code_bound, k_used = kl_spherical_code_bound(n, theta)
-    if refined:
-        factor = geom.volume_ratio()
+    if vol_r is not None:
+        factor = vol_r / hyp_ball_volume(n, geom.R)
         method = "hyp_refined"
     else:
         factor = LogScaled.from_log((n - 1) * math.log(math.sin(theta / 2.0)))
@@ -147,13 +152,17 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     theta, so on each piece the bound is least at the piece's left end:
     pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
     evaluated once at each of these angles, in that order, and the first
-    minimal record is returned.
+    minimal record is returned.  vol(B_r) does not depend on the angle and
+    is computed once.
     """
     ctx = shared_context(n)
-    best = hyp_density_bound(n, r, math.pi / 3.0, refined)
+    geom = HyperbolicGeometry(n, r, math.pi / 3.0)
+    vol_r = hyp_ball_volume(n, r) if refined else None
+    best = _density_record(geom, vol_r)
     k = 1
     while ctx.largest_root(k) <= 0.5:
-        record = hyp_density_bound(n, r, math.acos(ctx.largest_root(k)), refined)
+        geom = HyperbolicGeometry(n, r, math.acos(ctx.largest_root(k)))
+        record = _density_record(geom, vol_r)
         if record.value < best.value:
             best = record
         k += 1

@@ -6,10 +6,14 @@ objective g(1)/c_0.  Working with the normalized basis phi_k = C_k/C_k(1)
 keeps every constraint coefficient in [-1, 1] regardless of n and k.
 
 A dense two-phase simplex (Dantzig pricing, Bland fallback on degeneracy)
-solves the discretized problem; the result is then verified on an
-independent finer grid with local-maximum polishing, and any residual bump
-above zero is removed by shifting the constant coefficient, which costs a
-quantified sliver of objective but makes the certificate sound.
+solves the discretized problem.  The result is then checked for the sign
+condition: g on an independent finer grid, a golden-section polish of every
+grid local maximum, and the polynomial's exact critical points.  The
+polishing searches run in lockstep, one Gegenbauer table per step over all
+open brackets, and evaluate g point by point, so each bracket follows the
+same path as a search on it alone.  Any residual bump above zero is removed
+by shifting the constant coefficient, which costs a quantified sliver of
+objective but makes the certificate sound.
 
 The module also converts a certificate into a Euclidean packing bound and
 numerically probes the lens-integral construction that turns g into a
@@ -50,8 +54,13 @@ CERT_RESIDUAL_TOL = 1e-9  # certified iff max residual <= tol * g(1)
 
 
 class LPInfeasibleError(RuntimeError):
-    """The discretized LP was infeasible or unbounded: a configuration bug,
-    since the cone always contains feasible functions."""
+    """The simplex gave no usable solution of the discretized LP.
+
+    The LP itself is always feasible (the cone contains feasible
+    functions), so this is a numerical failure of the dense simplex, not a
+    property of the problem.  At theta = pi/3 it is seen at n = 32, degree
+    10 (dual unbounded) and at n = 48 and 64 for every degree in 10..40
+    (dual unbounded at degree 10, else a violation too large to absorb)."""
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +317,15 @@ def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
     return weights @ table
 
 
+def _eval_g_pointwise(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
+    """g at each point of t, each value bit-identical to ``_eval_g`` at that
+    point alone.  numpy computes a one-column product as one BLAS dot
+    product; this takes the same dot product of every contiguous column,
+    where the matrix product of a whole table sums in another order."""
+    table = ctx.eval_normalized_table(len(weights) - 1, np.atleast_1d(t))
+    return np.array([np.dot(weights, col) for col in table.T.copy()])
+
+
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
     """All real critical points of g in (-1, 1).
 
@@ -328,8 +346,11 @@ def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
 def _max_violation(
     ctx: GegenbauerContext, weights: np.ndarray, theta: float, grid_size: int
 ) -> tuple[float, float]:
-    """Max of g over [-1, cos theta]: dense grid, golden polishing of grid
-    local maxima, and an exact critical-point audit of the polynomial."""
+    """Max of g over [-1, cos theta] and where it is attained: g on a
+    uniform grid, a lockstep golden-section polish to 1e-12 of every
+    interior grid local maximum (one table per step, g point by point, so
+    each bracket takes the branches of a search on it alone), and an exact
+    critical-point audit of the polynomial."""
     hi = math.cos(theta)
     if hi - (-1.0) < 1e-15:
         t0 = -1.0
@@ -339,17 +360,19 @@ def _max_violation(
     best_idx = int(np.argmax(vals))
     best_t, best_v = float(ts[best_idx]), float(vals[best_idx])
 
-    def g1(t):
-        return float(_eval_g(ctx, weights, t)[0])
-
     interior = np.nonzero(
         (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
     )[0] + 1
-    for i in interior:
-        t = golden_section_min(lambda t: -g1(t), ts[i - 1], ts[i + 1], 1e-12)
-        v = g1(t)
-        if v > best_v:
-            best_t, best_v = t, v
+    if interior.size:
+        peaks = golden_section_min(
+            lambda t: -_eval_g_pointwise(ctx, weights, t),
+            ts[interior - 1],
+            ts[interior + 1],
+            1e-12,
+        )
+        for t, v in zip(peaks, _eval_g_pointwise(ctx, weights, peaks)):
+            if v > best_v:
+                best_t, best_v = float(t), float(v)
     crit = _critical_points(ctx, weights)
     crit = crit[crit <= hi]
     if crit.size:
@@ -391,8 +414,8 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         res = simplex_minimize(-np.ones(grid.size), -phi, np.ones(d))
         if res.status == "unbounded":
             raise LPInfeasibleError(
-                "dual unbounded: the discretized primal is infeasible, "
-                "which the feasibility of the cone rules out; setup is broken"
+                f"dual unbounded at n={p.n}, degree={d}: the discretized LP is "
+                "feasible, but the dense simplex lost it to round-off"
             )
         if res.status != "optimal":
             raise LPInfeasibleError(f"simplex returned {res.status}")
@@ -508,7 +531,7 @@ def _lens_f(
     n: int,
     R: float,
     rho: float,
-    order: int = 64,
+    gauss: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """f(rho) = integral over B_R(x) ^ B_R(y) of g(cos angle(x z y)) dz,
     |x - y| = rho, reduced to 2-D by symmetry of revolution about the axis.
@@ -522,12 +545,14 @@ def _lens_f(
         v = sqrt(u^2 + rho^2 - 2 u rho cos phi).
 
     phi_max leaves pi (or 0) with square-root behavior at the segment edge,
-    so the cut segment is parametrized by u = lo + (hi-lo) w^2.
+    so the cut segment is parametrized by u = lo + (hi-lo) w^2.  ``gauss``
+    holds the Gauss-Legendre nodes and weights on [-1, 1] used for both
+    variables.
     """
     if rho >= 2.0 * R:
         return 0.0
     omega = 2.0 * math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n - 1) / 2.0))
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = gauss
     s01 = 0.5 * (xg + 1.0)  # nodes on (0,1)
     w01 = 0.5 * wg
     # phi = phimax * s^2 clusters nodes at phi = 0, where the integrand has a
@@ -584,9 +609,6 @@ def transfer_g_to_f(
     cert: LPCertificate,
     p: LPProblem,
     radii=None,
-    *,
-    order: int = 64,
-    radial_quad: Quadrature | None = None,
 ) -> TransferProbe:
     """Probe the function f built from g by integrating over ball overlaps.
 
@@ -594,7 +616,8 @@ def transfer_g_to_f(
     quadrature.  The identities f(0) = vol(B_R) g(1) and
     int f = vol(B_R)^2 mean(g) hold for exact arithmetic; the probe is the
     numerical check.  Small n only: the reduction is 2-D but the radial
-    integral makes it a triple quadrature.
+    integral makes it a triple quadrature.  Every lens integral uses the
+    same 64-point Gauss-Legendre rule, built once here.
     """
     n = cert.n
     if not 2 <= n <= 8:
@@ -603,18 +626,17 @@ def transfer_g_to_f(
     ctx = shared_context(n)
     weights = _normalized_weights(ctx, np.asarray(cert.coefficients))
     radii = default_sample_radii(R) if radii is None else tuple(radii)
-    fvals = tuple(_lens_f(ctx, weights, n, R, r, order) for r in radii)
-    f0 = _lens_f(ctx, weights, n, R, 0.0, order)
+    gauss = np.polynomial.legendre.leggauss(64)
+    fvals = tuple(_lens_f(ctx, weights, n, R, r, gauss) for r in radii)
+    f0 = _lens_f(ctx, weights, n, R, 0.0, gauss)
 
     # tanh-sinh absorbs the (2R - rho)^((n+1)/2) endpoint behavior of f
-    q = radial_quad or Quadrature(
-        scheme="tanh_sinh", rel_tol=1e-8, abs_tol=abs(f0) * 1e-10
-    )
+    q = Quadrature(scheme="tanh_sinh", rel_tol=1e-8, abs_tol=abs(f0) * 1e-10)
     surface = 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
 
     def radial(arr: np.ndarray) -> np.ndarray:
         return np.array(
-            [_lens_f(ctx, weights, n, R, float(r), order) * r ** (n - 1) for r in arr]
+            [_lens_f(ctx, weights, n, R, float(r), gauss) * r ** (n - 1) for r in arr]
         )
 
     part1 = integrate(radial, 0.0, R, q)

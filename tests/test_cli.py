@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import pytest
 
 from packbounds import cli
 from packbounds import euclid_bounds as eb
+from packbounds import spherical_lp as slp
 from packbounds.specfun import IntegrandError
 
 # sha256 of the seed's CSV for this table; the benchmark pins the same bytes
@@ -81,6 +83,7 @@ def test_crossover_rows_match_best_method(capsys):
         ["bound", "--dims", "8"],
         ["table", "--dims", "8", "--rel-tol", "1e-3"],
         ["table", "--dims", "8", "--config", "overrides.txt"],
+        ["table", "--dims", "8", "--seed", "1"],
     ],
 )
 def test_removed_options_are_usage_errors(capsys, argv):
@@ -130,3 +133,52 @@ def test_overlap_json(capsys, n, r, R, reference):
     assert 0.0 <= doc["finite"] <= 1.0
     assert doc["finite"] == pytest.approx(reference, rel=1e-8, abs=0)
     assert 0.0 < doc["limit"] <= 1.0
+
+
+THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
+
+# sha256 of ``lp --n N --theta pi/3 --degree D`` stdout as first released;
+# these certificates change when the polish of the sign check moves by a bit
+LP_SHA256 = {
+    (3, 20): "f1a81cc10e62d11042f4cfd008bd8ad5408bd17674f4a4eb1ab8af338c747e89",
+    (8, 10): "91cddb1864257227fd044297f02796e7eda6b36a8e0641afdef6ae244d288294",
+    (16, 10): "765e34ae58de40cae6a71b5ac3acfbea3806ccbb33d739ecd771b9881bbd97e0",
+    (24, 10): "8f6a6e1433e75c34cd7a2e3d10114bdf65da3bc6e9733d12949f90bd5992e8ca",
+    (32, 20): "7c95813bd8457cd012e3483a2b1fca23a47848986a02d2a425c0aa056c20241e",
+}
+
+
+def _lp(capsys, n, degree):
+    return _run(capsys, ["lp", "--n", str(n), "--theta", THETA, "--degree", str(degree)])
+
+
+@pytest.mark.parametrize("n, degree", sorted(LP_SHA256))
+def test_lp_bytes_pinned(capsys, n, degree):
+    code, out, err = _lp(capsys, n, degree)
+    assert code == 0 and err == ""
+    assert json.loads(out)["certified"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == LP_SHA256[(n, degree)]
+
+
+# sha256 of the sorted-key json of ``transfer_g_to_f`` for the certificate
+# that ``lp --n 4 --theta pi/3 --degree 10`` prints, as first released
+TRANSFER_4_SHA256 = "ca8f7e76abf6891a19b39deb2b8290db05555f0bcdc756c70f9554b63296c054"
+
+
+def test_transfer_probe_pinned(capsys):
+    code, out, _ = _lp(capsys, 4, 10)
+    assert code == 0
+    cert = slp.certificate_from_json(out)
+    probe = slp.transfer_g_to_f(cert, slp.LPProblem(n=4, theta=cert.theta, degree=10))
+    text = json.dumps(dataclasses.asdict(probe), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSFER_4_SHA256
+
+
+def test_lp_simplex_failure_exits_3(capsys):
+    # a feasible LP that the dense simplex loses to round-off
+    code, out, err = _lp(capsys, 32, 10)
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "LPInfeasibleError"
+    assert "n=32, degree=10" in doc["message"] and "round-off" in doc["message"]
+    assert "setup is broken" not in doc["message"]

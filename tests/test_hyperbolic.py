@@ -128,6 +128,21 @@ def test_optimized_is_the_minimum(n, r, refined):
         assert best.value <= hyp.hyp_density_bound(n, r, theta, refined).value
 
 
+def test_optimized_computes_the_small_ball_once(monkeypatch):
+    # vol(B_r) is the same at every candidate angle; only vol(B_R) varies
+    calls = []
+    volume = hyp.hyp_ball_volume
+
+    def counted(n, r, quad=None):
+        calls.append((n, r))
+        return volume(n, r, quad)
+
+    monkeypatch.setattr(hyp, "hyp_ball_volume", counted)
+    best = hyp.hyp_bound_optimized(200, 1.0, refined=True)
+    assert len(calls) == len(set(calls)) == len(_candidate_angles(200)) + 1 == 23
+    assert best.value == hyp.hyp_density_bound(200, 1.0, best.theta_star, True).value
+
+
 def test_optimized_takes_the_left_end_at_n4():
     # the least bound lies on the piece that starts at pi/3, not at a root
     # angle: a search that never evaluates pi/3 lands on pi/2 (log 1.8115)

@@ -15,6 +15,8 @@ from packbounds.spherical_lp import (
     lp_solve_spherical,
     simplex_minimize,
     verify_certificate,
+    _eval_g,
+    _eval_g_pointwise,
 )
 
 
@@ -215,6 +217,18 @@ def test_verify_flags_sign_violation():
     )
     rep = verify_certificate(cert, p)
     assert not rep.sign_ok
+
+
+def test_pointwise_g_matches_one_point_evaluation():
+    # the lockstep polish of the sign check relies on this: in a batch, each
+    # point gets the bits of its own one-point evaluation
+    rng = np.random.default_rng(7)
+    for n, d in [(3, 10), (8, 40), (24, 33), (64, 200)]:
+        ctx = shared_context(n)
+        w = np.concatenate(([1.0], rng.random(d) * 10.0 ** rng.uniform(-3, 4, d)))
+        ts = rng.uniform(-1.0, 0.5, 57)
+        for t, v in zip(ts, _eval_g_pointwise(ctx, w, ts)):
+            assert v == _eval_g(ctx, w, t)[0]
 
 
 # ---------------------------------------------------------------------------
