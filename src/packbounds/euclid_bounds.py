@@ -29,6 +29,7 @@ from .specfun import (
     bessel_first_zero,
     golden_section_min,
     integrate,
+    integrate_real_line,
     log_binomial,
     log_gamma,
     scaled_erfc_complex,
@@ -50,13 +51,9 @@ __all__ = [
     "shared_context",
 ]
 
-METHODS = ("rogers", "levenshtein", "kl", "cz", "lp_transfer")
+METHODS = ("rogers", "levenshtein", "kl", "cz")
 # the historical best-bound comparison predates the cz sharpening
 HISTORICAL_METHODS = ("rogers", "levenshtein", "kl")
-
-# Independently published Euclidean LP value at n = 120 (eight forced double
-# roots).  Kept for documentation/comparison only; never computed here.
-LP_EUCLIDEAN_N120_REFERENCE = 1.164e-17
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,7 @@ def rogers_bound(n: int, quad: Quadrature | None = None) -> BoundRecord:
     def scaled(u: np.ndarray) -> np.ndarray:
         return np.exp(log_integrand(u) - peak)
 
-    # truncate where the scaled integrand has dropped 40 nats, by doubling
-    cut = 1.0
-    while log_integrand(np.array([cut]))[0].real - peak > -40.0:
-        cut *= 2.0
-    res = integrate(scaled, -cut, cut, q)
+    res = integrate_real_line(scaled, q)
     total = complex(res.value)
     imag_residual = abs(total.imag) / abs(total.real)
 
@@ -145,7 +138,6 @@ def rogers_bound(n: int, quad: Quadrature | None = None) -> BoundRecord:
         value=value,
         diagnostics={
             "imag_residual": imag_residual,
-            "truncation": cut,
             "quad_error": res.error,
             "quad_nevals": res.nevals,
         },
@@ -209,15 +201,16 @@ def kl_spherical_code_bound(
     return LogScaled.from_log(logv), k
 
 
-def _kl_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
-    # log of ((1 - t_(n+1,k))/2)^(n/2) * 4 C(k+n-1, k) / (1 - t_(n+1,k+1));
-    # ctx must be the (n+1)-dimensional context
+def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
+    # log of ((1 - t_(m,k))/2)^(n/2) * 4 C(k+m-2, k) / (1 - t_(m,k+1)) with
+    # m = ctx.n: the code bound on S^(m-1) times the cap shrinkage in R^n;
+    # kl passes the (n+1)-dimensional context, cz the n-dimensional one
     t_k = ctx.largest_root(k)
     t_k1 = ctx.largest_root(k + 1)
     return (
         (n / 2.0) * math.log((1.0 - t_k) / 2.0)
         + math.log(4.0)
-        + log_binomial(k + n - 1, k)
+        + log_binomial(k + ctx.n - 2, k)
         - math.log(1.0 - t_k1)
     )
 
@@ -228,14 +221,14 @@ def kl_bound(n: int) -> BoundRecord:
     if n < 1 or n > 800:
         raise ValueError("kl_bound requires 1 <= n <= 800")
     ctx = shared_context(n + 1)
-    prev = _kl_objective(n, ctx, 1)
+    prev = _code_objective(n, ctx, 1)
     k = 2
     while k <= ctx.degree_cap:
-        cur = _kl_objective(n, ctx, k)
+        cur = _code_objective(n, ctx, k)
         if cur > prev:
             k_star = k - 1
             certificate = {
-                "objective_prev": _kl_objective(n, ctx, k_star - 1)
+                "objective_prev": _code_objective(n, ctx, k_star - 1)
                 if k_star > 1
                 else None,
                 "objective": prev,
@@ -254,17 +247,6 @@ def kl_bound(n: int) -> BoundRecord:
     raise NonConvergenceError("kl_bound k-search found no local minimum")
 
 
-def _cz_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
-    t_k = ctx.largest_root(k)
-    t_k1 = ctx.largest_root(k + 1)
-    return (
-        (n / 2.0) * math.log((1.0 - t_k) / 2.0)
-        + math.log(4.0)
-        + log_binomial(k + n - 2, k)
-        - math.log(1.0 - t_k1)
-    )
-
-
 def cz_bound(n: int) -> BoundRecord:
     """Packing bound via codes on S^(n-1), restricted to code angles
     theta >= pi/3 (equivalently t_(n,k) <= 1/2), minimized over that range."""
@@ -279,7 +261,7 @@ def cz_bound(n: int) -> BoundRecord:
     best_k = None
     k = 1
     while ctx.largest_root(k) <= 0.5:
-        val = _cz_objective(n, ctx, k)
+        val = _code_objective(n, ctx, k)
         if best is None or val < best:
             best, best_k = val, k
         k += 1
@@ -289,9 +271,9 @@ def cz_bound(n: int) -> BoundRecord:
         raise NonConvergenceError(f"empty feasible k-range at n={n}")
     feasible_max = k - 1
     certificate = {
-        "objective_prev": _cz_objective(n, ctx, best_k - 1) if best_k > 1 else None,
+        "objective_prev": _code_objective(n, ctx, best_k - 1) if best_k > 1 else None,
         "objective": best,
-        "objective_next": _cz_objective(n, ctx, best_k + 1)
+        "objective_next": _code_objective(n, ctx, best_k + 1)
         if best_k < feasible_max
         else None,
         "feasible_k_max": feasible_max,

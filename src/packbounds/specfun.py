@@ -322,25 +322,26 @@ def integrate_real_line(
     """Integrate over (-inf, inf) after truncating the tails.
 
     The interval is cut where log|f| falls :data:`TAIL_NATS` nats below its
-    value near ``peak``; the cut is located by outward doubling.  The caller
-    is expected to pass an integrand already scaled so that the peak value
-    is of order one.
+    value near ``peak``; both cuts are located by outward doubling, one
+    call of ``f`` per step serving both sides.  The caller is expected to
+    pass an integrand already scaled so that the peak value is of order one.
     """
     fpeak = abs(complex(np.asarray(f(np.array([peak])))[0]))
     if fpeak == 0 or not math.isfinite(fpeak):
         raise IntegrandError("integrand peak is zero or non-finite")
     floor = fpeak * math.exp(-TAIL_NATS)
-
-    def cut(direction: float) -> float:
-        u = 1.0
-        for _ in range(60):
-            val = abs(complex(np.asarray(f(np.array([peak + direction * u])))[0]))
-            if val < floor:
-                return peak + direction * u
-            u *= 2.0
-        raise NonConvergenceError("could not locate an integrable tail")
-
-    return integrate(f, cut(-1.0), cut(+1.0), q)
+    lo = hi = None
+    u = 1.0
+    for _ in range(60):
+        vals = np.asarray(f(np.array([peak - u, peak + u])))
+        if lo is None and abs(complex(vals[0])) < floor:
+            lo = peak - u
+        if hi is None and abs(complex(vals[1])) < floor:
+            hi = peak + u
+        if lo is not None and hi is not None:
+            return integrate(f, lo, hi, q)
+        u *= 2.0
+    raise NonConvergenceError("could not locate an integrable tail")
 
 
 # ---------------------------------------------------------------------------

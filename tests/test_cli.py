@@ -47,6 +47,8 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
         ["table", "--dims", "8", "--methods", "lp_transfer"],
         ["table", "--dims", "8", "--methods", "no_such_method"],
         ["crossover", "--lo", "2", "--hi", "9"],
+        ["lp", "--n", "8", "--theta", "1.0471975511965976", "--degree", "0"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "2", "--samples", "0", "--format", "json"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):
@@ -84,6 +86,11 @@ def test_crossover_rows_match_best_method(capsys):
         ["table", "--dims", "8", "--rel-tol", "1e-3"],
         ["table", "--dims", "8", "--config", "overrides.txt"],
         ["table", "--dims", "8", "--seed", "1"],
+        ["table"],
+        ["table", "--dims", ""],
+        ["lp", "--n", "8", "--theta", "1.0471975511965976", "--format", "json"],
+        ["rate", "--format", "csv"],
+        ["overlap", "--n", "4", "--r", "1", "--R", "2", "--format", "csv"],
     ],
 )
 def test_removed_options_are_usage_errors(capsys, argv):
@@ -91,6 +98,13 @@ def test_removed_options_are_usage_errors(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_output_file_gets_the_stdout_bytes(capsys, tmp_path):
+    path = tmp_path / "rate.json"
+    code, out, err = _run(capsys, ["rate", "--output", str(path)])
+    assert code == 0 and out == "" and err == ""
+    assert path.read_text() == '{"rate_log2": -0.5990557668603105, "theta_star": 1.0995124125315596}\n'
 
 
 # sha256 of the 30 hyperbolic json rows n in {2, 8, 24, 100, 200}, r in

@@ -271,6 +271,12 @@ def test_integrate_gaussian_real_line():
     assert math.isclose(res.value, math.sqrt(math.pi), rel_tol=1e-11)
 
 
+def test_integrate_real_line_cuts_each_tail_on_its_own():
+    # the right tail decays ten times slower, so its cut lands further out
+    res = integrate_real_line(lambda u: np.where(u < 0, np.exp(-(u**2)), np.exp(-(u**2) / 100)))
+    assert math.isclose(res.value, 5.5 * math.sqrt(math.pi), rel_tol=1e-11)
+
+
 def test_integrate_wallis():
     res = integrate(lambda x: np.sin(x) ** 10, 0.0, math.pi)
     assert math.isclose(res.value, 63.0 * math.pi / 256.0, rel_tol=1e-12)
