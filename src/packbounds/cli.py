@@ -10,6 +10,11 @@ Exit codes: 0 success, 2 invalid configuration (usage errors, unknown
 methods, parameters outside a bound's domain), 3 numeric non-convergence
 (with a JSON diagnostic on stderr).  Identical configurations produce
 byte-identical output.
+
+``scipy.special`` is imported on first use.  ``lp``, ``hyperbolic``,
+``rate`` and ``table --methods kl,cz`` never load it; ``table`` with
+``rogers`` or ``levenshtein``, ``crossover`` and ``overlap`` load it on
+their first call.
 """
 
 from __future__ import annotations
@@ -176,6 +181,8 @@ def _cmd_hyperbolic(args: argparse.Namespace) -> str:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> str:
+    if args.samples is not None and args.format == "text":
+        raise ValueError("--samples needs --format json; text prints only the finite overlap")
     n, r, R = args.n, args.r, args.R
     finite = hyp.overlap_finite(n, r, R)
     if args.format == "text":

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc
 
 from .euclid_bounds import BoundRecord, kl_spherical_code_bound, shared_context
 from .specfun import (
@@ -202,6 +201,7 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     The band integrand is scaled by its peak at s = R, and s = |R-r| + L t^2,
     L = R - |R-r|, absorbs the x^((n-1)/2) edge at s = |R-r|.
     """
+    from scipy.special import betainc
     if n < 2:
         raise ValueError("overlap_finite requires n >= 2")
     if R <= 0:

@@ -4,6 +4,11 @@ Everything downstream (density bounds up to dimension 600, hyperbolic
 volumes, overlap integrals) funnels through this module, so all magnitudes
 are either kept as natural logs (:class:`LogScaled`) or scaled analytically
 before a single ``exp`` is taken.
+
+``scipy.special`` (Faddeeva, Bessel J, incomplete beta) is imported on
+first use, inside the functions that call it: the Gegenbauer, LP and
+hyperbolic-bound paths never need it, and importing it would more than
+double the time of a cold ``import packbounds``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import betainc, betaln, jv, wofz
 
 __all__ = [
     "LogScaled",
@@ -371,11 +375,13 @@ def scaled_erfc_complex(z):
     Equals the Faddeeva function w evaluated at iz; accepts scalars or
     arrays.
     """
+    from scipy.special import wofz
     return wofz(1j * np.asarray(z, dtype=complex))
 
 
 def bessel_j(nu: float, x) -> float | np.ndarray:
     """Bessel function of the first kind J_nu(x), real order nu >= 0."""
+    from scipy.special import jv
     if nu < 0:
         raise ValueError("bessel_j requires nu >= 0")
     out = jv(nu, x)
@@ -402,6 +408,7 @@ def _first_zero_seed(nu: float) -> float:
 
 def _newton_in_bracket(nu: float, lo: float, hi: float) -> float:
     """Polish a sign-change bracket J(lo) > 0 > J(hi) by safeguarded Newton."""
+    from scipy.special import jv
     x = 0.5 * (lo + hi)
     for _ in range(100):
         fx = jv(nu, x)
@@ -423,6 +430,7 @@ def _newton_in_bracket(nu: float, lo: float, hi: float) -> float:
 
 def _first_zero_by_scan(nu: float) -> float:
     """Ascending sign scan from nu (J_nu > 0 on (0, j_nu) and j_nu > nu)."""
+    from scipy.special import jv
     lo = max(nu, 1e-3)
     # comfortably below both the gap to the second zero (~1.9 nu^(1/3)) and pi
     step = max(0.02, 0.05 * max(1.0, nu) ** (1.0 / 3.0))
@@ -443,6 +451,7 @@ def bessel_first_zero(nu: float) -> float:
     scan below the root certifies it is the *first* zero, with an ascending
     sign-scan fallback if not.  J_nu is positive on (0, j_nu).
     """
+    from scipy.special import jv
     if nu < 0 or nu > 400:
         raise ValueError("bessel_first_zero requires 0 <= nu <= 400")
     seed = _first_zero_seed(nu)
@@ -481,6 +490,7 @@ def bessel_first_zero(nu: float) -> float:
 
 def incomplete_beta(u: float, alpha: float, beta: float) -> float:
     """B(u; alpha, beta) = integral_0^u t^(a-1) (1-t)^(b-1) dt (unregularized)."""
+    from scipy.special import betainc, betaln
     if not 0.0 <= u <= 1.0:
         raise ValueError("incomplete_beta requires u in [0, 1]")
     if alpha <= 0 or beta <= 0:

@@ -3,6 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,7 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
         ["crossover", "--lo", "2", "--hi", "9"],
         ["lp", "--n", "8", "--theta", "1.0471975511965976", "--degree", "0"],
         ["overlap", "--n", "3", "--r", "1", "--R", "2", "--samples", "0", "--format", "json"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "2", "--samples", "20000"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):
@@ -149,6 +154,20 @@ def test_overlap_json(capsys, n, r, R, reference):
     assert 0.0 < doc["limit"] <= 1.0
 
 
+# sha256 of the default (text) ``overlap`` stdout, as first released
+OVERLAP_TEXT_SHA256 = {
+    ("3", "1", "2"): "9c5c6fffe31bdfd3c8a7312de4070c176590f4f67b64cb11d1083945f1be5cf9",
+    ("10", "0.5", "3"): "647313d45305005b1dfb56c185be658ebeac4dc5b0fbbd115f70aefb6cc960a1",
+}
+
+
+@pytest.mark.parametrize("n, r, R", sorted(OVERLAP_TEXT_SHA256))
+def test_overlap_text_bytes_pinned(capsys, n, r, R):
+    code, out, err = _run(capsys, ["overlap", "--n", n, "--r", r, "--R", R])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == OVERLAP_TEXT_SHA256[(n, r, R)]
+
+
 THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
 
 # sha256 of ``lp --n N --theta pi/3 --degree D`` stdout as first released;
@@ -196,3 +215,34 @@ def test_lp_simplex_failure_exits_3(capsys):
     assert doc["error"] == "LPInfeasibleError"
     assert "n=32, degree=10" in doc["message"] and "round-off" in doc["message"]
     assert "setup is broken" not in doc["message"]
+
+
+# Each case runs in a fresh interpreter: whether ``scipy.special`` is in
+# ``sys.modules`` after ``import packbounds.cli``, and after ``main(argv)``.
+COLD_START_PROBE = """
+import contextlib, io, json, sys
+import packbounds.cli
+after_import = "scipy.special" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = packbounds.cli.main(sys.argv[1:])
+print(json.dumps([after_import, "scipy.special" in sys.modules, code]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_special",
+    [
+        (["lp", "--n", "8", "--theta", THETA, "--degree", "10"], False),
+        (["hyperbolic", "--n", "24", "--r", "1", "--refined"], False),
+        (["rate"], False),
+        (["table", "--dims", "8", "--methods", "levenshtein"], True),
+    ],
+)
+def test_scipy_special_loaded_only_on_first_use(argv, loads_special):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == [False, loads_special, 0]
