@@ -1,7 +1,7 @@
 """Upper bounds for sphere packing density in Euclidean and hyperbolic space.
 
 Submodules: :mod:`specfun` (log-scaled numerics and special functions),
-:mod:`orthopoly` (Gegenbauer polynomials and roots), :mod:`euclid_bounds`
+:mod:`orthopoly` (normalized Gegenbauer tables and largest roots), :mod:`euclid_bounds`
 (the four Euclidean density bounds), :mod:`spherical_lp` (the code-bound LP
 with verified certificates and the Euclidean transfer), :mod:`hyperbolic`
 (volumes, density bounds, ball overlaps), and :mod:`cli`.
@@ -29,13 +29,7 @@ from .hyperbolic import (
     overlap_monte_carlo,
     radius_from_angle,
 )
-from .orthopoly import (
-    GegenbauerContext,
-    GegenbauerPoly,
-    gegenbauer_eval,
-    gegenbauer_largest_root,
-    mean_on_sphere,
-)
+from .orthopoly import GegenbauerContext
 from .specfun import (
     LogScaled,
     Quadrature,

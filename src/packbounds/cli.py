@@ -183,13 +183,15 @@ def _cmd_hyperbolic(args: argparse.Namespace) -> str:
 def _cmd_overlap(args: argparse.Namespace) -> str:
     if args.samples is not None and args.format == "text":
         raise ValueError("--samples needs --format json; text prints only the finite overlap")
+    if args.seed is not None and args.samples is None:
+        raise ValueError("--seed needs --samples; it seeds only the Monte-Carlo estimate")
     n, r, R = args.n, args.r, args.R
     finite = hyp.overlap_finite(n, r, R)
     if args.format == "text":
         return f"{finite!r}\n"
     doc = {"n": n, "r": r, "R": R, "finite": finite, "limit": hyp.overlap_limit(n, r)}
     if args.samples is not None:
-        mean, stderr = hyp.overlap_monte_carlo(n, r, R, args.samples, args.seed)
+        mean, stderr = hyp.overlap_monte_carlo(n, r, R, args.samples, args.seed or 0)
         doc["mc_mean"] = mean
         doc["mc_stderr"] = stderr
         doc["mc_samples"] = args.samples
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--R", dest="R", type=float, required=True)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
 
     command("rate", _cmd_rate, "asymptotic per-dimension exponent")
     return ap

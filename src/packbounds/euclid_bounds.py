@@ -8,7 +8,7 @@ Four methods are implemented:
 * ``kl`` -- the projection bound through spherical codes in S^n, minimized
   over the degree k of the underlying Gegenbauer root (first local minimum);
 * ``cz`` -- the sharpened projection bound that stays in S^(n-1), minimized
-  over the k-range where the code angle stays >= pi/3.
+  the same way over the k-range where the code angle stays >= pi/3.
 
 All values are kept in log space; dimension 600 lands near 1e-100 without
 ever touching a denormal.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import GegenbauerContext
+from .orthopoly import DEGREE_CAP, GegenbauerContext
 from .specfun import (
     LogScaled,
     NonConvergenceError,
@@ -93,7 +93,7 @@ def shared_context(n: int) -> GegenbauerContext:
 # ---------------------------------------------------------------------------
 
 
-def rogers_bound(n: int, quad: Quadrature | None = None) -> BoundRecord:
+def rogers_bound(n: int) -> BoundRecord:
     """Simplex-cell density bound in R^n.
 
     The textbook integrand e^((n+1)(n/2 - sqrt(2n) u i - u^2)) erfc(a - ui)^n
@@ -108,7 +108,6 @@ def rogers_bound(n: int, quad: Quadrature | None = None) -> BoundRecord:
     """
     if n < 2 or n > 1000:
         raise ValueError("rogers_bound requires 2 <= n <= 1000")
-    q = quad or Quadrature(rel_tol=1e-11)
     a = math.sqrt(n / 2.0)
     s2n = math.sqrt(2.0 * n)
 
@@ -121,7 +120,7 @@ def rogers_bound(n: int, quad: Quadrature | None = None) -> BoundRecord:
     def scaled(u: np.ndarray) -> np.ndarray:
         return np.exp(log_integrand(u) - peak)
 
-    res = integrate_real_line(scaled, q)
+    res = integrate_real_line(scaled)
     total = complex(res.value)
     imag_residual = abs(total.imag) / abs(total.real)
 
@@ -191,7 +190,7 @@ def kl_spherical_code_bound(
     k = 1
     while ctx.largest_root(k) < c:
         k += 1
-        if k > ctx.degree_cap:
+        if k > DEGREE_CAP:
             raise NonConvergenceError("k-search exhausted the degree cap")
     logv = (
         math.log(4.0)
@@ -215,77 +214,58 @@ def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
     )
 
 
-def kl_bound(n: int) -> BoundRecord:
-    """Packing bound via codes on S^n: scan k upward to the first local
-    minimum of the log objective, as the infimum is attained there."""
-    if n < 1 or n > 800:
-        raise ValueError("kl_bound requires 1 <= n <= 800")
-    ctx = shared_context(n + 1)
+def _scan_k(
+    n: int, ctx: GegenbauerContext, method: str, t_max: float | None = None
+) -> BoundRecord:
+    # Scan k upward to the first local minimum of the log objective, where
+    # the infimum is attained; with t_max, only over the degrees whose root
+    # t_(m,k) <= t_max (t_1 = 0, so k = 1 always counts)
     prev = _code_objective(n, ctx, 1)
     k = 2
-    while k <= ctx.degree_cap:
-        cur = _code_objective(n, ctx, k)
-        if cur > prev:
+    while k <= DEGREE_CAP:
+        if t_max is not None and ctx.largest_root(k) > t_max:
+            cur = None
+        else:
+            cur = _code_objective(n, ctx, k)
+        if cur is None or cur > prev:
             k_star = k - 1
-            certificate = {
-                "objective_prev": _code_objective(n, ctx, k_star - 1)
-                if k_star > 1
-                else None,
-                "objective": prev,
-                "objective_next": cur,
-            }
             return BoundRecord(
                 dimension=n,
-                method="kl",
+                method=method,
                 value=LogScaled.from_log(prev),
                 k_star=k_star,
                 theta_star=math.acos(ctx.largest_root(k_star)),
-                diagnostics=certificate,
+                diagnostics={
+                    "objective_prev": _code_objective(n, ctx, k_star - 1)
+                    if k_star > 1
+                    else None,
+                    "objective": prev,
+                    "objective_next": cur,
+                },
             )
         prev = cur
         k += 1
-    raise NonConvergenceError("kl_bound k-search found no local minimum")
+    raise NonConvergenceError(f"{method}_bound k-search found no local minimum")
+
+
+def kl_bound(n: int) -> BoundRecord:
+    """Packing bound via codes on S^n, at the first local minimum in k."""
+    if n < 1 or n > 800:
+        raise ValueError("kl_bound requires 1 <= n <= 800")
+    return _scan_k(n, shared_context(n + 1), "kl")
 
 
 def cz_bound(n: int) -> BoundRecord:
     """Packing bound via codes on S^(n-1), restricted to code angles
-    theta >= pi/3 (equivalently t_(n,k) <= 1/2), minimized over that range."""
+    theta >= pi/3 (equivalently t_(n,k) <= 1/2), at the first local
+    minimum in k within that range."""
     if n < 1 or n > 800:
         raise ValueError("cz_bound requires 1 <= n <= 800")
     if n == 1:
         # needs the Gegenbauer family on S^0, which does not exist; the
         # kl route through S^1 stays available at n = 1
         raise ValueError("cz_bound is undefined for n = 1")
-    ctx = shared_context(n)
-    best = None
-    best_k = None
-    k = 1
-    while ctx.largest_root(k) <= 0.5:
-        val = _code_objective(n, ctx, k)
-        if best is None or val < best:
-            best, best_k = val, k
-        k += 1
-        if k > ctx.degree_cap:
-            raise NonConvergenceError("cz_bound k-search exhausted the degree cap")
-    if best is None:
-        raise NonConvergenceError(f"empty feasible k-range at n={n}")
-    feasible_max = k - 1
-    certificate = {
-        "objective_prev": _code_objective(n, ctx, best_k - 1) if best_k > 1 else None,
-        "objective": best,
-        "objective_next": _code_objective(n, ctx, best_k + 1)
-        if best_k < feasible_max
-        else None,
-        "feasible_k_max": feasible_max,
-    }
-    return BoundRecord(
-        dimension=n,
-        method="cz",
-        value=LogScaled.from_log(best),
-        k_star=best_k,
-        theta_star=math.acos(ctx.largest_root(best_k)),
-        diagnostics=certificate,
-    )
+    return _scan_k(n, shared_context(n), "cz", t_max=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,12 @@ def log_sphere_surface(n: int) -> float:
     return math.log(2.0) + (n / 2.0) * math.log(math.pi) - log_gamma(n / 2.0)
 
 
-def hyp_ball_volume(n: int, r: float, quad: Quadrature | None = None) -> LogScaled:
+def hyp_ball_volume(n: int, r: float) -> LogScaled:
     """Volume of a radius-r ball in H^n: Omega_n int_0^r sinh^(n-1) x dx."""
     if n < 2 or n > 200:
         raise ValueError("hyp_ball_volume requires 2 <= n <= 200")
     if not 0.0 < r <= 50.0:
         raise ValueError("hyp_ball_volume requires 0 < r <= 50")
-    q = quad or Quadrature(rel_tol=1e-12)
     # scale by the integrand peak at x = r so the exponential never overflows
     peak = (n - 1) * math.log(math.sinh(r))
 
@@ -62,7 +61,7 @@ def hyp_ball_volume(n: int, r: float, quad: Quadrature | None = None) -> LogScal
             lo = np.where(x > 0, (n - 1) * np.log(np.sinh(np.maximum(x, 1e-300))), -np.inf)
         return np.exp(lo - peak)
 
-    res = integrate(scaled, 0.0, r, q)
+    res = integrate(scaled, 0.0, r, Quadrature(rel_tol=1e-12))
     return LogScaled.from_log(log_sphere_surface(n) + peak + math.log(res.value))
 
 

@@ -1,4 +1,4 @@
-"""Gegenbauer polynomials on the sphere: evaluation, largest roots, means.
+"""Gegenbauer polynomials on the sphere: normalized tables and largest roots.
 
 The positive-definite basis on S^(n-1) is C_k^(n/2-1).  For n = 2 the
 weight degenerates and the Chebyshev-T basis (the alpha -> 0 limit) is used
@@ -15,22 +15,14 @@ that cell in a handful of passes; otherwise the bisection runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import NonConvergenceError, Quadrature, integrate, log_gamma
+from .specfun import NonConvergenceError, log_gamma
 
-__all__ = [
-    "GegenbauerContext",
-    "GegenbauerPoly",
-    "gegenbauer_eval",
-    "gegenbauer_eval_normalized",
-    "gegenbauer_largest_root",
-    "mean_on_sphere",
-]
+__all__ = ["GegenbauerContext", "DEGREE_CAP"]
 
-DEFAULT_DEGREE_CAP = 20000
+DEGREE_CAP = 20000
 
 
 class GegenbauerContext:
@@ -42,17 +34,16 @@ class GegenbauerContext:
     share a context.
     """
 
-    def __init__(self, n: int, degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, n: int):
         if n < 2:
             raise ValueError("GegenbauerContext requires dimension n >= 2")
         self.n = int(n)
         self.alpha = n / 2.0 - 1.0
-        self.degree_cap = int(degree_cap)
         self._roots: dict[int, float] = {1: 0.0}
         self._b2 = np.empty(0)
 
     def __repr__(self):
-        return f"GegenbauerContext(n={self.n}, degree_cap={self.degree_cap})"
+        return f"GegenbauerContext(n={self.n})"
 
     def log_value_at_one(self, k: int) -> float:
         """ln C_k(1); C_k(1) = C(k + n - 3, k) for n > 2, T_k(1) = 1 for n = 2."""
@@ -63,22 +54,11 @@ class GegenbauerContext:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_normalized(self, k: int, t):
-        """C_k(t) / C_k(1), stable for any n and k (values stay in [-1, 1])."""
-        self._check_degree(k)
-        t = np.asarray(t, dtype=float)
-        pm1 = np.ones_like(t)
-        if k == 0:
-            return pm1 if pm1.ndim else float(pm1)
-        p = t.copy()
-        a = self.alpha
-        for j in range(2, k + 1):
-            # uniform in n: reduces to the Chebyshev recurrence at alpha = 0
-            p, pm1 = (2 * (j + a - 1) * t * p - (j - 1) * pm1) / (j + 2 * a - 1), p
-        return p if p.ndim else float(p)
-
     def eval_normalized_table(self, kmax: int, t: np.ndarray) -> np.ndarray:
-        """All normalized values up to degree kmax at once, shape (kmax+1, len(t))."""
+        """C_j(t) / C_j(1) for j = 0..kmax at once, shape (kmax+1, len(t)).
+
+        The three-term recurrence of the normalized family is uniform in n
+        (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1]."""
         self._check_degree(kmax)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((kmax + 1, t.size))
@@ -91,22 +71,6 @@ class GegenbauerContext:
                 j + 2 * a - 1
             )
         return out
-
-    def eval_raw(self, k: int, t):
-        """C_k^(n/2-1)(t) in the standard normalization (T_k for n = 2)."""
-        self._check_degree(k)
-        t = np.asarray(t, dtype=float)
-        pm1 = np.ones_like(t)
-        if k == 0:
-            return pm1 if pm1.ndim else float(pm1)
-        a = self.alpha
-        p = t.copy() if self.n == 2 else 2 * a * t
-        for j in range(2, k + 1):
-            if self.n == 2:
-                p, pm1 = 2 * t * p - pm1, p
-            else:
-                p, pm1 = (2 * (j + a - 1) * t * p - (j + 2 * a - 2) * pm1) / j, p
-        return p if p.ndim else float(p)
 
     # -- largest roots ------------------------------------------------------
 
@@ -184,8 +148,8 @@ class GegenbauerContext:
         return None
 
     def _check_degree(self, k: int) -> None:
-        if k > self.degree_cap:
-            raise ValueError(f"degree {k} exceeds degree_cap {self.degree_cap}")
+        if k > DEGREE_CAP:
+            raise ValueError(f"degree {k} exceeds the degree cap {DEGREE_CAP}")
 
 
 # Bisection of [0, 1] to width <= 1e-14 halves it exactly 47 times.
@@ -235,80 +199,3 @@ def _bisect_largest(b2: list[float], k: int, n: int) -> float:
     if hi - lo > 1e-12:
         raise NonConvergenceError(f"root bisection stalled at n={n}, k={k}")
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class GegenbauerPoly:
-    """A polynomial given by coefficients c_0..c_d in the Gegenbauer basis."""
-
-    context: GegenbauerContext
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) - 1 > self.context.degree_cap:
-            raise ValueError("degree exceeds the context degree_cap")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def normalized_coefficients(self) -> np.ndarray:
-        """Weights x_k with g = sum x_k * (C_k / C_k(1)); x_k = c_k C_k(1)."""
-        ctx = self.context
-        return np.array(
-            [
-                c * math.exp(ctx.log_value_at_one(k))
-                for k, c in enumerate(self.coefficients)
-            ]
-        )
-
-    def __call__(self, t):
-        table = self.context.eval_normalized_table(
-            self.degree, np.atleast_1d(np.asarray(t, dtype=float))
-        )
-        vals = self.normalized_coefficients() @ table
-        return vals if np.ndim(t) else float(vals[0])
-
-    def value_at_one(self) -> float:
-        return float(np.sum(self.normalized_coefficients()))
-
-    def mean(self) -> float:
-        """Average over independent uniform sphere points; equals c_0."""
-        return self.coefficients[0]
-
-
-# -- module-level conveniences mirroring the context methods ----------------
-
-
-def gegenbauer_eval(ctx: GegenbauerContext, k: int, t):
-    return ctx.eval_raw(k, t)
-
-
-def gegenbauer_eval_normalized(ctx: GegenbauerContext, k: int, t):
-    return ctx.eval_normalized(k, t)
-
-
-def gegenbauer_largest_root(ctx: GegenbauerContext, k: int) -> float:
-    return ctx.largest_root(k)
-
-
-def mean_on_sphere(ctx, g, quad: Quadrature | None = None) -> float:
-    """Mean of g(<x, y>) over independent uniform points of S^(n-1).
-
-    For a :class:`GegenbauerPoly` this is its constant coefficient c_0.  For
-    a plain callable the defining ratio of integrals is computed after the
-    substitution t = cos(phi), which removes the weight's endpoint
-    singularities for every n >= 2:
-
-        mean = int_0^pi g(cos phi) sin^(n-2) phi dphi / int_0^pi sin^(n-2) phi dphi
-    """
-    if isinstance(g, GegenbauerPoly):
-        return g.mean()
-    q = quad or Quadrature(rel_tol=1e-12)
-    m = ctx.n - 2
-
-    den = integrate(lambda p: np.sin(p) ** m, 0.0, math.pi, q)
-    # zero means (e.g. higher basis polynomials) need an absolute target
-    qn = Quadrature(q.scheme, q.rel_tol, max(q.abs_tol, q.rel_tol * den.value), q.max_refinements)
-    num = integrate(lambda p: np.asarray(g(np.cos(p))) * np.sin(p) ** m, 0.0, math.pi, qn)
-    return num.value / den.value

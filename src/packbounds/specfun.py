@@ -317,33 +317,29 @@ def integrate(
     return res
 
 
-def integrate_real_line(
-    f: Callable[[np.ndarray], np.ndarray],
-    q: Quadrature = DEFAULT_QUAD,
-    *,
-    peak: float = 0.0,
-) -> QuadResult:
+def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadResult:
     """Integrate over (-inf, inf) after truncating the tails.
 
     The interval is cut where log|f| falls :data:`TAIL_NATS` nats below its
-    value near ``peak``; both cuts are located by outward doubling, one
-    call of ``f`` per step serving both sides.  The caller is expected to
-    pass an integrand already scaled so that the peak value is of order one.
+    value at 0; both cuts are located by outward doubling, one call of
+    ``f`` per step serving both sides.  The caller is expected to pass an
+    integrand already scaled so that its peak lies near 0 with a value of
+    order one.
     """
-    fpeak = abs(complex(np.asarray(f(np.array([peak])))[0]))
+    fpeak = abs(complex(np.asarray(f(np.array([0.0])))[0]))
     if fpeak == 0 or not math.isfinite(fpeak):
         raise IntegrandError("integrand peak is zero or non-finite")
     floor = fpeak * math.exp(-TAIL_NATS)
     lo = hi = None
     u = 1.0
     for _ in range(60):
-        vals = np.asarray(f(np.array([peak - u, peak + u])))
+        vals = np.asarray(f(np.array([-u, u])))
         if lo is None and abs(complex(vals[0])) < floor:
-            lo = peak - u
+            lo = -u
         if hi is None and abs(complex(vals[1])) < floor:
-            hi = peak + u
+            hi = u
         if lo is not None and hi is not None:
-            return integrate(f, lo, hi, q)
+            return integrate(f, lo, hi)
         u *= 2.0
     raise NonConvergenceError("could not locate an integrable tail")
 

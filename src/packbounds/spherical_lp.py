@@ -5,10 +5,11 @@ S^(n-1): g = sum_k c_k C_k with c_k >= 0, g <= 0 on [-1, cos theta], and
 objective g(1)/c_0.  Working with the normalized basis phi_k = C_k/C_k(1)
 keeps every constraint coefficient in [-1, 1] regardless of n and k.
 
-A dense two-phase simplex (Dantzig pricing, Bland fallback on degeneracy)
-solves the discretized problem.  The result is then checked for the sign
-condition: g on an independent finer grid, a golden-section polish of every
-grid local maximum, and the polynomial's exact critical points.  The
+A dense simplex (Dantzig pricing, Bland fallback on degeneracy) solves the
+dual of the discretized problem, starting from its slack basis.  The result
+is then checked for the sign condition: g on an independent finer grid, a
+golden-section polish of every grid local maximum, and the polynomial's
+exact critical points.  The
 polishing searches run in lockstep, one Gegenbauer table per step over all
 open brackets, and evaluate g point by point, so each bracket follows the
 same path as a search on it alone.  Any residual bump above zero is removed
@@ -64,7 +65,7 @@ class LPInfeasibleError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex
+# Dense simplex
 # ---------------------------------------------------------------------------
 
 
@@ -75,139 +76,86 @@ class SimplexResult:
     status: str
     iterations: int
     # final reduced costs of the slack columns: an optimal solution of the
-    # dual LP (for rows whose right-hand side was not sign-flipped)
+    # dual LP
     slack_reduced_costs: np.ndarray = None  # type: ignore[assignment]
 
 
 def simplex_minimize(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    *,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, *, tol: float = 1e-9
 ) -> SimplexResult:
     """Minimize c.x subject to A x <= b, x >= 0 by the dense tableau method.
 
-    Rows with negative right-hand side get artificial variables and a
-    phase-1 solve.  Pricing is Dantzig's rule with lowest-index tie
-    breaking; after a long degenerate streak it switches permanently to
-    Bland's rule, so the method cannot cycle and is fully deterministic.
+    b must be nonnegative, so the slack basis is feasible and the method
+    starts from it without a phase 1.  Pricing is Dantzig's rule with
+    lowest-index tie breaking; after a long degenerate streak it switches
+    permanently to Bland's rule, so the method cannot cycle and is fully
+    deterministic.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
+    if np.any(b < 0):
+        raise ValueError("simplex_minimize requires b >= 0 (a feasible slack basis)")
     m, nv = A.shape
-    if max_iter is None:
-        max_iter = 200 * (m + nv + 10)
-
-    neg = b < 0
-    n_art = int(np.count_nonzero(neg))
-    n_cols = nv + m + n_art
-    T = np.zeros((m + 1, n_cols + 1))
+    T = np.zeros((m + 1, nv + m + 1))
     T[:m, :nv] = A
+    T[:m, nv : nv + m] = np.eye(m)
     T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    art_start = nv + m
-    ai = 0
-    for i in range(m):
-        if neg[i]:
-            T[i] = -T[i]
-            T[i, nv + i] = -1.0
-            T[i, art_start + ai] = 1.0
-            basis[i] = art_start + ai
-            ai += 1
-        else:
-            T[i, nv + i] = 1.0
-            basis[i] = nv + i
+    T[m, :nv] = c
+    basis = np.arange(nv, nv + m)
 
     iterations = 0
-
-    def run_phase(cost: np.ndarray, allowed_cols: int) -> str:
-        nonlocal iterations
-        rhs = T[:m, -1]
-        rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0  # clear drift before pricing
-        T[m, :] = 0.0
-        T[m, : len(cost)] = cost
-        for i in range(m):
-            cb = cost[basis[i]] if basis[i] < len(cost) else 0.0
-            if cb != 0.0:
-                T[m, :] = T[m, :] - cb * T[i, :]
-        bland = False
-        stall = 0
+    max_iter = 200 * (m + nv + 10)
+    status = "iteration_limit"
+    bland = False
+    stall = 0
+    prev_obj = T[m, -1]
+    while iterations < max_iter:
+        red = T[m, :-1]
+        if bland:
+            cands = np.nonzero(red < -tol)[0]
+            if cands.size == 0:
+                status = "optimal"
+                break
+            j = int(cands[0])
+        else:
+            j = int(np.argmin(red))
+            if red[j] >= -tol:
+                status = "optimal"
+                break
+        col = T[:m, j]
+        pos = col > tol
+        if not np.any(pos):
+            # a barely-negative reduced cost with no usable pivot is
+            # roundoff, not a genuine ray
+            status = "optimal" if red[j] >= -1e-6 else "unbounded"
+            break
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / col[pos]
+        rmin = ratios.min()
+        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
+        if bland:
+            # lowest basis index among the ties (anti-cycling)
+            i = int(ties[np.argmin(basis[ties])])
+        else:
+            # largest pivot among the ties (numerical stability)
+            i = int(ties[np.argmax(col[ties])])
+        piv = T[i, j]
+        T[i, :] /= piv
+        colvals = T[:, j].copy()
+        colvals[i] = 0.0
+        T[...] -= np.outer(colvals, T[i, :])
+        basis[i] = j
+        iterations += 1
+        # the objective cell holds -z, so progress means it increases
+        if T[m, -1] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
+            stall += 1
+            if stall > 40:
+                bland = True
+        else:
+            stall = 0
         prev_obj = T[m, -1]
-        while iterations < max_iter:
-            red = T[m, :allowed_cols]
-            if bland:
-                cands = np.nonzero(red < -tol)[0]
-                if cands.size == 0:
-                    return "optimal"
-                j = int(cands[0])
-            else:
-                j = int(np.argmin(red))
-                if red[j] >= -tol:
-                    return "optimal"
-            col = T[:m, j]
-            pos = col > tol
-            if not np.any(pos):
-                # a barely-negative reduced cost with no usable pivot is
-                # roundoff, not a genuine ray
-                if red[j] >= -1e-6:
-                    return "optimal"
-                return "unbounded"
-            ratios = np.full(m, np.inf)
-            ratios[pos] = T[:m, -1][pos] / col[pos]
-            rmin = ratios.min()
-            ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
-            if bland:
-                # lowest basis index among the ties (anti-cycling)
-                i = int(ties[np.argmin(basis[ties])])
-            else:
-                # largest pivot among the ties (numerical stability)
-                i = int(ties[np.argmax(col[ties])])
-            piv = T[i, j]
-            T[i, :] /= piv
-            colvals = T[:, j].copy()
-            colvals[i] = 0.0
-            T[...] -= np.outer(colvals, T[i, :])
-            basis[i] = j
-            iterations += 1
-            # the objective cell holds -z, so progress means it increases
-            if T[m, -1] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
-                stall += 1
-                if stall > 40:
-                    bland = True
-            else:
-                stall = 0
-            prev_obj = T[m, -1]
-        return "iteration_limit"
 
-    if n_art:
-        p1_cost = np.zeros(n_cols)
-        p1_cost[art_start:] = 1.0
-        status = run_phase(p1_cost, n_cols)
-        if status != "optimal":
-            return SimplexResult(np.zeros(nv), math.nan, status, iterations, np.zeros(m))
-        if -T[m, -1] > 1e-7 * (1 + abs(b).max()):
-            return SimplexResult(
-                np.zeros(nv), math.nan, "infeasible", iterations, np.zeros(m)
-            )
-        # drive leftover zero-level artificials out of the basis when possible
-        for i in range(m):
-            if basis[i] >= art_start:
-                row = T[i, :art_start]
-                j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > tol:
-                    piv = T[i, j]
-                    T[i, :] /= piv
-                    colvals = T[:, j].copy()
-                    colvals[i] = 0.0
-                    T -= np.outer(colvals, T[i, :])
-                    basis[i] = j
-
-    p2_cost = np.zeros(n_cols)
-    p2_cost[:nv] = c
-    status = run_phase(p2_cost, art_start)  # artificials barred from entering
     x = np.zeros(nv)
     for i in range(m):
         if basis[i] < nv:

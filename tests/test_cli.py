@@ -54,6 +54,8 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
         ["lp", "--n", "8", "--theta", "1.0471975511965976", "--degree", "0"],
         ["overlap", "--n", "3", "--r", "1", "--R", "2", "--samples", "0", "--format", "json"],
         ["overlap", "--n", "3", "--r", "1", "--R", "2", "--samples", "20000"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "2", "--seed", "5", "--format", "json"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "2", "--seed", "5"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):

@@ -5,6 +5,7 @@ import pytest
 
 from packbounds.cli import render_round_up
 from packbounds.euclid_bounds import (
+    _code_objective,
     best_method,
     cap_density,
     cz_bound,
@@ -109,6 +110,27 @@ def test_cz_k_star_feasible():
         assert ctx.largest_root(rec.k_star) <= 0.5
         # recomputing the objective at k_star reproduces the stored value
         assert math.isclose(rec.diagnostics["objective"], rec.value.log_value, rel_tol=1e-12)
+
+
+def _cz_full_range_scan(n):
+    # the cz scan over every k with t_(n,k) <= 1/2, kept verbatim from
+    # before cz stopped at its first local minimum
+    ctx = shared_context(n)
+    best = None
+    best_k = None
+    k = 1
+    while ctx.largest_root(k) <= 0.5:
+        val = _code_objective(n, ctx, k)
+        if best is None or val < best:
+            best, best_k = val, k
+        k += 1
+    return best, best_k, math.acos(ctx.largest_root(best_k))
+
+
+def test_cz_first_local_minimum_is_the_full_range_minimum():
+    for n in range(2, 801):
+        rec = cz_bound(n)
+        assert (rec.value.log_value, rec.k_star, rec.theta_star) == _cz_full_range_scan(n)
 
 
 def test_cz_undefined_at_one():

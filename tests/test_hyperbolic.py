@@ -133,9 +133,9 @@ def test_optimized_computes_the_small_ball_once(monkeypatch):
     calls = []
     volume = hyp.hyp_ball_volume
 
-    def counted(n, r, quad=None):
+    def counted(n, r):
         calls.append((n, r))
-        return volume(n, r, quad)
+        return volume(n, r)
 
     monkeypatch.setattr(hyp, "hyp_ball_volume", counted)
     best = hyp.hyp_bound_optimized(200, 1.0, refined=True)

@@ -2,71 +2,69 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_chebyt, eval_gegenbauer
 
-from packbounds.orthopoly import (
-    GegenbauerContext,
-    GegenbauerPoly,
-    gegenbauer_eval,
-    gegenbauer_eval_normalized,
-    gegenbauer_largest_root,
-    mean_on_sphere,
-)
+from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext
+from packbounds.specfun import Quadrature, integrate
+from packbounds.spherical_lp import _eval_g, _normalized_weights
+
+
+def _phi(ctx, k, t):
+    # C_k(t) / C_k(1): row k of the normalized table
+    return ctx.eval_normalized_table(k, t)[k]
 
 
 def test_degree_zero_is_one():
+    ts = np.array([-1.0, -0.3, 0.0, 0.99, 1.0])
     for n in (2, 3, 4, 11):
-        ctx = GegenbauerContext(n)
-        for t in (-1.0, -0.3, 0.0, 0.99, 1.0):
-            assert gegenbauer_eval(ctx, 0, t) == 1.0
+        assert np.all(_phi(GegenbauerContext(n), 0, ts) == 1.0)
 
 
 def test_chebyshev_u_closed_form_n4():
-    # alpha = 1 gives the second-kind Chebyshev family
+    # alpha = 1 gives the second-kind Chebyshev family, U_3(1) = 4
     ctx = GegenbauerContext(4)
-    assert math.isclose(gegenbauer_eval(ctx, 3, 0.5), 8 * 0.125 - 4 * 0.5, rel_tol=1e-14)
+    assert math.isclose(_phi(ctx, 3, 0.5)[0], (8 * 0.125 - 4 * 0.5) / 4, rel_tol=1e-14)
     ts = np.linspace(-1, 1, 17)
-    for t in ts:
+    for t, got in zip(ts, _phi(ctx, 3, ts)):
         u3 = 8 * t**3 - 4 * t
-        assert math.isclose(gegenbauer_eval(ctx, 3, float(t)), u3, rel_tol=1e-12, abs_tol=1e-13)
+        assert math.isclose(got, u3 / 4, rel_tol=1e-12, abs_tol=1e-13)
 
 
 def test_legendre_closed_form_n3():
+    # P_2(1) = 1, so the normalized and the raw Legendre polynomial agree
     ctx = GegenbauerContext(3)
-    assert math.isclose(gegenbauer_eval(ctx, 2, 0.0), -0.5, rel_tol=1e-14)
-    for t in np.linspace(-1, 1, 9):
+    assert math.isclose(_phi(ctx, 2, 0.0)[0], -0.5, rel_tol=1e-14)
+    ts = np.linspace(-1, 1, 9)
+    for t, got in zip(ts, _phi(ctx, 2, ts)):
         p2 = (3 * t * t - 1) / 2
-        assert math.isclose(gegenbauer_eval(ctx, 2, float(t)), p2, rel_tol=1e-12, abs_tol=1e-14)
+        assert math.isclose(got, p2, rel_tol=1e-12, abs_tol=1e-14)
 
 
 def test_chebyshev_t_basis_n2():
     ctx = GegenbauerContext(2)
+    ts = np.linspace(-1, 1, 11)
+    table = ctx.eval_normalized_table(7, ts)
     for k in range(8):
-        for t in np.linspace(-1, 1, 11):
+        for t, got in zip(ts, table[k]):
             assert math.isclose(
-                gegenbauer_eval(ctx, k, float(t)),
-                math.cos(k * math.acos(float(t))),
-                rel_tol=1e-10,
-                abs_tol=1e-12,
+                got, math.cos(k * math.acos(float(t))), rel_tol=1e-10, abs_tol=1e-12
             )
 
 
 def test_normalized_matches_raw_ratio():
+    ts = np.array([-0.8, 0.1, 0.65])
     for n in (2, 3, 5, 12):
         ctx = GegenbauerContext(n)
         for k in (1, 4, 9):
-            at_one = gegenbauer_eval(ctx, k, 1.0)
-            for t in (-0.8, 0.1, 0.65):
-                assert math.isclose(
-                    gegenbauer_eval_normalized(ctx, k, t),
-                    gegenbauer_eval(ctx, k, t) / at_one,
-                    rel_tol=1e-11,
-                    abs_tol=1e-13,
-                )
+            if n == 2:
+                # scipy's C_k^0 vanishes; the n = 2 basis is T_k, T_k(1) = 1
+                raw, at_one = eval_chebyt(k, ts), 1.0
+            else:
+                raw, at_one = eval_gegenbauer(k, n / 2 - 1, ts), eval_gegenbauer(k, n / 2 - 1, 1.0)
+            for got, want in zip(_phi(ctx, k, ts), raw / at_one):
+                assert math.isclose(got, want, rel_tol=1e-12)
             assert math.isclose(
-                math.log(abs(at_one)) if at_one > 0 else 0.0,
-                ctx.log_value_at_one(k),
-                rel_tol=1e-12,
-                abs_tol=1e-12,
+                math.log(at_one), ctx.log_value_at_one(k), rel_tol=1e-12, abs_tol=1e-12
             )
 
 
@@ -84,13 +82,13 @@ def test_normalized_stays_bounded_at_extreme_degree():
 
 def test_root_k1_is_zero():
     for n in (2, 3, 10, 101):
-        assert gegenbauer_largest_root(GegenbauerContext(n), 1) == 0.0
+        assert GegenbauerContext(n).largest_root(1) == 0.0
 
 
 def test_root_k2_closed_form():
     for n in (2, 3, 4, 9, 25):
         ctx = GegenbauerContext(n)
-        got = gegenbauer_largest_root(ctx, 2)
+        got = ctx.largest_root(2)
         if n == 2:
             expected = math.cos(math.pi / 4)  # largest root of T_2
         else:
@@ -100,7 +98,7 @@ def test_root_k2_closed_form():
 
 def test_root_k3_n4():
     assert math.isclose(
-        gegenbauer_largest_root(GegenbauerContext(4), 3), 1 / math.sqrt(2), abs_tol=1e-12
+        GegenbauerContext(4).largest_root(3), 1 / math.sqrt(2), abs_tol=1e-12
     )
 
 
@@ -134,7 +132,7 @@ def test_root_cache_reuse_and_thread_safety():
 def _root_by_polynomial_bisection(ctx, k):
     # independent route: bisect the normalized polynomial on (t0, 1)
     lo, hi = 0.0, 1.0
-    f = lambda t: ctx.eval_normalized(k, t)  # noqa: E731
+    f = lambda t: _phi(ctx, k, t)[0]  # noqa: E731
     # move lo up to the last sign change below 1
     grid = np.linspace(0.0, 1.0, 600)
     vals = [f(float(t)) for t in grid]
@@ -162,54 +160,65 @@ def test_root_vs_polynomial_bisection(n, k):
 def test_root_value_and_no_sign_change_above(n, k):
     ctx = GegenbauerContext(n)
     r = ctx.largest_root(k)
-    assert abs(ctx.eval_normalized(k, r)) <= 1e-8
+    assert abs(_phi(ctx, k, r)[0]) <= 1e-8
     ts = np.linspace(r + 1e-9, 1.0, 1000)
-    vals = ctx.eval_normalized(k, ts)
+    vals = _phi(ctx, k, ts)
     assert np.all(vals > 0.0)
 
 
 def test_degree_cap_enforced():
-    ctx = GegenbauerContext(4, degree_cap=10)
+    ctx = GegenbauerContext(4)
     with pytest.raises(ValueError):
-        ctx.largest_root(11)
+        ctx.largest_root(DEGREE_CAP + 1)
+    with pytest.raises(ValueError):
+        ctx.eval_normalized_table(DEGREE_CAP + 1, [0.5])
 
 
 # ---------------------------------------------------------------------------
-# means over the sphere
+# means over the sphere: the LP's objective g(1)/c_0 takes c_0 as the mean
 # ---------------------------------------------------------------------------
+
+
+def _sphere_mean(n, g):
+    # mean of g(<x, y>) over independent uniform points of S^(n-1), after
+    # t = cos(phi): int_0^pi g(cos phi) sin^(n-2) phi dphi / int_0^pi sin^(n-2)
+    q = Quadrature(rel_tol=1e-12)
+    den = integrate(lambda p: np.sin(p) ** (n - 2), 0.0, math.pi, q)
+    # zero means (the basis above degree 0) need an absolute target
+    qn = Quadrature(rel_tol=1e-12, abs_tol=1e-12 * den.value)
+    num = integrate(lambda p: g(np.cos(p)) * np.sin(p) ** (n - 2), 0.0, math.pi, qn)
+    return num.value / den.value
 
 
 def test_mean_of_constant_and_of_basis():
     for n in (2, 3, 6):
         ctx = GegenbauerContext(n)
-        assert mean_on_sphere(ctx, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-12)
+        assert _sphere_mean(n, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-12)
         for k in (1, 2, 5):
-            g = lambda t, k=k: np.asarray(ctx.eval_normalized(k, t))  # noqa: E731
-            assert mean_on_sphere(ctx, g) == pytest.approx(0.0, abs=1e-11)
+            assert _sphere_mean(n, lambda t, k=k: _phi(ctx, k, t)) == pytest.approx(
+                0.0, abs=1e-11
+            )
 
 
 def test_mean_t_squared_flat_weight():
-    ctx = GegenbauerContext(3)
-    assert mean_on_sphere(ctx, lambda t: t * t) == pytest.approx(1.0 / 3.0, rel=1e-11)
+    assert _sphere_mean(3, lambda t: t * t) == pytest.approx(1.0 / 3.0, rel=1e-11)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 13])
 def test_mean_basis_vs_quadrature(n):
     ctx = GegenbauerContext(n)
-    poly = GegenbauerPoly(ctx, (0.7, 0.2, 0.4, 0.1, 0.05))
-    assert poly.mean() == 0.7
-    quad_path = mean_on_sphere(ctx, lambda t: np.asarray(poly(t)))
-    assert math.isclose(quad_path, 0.7, rel_tol=1e-10)
+    weights = _normalized_weights(ctx, (0.7, 0.2, 0.4, 0.1, 0.05))
+    assert math.isclose(_sphere_mean(n, lambda t: _eval_g(ctx, weights, t)), 0.7, rel_tol=1e-10)
 
 
 def test_poly_value_at_one():
+    # g(1) = sum c_k C_k(1) = sum x_k, the LP objective's numerator
     ctx = GegenbauerContext(5)
-    poly = GegenbauerPoly(ctx, (1.0, 0.5, 0.25))
-    direct = sum(
-        c * gegenbauer_eval(ctx, k, 1.0) for k, c in enumerate(poly.coefficients)
-    )
-    assert math.isclose(poly.value_at_one(), direct, rel_tol=1e-12)
-    assert math.isclose(poly(1.0), direct, rel_tol=1e-12)
+    coefficients = (1.0, 0.5, 0.25)
+    weights = _normalized_weights(ctx, coefficients)
+    direct = sum(c * eval_gegenbauer(k, 1.5, 1.0) for k, c in enumerate(coefficients))
+    assert math.isclose(weights.sum(), direct, rel_tol=1e-12)
+    assert math.isclose(_eval_g(ctx, weights, 1.0)[0], direct, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
