@@ -35,12 +35,17 @@ def test_simplex_basic():
     assert math.isclose(res.objective, -14 / 5, rel_tol=1e-12)
 
 
-def test_simplex_negative_rhs_rejected():
-    # the method starts from the slack basis, which a negative right-hand
-    # side makes infeasible: x1 >= 1 written as -x1 <= -1, and the empty
-    # x <= -1 with x >= 0
+def test_simplex_negative_rhs_phase1():
+    # min x1 + x2 st x1 >= 1 (written as -x1 <= -1): the method starts from
+    # the slack basis, which a negative right-hand side makes infeasible, and
+    # there is no phase 1 to find another, so the problem is rejected
     with pytest.raises(ValueError):
         simplex_minimize(np.array([1.0, 1.0]), np.array([[-1.0, 0.0]]), np.array([-1.0]))
+
+
+def test_simplex_infeasible():
+    # x <= -1 with x >= 0 is empty; without a phase 1 there is no
+    # "infeasible" status, and the negative right-hand side is rejected
     with pytest.raises(ValueError):
         simplex_minimize(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
 
