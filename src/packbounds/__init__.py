@@ -20,7 +20,6 @@ from .euclid_bounds import (
     rogers_bound,
 )
 from .hyperbolic import (
-    HyperbolicGeometry,
     hyp_ball_volume,
     hyp_bound_optimized,
     hyp_density_bound,
@@ -34,7 +33,6 @@ from .specfun import (
     LogScaled,
     Quadrature,
     bessel_first_zero,
-    bessel_j,
     incomplete_beta,
     integrate,
     log_binomial,

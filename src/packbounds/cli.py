@@ -7,9 +7,9 @@ hyperbolic bounds, overlap fractions, and the asymptotic rate.
 else to stdout.
 
 Exit codes: 0 success, 2 invalid configuration (usage errors, unknown
-methods, parameters outside a bound's domain), 3 numeric non-convergence
-(with a JSON diagnostic on stderr).  Identical configurations produce
-byte-identical output.
+methods, parameters outside a bound's domain, an unwritable ``--output``),
+3 numeric non-convergence (with a JSON diagnostic on stderr).  Identical
+configurations produce byte-identical output.
 
 ``scipy.special`` is imported on first use.  ``lp``, ``hyperbolic``,
 ``rate`` and ``table --methods kl,cz`` never load it; ``table`` with
@@ -220,7 +220,10 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def _parse_methods(text: str) -> list[str]:
-    return [x.strip() for x in text.split(",") if x.strip()]
+    methods = [x.strip() for x in text.split(",") if x.strip()]
+    if not methods:
+        raise argparse.ArgumentTypeError("empty method list")
+    return methods
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,9 +290,10 @@ def main(argv=None) -> int:
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 3
-    except ValueError as exc:
-        # the bounds' domain errors and unknown methods; IntegrandError is a
-        # ValueError too, and the clause above keeps it at exit 3
+    except (ValueError, OSError) as exc:
+        # the bounds' domain errors, unknown methods and an --output that
+        # cannot be written; IntegrandError is a ValueError too, and the
+        # clause above keeps it at exit 3
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

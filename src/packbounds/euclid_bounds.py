@@ -167,9 +167,7 @@ def levenshtein_bound(n: int) -> BoundRecord:
 # ---------------------------------------------------------------------------
 
 
-def kl_spherical_code_bound(
-    n: int, theta: float, ctx: GegenbauerContext | None = None
-) -> tuple[LogScaled, int]:
+def kl_spherical_code_bound(n: int, theta: float) -> tuple[LogScaled, int]:
     """Upper bound on the size of a spherical code with minimal angle theta.
 
     Uses the smallest degree k whose largest Gegenbauer root t_(n,k)
@@ -183,7 +181,7 @@ def kl_spherical_code_bound(
         raise ValueError("kl_spherical_code_bound requires n >= 2")
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
-    ctx = ctx or shared_context(n)
+    ctx = shared_context(n)
     # absolute slack so that boundary angles (cos(pi/2) = 6.1e-17 in floats,
     # cos theta landing exactly on a root) select the intended degree
     c = math.cos(theta) - 1e-12
@@ -273,9 +271,7 @@ def cz_bound(n: int) -> BoundRecord:
 # ---------------------------------------------------------------------------
 
 
-def cap_density(
-    n: int, theta: float, count: float, quad: Quadrature | None = None
-) -> float:
+def cap_density(n: int, theta: float, count: float) -> float:
     """Fraction of S^(n-1) covered by `count` caps of angular radius theta/2:
 
         count * int_0^(theta/2) sin^(n-2) x dx / int_0^pi sin^(n-2) x dx
@@ -286,7 +282,7 @@ def cap_density(
         raise ValueError("theta must lie in (0, pi]")
     if count <= 0:
         raise ValueError("count must be positive")
-    q = quad or Quadrature(rel_tol=1e-12)
+    q = Quadrature(rel_tol=1e-12)
     m = n - 2
     num = integrate(lambda x: np.sin(x) ** m, 0.0, theta / 2.0, q)
     den = integrate(lambda x: np.sin(x) ** m, 0.0, math.pi, q)

@@ -17,7 +17,7 @@ independent oracle for the other two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "HyperbolicGeometry",
     "hyp_ball_volume",
     "radius_from_angle",
     "hyp_density_bound",
@@ -67,7 +66,7 @@ def hyp_ball_volume(n: int, r: float) -> LogScaled:
 
 def radius_from_angle(r: float, theta: float) -> float:
     """R with sinh R = sinh r / sin(theta/2); R in [r, 2r] when theta >= pi/3."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("radius_from_angle requires r > 0")
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
@@ -77,57 +76,32 @@ def radius_from_angle(r: float, theta: float) -> float:
     return R
 
 
-@dataclass(frozen=True)
-class HyperbolicGeometry:
-    """Packing radius r, projection angle theta, and the derived sphere
-    radius R for balls in H^n."""
-
-    n: int
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("HyperbolicGeometry requires n >= 2")
-        if not math.pi / 3.0 - 1e-12 <= self.theta <= math.pi:
-            raise ValueError("theta must lie in [pi/3, pi]")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
-
-    @property
-    def R(self) -> float:
-        return radius_from_angle(self.r, self.theta)
+def _check_geometry(n: int, r: float, theta: float) -> None:
+    if n < 2:
+        raise ValueError("hyperbolic density bounds require n >= 2")
+    if not math.pi / 3.0 - 1e-12 <= theta <= math.pi:
+        raise ValueError("theta must lie in [pi/3, pi]")
+    if r <= 0:
+        raise ValueError("r must be positive")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
 
 
-def hyp_density_bound(
-    n: int,
-    r: float,
-    theta: float,
-    refined: bool = False,
-    code_bound: LogScaled | None = None,
-) -> BoundRecord:
+def hyp_density_bound(n: int, r: float, theta: float, refined: bool = False) -> BoundRecord:
     """Density bound for radius-r ball packings of H^n at projection angle
     theta: sin^(n-1)(theta/2) * A(n, theta), or with the volume ratio
-    vol(B_r)/vol(B_R) in place of the sine power when ``refined``.
-
-    ``code_bound`` substitutes a certified LP objective for the closed-form
-    code bound.
-    """
-    geom = HyperbolicGeometry(n, r, theta)
-    return _density_record(geom, hyp_ball_volume(n, r) if refined else None, code_bound)
+    vol(B_r)/vol(B_R) in place of the sine power when ``refined``."""
+    _check_geometry(n, r, theta)
+    return _density_record(n, r, theta, hyp_ball_volume(n, r) if refined else None)
 
 
-def _density_record(
-    geom: HyperbolicGeometry, vol_r: LogScaled | None, code_bound: LogScaled | None = None
-) -> BoundRecord:
-    """``hyp_density_bound`` for a checked geometry: refined, with
+def _density_record(n: int, r: float, theta: float, vol_r: LogScaled | None) -> BoundRecord:
+    """``hyp_density_bound`` for checked arguments: refined, with
     vol(B_r) = ``vol_r``, when ``vol_r`` is given."""
-    n, r, theta = geom.n, geom.r, geom.theta
-    k_used = None
-    if code_bound is None:
-        code_bound, k_used = kl_spherical_code_bound(n, theta)
+    R = radius_from_angle(r, theta)
+    code_bound, k_used = kl_spherical_code_bound(n, theta)
     if vol_r is not None:
-        factor = vol_r / hyp_ball_volume(n, geom.R)
+        factor = vol_r / hyp_ball_volume(n, R)
         method = "hyp_refined"
     else:
         factor = LogScaled.from_log((n - 1) * math.log(math.sin(theta / 2.0)))
@@ -138,7 +112,7 @@ def _density_record(
         value=factor * code_bound,
         k_star=k_used,
         theta_star=theta,
-        diagnostics={"r": r, "R": geom.R, "code_bound_log": code_bound.log_value},
+        diagnostics={"r": r, "R": R, "code_bound_log": code_bound.log_value},
     )
 
 
@@ -154,13 +128,12 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     is computed once.
     """
     ctx = shared_context(n)
-    geom = HyperbolicGeometry(n, r, math.pi / 3.0)
+    _check_geometry(n, r, math.pi / 3.0)
     vol_r = hyp_ball_volume(n, r) if refined else None
-    best = _density_record(geom, vol_r)
+    best = _density_record(n, r, math.pi / 3.0, vol_r)
     k = 1
     while ctx.largest_root(k) <= 0.5:
-        geom = HyperbolicGeometry(n, r, math.acos(ctx.largest_root(k)))
-        record = _density_record(geom, vol_r)
+        record = _density_record(n, r, math.acos(ctx.largest_root(k)), vol_r)
         if record.value < best.value:
             best = record
         k += 1
@@ -178,8 +151,8 @@ def overlap_limit(n: int, r: float) -> float:
     """
     if n < 2:
         raise ValueError("overlap_limit requires n >= 2")
-    if r < 0:
-        raise ValueError("overlap_limit requires r >= 0")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("overlap_limit requires finite r >= 0")
     a = (n - 1) / 2.0
     u = 1.0 / (1.0 + math.exp(r))
     return incomplete_beta(u, a, a) / incomplete_beta(0.5, a, a)
@@ -203,6 +176,8 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     from scipy.special import betainc
     if n < 2:
         raise ValueError("overlap_finite requires n >= 2")
+    if not (math.isfinite(r) and math.isfinite(R)):
+        raise ValueError("overlap_finite requires finite r and R")
     if R <= 0:
         raise ValueError("overlap_finite requires R > 0")
     if r < 0:
@@ -259,8 +234,8 @@ def overlap_monte_carlo(
         raise ValueError("overlap_monte_carlo supports n in {2, 3, 4}")
     if samples < 10**4:
         raise ValueError("use at least 10^4 samples")
-    if R <= 0 or r < 0:
-        raise ValueError("need R > 0 and r >= 0")
+    if not (0.0 < R < math.inf and 0.0 <= r < math.inf):
+        raise ValueError("need finite R > 0 and r >= 0")
     cdf = _SINH_POWER_INTEGRAL[n]
     total = cdf(R)
     rng = np.random.default_rng(seed)

@@ -14,9 +14,9 @@ double the time of a cold ``import packbounds``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,7 +32,6 @@ __all__ = [
     "log_gamma",
     "log_binomial",
     "scaled_erfc_complex",
-    "bessel_j",
     "bessel_first_zero",
     "incomplete_beta",
     "golden_section_min",
@@ -42,6 +41,10 @@ LN10 = math.log(10.0)
 
 # Nats below the peak at which infinite-interval integrands are truncated.
 TAIL_NATS = 40.0
+# Refinement caps: panel splits of the adaptive Gauss-Legendre rule and
+# levels (mesh 2^-level) of tanh-sinh.
+GL_MAX_SPLITS = 2000
+TS_MAX_LEVEL = 12
 
 
 class NonConvergenceError(RuntimeError):
@@ -61,61 +64,33 @@ class IntegrandError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class LogScaled:
-    """A nonnegative real stored as the natural log of its magnitude.
+    """A positive real stored as the natural log of its magnitude.
 
     Densities in high dimension reach 1e-100 and hyperbolic volumes reach
     e^(n r); both live comfortably here while ordinary binary floats do not.
     Multiplication and division are addition and subtraction of
-    ``log_value``; ``is_zero`` short-circuits them.
+    ``log_value``, and values order as their logs do.
     """
 
-    is_zero: bool
     log_value: float
 
     @staticmethod
-    def zero() -> "LogScaled":
-        return LogScaled(True, -math.inf)
-
-    @staticmethod
     def from_log(log_value: float) -> "LogScaled":
-        return LogScaled(False, float(log_value))
-
-    @staticmethod
-    def from_float(x: float) -> "LogScaled":
-        if x < 0:
-            raise ValueError("LogScaled represents nonnegative quantities")
-        if x == 0:
-            return LogScaled.zero()
-        return LogScaled(False, math.log(x))
+        return LogScaled(float(log_value))
 
     def __mul__(self, other: "LogScaled") -> "LogScaled":
-        if self.is_zero or other.is_zero:
-            return LogScaled.zero()
-        return LogScaled(False, self.log_value + other.log_value)
+        return LogScaled(self.log_value + other.log_value)
 
     def __truediv__(self, other: "LogScaled") -> "LogScaled":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogScaled zero")
-        if self.is_zero:
-            return LogScaled.zero()
-        return LogScaled(False, self.log_value - other.log_value)
-
-    def power(self, p: float) -> "LogScaled":
-        if self.is_zero:
-            if p <= 0:
-                raise ValueError("0 ** nonpositive power")
-            return LogScaled.zero()
-        return LogScaled(False, p * self.log_value)
+        return LogScaled(self.log_value - other.log_value)
 
     @property
     def log10(self) -> float:
-        return -math.inf if self.is_zero else self.log_value / LN10
+        return self.log_value / LN10
 
     def to_float(self) -> float:
-        if self.is_zero:
-            return 0.0
         try:
             return math.exp(self.log_value)
         except OverflowError:
@@ -123,8 +98,6 @@ class LogScaled:
 
     def mantissa_exponent(self) -> tuple[float, int]:
         """Scientific-notation split: mantissa in [1, 10) and decimal exponent."""
-        if self.is_zero:
-            raise ValueError("zero has no scientific representation")
         l10 = self.log_value / LN10
         e = math.floor(l10)
         m = 10.0 ** (l10 - e)
@@ -135,22 +108,6 @@ class LogScaled:
             m *= 10.0
             e -= 1
         return m, e
-
-    # ordering treats zero as smaller than every positive value
-    def _key(self) -> float:
-        return -math.inf if self.is_zero else self.log_value
-
-    def __lt__(self, other: "LogScaled") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "LogScaled") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "LogScaled") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "LogScaled") -> bool:
-        return self._key() >= other._key()
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +122,6 @@ class Quadrature:
     scheme: str = "adaptive_gauss_legendre"
     rel_tol: float = 1e-11
     abs_tol: float = 0.0
-    max_refinements: int = 2000
 
     def __post_init__(self):
         if self.scheme not in ("adaptive_gauss_legendre", "tanh_sinh"):
@@ -187,8 +143,7 @@ DEFAULT_QUAD = Quadrature()
 
 @lru_cache(maxsize=32)
 def _gl_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(m)
-    return x, w
+    return leggauss(m)
 
 
 def _check_finite(vals: np.ndarray) -> None:
@@ -214,7 +169,7 @@ def _integrate_gl(f, a: float, b: float, q: Quadrature) -> QuadResult:
     est, err, nev = _panel(f, a, b)
     panels = [(a, b, est, err)]
     total, total_err = est, err
-    for _ in range(q.max_refinements):
+    for _ in range(GL_MAX_SPLITS):
         if total_err <= max(q.rel_tol * abs(total), q.abs_tol):
             break
         # split the worst panel; ties resolve to the leftmost for determinism
@@ -241,10 +196,8 @@ def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """
     h = 2.0 ** (-level)
     kmax = int(math.ceil(6.0 / h))
-    if level == 0:
-        k = np.arange(-kmax, kmax + 1)
-    else:
-        k = np.arange(-kmax, kmax + 1)
+    k = np.arange(-kmax, kmax + 1)
+    if level > 0:
         k = k[k % 2 == 1]  # odd multiples of h are new at this level
     t = k * h
     st = 0.5 * math.pi * np.sinh(t)
@@ -261,8 +214,7 @@ def _integrate_tanh_sinh(f, a: float, b: float, q: Quadrature) -> QuadResult:
     nev = 0
     prev = None
     err = math.inf
-    max_level = min(12, max(3, q.max_refinements))
-    for level in range(max_level + 1):
+    for level in range(TS_MAX_LEVEL + 1):
         x, w = _ts_nodes(level)
         vals = np.asarray(f(mid + half * x))
         _check_finite(vals)
@@ -288,27 +240,19 @@ def integrate(
     a: float,
     b: float,
     q: Quadrature = DEFAULT_QUAD,
-    *,
-    raise_on_failure: bool = True,
 ) -> QuadResult:
     """Integrate a vectorized real- or complex-valued ``f`` over [a, b].
 
     ``f`` receives an ndarray of abscissae and must return the values
     elementwise.  The result carries an error estimate; if it exceeds
     ``max(rel_tol*|I|, abs_tol)`` a :class:`NonConvergenceError` is raised
-    (or, with ``raise_on_failure=False``, the unconverged result returned).
-    Identical inputs always produce bit-identical outputs.
+    with the unconverged result as its ``partial``.  Identical inputs
+    always produce bit-identical outputs.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
-    if a > b:
-        res = integrate(f, b, a, q, raise_on_failure=raise_on_failure)
-        return QuadResult(-res.value, res.error, res.nevals, res.converged)
-    if q.scheme == "tanh_sinh":
-        res = _integrate_tanh_sinh(f, a, b, q)
-    else:
-        res = _integrate_gl(f, a, b, q)
-    if not res.converged and raise_on_failure:
+    res = (_integrate_tanh_sinh if q.scheme == "tanh_sinh" else _integrate_gl)(f, a, b, q)
+    if not res.converged:
         raise NonConvergenceError(
             f"quadrature did not reach tolerance on [{a}, {b}] "
             f"(error estimate {res.error:.3e})",
@@ -373,17 +317,6 @@ def scaled_erfc_complex(z):
     """
     from scipy.special import wofz
     return wofz(1j * np.asarray(z, dtype=complex))
-
-
-def bessel_j(nu: float, x) -> float | np.ndarray:
-    """Bessel function of the first kind J_nu(x), real order nu >= 0."""
-    from scipy.special import jv
-    if nu < 0:
-        raise ValueError("bessel_j requires nu >= 0")
-    out = jv(nu, x)
-    if not np.all(np.isfinite(out)):
-        raise NonConvergenceError(f"bessel_j failed at nu={nu}")
-    return out
 
 
 def _first_zero_seed(nu: float) -> float:

@@ -50,6 +50,7 @@ __all__ = [
     "certificate_from_json",
 ]
 
+PIVOT_TOL = 1e-9  # reduced costs and pivots within this of zero count as zero
 COEFF_TOL = 1e-12  # allowed negativity of c_k relative to c_0
 CERT_RESIDUAL_TOL = 1e-9  # certified iff max residual <= tol * g(1)
 
@@ -57,11 +58,13 @@ CERT_RESIDUAL_TOL = 1e-9  # certified iff max residual <= tol * g(1)
 class LPInfeasibleError(RuntimeError):
     """The simplex gave no usable solution of the discretized LP.
 
-    The LP itself is always feasible (the cone contains feasible
-    functions), so this is a numerical failure of the dense simplex, not a
-    property of the problem.  At theta = pi/3 it is seen at n = 32, degree
-    10 (dual unbounded) and at n = 48 and 64 for every degree in 10..40
-    (dual unbounded at degree 10, else a violation too large to absorb)."""
+    Either the discretized LP has no feasible point at this degree, or the
+    dense simplex lost one to round-off; the error does not tell which.  At
+    theta = pi/3 it is seen at n = 32, degree 10 (dual unbounded) and at
+    n = 48 and 64 for every degree in 10..40 (dual unbounded at degree 10,
+    else a violation too large to absorb).  scipy's HiGHS solver finds the
+    discretized LP infeasible at (n, degree) = (32, 10), (48, 10) and
+    (64, 10), and solves it at n = 48, degree 20."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +83,7 @@ class SimplexResult:
     slack_reduced_costs: np.ndarray = None  # type: ignore[assignment]
 
 
-def simplex_minimize(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, *, tol: float = 1e-9
-) -> SimplexResult:
+def simplex_minimize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     """Minimize c.x subject to A x <= b, x >= 0 by the dense tableau method.
 
     b must be nonnegative, so the slack basis is feasible and the method
@@ -113,18 +114,18 @@ def simplex_minimize(
     while iterations < max_iter:
         red = T[m, :-1]
         if bland:
-            cands = np.nonzero(red < -tol)[0]
+            cands = np.nonzero(red < -PIVOT_TOL)[0]
             if cands.size == 0:
                 status = "optimal"
                 break
             j = int(cands[0])
         else:
             j = int(np.argmin(red))
-            if red[j] >= -tol:
+            if red[j] >= -PIVOT_TOL:
                 status = "optimal"
                 break
         col = T[:m, j]
-        pos = col > tol
+        pos = col > PIVOT_TOL
         if not np.any(pos):
             # a barely-negative reduced cost with no usable pivot is
             # roundoff, not a genuine ray
@@ -210,10 +211,6 @@ class LPProblem:
         if abs(grid[0] - (-1.0)) > 1e-9 or abs(grid[-1] - hi) > 1e-9:
             raise ValueError("grid must include both endpoints")
         object.__setattr__(self, "constraint_grid", grid)
-
-    @property
-    def cos_theta(self) -> float:
-        return math.cos(self.theta)
 
 
 @dataclass(frozen=True)
@@ -363,7 +360,7 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         if res.status == "unbounded":
             raise LPInfeasibleError(
                 f"dual unbounded at n={p.n}, degree={d}: the discretized LP is "
-                "feasible, but the dense simplex lost it to round-off"
+                "infeasible, or round-off misled the dense simplex"
             )
         if res.status != "optimal":
             raise LPInfeasibleError(f"simplex returned {res.status}")

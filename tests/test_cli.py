@@ -56,6 +56,13 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
         ["overlap", "--n", "3", "--r", "1", "--R", "2", "--samples", "20000"],
         ["overlap", "--n", "3", "--r", "1", "--R", "2", "--seed", "5", "--format", "json"],
         ["overlap", "--n", "3", "--r", "1", "--R", "2", "--seed", "5"],
+        ["hyperbolic", "--n", "8", "--r", "nan"],
+        ["hyperbolic", "--n", "8", "--r", "inf"],
+        ["hyperbolic", "--n", "8", "--r", "nan", "--theta", "1.2"],
+        ["overlap", "--n", "3", "--r", "nan", "--R", "2"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "nan"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "inf"],
+        ["overlap", "--n", "3", "--r", "inf", "--R", "2", "--format", "json"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):
@@ -98,6 +105,7 @@ def test_crossover_rows_match_best_method(capsys):
         ["lp", "--n", "8", "--theta", "1.0471975511965976", "--format", "json"],
         ["rate", "--format", "csv"],
         ["overlap", "--n", "4", "--r", "1", "--R", "2", "--format", "csv"],
+        ["table", "--dims", "8", "--methods", ","],
     ],
 )
 def test_removed_options_are_usage_errors(capsys, argv):
@@ -112,6 +120,14 @@ def test_output_file_gets_the_stdout_bytes(capsys, tmp_path):
     code, out, err = _run(capsys, ["rate", "--output", str(path)])
     assert code == 0 and out == "" and err == ""
     assert path.read_text() == '{"rate_log2": -0.5990557668603105, "theta_star": 1.0995124125315596}\n'
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, ["table", "--dims", "8", "--output", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not path.parent.exists()
 
 
 # sha256 of the 30 hyperbolic json rows n in {2, 8, 24, 100, 200}, r in
@@ -210,7 +226,8 @@ def test_transfer_probe_pinned(capsys):
 
 
 def test_lp_simplex_failure_exits_3(capsys):
-    # a feasible LP that the dense simplex loses to round-off
+    # the dense simplex finds the dual unbounded; scipy's HiGHS solver finds
+    # this discretized LP infeasible, so round-off is not the only cause
     code, out, err = _lp(capsys, 32, 10)
     assert code == 3 and out == ""
     doc = json.loads(err)

@@ -77,9 +77,16 @@ def test_overlap_edges():
     # the overlap falls as the centers move apart
     values = [hyp.overlap_finite(3, r, 2.0) for r in (0.5, 1.0, 2.0, 3.0, 3.9)]
     assert values == sorted(values, reverse=True)
-    for bad in [(1, 1.0, 2.0), (3, 1.0, 0.0), (3, -1.0, 2.0)]:
+    nan, inf = math.nan, math.inf
+    for bad in [(1, 1.0, 2.0), (3, 1.0, 0.0), (3, -1.0, 2.0), (3, nan, 2.0), (3, 1.0, nan),
+                (3, 1.0, inf), (3, inf, 2.0)]:
         with pytest.raises(ValueError):
             hyp.overlap_finite(*bad)
+        with pytest.raises(ValueError):
+            hyp.overlap_monte_carlo(*bad, 10**4)
+    for bad in [(3, -1.0), (3, nan), (3, inf)]:
+        with pytest.raises(ValueError):
+            hyp.overlap_limit(*bad)
 
 
 def test_overlap_tends_to_limit():
