@@ -305,9 +305,7 @@ def optimize_asymptotic_rate() -> RateResult:
     Golden-section search to 1e-9; the minimizer sits near 1.0995 and the
     minimum near -0.5990 bits per dimension.
     """
-    theta = golden_section_min(
-        lambda ts: [_rate_objective(float(t)) for t in ts], 1e-6, math.pi / 2.0, 1e-9
-    )
+    theta = golden_section_min(_rate_objective, 1e-6, math.pi / 2.0, 1e-9)
     return RateResult(theta_star=theta, rate_log2=_rate_objective(theta))
 
 

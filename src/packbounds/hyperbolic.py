@@ -70,7 +70,14 @@ def radius_from_angle(r: float, theta: float) -> float:
         raise ValueError("radius_from_angle requires r > 0")
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
-    R = math.asinh(math.sinh(r) / math.sin(theta / 2.0))
+    s = math.sin(theta / 2.0)
+    try:
+        x = math.sinh(r) / s
+    except OverflowError:
+        x = math.inf
+    # where sinh r / s overflows, e^(-2r) is far below an ulp of 1 and
+    # asinh(sinh r / s) = r - ln s in double precision
+    R = math.asinh(x) if x < math.inf else r - math.log(s)
     if theta >= math.pi / 3.0 - 1e-12:
         assert r * (1 - 1e-12) <= R <= 2 * r * (1 + 1e-12)
     return R
@@ -176,12 +183,10 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     from scipy.special import betainc
     if n < 2:
         raise ValueError("overlap_finite requires n >= 2")
-    if not (math.isfinite(r) and math.isfinite(R)):
-        raise ValueError("overlap_finite requires finite r and R")
-    if R <= 0:
-        raise ValueError("overlap_finite requires R > 0")
-    if r < 0:
-        raise ValueError("overlap_finite requires r >= 0")
+    if not 0.0 < R <= 50.0:
+        raise ValueError("overlap_finite requires 0 < R <= 50")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("overlap_finite requires finite r >= 0")
     if r == 0.0:
         return 1.0
     if r >= 2.0 * R:

@@ -432,38 +432,23 @@ def incomplete_beta(u: float, alpha: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def golden_section_min(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float):
-    """Golden-section search for a minimum of f on [a, b], on many brackets
-    in lockstep.
+def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Golden-section search for a minimum of f on [a, b].
 
-    a and b are floats or equal-length arrays of bracket ends.  f takes a
-    1-D array of points, one per bracket still open, and returns their
-    values; each step calls it once.  A bracket shrinks until its width is
-    <= tol and yields its midpoint: a float for float ends, else an array.
-    Every bracket takes the branches and the points of a search on it
-    alone, so the result is the same as long as f's value at a point does
-    not depend on the other points of the call.  To maximize, minimize the
-    negation: it takes the same branches.
+    The bracket shrinks until its width is <= tol and yields its midpoint.
+    To maximize, minimize the negation.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.array(a, dtype=float, ndmin=1)
-    b = np.array(b, dtype=float, ndmin=1)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fcd = np.array(f(np.concatenate((c, d))), dtype=float)
-    fc, fd = fcd[: a.size], fcd[a.size :]
-    open_ = np.nonzero(b - a > tol)[0]
-    while open_.size:
-        left = fc[open_] < fd[open_]
-        lo, hi = open_[left], open_[~left]
-        # left: keep [a, d], d <- c; right: keep [c, b], c <- d
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - inv_phi * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + inv_phi * (b[hi] - a[hi])
-        fnew = np.asarray(f(np.where(left, c[open_], d[open_])), dtype=float)
-        fc[lo], fd[hi] = fnew[left], fnew[~left]
-        open_ = open_[b[open_] - a[open_] > tol]
-    mid = 0.5 * (a + b)
-    return float(mid[0]) if scalar else mid
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)

@@ -7,14 +7,11 @@ keeps every constraint coefficient in [-1, 1] regardless of n and k.
 
 A dense simplex (Dantzig pricing, Bland fallback on degeneracy) solves the
 dual of the discretized problem, starting from its slack basis.  The result
-is then checked for the sign condition: g on an independent finer grid, a
-golden-section polish of every grid local maximum, and the polynomial's
-exact critical points.  The
-polishing searches run in lockstep, one Gegenbauer table per step over all
-open brackets, and evaluate g point by point, so each bracket follows the
-same path as a search on it alone.  Any residual bump above zero is removed
-by shifting the constant coefficient, which costs a quantified sliver of
-objective but makes the certificate sound.
+is then checked for the sign condition: max g is the larger of g on an
+independent finer grid, endpoints included, and g at the polynomial's exact
+critical points, which locate every interior maximum.  Any residual bump
+above zero is removed by shifting the constant coefficient, which costs a
+quantified sliver of objective but makes the certificate sound.
 
 The module also converts a certificate into a Euclidean packing bound and
 numerically probes the lens-integral construction that turns g into a
@@ -31,7 +28,7 @@ import numpy as np
 
 from .euclid_bounds import shared_context
 from .orthopoly import GegenbauerContext
-from .specfun import LogScaled, Quadrature, golden_section_min, integrate, log_gamma
+from .specfun import LogScaled, Quadrature, integrate, log_gamma
 
 __all__ = [
     "LPProblem",
@@ -262,15 +259,6 @@ def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
     return weights @ table
 
 
-def _eval_g_pointwise(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
-    """g at each point of t, each value bit-identical to ``_eval_g`` at that
-    point alone.  numpy computes a one-column product as one BLAS dot
-    product; this takes the same dot product of every contiguous column,
-    where the matrix product of a whole table sums in another order."""
-    table = ctx.eval_normalized_table(len(weights) - 1, np.atleast_1d(t))
-    return np.array([np.dot(weights, col) for col in table.T.copy()])
-
-
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
     """All real critical points of g in (-1, 1).
 
@@ -291,11 +279,9 @@ def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
 def _max_violation(
     ctx: GegenbauerContext, weights: np.ndarray, theta: float, grid_size: int
 ) -> tuple[float, float]:
-    """Max of g over [-1, cos theta] and where it is attained: g on a
-    uniform grid, a lockstep golden-section polish to 1e-12 of every
-    interior grid local maximum (one table per step, g point by point, so
-    each bracket takes the branches of a search on it alone), and an exact
-    critical-point audit of the polynomial."""
+    """Max of g over [-1, cos theta] and where it is attained: the larger of
+    g on a uniform grid, endpoints included, and g at the polynomial's exact
+    critical points in (-1, cos theta]."""
     hi = math.cos(theta)
     if hi - (-1.0) < 1e-15:
         t0 = -1.0
@@ -304,20 +290,6 @@ def _max_violation(
     vals = _eval_g(ctx, weights, ts)
     best_idx = int(np.argmax(vals))
     best_t, best_v = float(ts[best_idx]), float(vals[best_idx])
-
-    interior = np.nonzero(
-        (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    )[0] + 1
-    if interior.size:
-        peaks = golden_section_min(
-            lambda t: -_eval_g_pointwise(ctx, weights, t),
-            ts[interior - 1],
-            ts[interior + 1],
-            1e-12,
-        )
-        for t, v in zip(peaks, _eval_g_pointwise(ctx, weights, peaks)):
-            if v > best_v:
-                best_t, best_v = float(t), float(v)
     crit = _critical_points(ctx, weights)
     crit = crit[crit <= hi]
     if crit.size:
@@ -336,12 +308,13 @@ def _max_violation(
 def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
     """Minimize g(1) over the discretized cone, then certify.
 
-    After the simplex solve the candidate is checked on a 10x finer grid
-    with local-maximum polishing.  Any positive bump v is absorbed by
-    replacing g with (g - v)/(1 - v), which restores c_0 = 1, keeps every
-    other coefficient nonnegative, and moves the objective by a recorded
-    amount.  If that movement would exceed 1e-8 relative, the grid is
-    doubled and the LP re-solved, up to ``max_rounds`` rounds.
+    After the simplex solve the candidate's maximum on [-1, cos theta] is
+    taken over a 10x finer grid and the exact critical points of g.  Any
+    positive bump v is absorbed by replacing g with (g - v)/(1 - v), which
+    restores c_0 = 1, keeps every other coefficient nonnegative, and moves
+    the objective by a recorded amount.  If that movement would exceed 1e-8
+    relative, the grid is doubled and the LP re-solved, up to
+    ``max_rounds`` rounds.
     """
     ctx = shared_context(p.n)
     d = p.degree
@@ -413,9 +386,9 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
 def verify_certificate(cert: LPCertificate, p: LPProblem) -> VerificationReport:
     """Re-check a certificate from its stored coefficients alone.
 
-    Coefficient nonnegativity, then the sign constraint on an independent
-    dense grid of [-1, cos theta] with golden-section polishing of interior
-    local maxima.  Report-only: never raises.
+    Coefficient nonnegativity, then the sign constraint: g on an
+    independent dense grid of [-1, cos theta] and at its exact critical
+    points there.  Report-only: never raises.
     """
     ctx = shared_context(cert.n)
     coeffs = np.asarray(cert.coefficients, dtype=float)

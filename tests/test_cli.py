@@ -63,6 +63,7 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
         ["overlap", "--n", "3", "--r", "1", "--R", "nan"],
         ["overlap", "--n", "3", "--r", "1", "--R", "inf"],
         ["overlap", "--n", "3", "--r", "inf", "--R", "2", "--format", "json"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "100"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):
@@ -147,6 +148,15 @@ def test_hyperbolic_rows_pinned(capsys):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == HYPERBOLIC_GRID_SHA256
 
 
+@pytest.mark.parametrize("r", ["710.2", "1000"])
+def test_hyperbolic_radius_past_sinh_overflow(capsys, r):
+    # sinh r / sin(theta/2) overflows above r ~ 709.8; the coarse bound does
+    # not depend on r
+    code, out, err = _run(capsys, ["hyperbolic", "--n", "8", "--r", r])
+    assert code == 0 and err == ""
+    assert out == _run(capsys, ["hyperbolic", "--n", "8", "--r", "700"])[1]
+
+
 def test_rate_bytes_pinned(capsys):
     code, out, err = _run(capsys, ["rate"])
     assert code == 0 and err == ""
@@ -188,14 +198,15 @@ def test_overlap_text_bytes_pinned(capsys, n, r, R):
 
 THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
 
-# sha256 of ``lp --n N --theta pi/3 --degree D`` stdout as first released;
-# these certificates change when the polish of the sign check moves by a bit
+# sha256 of ``lp --n N --theta pi/3 --degree D`` stdout, with the sign check
+# taken over the verification grid and the critical points of g; these
+# certificates change when the maximum that check finds moves by a bit
 LP_SHA256 = {
-    (3, 20): "f1a81cc10e62d11042f4cfd008bd8ad5408bd17674f4a4eb1ab8af338c747e89",
-    (8, 10): "91cddb1864257227fd044297f02796e7eda6b36a8e0641afdef6ae244d288294",
-    (16, 10): "765e34ae58de40cae6a71b5ac3acfbea3806ccbb33d739ecd771b9881bbd97e0",
-    (24, 10): "8f6a6e1433e75c34cd7a2e3d10114bdf65da3bc6e9733d12949f90bd5992e8ca",
-    (32, 20): "7c95813bd8457cd012e3483a2b1fca23a47848986a02d2a425c0aa056c20241e",
+    (3, 20): "4eb1f811d0ec9c5b0e7e0be5d09c95c0d27c40bba8eb27763aabdc989d7a9647",
+    (8, 10): "fdfab5d8d33078a73ef43a18796591ecd22475c5c829fca6fb48e5299529369f",
+    (16, 10): "c20460573b94a2f619efe968b8d53b669c0029248301d2e3419c75eadeeffdfe",
+    (24, 10): "538d58f51c22b221697324ef19e502a4411977b98847408f7009ff7e8e383ff3",
+    (32, 20): "91cbdd333178171d9030541d87984cfe760fbe4b8512efa15ed74e1caa15dfa7",
 }
 
 

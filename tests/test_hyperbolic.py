@@ -87,6 +87,9 @@ def test_overlap_edges():
     for bad in [(3, -1.0), (3, nan), (3, inf)]:
         with pytest.raises(ValueError):
             hyp.overlap_limit(*bad)
+    # the overlap checks its own domain, naming R
+    with pytest.raises(ValueError, match="overlap_finite requires 0 < R <= 50"):
+        hyp.overlap_finite(3, 1.0, 100.0)
 
 
 def test_overlap_tends_to_limit():

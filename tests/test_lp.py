@@ -16,7 +16,7 @@ from packbounds.spherical_lp import (
     simplex_minimize,
     verify_certificate,
     _eval_g,
-    _eval_g_pointwise,
+    _normalized_weights,
 )
 
 
@@ -221,16 +221,18 @@ def test_verify_flags_sign_violation():
     assert not rep.sign_ok
 
 
-def test_pointwise_g_matches_one_point_evaluation():
-    # the lockstep polish of the sign check relies on this: in a batch, each
-    # point gets the bits of its own one-point evaluation
-    rng = np.random.default_rng(7)
-    for n, d in [(3, 10), (8, 40), (24, 33), (64, 200)]:
-        ctx = shared_context(n)
-        w = np.concatenate(([1.0], rng.random(d) * 10.0 ** rng.uniform(-3, 4, d)))
-        ts = rng.uniform(-1.0, 0.5, 57)
-        for t, v in zip(ts, _eval_g_pointwise(ctx, w, ts)):
-            assert v == _eval_g(ctx, w, t)[0]
+@pytest.mark.parametrize("n, degree", [(3, 20), (8, 10), (16, 10), (24, 10), (32, 20)])
+def test_sign_check_reaches_the_dense_grid_maximum(n, degree):
+    # the sign check runs no local search: its grid and the exact critical
+    # points of g must find g's maximum on a much denser grid
+    p = LPProblem(n=n, theta=math.pi / 3, degree=degree)
+    cert = lp_solve_spherical(p)
+    ctx = shared_context(n)
+    w = _normalized_weights(ctx, cert.coefficients)
+    g1 = float(w.sum())
+    dense = np.linspace(-1.0, math.cos(p.theta), 100_001)
+    assert cert.max_sign_residual >= _eval_g(ctx, w, dense).max() - 1e-16 * g1
+    assert verify_certificate(cert, p).ok
 
 
 # ---------------------------------------------------------------------------

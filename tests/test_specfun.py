@@ -331,40 +331,3 @@ def test_golden_section_min_brackets_the_minimum():
     assert abs(golden_section_min(f, 0.0, 1.0, 1e-10) - 0.3) < 1e-10
     # maximizing f through its negation; that maximum sits at the end x = 1
     assert abs(golden_section_min(lambda x: -f(x), 0.0, 1.0, 1e-10) - 1.0) < 1e-10
-
-
-def _golden_one_bracket(f, a, b, tol):
-    # the scalar search the lockstep helper replaced, kept as its reference
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def test_golden_section_min_lockstep_equals_one_bracket():
-    # the batched search must return, bit for bit, each bracket's own result;
-    # f uses only correctly rounded operations, so a value cannot depend on
-    # the position of its point in the array
-    def f(x):
-        x2 = x * x
-        return x2 * x2 - 3.0 * x2 + 0.5 * x
-
-    a = np.array([-2.0, -1.0, 0.0, 0.3, 1.0, 2.5, 4.0])
-    b = np.array([-1.5, 0.5, 1e-13, 0.9, 3.0, 2.5 + 1e-3, 6.0])
-    for tol in (1e-12, 1e-6):
-        batched = golden_section_min(f, a, b, tol)
-        assert isinstance(batched, np.ndarray) and batched.shape == a.shape
-        for i in range(a.size):
-            single = golden_section_min(f, float(a[i]), float(b[i]), tol)
-            assert isinstance(single, float)
-            assert batched[i] == single == _golden_one_bracket(f, float(a[i]), float(b[i]), tol)
