@@ -31,7 +31,6 @@ from .hyperbolic import (
 from .orthopoly import GegenbauerContext
 from .specfun import (
     LogScaled,
-    Quadrature,
     bessel_first_zero,
     incomplete_beta,
     integrate,

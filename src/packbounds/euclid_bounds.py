@@ -23,9 +23,9 @@ import numpy as np
 
 from .orthopoly import DEGREE_CAP, GegenbauerContext
 from .specfun import (
+    IntegrandError,
     LogScaled,
     NonConvergenceError,
-    Quadrature,
     bessel_first_zero,
     golden_section_min,
     integrate,
@@ -116,6 +116,8 @@ def rogers_bound(n: int) -> BoundRecord:
         return (n / 2.0 - u * u) - 1j * s2n * u + n * np.log(w)
 
     peak = float(log_integrand(np.array([0.0]))[0].real)
+    if not math.isfinite(peak):
+        raise IntegrandError(f"rogers integrand peak is non-finite at n={n}")
 
     def scaled(u: np.ndarray) -> np.ndarray:
         return np.exp(log_integrand(u) - peak)
@@ -282,10 +284,9 @@ def cap_density(n: int, theta: float, count: float) -> float:
         raise ValueError("theta must lie in (0, pi]")
     if count <= 0:
         raise ValueError("count must be positive")
-    q = Quadrature(rel_tol=1e-12)
     m = n - 2
-    num = integrate(lambda x: np.sin(x) ** m, 0.0, theta / 2.0, q)
-    den = integrate(lambda x: np.sin(x) ** m, 0.0, math.pi, q)
+    num = integrate(lambda x: np.sin(x) ** m, 0.0, theta / 2.0, rel_tol=1e-12)
+    den = integrate(lambda x: np.sin(x) ** m, 0.0, math.pi, rel_tol=1e-12)
     return count * num.value / den.value
 
 

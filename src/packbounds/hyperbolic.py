@@ -24,7 +24,6 @@ import numpy as np
 from .euclid_bounds import BoundRecord, kl_spherical_code_bound, shared_context
 from .specfun import (
     LogScaled,
-    Quadrature,
     incomplete_beta,
     integrate,
     log_gamma,
@@ -60,7 +59,7 @@ def hyp_ball_volume(n: int, r: float) -> LogScaled:
             lo = np.where(x > 0, (n - 1) * np.log(np.sinh(np.maximum(x, 1e-300))), -np.inf)
         return np.exp(lo - peak)
 
-    res = integrate(scaled, 0.0, r, Quadrature(rel_tol=1e-12))
+    res = integrate(scaled, 0.0, r, rel_tol=1e-12)
     return LogScaled.from_log(log_sphere_surface(n) + peak + math.log(res.value))
 
 
@@ -83,7 +82,10 @@ def radius_from_angle(r: float, theta: float) -> float:
     return R
 
 
-def _check_geometry(n: int, r: float, theta: float) -> None:
+def _check_geometry(n: int, r: float, theta: float, refined: bool) -> None:
+    """Reject arguments outside the bound's domain.  The refined bound needs
+    vol(B_R) at R = R(r, theta), so it also requires n <= 200 and R <= 50,
+    the domain of ``hyp_ball_volume``."""
     if n < 2:
         raise ValueError("hyperbolic density bounds require n >= 2")
     if not math.pi / 3.0 - 1e-12 <= theta <= math.pi:
@@ -92,13 +94,23 @@ def _check_geometry(n: int, r: float, theta: float) -> None:
         raise ValueError("r must be positive")
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
+    if not refined:
+        return
+    if n > 200:
+        raise ValueError(f"refined hyperbolic bounds require n <= 200, got n = {n}")
+    R = radius_from_angle(r, theta)
+    if R > 50.0:
+        raise ValueError(
+            f"refined hyperbolic bounds require the enclosing radius R <= 50; "
+            f"r = {r} gives R = {R:.6g} at theta = {theta:.6g}"
+        )
 
 
 def hyp_density_bound(n: int, r: float, theta: float, refined: bool = False) -> BoundRecord:
     """Density bound for radius-r ball packings of H^n at projection angle
     theta: sin^(n-1)(theta/2) * A(n, theta), or with the volume ratio
     vol(B_r)/vol(B_R) in place of the sine power when ``refined``."""
-    _check_geometry(n, r, theta)
+    _check_geometry(n, r, theta, refined)
     return _density_record(n, r, theta, hyp_ball_volume(n, r) if refined else None)
 
 
@@ -132,10 +144,11 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
     evaluated once at each of these angles, in that order, and the first
     minimal record is returned.  vol(B_r) does not depend on the angle and
-    is computed once.
+    is computed once.  R(r, theta) is largest at pi/3, so the domain check
+    there covers every angle.
     """
     ctx = shared_context(n)
-    _check_geometry(n, r, math.pi / 3.0)
+    _check_geometry(n, r, math.pi / 3.0, refined)
     vol_r = hyp_ball_volume(n, r) if refined else None
     best = _density_record(n, r, math.pi / 3.0, vol_r)
     k = 1
@@ -181,8 +194,8 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     L = R - |R-r|, absorbs the x^((n-1)/2) edge at s = |R-r|.
     """
     from scipy.special import betainc
-    if n < 2:
-        raise ValueError("overlap_finite requires n >= 2")
+    if not 2 <= n <= 200:
+        raise ValueError(f"overlap_finite requires 2 <= n <= 200, got n = {n}")
     if not 0.0 < R <= 50.0:
         raise ValueError("overlap_finite requires 0 < R <= 50")
     if not 0.0 <= r < math.inf:
@@ -206,7 +219,7 @@ def overlap_finite(n: int, r: float, R: float) -> float:
         weight = np.exp((n - 1) * np.log(np.sinh(s)) - peak)
         return weight * betainc(a, a, np.minimum(x, 1.0)) * 2.0 * length * t
 
-    res = integrate(band, 0.0, 1.0, Quadrature(rel_tol=1e-12))
+    res = integrate(band, 0.0, 1.0, rel_tol=1e-12)
     vol = hyp_ball_volume(n, R)
     inside = (hyp_ball_volume(n, R - r) / vol).to_float() if r < R else 0.0
     return inside + math.exp(log_sphere_surface(n) + peak - vol.log_value) * res.value

@@ -5,6 +5,10 @@ volumes, overlap integrals) funnels through this module, so all magnitudes
 are either kept as natural logs (:class:`LogScaled`) or scaled analytically
 before a single ``exp`` is taken.
 
+Every integral in the package runs one quadrature rule, the adaptive
+16/32-point Gauss-Legendre of :func:`integrate`; callers absorb endpoint
+edges by a change of variable before they integrate.
+
 ``scipy.special`` (Faddeeva, Bessel J, incomplete beta) is imported on
 first use, inside the functions that call it: the Gegenbauer, LP and
 hyperbolic-bound paths never need it, and importing it would more than
@@ -23,7 +27,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "LogScaled",
-    "Quadrature",
     "QuadResult",
     "NonConvergenceError",
     "IntegrandError",
@@ -41,10 +44,8 @@ LN10 = math.log(10.0)
 
 # Nats below the peak at which infinite-interval integrands are truncated.
 TAIL_NATS = 40.0
-# Refinement caps: panel splits of the adaptive Gauss-Legendre rule and
-# levels (mesh 2^-level) of tanh-sinh.
+# Refinement cap: panel splits of the adaptive Gauss-Legendre rule.
 GL_MAX_SPLITS = 2000
-TS_MAX_LEVEL = 12
 
 
 class NonConvergenceError(RuntimeError):
@@ -116,29 +117,11 @@ class LogScaled:
 
 
 @dataclass(frozen=True)
-class Quadrature:
-    """Quadrature configuration shared by every integral in the package."""
-
-    scheme: str = "adaptive_gauss_legendre"
-    rel_tol: float = 1e-11
-    abs_tol: float = 0.0
-
-    def __post_init__(self):
-        if self.scheme not in ("adaptive_gauss_legendre", "tanh_sinh"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-
-
-@dataclass(frozen=True)
 class QuadResult:
     value: complex | float
     error: float
     nevals: int
     converged: bool
-
-
-DEFAULT_QUAD = Quadrature()
 
 
 @lru_cache(maxsize=32)
@@ -165,12 +148,31 @@ def _panel(f, a: float, b: float) -> tuple[complex, float, int]:
     return complex(fine), abs(fine - coarse), 48
 
 
-def _integrate_gl(f, a: float, b: float, q: Quadrature) -> QuadResult:
+def integrate(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    rel_tol: float = 1e-11,
+    abs_tol: float = 0.0,
+) -> QuadResult:
+    """Integrate a vectorized real- or complex-valued ``f`` over [a, b].
+
+    ``f`` receives an ndarray of abscissae and must return the values
+    elementwise.  The rule is adaptive nested 16/32-point Gauss-Legendre:
+    the panel with the largest error estimate is halved until the summed
+    estimate is at most ``max(rel_tol*|I|, abs_tol)``.  Endpoint edges such
+    as (b - x)^(1/2) are for the caller to absorb by a substitution.  If
+    the target is not met a :class:`NonConvergenceError` is raised with the
+    unconverged result as its ``partial``.  Identical inputs always produce
+    bit-identical outputs.
+    """
+    if a == b:
+        return QuadResult(0.0, 0.0, 0, True)
     est, err, nev = _panel(f, a, b)
     panels = [(a, b, est, err)]
     total, total_err = est, err
     for _ in range(GL_MAX_SPLITS):
-        if total_err <= max(q.rel_tol * abs(total), q.abs_tol):
+        if total_err <= max(rel_tol * abs(total), abs_tol):
             break
         # split the worst panel; ties resolve to the leftmost for determinism
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
@@ -183,75 +185,9 @@ def _integrate_gl(f, a: float, b: float, q: Quadrature) -> QuadResult:
         panels.append((pm, pb, re_, rerr))
         total = sum(p[2] for p in panels)
         total_err = sum(p[3] for p in panels)
-    converged = total_err <= max(q.rel_tol * abs(total), q.abs_tol)
     value = total.real if total.imag == 0 else total
-    return QuadResult(value, float(total_err), nev, converged)
-
-
-@lru_cache(maxsize=32)
-def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """tanh-sinh abscissae/weights on (-1,1) at mesh h = 2^-level.
-
-    Only the nodes new to this level are returned (trapezoid refinement).
-    """
-    h = 2.0 ** (-level)
-    kmax = int(math.ceil(6.0 / h))
-    k = np.arange(-kmax, kmax + 1)
-    if level > 0:
-        k = k[k % 2 == 1]  # odd multiples of h are new at this level
-    t = k * h
-    st = 0.5 * math.pi * np.sinh(t)
-    x = np.tanh(st)
-    w = 0.5 * math.pi * np.cosh(t) / np.cosh(st) ** 2
-    # keep clear of the interval ends so mapped abscissae never round onto them
-    keep = 1.0 - np.abs(x) > 1e-15
-    return x[keep], w[keep]
-
-
-def _integrate_tanh_sinh(f, a: float, b: float, q: Quadrature) -> QuadResult:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    total = 0.0 + 0.0j
-    nev = 0
-    prev = None
-    err = math.inf
-    for level in range(TS_MAX_LEVEL + 1):
-        x, w = _ts_nodes(level)
-        vals = np.asarray(f(mid + half * x))
-        _check_finite(vals)
-        nev += len(x)
-        h = 2.0 ** (-level)
-        if level == 0:
-            total = h * np.sum(w * vals)
-        else:
-            total = 0.5 * total + h * np.sum(w * vals)
-        est = half * total
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= max(q.rel_tol * abs(est), q.abs_tol) and level >= 2:
-                value = est.real if est.imag == 0 else complex(est)
-                return QuadResult(value, float(err), nev, True)
-        prev = est
-    value = prev.real if prev.imag == 0 else complex(prev)
-    return QuadResult(value, float(err), nev, False)
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    q: Quadrature = DEFAULT_QUAD,
-) -> QuadResult:
-    """Integrate a vectorized real- or complex-valued ``f`` over [a, b].
-
-    ``f`` receives an ndarray of abscissae and must return the values
-    elementwise.  The result carries an error estimate; if it exceeds
-    ``max(rel_tol*|I|, abs_tol)`` a :class:`NonConvergenceError` is raised
-    with the unconverged result as its ``partial``.  Identical inputs
-    always produce bit-identical outputs.
-    """
-    if a == b:
-        return QuadResult(0.0, 0.0, 0, True)
-    res = (_integrate_tanh_sinh if q.scheme == "tanh_sinh" else _integrate_gl)(f, a, b, q)
+    converged = bool(total_err <= max(rel_tol * abs(total), abs_tol))
+    res = QuadResult(value, float(total_err), nev, converged)
     if not res.converged:
         raise NonConvergenceError(
             f"quadrature did not reach tolerance on [{a}, {b}] "
@@ -264,16 +200,12 @@ def integrate(
 def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadResult:
     """Integrate over (-inf, inf) after truncating the tails.
 
-    The interval is cut where log|f| falls :data:`TAIL_NATS` nats below its
-    value at 0; both cuts are located by outward doubling, one call of
-    ``f`` per step serving both sides.  The caller is expected to pass an
-    integrand already scaled so that its peak lies near 0 with a value of
-    order one.
+    The caller passes an integrand scaled so that its peak lies near 0
+    with |f(0)| = 1.  The interval is cut where log|f| falls
+    :data:`TAIL_NATS` nats below that; both cuts are located by outward
+    doubling, one call of ``f`` per step serving both sides.
     """
-    fpeak = abs(complex(np.asarray(f(np.array([0.0])))[0]))
-    if fpeak == 0 or not math.isfinite(fpeak):
-        raise IntegrandError("integrand peak is zero or non-finite")
-    floor = fpeak * math.exp(-TAIL_NATS)
+    floor = math.exp(-TAIL_NATS)
     lo = hi = None
     u = 1.0
     for _ in range(60):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .euclid_bounds import shared_context
 from .orthopoly import GegenbauerContext
-from .specfun import LogScaled, Quadrature, integrate, log_gamma
+from .specfun import LogScaled, integrate, log_gamma
 
 __all__ = [
     "LPProblem",
@@ -535,7 +535,10 @@ def transfer_g_to_f(
     int f = vol(B_R)^2 mean(g) hold for exact arithmetic; the probe is the
     numerical check.  Small n only: the reduction is 2-D but the radial
     integral makes it a triple quadrature.  Every lens integral uses the
-    same 64-point Gauss-Legendre rule, built once here.
+    same 64-point Gauss-Legendre rule, built once here.  The radial
+    integral runs over [0, R] directly and over [R, 2R] after
+    rho = 2R - R s^2, s in [0, 1], which makes the integrand smooth at the
+    edge of the support, where f behaves like (2R - rho)^((n+1)/2).
     """
     n = cert.n
     if not 2 <= n <= 8:
@@ -548,17 +551,20 @@ def transfer_g_to_f(
     fvals = tuple(_lens_f(ctx, weights, n, R, r, gauss) for r in radii)
     f0 = _lens_f(ctx, weights, n, R, 0.0, gauss)
 
-    # tanh-sinh absorbs the (2R - rho)^((n+1)/2) endpoint behavior of f
-    q = Quadrature(scheme="tanh_sinh", rel_tol=1e-8, abs_tol=abs(f0) * 1e-10)
     surface = 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
 
-    def radial(arr: np.ndarray) -> np.ndarray:
+    def radial(rho: np.ndarray) -> np.ndarray:
         return np.array(
-            [_lens_f(ctx, weights, n, R, float(r), gauss) * r ** (n - 1) for r in arr]
+            [_lens_f(ctx, weights, n, R, float(r), gauss) * r ** (n - 1) for r in rho]
         )
 
-    part1 = integrate(radial, 0.0, R, q)
-    part2 = integrate(radial, R, 2.0 * R, q)
+    def outer(s: np.ndarray) -> np.ndarray:
+        # rho = 2R - R s^2 absorbs the (2R - rho)^((n+1)/2) edge of f at 2R
+        return radial(2.0 * R - R * s * s) * 2.0 * R * s
+
+    abs_tol = abs(f0) * 1e-10
+    part1 = integrate(radial, 0.0, R, rel_tol=1e-8, abs_tol=abs_tol)
+    part2 = integrate(outer, 0.0, 1.0, rel_tol=1e-8, abs_tol=abs_tol)
     integral_f = surface * (part1.value + part2.value)
     return TransferProbe(
         n=n,

@@ -43,6 +43,17 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
     assert code == 0 and second == first
 
 
+# the messages name the quantity the user set, not the helper that would
+# fail on it; a refined bound at r needs vol(B_R) at R(r, pi/3) > r
+REJECTION_NAMES = {
+    "hyperbolic --n 300 --r 1 --refined": "refined hyperbolic bounds require n <= 200, got n = 300",
+    "overlap --n 300 --r 1 --R 2": "overlap_finite requires 2 <= n <= 200, got n = 300",
+    "hyperbolic --n 8 --r 60 --refined": "r = 60.0 gives R = 60.6931 at theta = 1.0472",
+    "hyperbolic --n 8 --r 49.9 --refined": "r = 49.9 gives R = 50.5931 at theta = 1.0472",
+    "overlap --n 3 --r 1 --R 100": "overlap_finite requires 0 < R <= 50",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -64,6 +75,10 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
         ["overlap", "--n", "3", "--r", "1", "--R", "inf"],
         ["overlap", "--n", "3", "--r", "inf", "--R", "2", "--format", "json"],
         ["overlap", "--n", "3", "--r", "1", "--R", "100"],
+        ["hyperbolic", "--n", "300", "--r", "1", "--refined"],
+        ["overlap", "--n", "300", "--r", "1", "--R", "2"],
+        ["hyperbolic", "--n", "8", "--r", "60", "--refined"],
+        ["hyperbolic", "--n", "8", "--r", "49.9", "--refined"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):
@@ -71,6 +86,15 @@ def test_invalid_configuration_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "hyp_ball_volume" not in err
+    assert REJECTION_NAMES.get(" ".join(argv), "") in err
+
+
+def test_coarse_hyperbolic_past_the_refined_domain(capsys):
+    # only the refined bound needs vol(B_R), so n > 200 still prints its row
+    code, out, err = _run(capsys, ["hyperbolic", "--n", "300", "--r", "1"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split()[:2] == ["300", "hyp_coarse"]
 
 
 def test_integrand_error_stays_exit_3(capsys, monkeypatch):
@@ -223,8 +247,12 @@ def test_lp_bytes_pinned(capsys, n, degree):
 
 
 # sha256 of the sorted-key json of ``transfer_g_to_f`` for the certificate
-# that ``lp --n 4 --theta pi/3 --degree 10`` prints, as first released
-TRANSFER_4_SHA256 = "ca8f7e76abf6891a19b39deb2b8290db05555f0bcdc756c70f9554b63296c054"
+# that ``lp --n 4 --theta pi/3 --degree 10`` prints.  Re-pinned when the
+# radial integral over [R, 2R] moved from tanh-sinh to Gauss-Legendre after
+# rho = 2R - R s^2: only ``integral_f`` changed, 6234.181826177337 ->
+# 6234.1818261905355 (2.1e-12 relative; the exact vol(B_R)^2 c_0 is within
+# 2.3e-12 of the new value)
+TRANSFER_4_SHA256 = "614aee82e2ee234ca76d78ec13eb5c92b605254276cc123f96fa27448c9ffd09"
 
 
 def test_transfer_probe_pinned(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from packbounds import euclid_bounds as eb
 from packbounds.cli import render_round_up
 from packbounds.euclid_bounds import (
     _code_objective,
@@ -16,6 +17,7 @@ from packbounds.euclid_bounds import (
     rogers_bound,
     shared_context,
 )
+from packbounds.specfun import IntegrandError
 
 # golden values, rounded up to 4 significant digits
 GOLDEN_SPOT = {
@@ -62,6 +64,27 @@ def test_rogers_domain():
         rogers_bound(1)
     with pytest.raises(ValueError):
         rogers_bound(1001)
+
+
+@pytest.mark.parametrize("n", [2, 48, 600])
+def test_rogers_evaluates_its_peak_once(monkeypatch, n):
+    # the tail search takes |f(0)| = 1 from the scaling instead of calling f
+    calls = []
+
+    def counted(z):
+        calls.append(bool(np.any(np.imag(z) == 0.0)))
+        return erfcx(z)
+
+    erfcx = eb.scaled_erfc_complex
+    monkeypatch.setattr(eb, "scaled_erfc_complex", counted)
+    rogers_bound(n)
+    assert calls.count(True) == 1
+
+
+def test_rogers_non_finite_peak_is_an_integrand_error(monkeypatch):
+    monkeypatch.setattr(eb, "scaled_erfc_complex", lambda z: np.full_like(z, np.nan, dtype=complex))
+    with pytest.raises(IntegrandError):
+        rogers_bound(8)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import eval_chebyt, eval_gegenbauer
 
 from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext
-from packbounds.specfun import Quadrature, integrate
+from packbounds.specfun import integrate
 from packbounds.spherical_lp import _eval_g, _normalized_weights
 
 
@@ -182,11 +182,15 @@ def test_degree_cap_enforced():
 def _sphere_mean(n, g):
     # mean of g(<x, y>) over independent uniform points of S^(n-1), after
     # t = cos(phi): int_0^pi g(cos phi) sin^(n-2) phi dphi / int_0^pi sin^(n-2)
-    q = Quadrature(rel_tol=1e-12)
-    den = integrate(lambda p: np.sin(p) ** (n - 2), 0.0, math.pi, q)
+    den = integrate(lambda p: np.sin(p) ** (n - 2), 0.0, math.pi, rel_tol=1e-12)
     # zero means (the basis above degree 0) need an absolute target
-    qn = Quadrature(rel_tol=1e-12, abs_tol=1e-12 * den.value)
-    num = integrate(lambda p: g(np.cos(p)) * np.sin(p) ** (n - 2), 0.0, math.pi, qn)
+    num = integrate(
+        lambda p: g(np.cos(p)) * np.sin(p) ** (n - 2),
+        0.0,
+        math.pi,
+        rel_tol=1e-12,
+        abs_tol=1e-12 * den.value,
+    )
     return num.value / den.value
 
 
