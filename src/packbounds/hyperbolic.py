@@ -10,8 +10,9 @@ The overlap of two radius-R balls at center distance r, normalized by the
 ball volume, is computed three ways: the exact R -> infinity limit through
 the incomplete beta function, a finite-R radial integral whose integrand is
 the regularized incomplete beta share of each sphere about one center, and
-a Monte-Carlo sampler in the hyperboloid model that serves as an
-independent oracle for the other two.
+a Monte-Carlo sampler in the hyperboloid model, an independent oracle for
+the other two that draws radii by Newton's method on int_0^s sinh^(n-1),
+without quadrature, for 2 <= n <= 200 and 1e-300 <= R <= 50.
 """
 
 from __future__ import annotations
@@ -174,7 +175,10 @@ def overlap_limit(n: int, r: float) -> float:
     if not 0.0 <= r < math.inf:
         raise ValueError("overlap_limit requires finite r >= 0")
     a = (n - 1) / 2.0
-    u = 1.0 / (1.0 + math.exp(r))
+    try:
+        u = 1.0 / (1.0 + math.exp(r))
+    except OverflowError:
+        u = math.exp(-r)  # 1 + e^(-r) rounds to 1 long before exp(r) overflows
     return incomplete_beta(u, a, a) / incomplete_beta(0.5, a, a)
 
 
@@ -225,12 +229,53 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     return inside + math.exp(log_sphere_surface(n) + peak - vol.log_value) * res.value
 
 
-# antiderivatives of sinh^(n-1) for the radial inverse-CDF sampler
-_SINH_POWER_INTEGRAL = {
-    2: lambda s: np.cosh(s) - 1.0,
-    3: lambda s: (np.sinh(2.0 * s) - 2.0 * s) / 4.0,
-    4: lambda s: (np.cosh(3.0 * s) - 9.0 * np.cosh(s) + 8.0) / 12.0,
-}
+def _sinh_power_integral(m: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F / sinh^m s, sinh s) for F(s) = int_0^s sinh^m x dx, m >= 1, s >= 0.
+
+    F / sinh^m s follows I_k = sinh^(k-1) s cosh s / k - (k-1)/k I_(k-2),
+    over sinh^k s, from I_0 = s and I_1 / sinh s = sinh s / (cosh s + 1).
+    Each step scales old errors by csch^2 s, so where sinh s < 1 and m >= 2
+    the series (tanh s / (m+1)) 2F1(1/2, 1; (m+3)/2; tanh^2 s) replaces it.
+    """
+    sh, ch = np.sinh(s), np.cosh(s)
+    # at s = 0, and where the recurrence overflows and the series takes over
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coth, csch2 = ch / sh, 1.0 / (sh * sh)
+        ratio = s if m % 2 == 0 else sh / (ch + 1.0)
+        for k in range(m % 2 + 2, m + 1, 2):
+            ratio = (coth - (k - 1) * csch2 * ratio) / k
+    if m >= 2:
+        small = np.flatnonzero(sh < 1.0)
+        tanh = sh[small] / ch[small]
+        w = tanh * tanh
+        term, total = np.ones_like(w), np.ones_like(w)
+        for j in range(1, 57):  # each term is below w < 1/2 times the last
+            term *= w * (j - 0.5) / ((m + 1) / 2.0 + j)
+            total += term
+        ratio[small] = tanh / (m + 1) * total
+    return ratio, sh
+
+
+def _radial_quantile(m: int, R: float, log_u: np.ndarray) -> np.ndarray:
+    """s in [0, R] with F(s) / F(R) = e^log_u, F(s) = int_0^s sinh^m, by
+    Newton's method on ln F: concave, so the iterates rise to the root after
+    the first step, from min(((m+1) F)^(1/(m+1)), R) >= the root.  On F
+    itself the steps shrink to 1/m where F grows like e^(m s).  u = 0 gives 0.
+    """
+    (ratio_R,), (sinh_R,) = _sinh_power_integral(m, np.array([R]))
+    log_total = math.log(ratio_R) + m * math.log(sinh_R)
+    s = np.minimum(np.exp((math.log(m + 1) + log_u + log_total) / (m + 1)), R)
+    while True:
+        ratio, sh = _sinh_power_integral(m, s)
+        # ln F(s)/F(R) from ratios near 1, so that a huge ln F(R) cannot
+        # swamp the step in rounding
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_cdf = np.log(ratio / ratio_R) + m * np.log(sh / sinh_R)
+            step = np.where(s > 0.0, ratio * (log_cdf - log_u), 0.0)
+        # a step takes at most half of s, so no overshoot reaches s <= 0
+        s = np.minimum(np.maximum(s - step, 0.5 * s), R)
+        if np.max(np.abs(step)) <= 1e-13 * R:
+            return s
 
 
 def overlap_monte_carlo(
@@ -240,44 +285,45 @@ def overlap_monte_carlo(
     samples: int,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate of the finite-R overlap fraction.
+    """Monte-Carlo estimate of the finite-R overlap fraction, for
+    2 <= n <= 200, 1e-300 <= R <= 50 and finite r >= 0.
 
     Points are drawn exactly uniformly in a radius-R ball of H^n using the
-    hyperboloid model: radius by inverse CDF of the density sinh^(n-1),
-    direction by normalized Gaussians; membership in the second ball at
+    hyperboloid model: radius by Newton's method on the radial CDF, whose
+    density is sinh^(n-1), without the quadrature of ``overlap_finite``;
+    direction by normalized Gaussians.  Membership in the second ball at
     distance r is tested with the Minkowski form.  Returns (mean, stderr);
     deterministic for a fixed seed.
     """
-    if n not in _SINH_POWER_INTEGRAL:
-        raise ValueError("overlap_monte_carlo supports n in {2, 3, 4}")
+    if not 2 <= n <= 200:
+        raise ValueError(f"overlap_monte_carlo requires 2 <= n <= 200, got n = {n}")
+    # below about 1e-300, R/2 and F(R)/sinh^(n-1) R ~ R/n near the subnormal floats
+    if not (1e-300 <= R <= 50.0 and 0.0 <= r < math.inf):
+        raise ValueError(f"overlap_monte_carlo requires 1e-300 <= R <= 50 and finite r >= 0, "
+                         f"got R = {R}, r = {r}")
     if samples < 10**4:
         raise ValueError("use at least 10^4 samples")
-    if not (0.0 < R < math.inf and 0.0 <= r < math.inf):
-        raise ValueError("need finite R > 0 and r >= 0")
-    cdf = _SINH_POWER_INTEGRAL[n]
-    total = cdf(R)
+    if r >= 2.0 * R:  # disjoint balls; cosh r may overflow
+        return 0.0, 0.0
     rng = np.random.default_rng(seed)
-    cosh_R, cosh_r, sinh_r = math.cosh(R), math.cosh(r), math.sinh(r)
+    sinh_hR = math.sinh(R / 2.0)
+    b, cosh_r, cosh_hr = math.sinh(r / 2.0) / sinh_hR, math.cosh(r), math.cosh(r / 2.0)
 
     hits = 0
-    chunk = 1 << 19
+    chunk = (1 << 21) // max(n, 4)  # caps the (chunk, n) Gaussian block at 16 MB
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        u = rng.random(m) * total
-        lo = np.zeros(m)
-        hi = np.full(m, R)
-        for _ in range(60):  # vectorized bisection of the radial CDF
-            mid = 0.5 * (lo + hi)
-            below = cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        s = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore"):
+            s = _radial_quantile(n - 1, R, np.log(rng.random(m)))
         w = rng.standard_normal((m, n))
         w1 = w[:, 0] / np.linalg.norm(w, axis=1)
-        # cosh of the distance to the second center, via the Minkowski form
-        cosh_d = np.cosh(s) * cosh_r - np.sinh(s) * sinh_r * w1
-        hits += int(np.count_nonzero(cosh_d <= cosh_R))
+        # (cosh d - 1)/(cosh R - 1) at the distance d to the second center, by
+        # the Minkowski form and cosh x - 1 = 2 sinh^2(x/2): cosh x alone
+        # rounds to 1 once x^2 < 1e-16.  s <= R, so a <= 1 but for rounding.
+        a = np.minimum(np.sinh(s / 2.0) / sinh_hR, 1.0)
+        q = a * a * cosh_r + b * b - 2.0 * a * b * np.cosh(s / 2.0) * cosh_hr * w1
+        hits += int(np.count_nonzero(q <= 1.0))
         done += m
     mean = hits / samples
     stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)

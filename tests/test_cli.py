@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +80,7 @@ REJECTION_NAMES = {
         ["overlap", "--n", "300", "--r", "1", "--R", "2"],
         ["hyperbolic", "--n", "8", "--r", "60", "--refined"],
         ["hyperbolic", "--n", "8", "--r", "49.9", "--refined"],
+        ["overlap", "--n", "201", "--r", "1", "--R", "2", "--samples", "20000", "--format", "json"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):
@@ -204,6 +206,25 @@ def test_overlap_json(capsys, n, r, R, reference):
     assert 0.0 <= doc["finite"] <= 1.0
     assert doc["finite"] == pytest.approx(reference, rel=1e-8, abs=0)
     assert 0.0 < doc["limit"] <= 1.0
+
+
+def test_overlap_limit_past_exp_overflow(capsys):
+    # exp(710) overflows; the limit is then B(e^-r; 1, 1) / B(1/2; 1, 1)
+    code, out, err = _run(capsys, ["overlap", "--n", "3", "--r", "710", "--R", "2",
+                                   "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["finite"] == 0.0
+    assert doc["limit"] == pytest.approx(2.0 * math.exp(-710.0), rel=1e-12)
+
+
+def test_overlap_monte_carlo_past_n4(capsys):
+    code, out, err = _run(capsys, ["overlap", "--n", "10", "--r", "1", "--R", "2",
+                                   "--samples", "20000", "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert math.isfinite(doc["mc_mean"]) and doc["mc_samples"] == 20000
+    assert abs(doc["mc_mean"] - doc["finite"]) <= 4.0 * doc["mc_stderr"]
 
 
 # sha256 of the default (text) ``overlap`` stdout, as first released

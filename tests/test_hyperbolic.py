@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,120 @@ def test_overlap_tends_to_limit():
 def test_overlap_agrees_with_monte_carlo(n, r, R):
     mean, stderr = hyp.overlap_monte_carlo(n, r, R, 200_000, seed=11)
     assert abs(mean - hyp.overlap_finite(n, r, R)) <= 4.0 * stderr
+
+
+# (mean, stderr) of the bisection sampler that Newton's method replaced, at
+# the test seed and at the benchmark's first seed: the draws are the same,
+# and the radii agree closely enough that no sample changes sides
+MONTE_CARLO_PINS = {
+    (2, 11): (0.60042, 0.001095252992691643),
+    (3, 11): (0.479785, 0.001117119854301677),
+    (4, 11): (0.38997, 0.0010906268818894939),
+    (2, 1): (0.59992, 0.0010954816146334907),
+    (3, 1): (0.480485, 0.0011171820907421492),
+    (4, 1): (0.3904, 0.0010908433434732962),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(MONTE_CARLO_PINS))
+def test_monte_carlo_bytes_pinned(n, seed):
+    assert hyp.overlap_monte_carlo(n, 1.0, 2.0, 200_000, seed=seed) == MONTE_CARLO_PINS[n, seed]
+
+
+@pytest.mark.parametrize(
+    "n, r, R",
+    [(n, r, 2.0) for n in (2, 5, 10, 50, 200) for r in (0.0, 0.05, 1.0, 2.0, 3.0, 4.0, 5.0)]
+    + [(200, 0.05, 40.0), (10, 1.0, 40.0), (2, 3.0, 50.0)]
+    # small balls, where cosh of a radius rounds to 1
+    + [(2, 3e-8, 1e-7), (10, 3e-8, 1e-7), (3, 3e-101, 1e-100), (200, 1e-101, 1e-100)],
+)
+def test_monte_carlo_agrees_in_every_dimension(n, r, R):
+    # 4 sigma of the binomial count at the exact overlap p, which stays
+    # meaningful where p is so small that the estimate has no hits
+    samples = 20_000
+    mean, _ = hyp.overlap_monte_carlo(n, r, R, samples, seed=11)
+    exact = hyp.overlap_finite(n, r, R)
+    assert abs(mean - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / samples)
+
+
+def test_monte_carlo_domain():
+    for bad, name in [((1, 1.0, 2.0), "n = 1"), ((201, 1.0, 2.0), "n = 201"),
+                      ((2, 1.0, 1000.0), "R = 1000.0"), ((2, 1.0, 0.0), "R = 0.0"),
+                      ((2, 0.0, 1e-310), "R = 1e-310")]:
+        with pytest.raises(ValueError, match=name):
+            hyp.overlap_monte_carlo(*bad, 10**4)
+    # cosh r overflows, but the balls are disjoint whenever r >= 2R
+    assert hyp.overlap_monte_carlo(3, 800.0, 2.0, 10**4) == (0.0, 0.0)
+
+
+def test_monte_carlo_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        hyp.overlap_monte_carlo(200, 0.05, 2.0, 40_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (40 000, 200) Gaussian block alone would take 64 MB
+    assert peak < 40e6
+
+
+# int_0^s sinh^(n-1) in closed form: the sampler's antiderivatives before
+# the recurrence.  Below s = 0.5 these forms cancel (n = 4 loses 3e-12 at
+# s = 0.1), so small s is checked against the high-precision values below.
+CLOSED_FORMS = {
+    2: lambda s: math.cosh(s) - 1.0,
+    3: lambda s: (math.sinh(2.0 * s) - 2.0 * s) / 4.0,
+    4: lambda s: (math.cosh(3.0 * s) - 9.0 * math.cosh(s) + 8.0) / 12.0,
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLOSED_FORMS))
+def test_radial_cdf_matches_closed_forms(n):
+    # 0.88 takes the series, 0.9 and above the recurrence
+    s = np.array([0.5, 0.75, 0.88, 0.9, 1.0, 1.5, 2.0, 5.0, 20.0, 50.0])
+    ratio, sh = hyp._sinh_power_integral(n - 1, s)
+    for x, got in zip(s, ratio * sh ** (n - 1)):
+        assert math.isclose(got, CLOSED_FORMS[n](x), rel_tol=1e-14)
+
+
+# F(s) / sinh^(n-1) s for F(s) = int_0^s sinh^(n-1), computed once with
+# mpmath at 1500 digits from the exact sum over e^((n-1-2k) s), by
+#   F = 2^-m sum_k (-1)^k C(m, k) (e^((m-2k) s) - 1)/(m - 2k),  m = n - 1
+# (the k = m/2 term is s), and stored with ln F as (ratio, ln F)
+SINH_POWER_INTEGRALS = {
+    (50, 0.001): (1.9999993717951021e-5, -349.2997791019711),
+    (50, 0.1): (0.0019937409000952093, -118.9627726506499),
+    (50, 1.99): (0.019629489917772749, 58.690807240621142),
+    (50, 39.9): (0.020408163265306122, 1917.2439678544521),
+    (200, 0.001): (4.9999983580864509e-6, -1386.8493403246926),
+    (200, 0.1): (0.00049836448345990461, -465.48705617870857),
+    (200, 1.99): (0.0048390070762022841, 248.98904345075062),
+    (200, 39.9): (0.0050251256281407035, 7796.8704062438464),
+}
+
+
+@pytest.mark.parametrize("n, s", sorted(SINH_POWER_INTEGRALS))
+def test_radial_cdf_vs_high_precision(n, s):
+    ratio_ref, log_ref = SINH_POWER_INTEGRALS[n, s]
+    (ratio,), (sh,) = hyp._sinh_power_integral(n - 1, np.array([s]))
+    assert math.isclose(ratio, ratio_ref, rel_tol=1e-14)
+    assert math.isclose(math.log(ratio) + (n - 1) * math.log(sh), log_ref, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("n, s", sorted(SINH_POWER_INTEGRALS))
+def test_radial_quantile_takes_few_newton_steps(n, s, monkeypatch):
+    # at R = 2 and, for the point near R = 40, where F = e^(7797) overflows;
+    # ln F(R) is e^(249) at n = 200, R = 2, and e^(7817) at R = 40
+    R = 40.0 if s > 2.0 else 2.0
+    (ratio_R,), (sinh_R,) = hyp._sinh_power_integral(n - 1, np.array([R]))
+    log_u = SINH_POWER_INTEGRALS[n, s][1] - math.log(ratio_R) - (n - 1) * math.log(sinh_R)
+    # one evaluation of F for ln F(R), then one per Newton step
+    calls = []
+    cdf = hyp._sinh_power_integral
+    monkeypatch.setattr(hyp, "_sinh_power_integral", lambda m, x: calls.append(x) or cdf(m, x))
+    (got,) = hyp._radial_quantile(n - 1, R, np.array([log_u]))
+    assert math.isclose(got, s, rel_tol=1e-13)
+    assert 1 <= len(calls) - 1 <= 12
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 24, 100])
