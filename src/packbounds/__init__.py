@@ -11,7 +11,6 @@ from .euclid_bounds import (
     BoundRecord,
     RateResult,
     best_method,
-    cap_density,
     cz_bound,
     kl_bound,
     kl_spherical_code_bound,

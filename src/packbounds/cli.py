@@ -60,10 +60,10 @@ def render_round_up(v: LogScaled, sig_digits: int) -> str:
 # ---------------------------------------------------------------------------
 
 _BOUND_FUNCS = {
-    "rogers": lambda n: eb.rogers_bound(n),
-    "levenshtein": lambda n: eb.levenshtein_bound(n),
-    "kl": lambda n: eb.kl_bound(n),
-    "cz": lambda n: eb.cz_bound(n),
+    "rogers": lambda dims: [eb.rogers_bound(n) for n in dims],
+    "levenshtein": lambda dims: [eb.levenshtein_bound(n) for n in dims],
+    "kl": lambda dims: eb._scan_k(dims, "kl"),
+    "cz": lambda dims: eb._scan_k(dims, "cz"),
 }
 
 
@@ -80,15 +80,23 @@ def _record_row(rec) -> dict:
 
 def bound_rows(dims: list[int], methods: list[str]) -> list[dict]:
     """One row per (dimension, method), ordered by dimension, then by the
-    order of ``methods``."""
-    return [_record_row(_BOUND_FUNCS[m](n)) for n in sorted(dims) for m in methods]
+    order of ``methods``.  kl and cz each run one k-scan over all the
+    dimensions in lockstep."""
+    dims = sorted(dims)
+    records = {m: _BOUND_FUNCS[m](dims) for m in dict.fromkeys(methods)}
+    return [_record_row(records[m][i]) for i in range(len(dims)) for m in methods]
 
 
 def crossover_scan(lo: int, hi: int) -> list[tuple[int, str]]:
-    """Best historical method for each n in [lo, hi]."""
+    """Best historical method for each n in [lo, hi], as ``best_method``
+    picks it, with the kl bounds from one lockstep k-scan over lo..hi."""
     if not 4 <= lo <= hi <= 800:
         raise ValueError("crossover scan requires 4 <= lo <= hi <= 800")
-    return [(n, eb.best_method(n)) for n in range(lo, hi + 1)]
+    dims = list(range(lo, hi + 1))
+    return [
+        (n, eb._best_of([eb.rogers_bound(n), eb.levenshtein_bound(n), kl]))
+        for n, kl in zip(dims, eb._scan_k(dims, "kl"))
+    ]
 
 
 def _transitions(scan: list[tuple[int, str]]) -> list[dict]:

@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import DEGREE_CAP, GegenbauerContext
+from .orthopoly import DEGREE_CAP, GegenbauerContext, find_largest_roots
 from .specfun import (
     IntegrandError,
     LogScaled,
     NonConvergenceError,
     bessel_first_zero,
     golden_section_min,
-    integrate,
     integrate_real_line,
     log_binomial,
     log_gamma,
@@ -45,7 +44,6 @@ __all__ = [
     "kl_spherical_code_bound",
     "kl_bound",
     "cz_bound",
-    "cap_density",
     "optimize_asymptotic_rate",
     "best_method",
     "shared_context",
@@ -214,80 +212,71 @@ def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
     )
 
 
-def _scan_k(
-    n: int, ctx: GegenbauerContext, method: str, t_max: float | None = None
-) -> BoundRecord:
-    # Scan k upward to the first local minimum of the log objective, where
-    # the infimum is attained; with t_max, only over the degrees whose root
-    # t_(m,k) <= t_max (t_1 = 0, so k = 1 always counts)
-    prev = _code_objective(n, ctx, 1)
-    k = 2
-    while k <= DEGREE_CAP:
-        if t_max is not None and ctx.largest_root(k) > t_max:
-            cur = None
-        else:
-            cur = _code_objective(n, ctx, k)
-        if cur is None or cur > prev:
-            k_star = k - 1
-            return BoundRecord(
-                dimension=n,
-                method=method,
-                value=LogScaled.from_log(prev),
-                k_star=k_star,
-                theta_star=math.acos(ctx.largest_root(k_star)),
-                diagnostics={
-                    "objective_prev": _code_objective(n, ctx, k_star - 1)
-                    if k_star > 1
-                    else None,
-                    "objective": prev,
-                    "objective_next": cur,
-                },
-            )
-        prev = cur
-        k += 1
+def _scan_k(dims: list[int], method: str) -> list[BoundRecord]:
+    """The kl or cz bound at each n of ``dims``: k goes up to the first local
+    minimum of the log objective, where the infimum is attained, for every n
+    in lockstep, with root k + 1 of all the n still scanning found at once.
+    cz counts only the degrees whose root t_(n,k) <= 1/2 (t_1 = 0)."""
+    for n in dims:
+        if n < 1 or n > 800:
+            raise ValueError(f"{method}_bound requires 1 <= n <= 800")
+        if n == 1 and method == "cz":
+            # no Gegenbauer family on S^0; kl, through S^1, covers n = 1
+            raise ValueError("cz_bound is undefined for n = 1")
+    # kl passes the (n+1)-dimensional context, cz the n-dimensional one
+    ctxs = [shared_context(n + 1 if method == "kl" else n) for n in dims]
+    t_max = 0.5 if method == "cz" else 1.0
+    find_largest_roots(ctxs, 2)
+    prev = [_code_objective(n, ctx, 1) for n, ctx in zip(dims, ctxs)]
+    records: list[BoundRecord | None] = [None] * len(dims)
+    active = range(len(dims))
+    for k in range(2, DEGREE_CAP + 1):
+        within = [i for i in active if ctxs[i].largest_root(k) <= t_max]
+        find_largest_roots([ctxs[i] for i in within], k + 1)
+        cur = {i: _code_objective(dims[i], ctxs[i], k) for i in within}
+        still = []
+        for i in active:
+            n, ctx, obj = dims[i], ctxs[i], cur.get(i)
+            if obj is None or obj > prev[i]:
+                k_star = k - 1
+                records[i] = BoundRecord(
+                    dimension=n,
+                    method=method,
+                    value=LogScaled.from_log(prev[i]),
+                    k_star=k_star,
+                    theta_star=math.acos(ctx.largest_root(k_star)),
+                    diagnostics={
+                        "objective_prev": _code_objective(n, ctx, k_star - 1)
+                        if k_star > 1
+                        else None,
+                        "objective": prev[i],
+                        "objective_next": obj,
+                    },
+                )
+            else:
+                prev[i] = obj
+                still.append(i)
+        active = still
+        if not active:
+            return records
     raise NonConvergenceError(f"{method}_bound k-search found no local minimum")
 
 
 def kl_bound(n: int) -> BoundRecord:
     """Packing bound via codes on S^n, at the first local minimum in k."""
-    if n < 1 or n > 800:
-        raise ValueError("kl_bound requires 1 <= n <= 800")
-    return _scan_k(n, shared_context(n + 1), "kl")
+    return _scan_k([n], "kl")[0]
 
 
 def cz_bound(n: int) -> BoundRecord:
     """Packing bound via codes on S^(n-1), restricted to code angles
     theta >= pi/3 (equivalently t_(n,k) <= 1/2), at the first local
-    minimum in k within that range."""
-    if n < 1 or n > 800:
-        raise ValueError("cz_bound requires 1 <= n <= 800")
-    if n == 1:
-        # needs the Gegenbauer family on S^0, which does not exist; the
-        # kl route through S^1 stays available at n = 1
-        raise ValueError("cz_bound is undefined for n = 1")
-    return _scan_k(n, shared_context(n), "cz", t_max=0.5)
+    minimum in k within that range; undefined at n = 1."""
+    return _scan_k([n], "cz")[0]
 
 
 # ---------------------------------------------------------------------------
-# Cap coverage, the asymptotic rate, and the historical comparison
+# The asymptotic rate and the historical comparison
 # ---------------------------------------------------------------------------
-
-
-def cap_density(n: int, theta: float, count: float) -> float:
-    """Fraction of S^(n-1) covered by `count` caps of angular radius theta/2:
-
-        count * int_0^(theta/2) sin^(n-2) x dx / int_0^pi sin^(n-2) x dx
-    """
-    if n < 2:
-        raise ValueError("cap_density requires n >= 2")
-    if not 0.0 < theta <= math.pi:
-        raise ValueError("theta must lie in (0, pi]")
-    if count <= 0:
-        raise ValueError("count must be positive")
-    m = n - 2
-    num = integrate(lambda x: np.sin(x) ** m, 0.0, theta / 2.0, rel_tol=1e-12)
-    den = integrate(lambda x: np.sin(x) ** m, 0.0, math.pi, rel_tol=1e-12)
-    return count * num.value / den.value
 
 
 def _rate_objective(theta: float) -> float:
@@ -317,9 +306,9 @@ def best_method(n: int) -> str:
     """
     if not 4 <= n <= 800:
         raise ValueError("best_method requires 4 <= n <= 800")
-    records = {
-        "rogers": rogers_bound(n),
-        "levenshtein": levenshtein_bound(n),
-        "kl": kl_bound(n),
-    }
-    return min(HISTORICAL_METHODS, key=lambda m: records[m].value.log_value)
+    return _best_of([rogers_bound(n), levenshtein_bound(n), kl_bound(n)])
+
+
+def _best_of(records: list[BoundRecord]) -> str:
+    # the method of the smallest bound; ties go to the earliest record
+    return min(records, key=lambda rec: rec.value.log_value).method

@@ -215,11 +215,16 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     # 2r-d, or d and 2R-d when r > R; forming them from s cancels at r << R
     near, far = (2.0 * (R - r), 2.0 * r) if r < R else (0.0, 2.0 * R)
     peak = (n - 1) * math.log(math.sinh(R))
+    # each sinh factor of x times 2^e, e = -exponent of R: exact for every
+    # normal x, and the products no longer underflow at R r < 1e-308
+    e = -math.frexp(R)[1]
+    sinh_r = math.ldexp(math.sinh(r), e)
 
     def band(t: np.ndarray) -> np.ndarray:
         d = length * t * t
         s = lo + d
-        x = np.sinh((near + d) / 2.0) * np.sinh((far - d) / 2.0) / (np.sinh(s) * math.sinh(r))
+        num = np.ldexp(np.sinh((near + d) / 2.0), e) * np.ldexp(np.sinh((far - d) / 2.0), e)
+        x = num / (np.ldexp(np.sinh(s), e) * sinh_r)
         weight = np.exp((n - 1) * np.log(np.sinh(s)) - peak)
         return weight * betainc(a, a, np.minimum(x, 1.0)) * 2.0 * length * t
 

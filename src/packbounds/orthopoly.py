@@ -7,9 +7,12 @@ top eigenvalue of the symmetric tridiagonal Jacobi matrix, defined as the
 midpoint of the 2^-47-wide dyadic cell that Sturm-sequence bisection of
 [0, 1] ends on.  Sturm counts and Newton steps run on the LDL^T pivots of
 the matrix, so the (overflowing) polynomial itself is never evaluated.
-When the three roots below degree k are cached, as in the ascending
-k-scans of the bounds, extrapolating them and polishing by Newton finds
-that cell in a handful of passes; otherwise the bisection runs.
+Degrees 2 to 4 start from closed forms, higher ones from the three cached
+roots below, polished by Newton; Sturm counts confirm the cell, and without
+a start the bisection runs.  :func:`find_largest_roots` runs this for many
+contexts at one degree in lockstep, one float64 array lane per context;
+numpy rounds elementwise as Python rounds floats, so each lane's root is the
+scalar one bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .specfun import NonConvergenceError, log_gamma
 
-__all__ = ["GegenbauerContext", "DEGREE_CAP"]
+__all__ = ["GegenbauerContext", "DEGREE_CAP", "find_largest_roots"]
 
 DEGREE_CAP = 20000
 
@@ -59,7 +62,7 @@ class GegenbauerContext:
 
         The three-term recurrence of the normalized family is uniform in n
         (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1]."""
-        self._check_degree(kmax)
+        _check_degree(kmax)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((kmax + 1, t.size))
         out[0] = 1.0
@@ -75,7 +78,7 @@ class GegenbauerContext:
     # -- largest roots ------------------------------------------------------
 
     def largest_root(self, k: int) -> float:
-        self._check_degree(k)
+        _check_degree(k)
         if k < 1:
             raise ValueError("largest_root requires degree k >= 1")
         cached = self._roots.get(k)
@@ -84,72 +87,92 @@ class GegenbauerContext:
         return self._roots.setdefault(k, self._largest_root_uncached(k))
 
     def _offdiag_sq(self, k: int) -> list[float]:
-        # Squared off-diagonal of the k x k symmetric Jacobi matrix (diagonal
-        # is zero by symmetry of the weight).  Valid down to alpha = 0.  Each
-        # entry is the same expression whatever k is, so one growing array
-        # serves every degree; the scalar loops get a prefix as Python floats.
-        # A racing thread may swap in a shorter array; this call keeps its own.
+        # One growing array (at least the 3 entries the closed forms read)
+        # serves every degree; a racing thread may swap in a shorter one, but
+        # this call keeps the array it built.
         b2 = self._b2
         if b2.size < k - 1:
-            m = max(k - 1, 2 * b2.size)
-            a = self.alpha
-            j = np.arange(2.0, m + 1)
-            b2 = np.empty(m)
-            b2[0] = 1.0 / (2.0 * (1.0 + a))
-            b2[1:] = j * (j + 2 * a - 1) / (4 * (j + a - 1) * (j + a))
-            self._b2 = b2
+            b2 = self._b2 = _squared_offdiag(self.alpha, max(k - 1, 2 * b2.size, 3))
         return b2[: k - 1].tolist()
 
     def _largest_root_uncached(self, k: int) -> float:
+        """The bisection's answer, found without bisecting from a start.
+
+        Bisection from [0, 1] stops after exactly 47 halvings, on the dyadic
+        cell [j, j + 1] * 2^-47 whose ends have Sturm counts < k and >= k, and
+        returns its midpoint.  A start polished by Newton lands in or next to
+        that cell, and Sturm counts confirm it; like the bisection, this takes
+        the count to be monotone in sigma, so only one cell passes.  Newton
+        stops after a step below 1e-8, which leaves an error far below 2^-47;
+        the closed forms need none, and their last pivot may be exactly 0.
+        """
         if k == 1:
             return 0.0
         b2 = self._offdiag_sq(k)
-        root = self._root_from_neighbours(k, b2)
-        return _bisect_largest(b2, k, self.n) if root is None else root
-
-    def _root_from_neighbours(self, k: int, b2: list[float]) -> float | None:
-        """The bisection's answer, found without bisecting, or None.
-
-        Bisection from [0, 1] stops after exactly 47 halvings, on the dyadic
-        cell [j, j + 1] * 2^-47 whose ends have Sturm counts < k and >= k;
-        it returns the cell midpoint.  Extrapolating the three cached roots
-        below k and polishing by Newton lands in or next to that cell, and
-        two or three Sturm counts confirm it.  Like the bisection, this takes
-        the computed count to be monotone in sigma, so only one cell passes.
-        """
-        roots = self._roots
-        if k < 5 or not all(i in roots for i in (k - 1, k - 2, k - 3)):
-            return None
-        x = 3.0 * roots[k - 1] - 3.0 * roots[k - 2] + roots[k - 3]
+        x = self._start(k)
         try:
-            for _ in range(_NEWTON_STEPS):
+            for _ in range(_NEWTON_STEPS if k > 4 and x is not None else 0):
                 step = _newton_step(b2, x)
                 x -= step
-                # Newton converges quadratically: the error left after a
-                # step this small is far below the 2^-47 cell width
                 if abs(step) < 1e-8:
                     break
+            root = None if x is None else _confirm_cell(b2, k, x)
         except ZeroDivisionError:
-            return None
-        if not 0.0 < x < 1.0:
-            return None
-        # x may sit a rounding error outside its cell: step to a neighbour
-        j = math.floor(math.ldexp(x, _CELL_BITS))
-        if _count_below(b2, math.ldexp(j, -_CELL_BITS)) < k:
-            for _ in range(_CELL_WALK):
-                if _count_below(b2, math.ldexp(j + 1, -_CELL_BITS)) >= k:
-                    return math.ldexp(2 * j + 1, -_CELL_BITS - 1)
-                j += 1
-        else:
-            for _ in range(_CELL_WALK):
-                j -= 1
-                if _count_below(b2, math.ldexp(j, -_CELL_BITS)) < k:
-                    return math.ldexp(2 * j + 1, -_CELL_BITS - 1)
-        return None
+            root = None
+        return _bisect_largest(b2, k, self.n) if root is None else root
 
-    def _check_degree(self, k: int) -> None:
-        if k > DEGREE_CAP:
-            raise ValueError(f"degree {k} exceeds the degree cap {DEGREE_CAP}")
+    def _start(self, k: int) -> float | None:
+        # Up to k = 4 the characteristic polynomial is y^2 - S y + P in
+        # y = x^2 (S the sum of the b2, P = b2_0 b2_2 at k = 4, else 0); above,
+        # the cubic extrapolation of the three cached roots below k, if any.
+        if k <= 4:
+            b = self._offdiag_sq(k) + [0.0] * (4 - k)
+            s = b[0] + b[1] + b[2]
+            return math.sqrt((s + math.sqrt(s * s - 4.0 * b[0] * b[2])) / 2.0)
+        roots = self._roots
+        try:
+            return 3.0 * roots[k - 1] - 3.0 * roots[k - 2] + roots[k - 3]
+        except KeyError:
+            return None
+
+
+def _check_degree(k: int) -> None:
+    if k > DEGREE_CAP:
+        raise ValueError(f"degree {k} exceeds the degree cap {DEGREE_CAP}")
+
+
+def find_largest_roots(contexts: list[GegenbauerContext], k: int) -> None:
+    """Cache the degree-k largest root of every context, in lockstep: the
+    scalar route on (k - 1, L) arrays, one lane per context.  A lone lane, a
+    lane without a start and one whose Newton or cell walk fails go scalar."""
+    _check_degree(k)
+    todo = [c for c in dict.fromkeys(contexts) if k not in c._roots]
+    starts = [c._start(k) for c in todo] if len(todo) > 1 else []
+    lanes = [(c, x) for c, x in zip(todo, starts) if x is not None]
+    if len(lanes) > 1:
+        ctxs, x = zip(*lanes)
+        b2 = _squared_offdiag(np.array([c.alpha for c in ctxs]), k - 1)
+        # a lane reads NaN where the scalar route raises or gives up
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            roots = _confirm_cells(b2, k, _polish_lanes(b2, k, np.array(x)))
+        for c, root in zip(ctxs, roots.tolist()):
+            if not math.isnan(root):
+                c._roots.setdefault(k, root)
+    for c in todo:
+        if k not in c._roots:
+            c.largest_root(k)
+
+
+def _squared_offdiag(alpha, m: int) -> np.ndarray:
+    # The first m squared off-diagonal entries of the Jacobi matrix (its
+    # diagonal is zero by symmetry of the weight), valid down to alpha = 0;
+    # for an array of alphas, one column per lane.
+    a = np.asarray(alpha, dtype=float)
+    j = np.arange(2.0, m + 1).reshape((-1,) + (1,) * a.ndim)
+    b2 = np.empty((m,) + a.shape)
+    b2[0] = 1.0 / (2.0 * (1.0 + a))
+    b2[1:] = j * (j + 2 * a - 1) / (4 * (j + a - 1) * (j + a))
+    return b2
 
 
 # Bisection of [0, 1] to width <= 1e-14 halves it exactly 47 times.
@@ -158,22 +181,18 @@ _CELL_WALK = 2
 _NEWTON_STEPS = 8
 
 
-def _count_below(b2: list[float], sigma: float) -> int:
-    # Sturm count of eigenvalues below sigma (LDL^T sign pattern)
-    cnt = 0
-    d = -sigma
-    if d < 0:
-        cnt += 1
+def _count_below(b2, sigma):
+    # Sturm count of eigenvalues below sigma (LDL^T sign pattern), also with
+    # one lane per column; a zero pivot becomes -1e-300, others plus -0.0 stay
+    d = low = -sigma
+    cnt = 0 + (d < 0)
     for bb in b2:
-        if d == 0.0:
-            d = -1e-300
-        d = -sigma - bb / d
-        if d < 0:
-            cnt += 1
+        d = low - bb / (d + (d == 0.0) * -1e-300)
+        cnt = cnt + (d < 0)
     return cnt
 
 
-def _newton_step(b2: list[float], x: float) -> float:
+def _newton_step(b2, x):
     # p/p' for p(x) = det(x - J) = prod u_i with the pivots
     # u_i = x - b2_i / u_(i-1), so p'/p = sum u_i'/u_i
     u, du = x, 1.0
@@ -184,6 +203,49 @@ def _newton_step(b2: list[float], x: float) -> float:
         u = x - r
         s += du / u
     return 1.0 / s
+
+
+def _confirm_cell(b2: list[float], k: int, x: float) -> float | None:
+    # The midpoint of the cell within _CELL_WALK cells of x (which may sit a
+    # rounding error outside it) that the Sturm counts confirm, or None:
+    # walk up while the lower edge counts < k, else down
+    if not 0.0 < x < 1.0:
+        return None
+    edge = math.floor(math.ldexp(x, _CELL_BITS))
+    up = _count_below(b2, math.ldexp(edge, -_CELL_BITS)) < k
+    for _ in range(_CELL_WALK):
+        edge += 1 if up else -1
+        if (_count_below(b2, math.ldexp(edge, -_CELL_BITS)) >= k) == up:
+            return math.ldexp(2 * (edge - up) + 1, -_CELL_BITS - 1)
+    return None
+
+
+def _polish_lanes(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    # the scalar Newton loop, each lane frozen after its own last step
+    live = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS if k > 4 else 0):
+        step = _newton_step(b2[:, live], x[live])
+        x[live] -= step
+        live = live[~(np.abs(step) < 1e-8)]
+        if live.size == 0:
+            break
+    return x
+
+
+def _confirm_cells(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    # _confirm_cell per lane, NaN where it gives None
+    roots = np.full(x.size, np.nan)
+    live = np.flatnonzero((0.0 < x) & (x < 1.0))
+    edge = np.floor(np.ldexp(x[live], _CELL_BITS))
+    up = _count_below(b2[:, live], np.ldexp(edge, -_CELL_BITS)) < k
+    for _ in range(_CELL_WALK):
+        edge = edge + np.where(up, 1.0, -1.0)
+        hit = (_count_below(b2[:, live], np.ldexp(edge, -_CELL_BITS)) >= k) == up
+        roots[live[hit]] = np.ldexp(2.0 * (edge[hit] - up[hit]) + 1.0, -_CELL_BITS - 1)
+        live, edge, up = live[~hit], edge[~hit], up[~hit]
+        if live.size == 0:
+            break
+    return roots
 
 
 def _bisect_largest(b2: list[float], k: int, n: int) -> float:

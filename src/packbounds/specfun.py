@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -124,9 +123,11 @@ class QuadResult:
     converged: bool
 
 
-@lru_cache(maxsize=32)
-def _gl_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(m)
+# the nested 16/32-point Gauss-Legendre pair, abscissae concatenated so that
+# each panel makes one call of the integrand
+_X16, _W16 = leggauss(16)
+_X32, _W32 = leggauss(32)
+_X48 = np.concatenate((_X16, _X32))
 
 
 def _check_finite(vals: np.ndarray) -> None:
@@ -137,14 +138,10 @@ def _check_finite(vals: np.ndarray) -> None:
 def _panel(f, a: float, b: float) -> tuple[complex, float, int]:
     """Estimate over one panel with nested 16/32-point Gauss-Legendre."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x16, w16 = _gl_rule(16)
-    x32, w32 = _gl_rule(32)
-    v16 = np.asarray(f(mid + half * x16))
-    v32 = np.asarray(f(mid + half * x32))
-    _check_finite(v16)
-    _check_finite(v32)
-    coarse = half * np.sum(w16 * v16)
-    fine = half * np.sum(w32 * v32)
+    vals = np.asarray(f(mid + half * _X48))
+    _check_finite(vals)
+    coarse = half * np.sum(_W16 * vals[:16])
+    fine = half * np.sum(_W32 * vals[16:])
     return complex(fine), abs(fine - coarse), 48
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,26 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
     eb._CTX_CACHE.clear()  # a cold second run must give the same bytes
     code, second, _ = _run(capsys, TABLE_ARGV)
     assert code == 0 and second == first
+
+
+# sha256 of the 4..800 table and of the 4..800 crossover json: the k-scans
+# run hundreds of dimensions in lockstep there (bench/reference.json pins
+# the same table bytes)
+TABLE_4_800_SHA256 = "763103faa1f26d1a0b37347e7e121283a1429713023d3aeb2311e58c135f3bb2"
+CROSSOVER_4_800_SHA256 = "5dd61b7cfce792ff9f4cf5223d8586a853a569f3ba6ffe82d187cffff9ea4925"
+
+
+def test_table_4_800_csv_bytes_pinned(capsys):
+    dims = ",".join(str(n) for n in range(4, 801, 4))
+    code, out, err = _run(capsys, ["table", "--dims", dims, "--format", "csv"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_4_800_SHA256
+
+
+def test_crossover_4_800_json_bytes_pinned(capsys):
+    code, out, err = _run(capsys, ["crossover", "--lo", "4", "--hi", "800", "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CROSSOVER_4_800_SHA256
 
 
 # the messages name the quantity the user set, not the helper that would
@@ -216,6 +237,17 @@ def test_overlap_limit_past_exp_overflow(capsys):
     doc = json.loads(out)
     assert doc["finite"] == 0.0
     assert doc["limit"] == pytest.approx(2.0 * math.exp(-710.0), rel=1e-12)
+
+
+def test_overlap_past_sinh_product_underflow(capsys):
+    # sinh s sinh r underflows to 0 at R r < 1e-308 unless scaled; the
+    # overlap is then the Euclidean lens share, as at R = 1e-100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["overlap", "--n", "2", "--r", "3e-181", "--R", "1e-180"])
+    assert code == 0 and err == ""
+    assert out == "0.809732702338288\n"
+    assert float(out) == pytest.approx(0.8097327023382026, rel=1e-13)
 
 
 def test_overlap_monte_carlo_past_n4(capsys):

@@ -8,7 +8,6 @@ from packbounds.cli import render_round_up
 from packbounds.euclid_bounds import (
     _code_objective,
     best_method,
-    cap_density,
     cz_bound,
     kl_bound,
     kl_spherical_code_bound,
@@ -17,7 +16,7 @@ from packbounds.euclid_bounds import (
     rogers_bound,
     shared_context,
 )
-from packbounds.specfun import IntegrandError
+from packbounds.specfun import IntegrandError, integrate
 
 # golden values, rounded up to 4 significant digits
 GOLDEN_SPOT = {
@@ -161,6 +160,31 @@ def test_cz_undefined_at_one():
         cz_bound(1)
 
 
+@pytest.mark.parametrize("method", ["kl", "cz"])
+def test_lockstep_scan_matches_single_dimension_records(monkeypatch, method):
+    # unsorted, with a repeat, over the whole domain; each scan on cold caches
+    dims = [800, 2, 2, 47] + list(range(3, 801, 13)) + ([1] if method == "kl" else [])
+    monkeypatch.setattr(eb, "_CTX_CACHE", {})
+    batched = eb._scan_k(dims, method)
+    monkeypatch.setattr(eb, "_CTX_CACHE", {})
+    alone = [_FUNCS[method](n) for n in dims]
+    assert batched == alone  # diagnostics included
+
+
+@pytest.mark.parametrize(
+    "method,dims,message",
+    [
+        ("kl", [8, 801], "kl_bound requires 1 <= n <= 800"),
+        ("cz", [8, 0], "cz_bound requires 1 <= n <= 800"),
+        ("cz", [8, 1], "cz_bound is undefined for n = 1"),
+    ],
+    ids=["kl-801", "cz-0", "cz-1"],
+)
+def test_lockstep_scan_domain(method, dims, message):
+    with pytest.raises(ValueError, match=message):
+        eb._scan_k(dims, method)
+
+
 def test_strict_improvement_and_ratio_corridor():
     cap = 1.2635**2
     for n in range(2, 129):
@@ -179,6 +203,15 @@ def test_rate_corridor_at_600():
 # ---------------------------------------------------------------------------
 # caps, rate, crossovers
 # ---------------------------------------------------------------------------
+
+
+def cap_density(n, theta, count):
+    # fraction of S^(n-1) covered by `count` caps of angular radius theta/2:
+    # count * int_0^(theta/2) sin^(n-2) x dx / int_0^pi sin^(n-2) x dx
+    m = n - 2
+    num = integrate(lambda x: np.sin(x) ** m, 0.0, theta / 2.0, rel_tol=1e-12)
+    den = integrate(lambda x: np.sin(x) ** m, 0.0, math.pi, rel_tol=1e-12)
+    return count * num.value / den.value
 
 
 def test_cap_density_hemispheres():

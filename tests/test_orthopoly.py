@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyt, eval_gegenbauer
 
-from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext
+from packbounds import orthopoly
+from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext, find_largest_roots
 from packbounds.specfun import integrate
 from packbounds.spherical_lp import _eval_g, _normalized_weights
 
@@ -282,3 +283,100 @@ def test_roots_bit_identical_to_bisection(n):
     order = list(EXACT_DEGREES)
     np.random.default_rng(n).shuffle(order)
     assert {k: shuffled.largest_root(k) for k in order} == ref
+
+
+def test_closed_form_starts_need_no_bisection(monkeypatch):
+    # degrees 2 to 4 start from the biquadratic's larger root in any order
+    def no_bisection(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(orthopoly, "_bisect_largest", no_bisection)
+    for n in (2, 3, 4, 5, 8, 24, 101, 400, 800, 801):
+        ctx = GegenbauerContext(n)
+        assert [ctx.largest_root(k) for k in (4, 3, 2)] == [
+            _reference_largest_root(n, k) for k in (4, 3, 2)
+        ]
+
+
+def _reference_largest_roots(ns, k):
+    # _reference_largest_root with one numpy lane per dimension: every lane
+    # halves [0, 1] in step, so all stop after the same 47 halvings
+    a = np.asarray(ns, dtype=float) / 2.0 - 1.0
+    j = np.arange(2.0, k)[:, None]
+    b2 = np.empty((k - 1, a.size))
+    b2[0] = 1.0 / (2.0 * (1.0 + a))
+    b2[1:] = j * (j + 2 * a - 1) / (4 * (j + a - 1) * (j + a))
+
+    def count_below(sigma):
+        d = -sigma
+        cnt = (d < 0).astype(int)
+        for bb in b2:
+            d = np.where(d == 0.0, -1e-300, d)
+            d = -sigma - bb / d
+            cnt += d < 0
+        return cnt
+
+    lo, hi = np.zeros(a.size), np.ones(a.size)
+    while hi[0] - lo[0] > 1e-14:
+        mid = 0.5 * (lo + hi)
+        above = count_below(mid) >= k
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return (0.5 * (lo + hi)).tolist()
+
+
+# the contexts of `table --dims 4,8,..,800`: n for cz, n + 1 for kl
+TABLE_CONTEXTS = sorted({n for n in range(4, 801, 4)} | {n + 1 for n in range(4, 801, 4)})
+
+
+def test_lane_reference_is_the_scalar_reference():
+    ns = [4, 5, 401, 800, 801]
+    for k in (2, 3, 4, 5, 9, 31, 60):
+        assert _reference_largest_roots(ns, k) == [_reference_largest_root(n, k) for n in ns]
+
+
+def test_lockstep_roots_bit_identical_on_table_contexts(monkeypatch):
+    # every lane of every degree up to 60 is found in lockstep, none by the
+    # scalar route, and some lanes confirm a cell next to their Newton iterate
+    def no_scalar(self, k):
+        raise AssertionError(f"scalar route at n={self.n}, k={k}")
+
+    walked = []
+    confirm = orthopoly._confirm_cells
+
+    def recording(b2, k, x):
+        roots = confirm(b2, k, x)
+        walked.append(int(np.sum(np.floor(np.ldexp(x, 47)) != np.floor(np.ldexp(roots, 47)))))
+        return roots
+
+    monkeypatch.setattr(GegenbauerContext, "_largest_root_uncached", no_scalar)
+    monkeypatch.setattr(orthopoly, "_confirm_cells", recording)
+    ctxs = [GegenbauerContext(n) for n in TABLE_CONTEXTS]
+    for k in range(2, 61):
+        find_largest_roots(ctxs, k)
+        got = [ctx.largest_root(k) for ctx in ctxs]
+        assert got == _reference_largest_roots(TABLE_CONTEXTS, k), k
+    assert len(walked) == 59 and sum(walked) > 0
+
+
+def test_lockstep_lanes_fall_back_to_the_scalar_route():
+    # fresh contexts have no neighbours above k = 4 and bisect alone; a
+    # context given twice is one lane; one context left is no lockstep
+    warm = [GegenbauerContext(n) for n in (3, 17, 200)]
+    for k in range(2, 30):
+        find_largest_roots(warm, k)
+    cold = [GegenbauerContext(n) for n in (6, 17)]
+    ctxs = warm + cold + warm[:1]
+    find_largest_roots(ctxs, 30)
+    for ctx in ctxs:
+        assert ctx.largest_root(30) == _reference_largest_root(ctx.n, 30)
+    lone = GegenbauerContext(9)
+    find_largest_roots([lone, lone], 2)
+    assert lone.largest_root(2) == _reference_largest_root(9, 2)
+
+
+def test_sturm_count_takes_a_zero_pivot_as_negative_on_both_routes():
+    # at sigma = 1/2 the second pivot is -1/2 + 0.25/0.5 = 0 exactly; taken
+    # as -1e-300, the next one is about +1e299 and not counted
+    assert orthopoly._count_below([0.25, 0.1], 0.5) == 1
+    lanes = np.array([[0.25, 0.25, 0.3], [0.1, 0.1, 0.1]])
+    assert orthopoly._count_below(lanes, np.array([0.5, 0.5, 0.5])).tolist() == [1, 1, 2]
