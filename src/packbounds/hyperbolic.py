@@ -46,19 +46,29 @@ def log_sphere_surface(n: int) -> float:
     return math.log(2.0) + (n / 2.0) * math.log(math.pi) - log_gamma(n / 2.0)
 
 
+# Below this radius a ball in H^n, n <= 200, is Euclidean to double
+# precision: its volume is Omega_n r^n / n (1 + (n-1) n r^2 / (6 (n+2)) + ...),
+# a correction under 3.3e-17, and the same holds for the overlap of two balls.
+# The quadratures there lose digits instead: (n-1) ln sinh x is as large as
+# 1.4e5 at r = 1e-300, n = 200, so its rounding alone is 1e-11 relative.
+_EUCLIDEAN_R = 1e-9
+
+
 def hyp_ball_volume(n: int, r: float) -> LogScaled:
-    """Volume of a radius-r ball in H^n: Omega_n int_0^r sinh^(n-1) x dx."""
+    """Volume of a radius-r ball in H^n: Omega_n int_0^r sinh^(n-1) x dx,
+    for 2 <= n <= 200 and 1e-300 <= r <= 50."""
     if n < 2 or n > 200:
         raise ValueError("hyp_ball_volume requires 2 <= n <= 200")
-    if not 0.0 < r <= 50.0:
-        raise ValueError("hyp_ball_volume requires 0 < r <= 50")
+    if not 1e-300 <= r <= 50.0:
+        raise ValueError(f"hyp_ball_volume requires 1e-300 <= r <= 50, got r = {r}")
+    if r < _EUCLIDEAN_R:
+        return LogScaled.from_log(log_sphere_surface(n) + n * math.log(r) - math.log(n))
     # scale by the integrand peak at x = r so the exponential never overflows
     peak = (n - 1) * math.log(math.sinh(r))
 
     def scaled(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            lo = np.where(x > 0, (n - 1) * np.log(np.sinh(np.maximum(x, 1e-300))), -np.inf)
-        return np.exp(lo - peak)
+            return np.exp((n - 1) * np.log(np.sinh(x)) - peak)
 
     res = integrate(scaled, 0.0, r, rel_tol=1e-12)
     return LogScaled.from_log(log_sphere_surface(n) + peak + math.log(res.value))
@@ -85,8 +95,8 @@ def radius_from_angle(r: float, theta: float) -> float:
 
 def _check_geometry(n: int, r: float, theta: float, refined: bool) -> None:
     """Reject arguments outside the bound's domain.  The refined bound needs
-    vol(B_R) at R = R(r, theta), so it also requires n <= 200 and R <= 50,
-    the domain of ``hyp_ball_volume``."""
+    vol(B_r) and vol(B_R) at R = R(r, theta), so it also requires n <= 200,
+    r >= 1e-300 and R <= 50, the domain of ``hyp_ball_volume``."""
     if n < 2:
         raise ValueError("hyperbolic density bounds require n >= 2")
     if not math.pi / 3.0 - 1e-12 <= theta <= math.pi:
@@ -99,6 +109,8 @@ def _check_geometry(n: int, r: float, theta: float, refined: bool) -> None:
         return
     if n > 200:
         raise ValueError(f"refined hyperbolic bounds require n <= 200, got n = {n}")
+    if r < 1e-300:
+        raise ValueError(f"refined hyperbolic bounds require r >= 1e-300, got r = {r}")
     R = radius_from_angle(r, theta)
     if R > 50.0:
         raise ValueError(
@@ -195,19 +207,25 @@ def overlap_finite(n: int, r: float, R: float) -> float:
                    + Omega_n int_|R-r|^R sinh^(n-1)s I_x ds] / vol(B_R).
 
     The band integrand is scaled by its peak at s = R, and s = |R-r| + L t^2,
-    L = R - |R-r|, absorbs the x^((n-1)/2) edge at s = |R-r|.
+    L = R - |R-r|, absorbs the x^((n-1)/2) edge at s = |R-r|.  Balls with
+    R < 1e-9 are Euclidean to double precision, with the closed-form lens
+    share I_(1 - q^2)((n+1)/2, 1/2), q = r/(2R).  R must lie in [1e-300, 50].
     """
     from scipy.special import betainc
     if not 2 <= n <= 200:
         raise ValueError(f"overlap_finite requires 2 <= n <= 200, got n = {n}")
-    if not 0.0 < R <= 50.0:
-        raise ValueError("overlap_finite requires 0 < R <= 50")
+    if not 1e-300 <= R <= 50.0:
+        raise ValueError(f"overlap_finite requires 1e-300 <= R <= 50, got R = {R}")
     if not 0.0 <= r < math.inf:
         raise ValueError("overlap_finite requires finite r >= 0")
     if r == 0.0:
         return 1.0
     if r >= 2.0 * R:
         return 0.0
+    if R < _EUCLIDEAN_R:
+        # 1 - q^2 from the exact difference 2R - r, so r near 2R keeps its digits
+        w = 2.0 * R
+        return float(betainc((n + 1) / 2.0, 0.5, ((w - r) / w) * ((w + r) / w)))
     a = (n - 1) / 2.0
     lo = abs(R - r)
     length = R - lo

@@ -61,7 +61,11 @@ class GegenbauerContext:
         """C_j(t) / C_j(1) for j = 0..kmax at once, shape (kmax+1, len(t)).
 
         The three-term recurrence of the normalized family is uniform in n
-        (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1]."""
+        (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1].
+        Row j is ((2(j + a - 1) t) out[j-1] - (j - 1) out[j-2]) / (j + 2a - 1),
+        written in place into ``out[j]`` with one scratch row; the operations
+        and their order are those of the plain array expression, so the
+        table is the same bit for bit."""
         _check_degree(kmax)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((kmax + 1, t.size))
@@ -69,10 +73,14 @@ class GegenbauerContext:
         if kmax >= 1:
             out[1] = t
         a = self.alpha
+        scratch = np.empty(t.size)
         for j in range(2, kmax + 1):
-            out[j] = (2 * (j + a - 1) * t * out[j - 1] - (j - 1) * out[j - 2]) / (
-                j + 2 * a - 1
-            )
+            row = out[j]
+            np.multiply(2 * (j + a - 1), t, out=scratch)
+            scratch *= out[j - 1]
+            np.multiply(j - 1, out[j - 2], out=row)
+            np.subtract(scratch, row, out=row)
+            row /= j + 2 * a - 1
         return out
 
     # -- largest roots ------------------------------------------------------

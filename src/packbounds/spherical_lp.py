@@ -83,15 +83,24 @@ class SimplexResult:
 def simplex_minimize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResult:
     """Minimize c.x subject to A x <= b, x >= 0 by the dense tableau method.
 
-    b must be nonnegative, so the slack basis is feasible and the method
-    starts from it without a phase 1.  Pricing is Dantzig's rule with
-    lowest-index tie breaking; after a long degenerate streak it switches
-    permanently to Bland's rule, so the method cannot cycle and is fully
-    deterministic.
+    c, A and b must be finite and b nonnegative, so the slack basis is
+    feasible and the method starts from it without a phase 1.  Pricing is
+    Dantzig's rule with lowest-index tie breaking; after a long degenerate
+    streak it switches permanently to Bland's rule, so the method cannot
+    cycle and is fully deterministic.
+
+    Each pivot works in views of the tableau and in buffers allocated once
+    per call: the ratio test divides only where the pivot column is
+    positive, and the rank-1 update forms the same products as
+    ``np.outer`` before subtracting them.  Every floating-point operation
+    and its order are those of the textbook update, so the result is the
+    same bit for bit.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("simplex_minimize requires finite c, A and b")
     if np.any(b < 0):
         raise ValueError("simplex_minimize requires b >= 0 (a feasible slack basis)")
     m, nv = A.shape
@@ -101,15 +110,22 @@ def simplex_minimize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResu
     T[:m, -1] = b
     T[m, :nv] = c
     basis = np.arange(nv, nv + m)
+    red = T[m, :-1]  # reduced costs
+    rhs = T[:m, -1]
+    neg_z = T[m, -1:]  # the objective cell holds -z
+    ratios = np.empty(m)
+    pos = np.empty(m, dtype=bool)
+    tie = np.empty(m, dtype=bool)
+    colvals = np.empty(m + 1)
+    upd = np.empty_like(T)
 
     iterations = 0
     max_iter = 200 * (m + nv + 10)
     status = "iteration_limit"
     bland = False
     stall = 0
-    prev_obj = T[m, -1]
+    prev_obj = neg_z[0]
     while iterations < max_iter:
-        red = T[m, :-1]
         if bland:
             cands = np.nonzero(red < -PIVOT_TOL)[0]
             if cands.size == 0:
@@ -122,37 +138,41 @@ def simplex_minimize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResu
                 status = "optimal"
                 break
         col = T[:m, j]
-        pos = col > PIVOT_TOL
-        if not np.any(pos):
+        np.greater(col, PIVOT_TOL, out=pos)
+        if not pos.any():
             # a barely-negative reduced cost with no usable pivot is
             # roundoff, not a genuine ray
             status = "optimal" if red[j] >= -1e-6 else "unbounded"
             break
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
-        if bland:
-            # lowest basis index among the ties (anti-cycling)
-            i = int(ties[np.argmin(basis[ties])])
-        else:
-            # largest pivot among the ties (numerical stability)
-            i = int(ties[np.argmax(col[ties])])
-        piv = T[i, j]
-        T[i, :] /= piv
-        colvals = T[:, j].copy()
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=pos)
+        i = int(ratios.argmin())
+        rmin = ratios[i]
+        np.less_equal(ratios, rmin + 1e-12 * (1.0 + abs(rmin)), out=tie)
+        if np.count_nonzero(tie) > 1:  # else the minimum is the only tie
+            ties = np.flatnonzero(tie)
+            if bland:
+                # lowest basis index among the ties (anti-cycling)
+                i = int(ties[np.argmin(basis[ties])])
+            else:
+                # largest pivot among the ties (numerical stability)
+                i = int(ties[np.argmax(col[ties])])
+        row = T[i]
+        row /= row[j]
+        np.copyto(colvals, T[:, j])
         colvals[i] = 0.0
-        T[...] -= np.outer(colvals, T[i, :])
+        np.multiply(colvals[:, None], row, out=upd)
+        T -= upd
         basis[i] = j
         iterations += 1
-        # the objective cell holds -z, so progress means it increases
-        if T[m, -1] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
+        # progress means -z increases
+        if neg_z[0] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
             stall += 1
             if stall > 40:
                 bland = True
         else:
             stall = 0
-        prev_obj = T[m, -1]
+        prev_obj = neg_z[0]
 
     x = np.zeros(nv)
     for i in range(m):
@@ -231,7 +251,6 @@ class LPCertificate:
 @dataclass(frozen=True)
 class VerificationReport:
     max_sign_residual: float
-    residual_location: float
     min_coefficient_ratio: float
     coefficients_ok: bool
     sign_ok: bool
@@ -276,20 +295,33 @@ def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
     return roots[(roots > -1.0) & (roots < 1.0)]
 
 
+def _sign_grid(
+    ctx: GegenbauerContext, degree: int, theta: float, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform sign-check grid on [-1, cos theta], endpoints included
+    (the point -1 alone when that interval is empty), and phi_0..phi_degree
+    on it."""
+    hi = math.cos(theta)
+    ts = np.array([-1.0]) if hi - (-1.0) < 1e-15 else np.linspace(-1.0, hi, grid_size)
+    return ts, ctx.eval_normalized_table(degree, ts)
+
+
 def _max_violation(
-    ctx: GegenbauerContext, weights: np.ndarray, theta: float, grid_size: int
+    ctx: GegenbauerContext,
+    weights: np.ndarray,
+    theta: float,
+    sign_grid: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, float]:
     """Max of g over [-1, cos theta] and where it is attained: the larger of
-    g on a uniform grid, endpoints included, and g at the polynomial's exact
-    critical points in (-1, cos theta]."""
-    hi = math.cos(theta)
-    if hi - (-1.0) < 1e-15:
-        t0 = -1.0
-        return float(_eval_g(ctx, weights, t0)[0]), t0
-    ts = np.linspace(-1.0, hi, grid_size)
-    vals = _eval_g(ctx, weights, ts)
+    g on ``sign_grid`` (from :func:`_sign_grid`) and g at the polynomial's
+    exact critical points in (-1, cos theta]."""
+    ts, table = sign_grid
+    vals = weights @ table
     best_idx = int(np.argmax(vals))
     best_t, best_v = float(ts[best_idx]), float(vals[best_idx])
+    hi = math.cos(theta)
+    if hi - (-1.0) < 1e-15:
+        return best_v, best_t
     crit = _critical_points(ctx, weights)
     crit = crit[crit <= hi]
     if crit.size:
@@ -342,9 +374,11 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         raw_objective = float(weights.sum())
 
         fine = max(10 * grid.size, 1000)
-        v, v_at = _max_violation(ctx, weights, p.theta, fine)
+        sign_grid = _sign_grid(ctx, d, p.theta, fine)
+        v, _ = _max_violation(ctx, weights, p.theta, sign_grid)
         if v <= 1e-8 * raw_objective or rounds >= max_rounds:
             break
+        del sign_grid  # free it before the next round builds one twice its size
         grid = chebyshev_grid(p.theta, min(2 * grid.size, 4000))
 
     shift = 0.0
@@ -356,8 +390,9 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         weights[0] = 1.0  # (g - shift)/(1 - shift) has constant term exactly 1
     objective = float(weights.sum())
 
-    # re-verify the corrected function and assemble the certificate
-    v2, v2_at = _max_violation(ctx, weights, p.theta, max(10 * grid.size, 1000))
+    # re-verify the corrected function on the last round's sign grid and
+    # assemble the certificate
+    v2, v2_at = _max_violation(ctx, weights, p.theta, sign_grid)
     coeffs = tuple(
         float(w * math.exp(-ctx.log_value_at_one(k))) for k, w in enumerate(weights)
     )
@@ -370,7 +405,7 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         coefficients=coeffs,
         objective=objective,
         max_sign_residual=float(v2),
-        verification_grid_size=max(10 * grid.size, 1000),
+        verification_grid_size=fine,
         certified=certified,
         diagnostics={
             "raw_objective": raw_objective,
@@ -398,11 +433,11 @@ def verify_certificate(cert: LPCertificate, p: LPProblem) -> VerificationReport:
     weights = _normalized_weights(ctx, coeffs)
     g1 = float(weights.sum())
     grid_size = max(10 * p.constraint_grid.size, 2000)
-    v, v_at = _max_violation(ctx, weights, cert.theta, grid_size)
+    sign_grid = _sign_grid(ctx, len(weights) - 1, cert.theta, grid_size)
+    v, _ = _max_violation(ctx, weights, cert.theta, sign_grid)
     sign_ok = v <= CERT_RESIDUAL_TOL * g1
     return VerificationReport(
         max_sign_residual=float(v),
-        residual_location=float(v_at),
         min_coefficient_ratio=min_ratio,
         coefficients_ok=bool(coeff_ok),
         sign_ok=bool(sign_ok),
@@ -523,11 +558,7 @@ def default_sample_radii(R: float) -> tuple[float, ...]:
     return tuple(sorted(set(radii)))
 
 
-def transfer_g_to_f(
-    cert: LPCertificate,
-    p: LPProblem,
-    radii=None,
-) -> TransferProbe:
+def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     """Probe the function f built from g by integrating over ball overlaps.
 
     Returns f on the sample radii, f(0), and int_(R^n) f computed by radial
@@ -546,10 +577,10 @@ def transfer_g_to_f(
     R = 1.0 / math.sin(cert.theta / 2.0)
     ctx = shared_context(n)
     weights = _normalized_weights(ctx, np.asarray(cert.coefficients))
-    radii = default_sample_radii(R) if radii is None else tuple(radii)
+    radii = default_sample_radii(R)
     gauss = np.polynomial.legendre.leggauss(64)
     fvals = tuple(_lens_f(ctx, weights, n, R, r, gauss) for r in radii)
-    f0 = _lens_f(ctx, weights, n, R, 0.0, gauss)
+    f0 = fvals[0]  # the sample radii start at 0
 
     surface = 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
 

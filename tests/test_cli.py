@@ -72,7 +72,9 @@ REJECTION_NAMES = {
     "overlap --n 300 --r 1 --R 2": "overlap_finite requires 2 <= n <= 200, got n = 300",
     "hyperbolic --n 8 --r 60 --refined": "r = 60.0 gives R = 60.6931 at theta = 1.0472",
     "hyperbolic --n 8 --r 49.9 --refined": "r = 49.9 gives R = 50.5931 at theta = 1.0472",
-    "overlap --n 3 --r 1 --R 100": "overlap_finite requires 0 < R <= 50",
+    "overlap --n 3 --r 1 --R 100": "overlap_finite requires 1e-300 <= R <= 50",
+    "overlap --n 5 --r 1e-310 --R 1e-310": "overlap_finite requires 1e-300 <= R <= 50",
+    "hyperbolic --n 3 --r 1e-310 --refined": "refined hyperbolic bounds require r >= 1e-300",
 }
 
 
@@ -102,6 +104,8 @@ REJECTION_NAMES = {
         ["hyperbolic", "--n", "8", "--r", "60", "--refined"],
         ["hyperbolic", "--n", "8", "--r", "49.9", "--refined"],
         ["overlap", "--n", "201", "--r", "1", "--R", "2", "--samples", "20000", "--format", "json"],
+        ["overlap", "--n", "5", "--r", "1e-310", "--R", "1e-310"],
+        ["hyperbolic", "--n", "3", "--r", "1e-310", "--refined"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):
@@ -240,14 +244,15 @@ def test_overlap_limit_past_exp_overflow(capsys):
 
 
 def test_overlap_past_sinh_product_underflow(capsys):
-    # sinh s sinh r underflows to 0 at R r < 1e-308 unless scaled; the
-    # overlap is then the Euclidean lens share, as at R = 1e-100
+    # sinh s sinh r underflows to 0 at R r < 1e-308; so small a ball is
+    # Euclidean, and the overlap is the lens share I_(1-q^2)(3/2, 1/2),
+    # q = r/(2R), whose 40-digit mpmath value is 0.80973270233821380...
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(capsys, ["overlap", "--n", "2", "--r", "3e-181", "--R", "1e-180"])
     assert code == 0 and err == ""
-    assert out == "0.809732702338288\n"
-    assert float(out) == pytest.approx(0.8097327023382026, rel=1e-13)
+    assert out == "0.8097327023382138\n"
+    assert float(out) == pytest.approx(0.8097327023382138, rel=1e-15)
 
 
 def test_overlap_monte_carlo_past_n4(capsys):
@@ -297,6 +302,25 @@ def test_lp_bytes_pinned(capsys, n, degree):
     assert code == 0 and err == ""
     assert json.loads(out)["certified"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == LP_SHA256[(n, degree)]
+
+
+# One sha256 over "<exit code>\n<stdout>" of the benchmark's 44 ``lp`` ops,
+# in order: 35 certificates and 9 exit-3 failures
+LP_SWEEP_NS = (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
+LP_SWEEP_DEGREES = (10, 20, 30, 40)
+LP_SWEEP_SHA256 = "da69657e6d722855f47126941f617eee18d7752598353af05d17d22cca5b9a09"
+
+
+def test_lp_sweep_bytes_pinned(capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for n in LP_SWEEP_NS:
+        for degree in LP_SWEEP_DEGREES:
+            code, out, _ = _lp(capsys, n, degree)
+            codes.append(code)
+            digest.update(f"{code}\n{out}".encode())
+    assert (codes.count(0), codes.count(3)) == (35, 9)
+    assert digest.hexdigest() == LP_SWEEP_SHA256
 
 
 # sha256 of the sorted-key json of ``transfer_g_to_f`` for the certificate

@@ -52,6 +52,27 @@ def test_ball_volume_closed_forms(r):
     assert v3 == pytest.approx(math.log(math.pi * (math.sinh(2.0 * r) - 2.0 * r)), abs=1e-12)
 
 
+# Two radius-R balls at center distance R in R^n share I_(3/4)((n+1)/2, 1/2)
+# of their volume (40-digit mpmath); a ball this small in H^n is Euclidean to
+# double precision
+EUCLIDEAN_LENS_AT_R = {2: 0.39100221895577064, 5: 0.20703125, 200: 3.078150394722125e-14}
+
+
+@pytest.mark.parametrize("n", sorted(EUCLIDEAN_LENS_AT_R))
+def test_tiny_balls_are_euclidean(n):
+    lens = EUCLIDEAN_LENS_AT_R[n]
+    assert hyp.overlap_finite(n, 1e-300, 1e-300) == pytest.approx(lens, rel=1e-12, abs=0)
+    # the quadrature just above the Euclidean cut agrees with the closed forms
+    r = 1.0000001e-9
+    assert hyp.overlap_finite(n, r, r) == pytest.approx(lens, rel=1e-12, abs=0)
+    euclid = hyp.log_sphere_surface(n) + n * math.log(r) - math.log(n)
+    assert hyp.hyp_ball_volume(n, r).log_value == pytest.approx(euclid, abs=1e-12)
+    with pytest.raises(ValueError, match="1e-300 <= r <= 50, got r = 1e-310"):
+        hyp.hyp_ball_volume(n, 1e-310)
+    with pytest.raises(ValueError, match="1e-300 <= R <= 50, got R = 1e-310"):
+        hyp.overlap_finite(n, 1e-310, 1e-310)
+
+
 @pytest.mark.parametrize("key", sorted(SEED_OVERLAPS))
 def test_overlap_matches_seed_values(key):
     assert hyp.overlap_finite(*key) == pytest.approx(SEED_OVERLAPS[key], rel=1e-8, abs=0)
@@ -89,7 +110,7 @@ def test_overlap_edges():
         with pytest.raises(ValueError):
             hyp.overlap_limit(*bad)
     # the overlap checks its own domain, naming R
-    with pytest.raises(ValueError, match="overlap_finite requires 0 < R <= 50"):
+    with pytest.raises(ValueError, match="overlap_finite requires 1e-300 <= R <= 50"):
         hyp.overlap_finite(3, 1.0, 100.0)
 
 

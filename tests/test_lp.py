@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from packbounds.euclid_bounds import cz_bound, kl_spherical_code_bound, shared_context
+from packbounds.orthopoly import GegenbauerContext
 from packbounds.spherical_lp import (
     LPCertificate,
     LPProblem,
@@ -64,6 +65,109 @@ def test_simplex_degenerate_determinism():
     r1 = simplex_minimize(c, A, b)
     r2 = simplex_minimize(c, A, b)
     assert r1.status == r2.status and np.array_equal(r1.x, r2.x)
+
+
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simplex_rejects_non_finite_input(where, bad):
+    # unchecked, NaN in c ran to the iteration limit, b = inf gave an
+    # "optimal" NaN vertex, b = NaN failed inside numpy and NaN in A read as
+    # unbounded
+    args = {"c": np.array([-1.0, -1.0]), "A": np.array([[1.0, 2.0], [3.0, 1.0]]),
+            "b": np.array([4.0, 6.0])}
+    args[where] = args[where].copy()
+    args[where].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        simplex_minimize(args["c"], args["A"], args["b"])
+
+
+def _textbook_simplex(c, A, b):
+    # the dense tableau method with a fresh array for every step: the
+    # reference simplex_minimize must match bit for bit
+    from packbounds.spherical_lp import PIVOT_TOL, SimplexResult
+
+    m, nv = A.shape
+    T = np.zeros((m + 1, nv + m + 1))
+    T[:m, :nv] = A
+    T[:m, nv : nv + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :nv] = c
+    basis = np.arange(nv, nv + m)
+    iterations, max_iter = 0, 200 * (m + nv + 10)
+    status, bland, stall, prev_obj = "iteration_limit", False, 0, T[m, -1]
+    while iterations < max_iter:
+        red = T[m, :-1]
+        if bland:
+            cands = np.nonzero(red < -PIVOT_TOL)[0]
+            if cands.size == 0:
+                status = "optimal"
+                break
+            j = int(cands[0])
+        else:
+            j = int(np.argmin(red))
+            if red[j] >= -PIVOT_TOL:
+                status = "optimal"
+                break
+        col = T[:m, j]
+        pos = col > PIVOT_TOL
+        if not np.any(pos):
+            status = "optimal" if red[j] >= -1e-6 else "unbounded"
+            break
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / col[pos]
+        rmin = ratios.min()
+        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
+        if bland:
+            i = int(ties[np.argmin(basis[ties])])
+        else:
+            i = int(ties[np.argmax(col[ties])])
+        T[i, :] /= T[i, j]
+        colvals = T[:, j].copy()
+        colvals[i] = 0.0
+        T[...] -= np.outer(colvals, T[i, :])
+        basis[i] = j
+        iterations += 1
+        if T[m, -1] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
+            stall += 1
+            bland = bland or stall > 40
+        else:
+            stall = 0
+        prev_obj = T[m, -1]
+    x = np.zeros(nv)
+    for i in range(m):
+        if basis[i] < nv:
+            x[basis[i]] = T[i, -1]
+    return SimplexResult(x, float(c @ x), status, iterations, T[m, nv : nv + m].copy())
+
+
+def _degenerate_lp(seed):
+    # small integer data with a mostly zero right-hand side; seeds 10 and 82
+    # stall long enough to switch to Bland's rule
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(5, 30), rng.integers(5, 30)
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    b = np.zeros(m)
+    b[: rng.integers(0, 3)] = 1.0
+    return rng.integers(-3, 3, size=n).astype(float), A, b
+
+
+def _lp_dual(n, degree):
+    table = shared_context(n).eval_normalized_table(degree, chebyshev_grid(math.pi / 3, 8 * degree))
+    return -np.ones(table.shape[1]), -table[1:], np.ones(degree)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [("degenerate", s) for s in (0, 1, 2, 10, 82)] + [("dual", 8, 10), ("dual", 24, 20), ("dual", 32, 10)],
+    ids=lambda problem: "-".join(map(str, problem)),
+)
+def test_simplex_bit_identical_to_textbook(problem):
+    c, A, b = _degenerate_lp(problem[1]) if problem[0] == "degenerate" else _lp_dual(*problem[1:])
+    got, ref = simplex_minimize(c, A, b), _textbook_simplex(c, A, b)
+    assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert got.slack_reduced_costs.tobytes() == ref.slack_reduced_costs.tobytes()
+    assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
 
 
 def test_simplex_dual_readout():
@@ -161,6 +265,23 @@ def test_degree_monotone_on_fixed_grid():
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
+
+
+def test_solve_builds_one_sign_grid_table_per_round(monkeypatch):
+    # the final re-verify reuses the last round's fine-grid table; at degree
+    # 10 the constraint grids stay below the 1000 points of a sign grid
+    sizes = []
+    table = GegenbauerContext.eval_normalized_table
+
+    def counted(self, kmax, t):
+        out = table(self, kmax, t)
+        sizes.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(GegenbauerContext, "eval_normalized_table", counted)
+    cert = lp_solve_spherical(LPProblem(n=8, theta=math.pi / 3, degree=10))
+    assert cert.diagnostics["rounds"] == 3
+    assert sum(size >= 1000 for size in sizes) == 3
 
 
 def test_verify_linear_certificate_at_pi():

@@ -69,6 +69,18 @@ def test_normalized_matches_raw_ratio():
             )
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 24, 200])
+def test_normalized_table_bit_identical_to_array_expression(n):
+    # the in-place recurrence performs the array expression's operations
+    t = np.concatenate(([-1.0, -0.0, 0.0, 1.0], np.linspace(-1.0, 0.5, 997)))
+    a = n / 2.0 - 1.0
+    ref = np.empty((41, t.size))
+    ref[0], ref[1] = 1.0, t
+    for j in range(2, 41):
+        ref[j] = (2 * (j + a - 1) * t * ref[j - 1] - (j - 1) * ref[j - 2]) / (j + 2 * a - 1)
+    assert GegenbauerContext(n).eval_normalized_table(40, t).tobytes() == ref.tobytes()
+
+
 def test_normalized_stays_bounded_at_extreme_degree():
     ctx = GegenbauerContext(600)
     vals = ctx.eval_normalized_table(300, np.linspace(-1, 1, 33))

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from packbounds import spherical_lp
 from packbounds.specfun import log_gamma
 from packbounds.spherical_lp import LPProblem, lp_solve_spherical, transfer_g_to_f
 
@@ -73,3 +74,19 @@ def test_dimension_guard():
     cert = lp_solve_spherical(p)
     with pytest.raises(ValueError):
         transfer_g_to_f(cert, p)
+
+
+def test_f_at_zero_is_the_first_sample(monkeypatch):
+    p = LPProblem(n=3, theta=math.pi / 2, degree=4)
+    cert = lp_solve_spherical(p)
+    rhos = []
+    lens_f = spherical_lp._lens_f
+
+    def counted(ctx, weights, n, R, rho, gauss):
+        rhos.append(rho)
+        return lens_f(ctx, weights, n, R, rho, gauss)
+
+    monkeypatch.setattr(spherical_lp, "_lens_f", counted)
+    probe = transfer_g_to_f(cert, p)
+    assert probe.sample_radii[0] == 0.0 and probe.f_values[0] == probe.f_at_zero
+    assert rhos.count(0.0) == 1
