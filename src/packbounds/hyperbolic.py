@@ -1,18 +1,19 @@
 """Hyperbolic ball volumes, density bounds, and large-ball overlap fractions.
 
-Ball volumes grow like e^((n-1)r), so they are returned log-scaled.  The
-density bound projects sphere centers radially onto an enclosing sphere of
-radius R with sinh R = sinh r / sin(theta/2) and pays either the clean
-factor sin^(n-1)(theta/2) or the slightly sharper volume ratio
-vol(B_r)/vol(B_R).
+Every ball volume comes from one helper, ``_sinh_power_integral``, for
+F(s) = int_0^s sinh^(n-1) over sinh^(n-1) s.  Volumes grow like e^((n-1)r),
+so they are returned log-scaled.  The density bound projects sphere centers
+radially onto an enclosing sphere of radius R with sinh R = sinh r /
+sin(theta/2) and pays either the clean factor sin^(n-1)(theta/2) or the
+slightly sharper volume ratio vol(B_r)/vol(B_R), formed as one ratio of F.
 
 The overlap of two radius-R balls at center distance r, normalized by the
 ball volume, is computed three ways: the exact R -> infinity limit through
 the incomplete beta function, a finite-R radial integral whose integrand is
-the regularized incomplete beta share of each sphere about one center, and
-a Monte-Carlo sampler in the hyperboloid model, an independent oracle for
-the other two that draws radii by Newton's method on int_0^s sinh^(n-1),
-without quadrature, for 2 <= n <= 200 and 1e-300 <= R <= 50.
+the regularized incomplete beta share of each sphere about one center,
+normalized by F(R), and a Monte-Carlo sampler in the hyperboloid model, an
+independent oracle for the other two that draws radii by Newton's method on
+ln F, without quadrature, for 2 <= n <= 200 and 1e-300 <= R <= 50.
 """
 
 from __future__ import annotations
@@ -46,32 +47,16 @@ def log_sphere_surface(n: int) -> float:
     return math.log(2.0) + (n / 2.0) * math.log(math.pi) - log_gamma(n / 2.0)
 
 
-# Below this radius a ball in H^n, n <= 200, is Euclidean to double
-# precision: its volume is Omega_n r^n / n (1 + (n-1) n r^2 / (6 (n+2)) + ...),
-# a correction under 3.3e-17, and the same holds for the overlap of two balls.
-# The quadratures there lose digits instead: (n-1) ln sinh x is as large as
-# 1.4e5 at r = 1e-300, n = 200, so its rounding alone is 1e-11 relative.
-_EUCLIDEAN_R = 1e-9
-
-
 def hyp_ball_volume(n: int, r: float) -> LogScaled:
     """Volume of a radius-r ball in H^n: Omega_n int_0^r sinh^(n-1) x dx,
-    for 2 <= n <= 200 and 1e-300 <= r <= 50."""
+    for 2 <= n <= 200 and 1e-300 <= r <= 50, from ``_sinh_power_integral``."""
     if n < 2 or n > 200:
         raise ValueError("hyp_ball_volume requires 2 <= n <= 200")
     if not 1e-300 <= r <= 50.0:
         raise ValueError(f"hyp_ball_volume requires 1e-300 <= r <= 50, got r = {r}")
-    if r < _EUCLIDEAN_R:
-        return LogScaled.from_log(log_sphere_surface(n) + n * math.log(r) - math.log(n))
-    # scale by the integrand peak at x = r so the exponential never overflows
-    peak = (n - 1) * math.log(math.sinh(r))
-
-    def scaled(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.exp((n - 1) * np.log(np.sinh(x)) - peak)
-
-    res = integrate(scaled, 0.0, r, rel_tol=1e-12)
-    return LogScaled.from_log(log_sphere_surface(n) + peak + math.log(res.value))
+    (ratio,), (sh,) = _sinh_power_integral(n - 1, np.array([r]))
+    log_f = math.log(ratio) + (n - 1) * math.log(sh)
+    return LogScaled.from_log(log_sphere_surface(n) + log_f)
 
 
 def radius_from_angle(r: float, theta: float) -> float:
@@ -124,28 +109,30 @@ def hyp_density_bound(n: int, r: float, theta: float, refined: bool = False) -> 
     theta: sin^(n-1)(theta/2) * A(n, theta), or with the volume ratio
     vol(B_r)/vol(B_R) in place of the sine power when ``refined``."""
     _check_geometry(n, r, theta, refined)
-    return _density_record(n, r, theta, hyp_ball_volume(n, r) if refined else None)
+    return _density_records(n, r, [theta], refined)[0]
 
 
-def _density_record(n: int, r: float, theta: float, vol_r: LogScaled | None) -> BoundRecord:
-    """``hyp_density_bound`` for checked arguments: refined, with
-    vol(B_r) = ``vol_r``, when ``vol_r`` is given."""
-    R = radius_from_angle(r, theta)
-    code_bound, k_used = kl_spherical_code_bound(n, theta)
-    if vol_r is not None:
-        factor = vol_r / hyp_ball_volume(n, R)
-        method = "hyp_refined"
+def _density_records(
+    n: int, r: float, thetas: list[float], refined: bool
+) -> list[BoundRecord]:
+    """``hyp_density_bound`` at each angle, for checked arguments.  The
+    refined factor F(r)/F(R), F = int_0 sinh^(n-1), takes one helper call
+    over r and every R and is formed as one ratio: ln F itself reaches
+    -1.4e5 at n = 200, r = 1e-300, where its ulp is 3e-11."""
+    Rs = [radius_from_angle(r, theta) for theta in thetas]
+    if refined:
+        ratio, sh = _sinh_power_integral(n - 1, np.array([r, *Rs]))
+        logs = [math.log(ratio[0] / q) + (n - 1) * math.log(sh[0] / x)
+                for q, x in zip(ratio[1:], sh[1:])]
     else:
-        factor = LogScaled.from_log((n - 1) * math.log(math.sin(theta / 2.0)))
-        method = "hyp_coarse"
-    return BoundRecord(
-        dimension=n,
-        method=method,
-        value=factor * code_bound,
-        k_star=k_used,
-        theta_star=theta,
-        diagnostics={"r": r, "R": R, "code_bound_log": code_bound.log_value},
-    )
+        logs = [(n - 1) * math.log(math.sin(theta / 2.0)) for theta in thetas]
+    method = "hyp_refined" if refined else "hyp_coarse"
+    codes = [kl_spherical_code_bound(n, theta) for theta in thetas]
+    return [
+        BoundRecord(n, method, LogScaled.from_log(log) * code, k, theta,
+                    {"r": r, "R": R, "code_bound_log": code.log_value})
+        for theta, R, log, (code, k) in zip(thetas, Rs, logs, codes)
+    ]
 
 
 def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
@@ -156,20 +143,17 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     theta, so on each piece the bound is least at the piece's left end:
     pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
     evaluated once at each of these angles, in that order, and the first
-    minimal record is returned.  vol(B_r) does not depend on the angle and
-    is computed once.  R(r, theta) is largest at pi/3, so the domain check
-    there covers every angle.
+    minimal record is returned.  R(r, theta) is largest at pi/3, so the
+    domain check there covers every angle.
     """
     ctx = shared_context(n)
     _check_geometry(n, r, math.pi / 3.0, refined)
-    vol_r = hyp_ball_volume(n, r) if refined else None
-    best = _density_record(n, r, math.pi / 3.0, vol_r)
+    thetas = [math.pi / 3.0]
     k = 1
     while ctx.largest_root(k) <= 0.5:
-        record = _density_record(n, r, math.acos(ctx.largest_root(k)), vol_r)
-        if record.value < best.value:
-            best = record
+        thetas.append(math.acos(ctx.largest_root(k)))
         k += 1
+    best = min(_density_records(n, r, thetas, refined), key=lambda rec: rec.value)
     return replace(best, diagnostics=dict(best.diagnostics, optimized=True))
 
 
@@ -194,6 +178,14 @@ def overlap_limit(n: int, r: float) -> float:
     return incomplete_beta(u, a, a) / incomplete_beta(0.5, a, a)
 
 
+# Below this radius two balls in H^n, n <= 200, overlap as in R^n to double
+# precision: a ball's volume is Omega_n r^n / n (1 + (n-1) n r^2 / (6 (n+2))
+# + ...), a correction under 3.3e-17.  The band quadrature loses digits there
+# instead: (n-1) ln sinh s is as large as 1.4e5 at R = 1e-300, n = 200, so
+# its rounding alone is 1e-11 relative.
+_EUCLIDEAN_R = 1e-9
+
+
 def overlap_finite(n: int, r: float, R: float) -> float:
     """vol(B_R(x1) ^ B_R(x2))/vol(B_R) at center distance r, as one radial
     integral.
@@ -201,12 +193,14 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     In polar coordinates about x1, the sphere of radius s lies in B_R(x2) on
     a cap whose share of the sphere is I_x((n-1)/2, (n-1)/2), with
     x = sinh((R+s-r)/2) sinh((R-s+r)/2) / (sinh s sinh r).  Spheres with
-    s < R - r lie wholly inside, so
+    s < R - r lie wholly inside, so with F(s) = int_0^s sinh^(n-1)
 
-        overlap = [vol(B_(R-r)) (only when r < R)
-                   + Omega_n int_|R-r|^R sinh^(n-1)s I_x ds] / vol(B_R).
+        overlap = [F(R-r) (only when r < R) + int_|R-r|^R sinh^(n-1)s I_x ds] / F(R).
 
-    The band integrand is scaled by its peak at s = R, and s = |R-r| + L t^2,
+    F = ratio * sinh^(n-1) comes from one ``_sinh_power_integral`` call at R
+    and R - r, so the inside share is (ratio_(R-r)/ratio_R)
+    (sinh(R-r)/sinh R)^(n-1), and the band, whose integrand is scaled by its
+    peak sinh^(n-1) R, is divided by ratio_R.  s = |R-r| + L t^2,
     L = R - |R-r|, absorbs the x^((n-1)/2) edge at s = |R-r|.  Balls with
     R < 1e-9 are Euclidean to double precision, with the closed-form lens
     share I_(1 - q^2)((n+1)/2, 1/2), q = r/(2R).  R must lie in [1e-300, 50].
@@ -227,12 +221,15 @@ def overlap_finite(n: int, r: float, R: float) -> float:
         w = 2.0 * R
         return float(betainc((n + 1) / 2.0, 0.5, ((w - r) / w) * ((w + r) / w)))
     a = (n - 1) / 2.0
+    # F(0) = 0, so the inside share vanishes when r >= R
+    (ratio_R, ratio_in), (sinh_R, sinh_in) = _sinh_power_integral(
+        n - 1, np.array([R, max(R - r, 0.0)]))
     lo = abs(R - r)
     length = R - lo
     # R+s-r and R-s+r from the exact offset d = s - |R-r|: 2(R-r)+d and
     # 2r-d, or d and 2R-d when r > R; forming them from s cancels at r << R
     near, far = (2.0 * (R - r), 2.0 * r) if r < R else (0.0, 2.0 * R)
-    peak = (n - 1) * math.log(math.sinh(R))
+    peak = (n - 1) * math.log(sinh_R)
     # each sinh factor of x times 2^e, e = -exponent of R: exact for every
     # normal x, and the products no longer underflow at R r < 1e-308
     e = -math.frexp(R)[1]
@@ -247,9 +244,8 @@ def overlap_finite(n: int, r: float, R: float) -> float:
         return weight * betainc(a, a, np.minimum(x, 1.0)) * 2.0 * length * t
 
     res = integrate(band, 0.0, 1.0, rel_tol=1e-12)
-    vol = hyp_ball_volume(n, R)
-    inside = (hyp_ball_volume(n, R - r) / vol).to_float() if r < R else 0.0
-    return inside + math.exp(log_sphere_surface(n) + peak - vol.log_value) * res.value
+    inside = ratio_in / ratio_R * (sinh_in / sinh_R) ** (n - 1)
+    return float(inside + res.value / ratio_R)
 
 
 def _sinh_power_integral(m: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,8 +263,8 @@ def _sinh_power_integral(m: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         ratio = s if m % 2 == 0 else sh / (ch + 1.0)
         for k in range(m % 2 + 2, m + 1, 2):
             ratio = (coth - (k - 1) * csch2 * ratio) / k
-    if m >= 2:
-        small = np.flatnonzero(sh < 1.0)
+    small = np.flatnonzero(sh < 1.0)
+    if m >= 2 and small.size:
         tanh = sh[small] / ch[small]
         w = tanh * tanh
         term, total = np.ones_like(w), np.ones_like(w)

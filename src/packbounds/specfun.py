@@ -70,8 +70,8 @@ class LogScaled:
 
     Densities in high dimension reach 1e-100 and hyperbolic volumes reach
     e^(n r); both live comfortably here while ordinary binary floats do not.
-    Multiplication and division are addition and subtraction of
-    ``log_value``, and values order as their logs do.
+    Multiplication is addition of ``log_value``, and values order as their
+    logs do.
     """
 
     log_value: float
@@ -82,9 +82,6 @@ class LogScaled:
 
     def __mul__(self, other: "LogScaled") -> "LogScaled":
         return LogScaled(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogScaled") -> "LogScaled":
-        return LogScaled(self.log_value - other.log_value)
 
     @property
     def log10(self) -> float:

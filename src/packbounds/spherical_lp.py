@@ -220,6 +220,8 @@ class LPProblem:
         if grid is None:
             grid = chebyshev_grid(self.theta, min(8 * self.degree, 4000))
         grid = np.sort(np.asarray(grid, dtype=float))
+        if grid.size == 0 or not np.all(np.isfinite(grid)):
+            raise ValueError("constraint grid must be a nonempty array of finite points")
         if grid.size > 4000:
             raise ValueError("constraint grid is capped at 4000 points")
         hi = math.cos(self.theta)

@@ -183,8 +183,9 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
 
 
 # sha256 of the 30 hyperbolic json rows n in {2, 8, 24, 100, 200}, r in
-# {0.5, 1, 2}, coarse then refined, as printed by the first release
-HYPERBOLIC_GRID_SHA256 = "ab40b034532583ce15824629cf8c89da330f8ec096424d2d0e3277ce415b98ae"
+# {0.5, 1, 2}, coarse then refined, with the refined volume ratio formed as
+# one ratio of int_0 sinh^(n-1)
+HYPERBOLIC_GRID_SHA256 = "b5c5f8b549db1b29ab1b74dddff7a0b4552b65dc6e6eb0aaaedd9f2563f00599"
 
 
 def test_hyperbolic_rows_pinned(capsys):
@@ -197,6 +198,18 @@ def test_hyperbolic_rows_pinned(capsys):
                 assert code == 0 and err == ""
                 out.append(text)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == HYPERBOLIC_GRID_SHA256
+
+
+def test_refined_bound_does_not_drift_at_tiny_r(capsys):
+    # vol(B_r)/vol(B_R) tends to sin^n(theta/2) as r -> 0, though each
+    # volume's log reaches n ln r = -1.4e5
+    logs = []
+    for r in ("1e-10", "1e-100", "1e-200", "1e-300"):
+        argv = ["hyperbolic", "--n", "200", "--r", r, "--refined", "--format", "json"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        logs.append(json.loads(out)[0]["value_log10"])
+    assert max(logs) - min(logs) <= 4e-15 * abs(logs[0])
 
 
 @pytest.mark.parametrize("r", ["710.2", "1000"])
@@ -264,10 +277,11 @@ def test_overlap_monte_carlo_past_n4(capsys):
     assert abs(doc["mc_mean"] - doc["finite"]) <= 4.0 * doc["mc_stderr"]
 
 
-# sha256 of the default (text) ``overlap`` stdout, as first released
+# sha256 of the default (text) ``overlap`` stdout, normalized by
+# int_0^R sinh^(n-1) from the recurrence and series
 OVERLAP_TEXT_SHA256 = {
-    ("3", "1", "2"): "9c5c6fffe31bdfd3c8a7312de4070c176590f4f67b64cb11d1083945f1be5cf9",
-    ("10", "0.5", "3"): "647313d45305005b1dfb56c185be658ebeac4dc5b0fbbd115f70aefb6cc960a1",
+    ("3", "1", "2"): "a2cddbd34b902278eb66a966df3d7eef5db5d5bac65001a54685298cff99e4c3",
+    ("10", "0.5", "3"): "ab06a1640434c6a6475c466754dc099ca33bef9374d11a0a34412bdf860d7b5d",
 }
 
 

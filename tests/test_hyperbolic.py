@@ -62,7 +62,8 @@ EUCLIDEAN_LENS_AT_R = {2: 0.39100221895577064, 5: 0.20703125, 200: 3.07815039472
 def test_tiny_balls_are_euclidean(n):
     lens = EUCLIDEAN_LENS_AT_R[n]
     assert hyp.overlap_finite(n, 1e-300, 1e-300) == pytest.approx(lens, rel=1e-12, abs=0)
-    # the quadrature just above the Euclidean cut agrees with the closed forms
+    # the band quadrature just above the overlap's Euclidean cut, and the
+    # volume's series there, agree with the closed forms
     r = 1.0000001e-9
     assert hyp.overlap_finite(n, r, r) == pytest.approx(lens, rel=1e-12, abs=0)
     euclid = hyp.log_sphere_surface(n) + n * math.log(r) - math.log(n)
@@ -223,6 +224,8 @@ def test_radial_cdf_vs_high_precision(n, s):
     (ratio,), (sh,) = hyp._sinh_power_integral(n - 1, np.array([s]))
     assert math.isclose(ratio, ratio_ref, rel_tol=1e-14)
     assert math.isclose(math.log(ratio) + (n - 1) * math.log(sh), log_ref, rel_tol=1e-14)
+    volume = hyp.hyp_ball_volume(n, s).log_value
+    assert math.isclose(volume, hyp.log_sphere_surface(n) + log_ref, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("n, s", sorted(SINH_POWER_INTEGRALS))
@@ -275,17 +278,20 @@ def test_optimized_is_the_minimum(n, r, refined):
 
 
 def test_optimized_computes_the_small_ball_once(monkeypatch):
-    # vol(B_r) is the same at every candidate angle; only vol(B_R) varies
+    # one integral call covers r and the enclosing radius R of every angle
     calls = []
-    volume = hyp.hyp_ball_volume
+    integral = hyp._sinh_power_integral
 
-    def counted(n, r):
-        calls.append((n, r))
-        return volume(n, r)
+    def counted(m, s):
+        calls.append((m, s))
+        return integral(m, s)
 
-    monkeypatch.setattr(hyp, "hyp_ball_volume", counted)
+    monkeypatch.setattr(hyp, "_sinh_power_integral", counted)
     best = hyp.hyp_bound_optimized(200, 1.0, refined=True)
-    assert len(calls) == len(set(calls)) == len(_candidate_angles(200)) + 1 == 23
+    assert len(calls) == 1
+    m, s = calls[0]
+    assert m == 199 and s[0] == 1.0
+    assert len(s) == len(set(s)) == len(_candidate_angles(200)) + 1 == 23
     assert best.value == hyp.hyp_density_bound(200, 1.0, best.theta_star, True).value
 
 

@@ -201,6 +201,9 @@ def test_problem_validation():
         LPProblem(n=3, theta=math.pi / 2, degree=4, constraint_grid=np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
         LPProblem(n=3, theta=math.pi / 2, degree=4, constraint_grid=np.array([-0.5, 0.0]))
+    for grid in ([], [math.nan], [-1.0, math.nan, 0.5]):
+        with pytest.raises(ValueError, match="constraint grid"):
+            LPProblem(n=3, theta=math.pi / 3, degree=4, constraint_grid=np.array(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ def test_logscaled_arithmetic_and_order():
     a = LogScaled.from_log(math.log(3.0))
     b = LogScaled.from_log(math.log(4.0))
     assert math.isclose((a * b).to_float(), 12.0, rel_tol=1e-14)
-    assert math.isclose((a / b).to_float(), 0.75, rel_tol=1e-14)
     # values order as their logs do, including far outside the float range
     logs = [-800.0, -1.5, 0.0, math.log(3.0), 900.0]
     for x in logs:
