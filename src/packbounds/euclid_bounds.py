@@ -38,7 +38,6 @@ __all__ = [
     "BoundRecord",
     "RateResult",
     "METHODS",
-    "HISTORICAL_METHODS",
     "rogers_bound",
     "levenshtein_bound",
     "kl_spherical_code_bound",
@@ -50,8 +49,6 @@ __all__ = [
 ]
 
 METHODS = ("rogers", "levenshtein", "kl", "cz")
-# the historical best-bound comparison predates the cz sharpening
-HISTORICAL_METHODS = ("rogers", "levenshtein", "kl")
 
 
 @dataclass(frozen=True)

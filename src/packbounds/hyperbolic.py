@@ -229,7 +229,6 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     # R+s-r and R-s+r from the exact offset d = s - |R-r|: 2(R-r)+d and
     # 2r-d, or d and 2R-d when r > R; forming them from s cancels at r << R
     near, far = (2.0 * (R - r), 2.0 * r) if r < R else (0.0, 2.0 * R)
-    peak = (n - 1) * math.log(sinh_R)
     # each sinh factor of x times 2^e, e = -exponent of R: exact for every
     # normal x, and the products no longer underflow at R r < 1e-308
     e = -math.frexp(R)[1]
@@ -240,7 +239,7 @@ def overlap_finite(n: int, r: float, R: float) -> float:
         s = lo + d
         num = np.ldexp(np.sinh((near + d) / 2.0), e) * np.ldexp(np.sinh((far - d) / 2.0), e)
         x = num / (np.ldexp(np.sinh(s), e) * sinh_r)
-        weight = np.exp((n - 1) * np.log(np.sinh(s)) - peak)
+        weight = np.exp((n - 1) * np.log(np.sinh(s) / sinh_R))
         return weight * betainc(a, a, np.minimum(x, 1.0)) * 2.0 * length * t
 
     res = integrate(band, 0.0, 1.0, rel_tol=1e-12)

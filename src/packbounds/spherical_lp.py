@@ -7,11 +7,12 @@ keeps every constraint coefficient in [-1, 1] regardless of n and k.
 
 A dense simplex (Dantzig pricing, Bland fallback on degeneracy) solves the
 dual of the discretized problem, starting from its slack basis.  The result
-is then checked for the sign condition: max g is the larger of g on an
-independent finer grid, endpoints included, and g at the polynomial's exact
-critical points, which locate every interior maximum.  Any residual bump
-above zero is removed by shifting the constant coefficient, which costs a
-quantified sliver of objective but makes the certificate sound.
+is then checked for the sign condition exactly: a polynomial attains its
+maximum on [-1, cos theta] at an endpoint or at a root of g', so g is
+evaluated at both endpoints and at every root of g' in between, with no
+sampled grid.  Any residual bump above zero is removed by shifting the
+constant coefficient, which costs a quantified sliver of objective but makes
+the certificate sound.
 
 The module also converts a certificate into a Euclidean packing bound and
 numerically probes the lens-integral construction that turns g into a
@@ -241,7 +242,6 @@ class LPCertificate:
     coefficients: tuple[float, ...]  # c_0 .. c_d
     objective: float  # g(1) / c_0
     max_sign_residual: float
-    verification_grid_size: int
     certified: bool
     diagnostics: dict = field(default_factory=dict)
 
@@ -256,7 +256,6 @@ class VerificationReport:
     min_coefficient_ratio: float
     coefficients_ok: bool
     sign_ok: bool
-    grid_size: int
 
     @property
     def ok(self) -> bool:
@@ -281,57 +280,39 @@ def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
 
 
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
-    """All real critical points of g in (-1, 1).
+    """The real parts of all roots of g', none when g has degree < 2.
 
     g is a polynomial of degree d; interpolating it exactly in the Chebyshev
-    basis and rooting the derivative enumerates every interior extremum, so
-    no bump can hide between grid nodes.
+    basis and rooting the derivative enumerates every extremum.  A real root
+    that the eigenvalue solver returns with a small imaginary part keeps its
+    real part, and the real part of a genuinely complex root is just one
+    more point to test, so no tolerance decides which roots count.
     """
     cheb = np.polynomial.chebyshev
     d = len(weights) - 1
     if d < 2:
         return np.array([])
     coef = cheb.chebinterpolate(lambda t: _eval_g(ctx, weights, t), d)
-    roots = cheb.chebroots(cheb.chebder(coef))
-    roots = roots[np.abs(roots.imag) < 1e-9].real
-    return roots[(roots > -1.0) & (roots < 1.0)]
-
-
-def _sign_grid(
-    ctx: GegenbauerContext, degree: int, theta: float, grid_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform sign-check grid on [-1, cos theta], endpoints included
-    (the point -1 alone when that interval is empty), and phi_0..phi_degree
-    on it."""
-    hi = math.cos(theta)
-    ts = np.array([-1.0]) if hi - (-1.0) < 1e-15 else np.linspace(-1.0, hi, grid_size)
-    return ts, ctx.eval_normalized_table(degree, ts)
+    return cheb.chebroots(cheb.chebder(coef)).real
 
 
 def _max_violation(
-    ctx: GegenbauerContext,
-    weights: np.ndarray,
-    theta: float,
-    sign_grid: tuple[np.ndarray, np.ndarray],
+    ctx: GegenbauerContext, weights: np.ndarray, theta: float
 ) -> tuple[float, float]:
-    """Max of g over [-1, cos theta] and where it is attained: the larger of
-    g on ``sign_grid`` (from :func:`_sign_grid`) and g at the polynomial's
-    exact critical points in (-1, cos theta]."""
-    ts, table = sign_grid
-    vals = weights @ table
-    best_idx = int(np.argmax(vals))
-    best_t, best_v = float(ts[best_idx]), float(vals[best_idx])
+    """Max of g over [-1, cos theta] and where it is attained.
+
+    A polynomial attains its maximum on an interval at an endpoint or at a
+    critical point, so one evaluation of g at -1, at cos theta and at the
+    critical points in (-1, cos theta] finds it; when that interval is empty
+    (theta = pi) the point -1 alone is checked."""
     hi = math.cos(theta)
-    if hi - (-1.0) < 1e-15:
-        return best_v, best_t
-    crit = _critical_points(ctx, weights)
-    crit = crit[crit <= hi]
-    if crit.size:
-        cv = _eval_g(ctx, weights, crit)
-        i = int(np.argmax(cv))
-        if cv[i] > best_v:
-            best_t, best_v = float(crit[i]), float(cv[i])
-    return best_v, best_t
+    ts = np.array([-1.0])
+    if hi - (-1.0) >= 1e-15:
+        crit = _critical_points(ctx, weights)
+        ts = np.concatenate((ts, [hi], crit[(crit > -1.0) & (crit <= hi)]))
+    vals = _eval_g(ctx, weights, ts)
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(ts[i])
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +324,7 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
     """Minimize g(1) over the discretized cone, then certify.
 
     After the simplex solve the candidate's maximum on [-1, cos theta] is
-    taken over a 10x finer grid and the exact critical points of g.  Any
+    taken exactly, at the endpoints and the critical points of g.  Any
     positive bump v is absorbed by replacing g with (g - v)/(1 - v), which
     restores c_0 = 1, keeps every other coefficient nonnegative, and moves
     the objective by a recorded amount.  If that movement would exceed 1e-8
@@ -375,12 +356,9 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         weights = np.concatenate(([1.0], x))
         raw_objective = float(weights.sum())
 
-        fine = max(10 * grid.size, 1000)
-        sign_grid = _sign_grid(ctx, d, p.theta, fine)
-        v, _ = _max_violation(ctx, weights, p.theta, sign_grid)
+        v, _ = _max_violation(ctx, weights, p.theta)
         if v <= 1e-8 * raw_objective or rounds >= max_rounds:
             break
-        del sign_grid  # free it before the next round builds one twice its size
         grid = chebyshev_grid(p.theta, min(2 * grid.size, 4000))
 
     shift = 0.0
@@ -392,9 +370,8 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         weights[0] = 1.0  # (g - shift)/(1 - shift) has constant term exactly 1
     objective = float(weights.sum())
 
-    # re-verify the corrected function on the last round's sign grid and
-    # assemble the certificate
-    v2, v2_at = _max_violation(ctx, weights, p.theta, sign_grid)
+    # re-verify the corrected function and assemble the certificate
+    v2, v2_at = _max_violation(ctx, weights, p.theta)
     coeffs = tuple(
         float(w * math.exp(-ctx.log_value_at_one(k))) for k, w in enumerate(weights)
     )
@@ -407,7 +384,6 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         coefficients=coeffs,
         objective=objective,
         max_sign_residual=float(v2),
-        verification_grid_size=fine,
         certified=certified,
         diagnostics={
             "raw_objective": raw_objective,
@@ -423,9 +399,10 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
 def verify_certificate(cert: LPCertificate, p: LPProblem) -> VerificationReport:
     """Re-check a certificate from its stored coefficients alone.
 
-    Coefficient nonnegativity, then the sign constraint: g on an
-    independent dense grid of [-1, cos theta] and at its exact critical
-    points there.  Report-only: never raises.
+    Coefficient nonnegativity, then the sign constraint: g at both ends of
+    [-1, cos theta] and at its exact critical points there.  ``p`` is not
+    read: the certificate carries n, theta and the degree.  Report-only:
+    never raises.
     """
     ctx = shared_context(cert.n)
     coeffs = np.asarray(cert.coefficients, dtype=float)
@@ -434,16 +411,13 @@ def verify_certificate(cert: LPCertificate, p: LPProblem) -> VerificationReport:
     coeff_ok = c0 > 0 and min_ratio >= -COEFF_TOL
     weights = _normalized_weights(ctx, coeffs)
     g1 = float(weights.sum())
-    grid_size = max(10 * p.constraint_grid.size, 2000)
-    sign_grid = _sign_grid(ctx, len(weights) - 1, cert.theta, grid_size)
-    v, _ = _max_violation(ctx, weights, cert.theta, sign_grid)
+    v, _ = _max_violation(ctx, weights, cert.theta)
     sign_ok = v <= CERT_RESIDUAL_TOL * g1
     return VerificationReport(
         max_sign_residual=float(v),
         min_coefficient_ratio=min_ratio,
         coefficients_ok=bool(coeff_ok),
         sign_ok=bool(sign_ok),
-        grid_size=grid_size,
     )
 
 
@@ -639,6 +613,5 @@ def certificate_from_json(text: str) -> LPCertificate:
         coefficients=coeffs,
         objective=float(doc["objective"]),
         max_sign_residual=float(doc["residual"]),
-        verification_grid_size=0,
         certified=bool(doc["certified"]),
     )

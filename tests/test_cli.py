@@ -278,10 +278,11 @@ def test_overlap_monte_carlo_past_n4(capsys):
 
 
 # sha256 of the default (text) ``overlap`` stdout, normalized by
-# int_0^R sinh^(n-1) from the recurrence and series
+# int_0^R sinh^(n-1) from the recurrence and series, with the band weighted
+# by (sinh s / sinh R)^(n-1)
 OVERLAP_TEXT_SHA256 = {
-    ("3", "1", "2"): "a2cddbd34b902278eb66a966df3d7eef5db5d5bac65001a54685298cff99e4c3",
-    ("10", "0.5", "3"): "ab06a1640434c6a6475c466754dc099ca33bef9374d11a0a34412bdf860d7b5d",
+    ("3", "1", "2"): "8f281471396ef7502f1ee55bf1ad885fef107a6a56d8557a5d1d94fce9fb2cff",
+    ("10", "0.5", "3"): "b23e5f3077f2f1a5cff5fbca1c68294cefd8fb19fc23a786a54d2941c6feab52",
 }
 
 
@@ -295,8 +296,8 @@ def test_overlap_text_bytes_pinned(capsys, n, r, R):
 THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
 
 # sha256 of ``lp --n N --theta pi/3 --degree D`` stdout, with the sign check
-# taken over the verification grid and the critical points of g; these
-# certificates change when the maximum that check finds moves by a bit
+# taken at both ends of [-1, cos theta] and at the critical points of g;
+# these certificates change when the maximum that check finds moves by a bit
 LP_SHA256 = {
     (3, 20): "4eb1f811d0ec9c5b0e7e0be5d09c95c0d27c40bba8eb27763aabdc989d7a9647",
     (8, 10): "fdfab5d8d33078a73ef43a18796591ecd22475c5c829fca6fb48e5299529369f",
@@ -319,10 +320,13 @@ def test_lp_bytes_pinned(capsys, n, degree):
 
 
 # One sha256 over "<exit code>\n<stdout>" of the benchmark's 44 ``lp`` ops,
-# in order: 35 certificates and 9 exit-3 failures
+# in order: 35 certificates and 9 exit-3 failures.  Re-pinned when the sign
+# check dropped its sampled grid: four certificates moved in their last
+# digits, (3, 10), (3, 30), (3, 40) and (12, 20), objectives by at most
+# 6.5e-16 relative
 LP_SWEEP_NS = (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
 LP_SWEEP_DEGREES = (10, 20, 30, 40)
-LP_SWEEP_SHA256 = "da69657e6d722855f47126941f617eee18d7752598353af05d17d22cca5b9a09"
+LP_SWEEP_SHA256 = "f58274a821659b97d4a50248c0a57e5c915b33a91c494fd4e10f189302dcc3ef"
 
 
 def test_lp_sweep_bytes_pinned(capsys):
@@ -335,6 +339,36 @@ def test_lp_sweep_bytes_pinned(capsys):
             digest.update(f"{code}\n{out}".encode())
     assert (codes.count(0), codes.count(3)) == (35, 9)
     assert digest.hexdigest() == LP_SWEEP_SHA256
+
+
+# ``lp`` at the edges of its domain: theta near 0, pi/3 and pi and past them,
+# degree 0 and 201 past the range, and degrees 1 and 2, where g has no
+# critical point and the sign check reads the interval's ends alone
+LP_EDGE_THETAS = ("1e-9", "1e-6", "0.5", repr(math.pi / 3 - 1e-13), THETA,
+                  repr(math.pi / 3 + 1e-13), repr(math.pi / 2), "2.5", repr(math.pi),
+                  "3.1416", "0", "-1", "nan", "inf")
+LP_EDGE_DEGREES = (0, 1, 2, 3, 20, 201)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 24])
+def test_lp_exit_code_sweep(capsys, n):
+    bad = []
+    for theta in LP_EDGE_THETAS:
+        for degree in LP_EDGE_DEGREES:
+            code, out, err = _run(capsys, ["lp", "--n", str(n), "--theta", theta,
+                                           "--degree", str(degree)])
+            if code == 0:
+                ok = (err == "" and json.loads(out)["certified"] is True
+                      and "nan" not in out.lower() and "inf" not in out.lower())
+            elif code == 2:
+                ok = out == "" and err.endswith("\n") and err.splitlines()[-1].startswith("error: ")
+            elif code == 3:
+                ok = out == "" and err.count("\n") == 1 and isinstance(json.loads(err), dict)
+            else:
+                ok = False
+            if not ok or "Traceback" in err:
+                bad.append((theta, degree, code, out, err))
+    assert bad == []
 
 
 # sha256 of the sorted-key json of ``transfer_g_to_f`` for the certificate

@@ -270,9 +270,10 @@ def test_degree_monotone_on_fixed_grid():
 # ---------------------------------------------------------------------------
 
 
-def test_solve_builds_one_sign_grid_table_per_round(monkeypatch):
-    # the final re-verify reuses the last round's fine-grid table; at degree
-    # 10 the constraint grids stay below the 1000 points of a sign grid
+def test_solve_builds_no_table_wider_than_its_constraint_grid(monkeypatch):
+    # the sign check evaluates g only at the ends of [-1, cos theta] and at
+    # the roots of g', so the widest Gegenbauer table is the last round's
+    # constraint grid (80 -> 160 -> 320 points at degree 10)
     sizes = []
     table = GegenbauerContext.eval_normalized_table
 
@@ -284,7 +285,8 @@ def test_solve_builds_one_sign_grid_table_per_round(monkeypatch):
     monkeypatch.setattr(GegenbauerContext, "eval_normalized_table", counted)
     cert = lp_solve_spherical(LPProblem(n=8, theta=math.pi / 3, degree=10))
     assert cert.diagnostics["rounds"] == 3
-    assert sum(size >= 1000 for size in sizes) == 3
+    assert cert.diagnostics["grid_size"] == 320
+    assert max(sizes) == 320
 
 
 def test_verify_linear_certificate_at_pi():
@@ -297,7 +299,6 @@ def test_verify_linear_certificate_at_pi():
         coefficients=(1.0, 1.0),
         objective=2.0,
         max_sign_residual=0.0,
-        verification_grid_size=0,
         certified=True,
     )
     rep = verify_certificate(cert, p)
@@ -313,7 +314,6 @@ def test_verify_flags_negative_coefficient():
         coefficients=(1.0, -1e-3, 0.5, 0.0),
         objective=1.0,
         max_sign_residual=0.0,
-        verification_grid_size=0,
         certified=True,
     )
     rep = verify_certificate(cert, p)
@@ -338,17 +338,18 @@ def test_verify_flags_sign_violation():
         coefficients=(1.0, 0.0, 0.0),
         objective=1.0,
         max_sign_residual=0.0,
-        verification_grid_size=0,
         certified=True,
     )
     rep = verify_certificate(cert, p)
     assert not rep.sign_ok
 
 
-@pytest.mark.parametrize("n, degree", [(3, 20), (8, 10), (16, 10), (24, 10), (32, 20)])
+@pytest.mark.parametrize(
+    "n, degree", [(3, 20), (3, 40), (8, 10), (8, 40), (16, 10), (24, 10), (32, 20)]
+)
 def test_sign_check_reaches_the_dense_grid_maximum(n, degree):
-    # the sign check runs no local search: its grid and the exact critical
-    # points of g must find g's maximum on a much denser grid
+    # the sign check samples no grid: g at the ends of the interval and at
+    # the exact critical points must find g's maximum on a dense grid
     p = LPProblem(n=n, theta=math.pi / 3, degree=degree)
     cert = lp_solve_spherical(p)
     ctx = shared_context(n)
@@ -372,7 +373,6 @@ def test_euclid_conversion_linear_g():
             coefficients=(1.0, 1.0),
             objective=2.0,
             max_sign_residual=0.0,
-            verification_grid_size=0,
             certified=True,
         )
         p = LPProblem(n=n, theta=math.pi, degree=1)
@@ -396,7 +396,6 @@ def test_euclid_conversion_rejects_small_theta():
         coefficients=(1.0, 1.0),
         objective=2.0,
         max_sign_residual=0.0,
-        verification_grid_size=0,
         certified=True,
     )
     with pytest.raises(ValueError):
@@ -411,7 +410,6 @@ def test_euclid_conversion_rejects_uncertified():
         coefficients=(1.0, 1.0),
         objective=2.0,
         max_sign_residual=0.0,
-        verification_grid_size=0,
         certified=False,
     )
     with pytest.raises(ValueError):
@@ -433,7 +431,6 @@ def test_euclid_conversion_consistent_with_cz():
             coefficients=(1.0,),
             objective=closed.to_float(),
             max_sign_residual=0.0,
-            verification_grid_size=0,
             certified=True,
         )
         val = euclid_bound_from_certificate(cert, LPProblem(n=n, theta=theta, degree=1))
