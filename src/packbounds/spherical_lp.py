@@ -58,11 +58,10 @@ class LPInfeasibleError(RuntimeError):
 
     Either the discretized LP has no feasible point at this degree, or the
     dense simplex lost one to round-off; the error does not tell which.  At
-    theta = pi/3 it is seen at n = 32, degree 10 (dual unbounded) and at
-    n = 48 and 64 for every degree in 10..40 (dual unbounded at degree 10,
-    else a violation too large to absorb).  scipy's HiGHS solver finds the
-    discretized LP infeasible at (n, degree) = (32, 10), (48, 10) and
-    (64, 10), and solves it at n = 48, degree 20."""
+    theta = pi/3, over n up to 64 and degrees 10..40, it is seen five times:
+    "dual unbounded" at degree 10 for n = 32, 48 and 64, where scipy's HiGHS
+    solver finds the discretized LP infeasible too, and "violation too large
+    to absorb" at degree 20 for n = 48 and 64, where HiGHS solves it."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,10 @@ def chebyshev_grid(theta: float, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """Discretized code-bound LP: dimension, angle, degree, constraint grid."""
+    """Discretized code-bound LP: dimension, angle, degree, constraint grid.
+
+    The default grid is min(32 * degree, 4000) Chebyshev nodes on
+    [-1, cos theta]."""
 
     n: int
     theta: float
@@ -219,7 +221,7 @@ class LPProblem:
             raise ValueError("degree must lie in [1, 200]")
         grid = self.constraint_grid
         if grid is None:
-            grid = chebyshev_grid(self.theta, min(8 * self.degree, 4000))
+            grid = chebyshev_grid(self.theta, min(32 * self.degree, 4000))
         grid = np.sort(np.asarray(grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ValueError("constraint grid must be a nonempty array of finite points")
@@ -320,46 +322,39 @@ def _max_violation(
 # ---------------------------------------------------------------------------
 
 
-def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
+def lp_solve_spherical(p: LPProblem) -> LPCertificate:
     """Minimize g(1) over the discretized cone, then certify.
 
-    After the simplex solve the candidate's maximum on [-1, cos theta] is
-    taken exactly, at the endpoints and the critical points of g.  Any
-    positive bump v is absorbed by replacing g with (g - v)/(1 - v), which
-    restores c_0 = 1, keeps every other coefficient nonnegative, and moves
-    the objective by a recorded amount.  If that movement would exceed 1e-8
-    relative, the grid is doubled and the LP re-solved, up to
-    ``max_rounds`` rounds.
+    The LP is solved once, on the problem's grid (32 * degree points unless
+    given).  The candidate's maximum on [-1, cos theta] is then taken
+    exactly, at the endpoints and the critical points of g.  Any positive
+    bump v is absorbed by replacing g with (g - v)/(1 - v), which restores
+    c_0 = 1, keeps every other coefficient nonnegative, and moves the
+    objective by a recorded amount.
     """
     ctx = shared_context(p.n)
     d = p.degree
     grid = p.constraint_grid
-    rounds = 0
-    while True:
-        rounds += 1
-        table = ctx.eval_normalized_table(d, grid)  # (d+1, m)
-        # primal: variables x_1..x_d >= 0 with x_0 = 1 fixed, minimizing
-        # sum x_k subject to sum_k x_k phi_k(t_j) <= -1 on the grid.  The
-        # dual (max sum lambda_j s.t. -Phi^T lambda <= 1, lambda >= 0) has a
-        # feasible slack basis, so no phase-1 artificials are ever needed;
-        # the primal solution is read off the final slack reduced costs.
-        phi = table[1:]  # (d, m): row k holds phi_k on the grid
-        res = simplex_minimize(-np.ones(grid.size), -phi, np.ones(d))
-        if res.status == "unbounded":
-            raise LPInfeasibleError(
-                f"dual unbounded at n={p.n}, degree={d}: the discretized LP is "
-                "infeasible, or round-off misled the dense simplex"
-            )
-        if res.status != "optimal":
-            raise LPInfeasibleError(f"simplex returned {res.status}")
-        x = np.maximum(res.slack_reduced_costs, 0.0)
-        weights = np.concatenate(([1.0], x))
-        raw_objective = float(weights.sum())
+    table = ctx.eval_normalized_table(d, grid)  # (d+1, m)
+    # primal: variables x_1..x_d >= 0 with x_0 = 1 fixed, minimizing
+    # sum x_k subject to sum_k x_k phi_k(t_j) <= -1 on the grid.  The
+    # dual (max sum lambda_j s.t. -Phi^T lambda <= 1, lambda >= 0) has a
+    # feasible slack basis, so no phase-1 artificials are ever needed;
+    # the primal solution is read off the final slack reduced costs.
+    phi = table[1:]  # (d, m): row k holds phi_k on the grid
+    res = simplex_minimize(-np.ones(grid.size), -phi, np.ones(d))
+    if res.status == "unbounded":
+        raise LPInfeasibleError(
+            f"dual unbounded at n={p.n}, degree={d}: the discretized LP is "
+            "infeasible, or round-off misled the dense simplex"
+        )
+    if res.status != "optimal":
+        raise LPInfeasibleError(f"simplex returned {res.status}")
+    x = np.maximum(res.slack_reduced_costs, 0.0)
+    weights = np.concatenate(([1.0], x))
+    raw_objective = float(weights.sum())
 
-        v, _ = _max_violation(ctx, weights, p.theta)
-        if v <= 1e-8 * raw_objective or rounds >= max_rounds:
-            break
-        grid = chebyshev_grid(p.theta, min(2 * grid.size, 4000))
+    v, _ = _max_violation(ctx, weights, p.theta)
 
     shift = 0.0
     if v > 0.0:
@@ -388,7 +383,7 @@ def lp_solve_spherical(p: LPProblem, *, max_rounds: int = 3) -> LPCertificate:
         diagnostics={
             "raw_objective": raw_objective,
             "correction_shift": shift,
-            "rounds": rounds,
+            "rounds": 1,  # one simplex solve per certificate
             "grid_size": int(grid.size),
             "simplex_iterations": res.iterations,
             "residual_location": v2_at,

@@ -297,13 +297,16 @@ THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
 
 # sha256 of ``lp --n N --theta pi/3 --degree D`` stdout, with the sign check
 # taken at both ends of [-1, cos theta] and at the critical points of g;
-# these certificates change when the maximum that check finds moves by a bit
+# these certificates change when the maximum that check finds moves by a bit.
+# (32, 20) was re-pinned when one solve on the 32*degree grid became the
+# default: the doubling loop had stopped there on the 16*degree grid, and the
+# objective fell from 3603693.9158980567 to 3542749.414757542
 LP_SHA256 = {
     (3, 20): "4eb1f811d0ec9c5b0e7e0be5d09c95c0d27c40bba8eb27763aabdc989d7a9647",
     (8, 10): "fdfab5d8d33078a73ef43a18796591ecd22475c5c829fca6fb48e5299529369f",
     (16, 10): "c20460573b94a2f619efe968b8d53b669c0029248301d2e3419c75eadeeffdfe",
     (24, 10): "538d58f51c22b221697324ef19e502a4411977b98847408f7009ff7e8e383ff3",
-    (32, 20): "91cbdd333178171d9030541d87984cfe760fbe4b8512efa15ed74e1caa15dfa7",
+    (32, 20): "f2304b6437416e659a0a4f0fec5940e13ff93db2bee3e2a0f3ed3f71a41599e0",
 }
 
 
@@ -320,25 +323,39 @@ def test_lp_bytes_pinned(capsys, n, degree):
 
 
 # One sha256 over "<exit code>\n<stdout>" of the benchmark's 44 ``lp`` ops,
-# in order: 35 certificates and 9 exit-3 failures.  Re-pinned when the sign
-# check dropped its sampled grid: four certificates moved in their last
-# digits, (3, 10), (3, 30), (3, 40) and (12, 20), objectives by at most
-# 6.5e-16 relative
+# in order: 39 certificates and 5 exit-3 failures.  Re-pinned when one solve
+# on the 32*degree grid became the default: the 31 certificates that the
+# doubling loop had solved on that grid keep their bytes, (24, 40), (32, 20),
+# (32, 30) and (32, 40) fell to lower objectives, and (48, 30), (48, 40),
+# (64, 30) and (64, 40) now certify
 LP_SWEEP_NS = (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
 LP_SWEEP_DEGREES = (10, 20, 30, 40)
-LP_SWEEP_SHA256 = "f58274a821659b97d4a50248c0a57e5c915b33a91c494fd4e10f189302dcc3ef"
+LP_SWEEP_SHA256 = "be271c7dad34406dab69a5064959a49fd9a7dc78a6d62699a1a000ad5f74a602"
+# the kissing numbers: no certified objective at n = 8 or 24 may lie below
+KISSING = {8: 240, 24: 196560}
 
 
 def test_lp_sweep_bytes_pinned(capsys):
     digest = hashlib.sha256()
     codes = []
+    objectives = {}
     for n in LP_SWEEP_NS:
         for degree in LP_SWEEP_DEGREES:
             code, out, _ = _lp(capsys, n, degree)
             codes.append(code)
             digest.update(f"{code}\n{out}".encode())
-    assert (codes.count(0), codes.count(3)) == (35, 9)
+            if code == 0:
+                objectives.setdefault(n, []).append(json.loads(out)["objective"])
+    assert (codes.count(0), codes.count(3)) == (39, 5)
     assert digest.hexdigest() == LP_SWEEP_SHA256
+    # no n's certified objectives rise with degree.  This pins how these 44
+    # runs behave, not an LP theorem: each degree solves on its own 32*degree
+    # grid and a certificate is that grid's optimum plus a shift, so a change
+    # that certifies (48, 20) or (64, 20) may break it without being wrong
+    rising = [n for n, objs in objectives.items() if any(b > a for a, b in zip(objs, objs[1:]))]
+    assert rising == []
+    for n, floor in KISSING.items():
+        assert min(objectives[n]) >= floor
 
 
 # ``lp`` at the edges of its domain: theta near 0, pi/3 and pi and past them,
@@ -368,6 +385,57 @@ def test_lp_exit_code_sweep(capsys, n):
                 ok = False
             if not ok or "Traceback" in err:
                 bad.append((theta, degree, code, out, err))
+    assert bad == []
+
+
+# ``hyperbolic``, ``overlap`` and ``table`` at the edges of their domains:
+# n past both ends, radii from 0 to past exp overflow and invalid, theta near
+# 0, pi/3 and pi, and overlap windows R from tiny to past their range
+EDGE_NS = ("1", "2", "200", "201", "800", "801")
+EDGE_RS = ("0", "1e-300", "1e-9", "0.5", "1", "50", "709", "710.2", "1e308", "-1", "nan", "inf")
+EDGE_THETAS = ("1e-9", repr(math.pi / 3 - 1e-13), THETA, repr(math.pi / 3 + 1e-13),
+               repr(math.pi), "3.1416")
+EDGE_WINDOWS = ("1e-300", "1e-9", "1", "2", "50", "51")
+
+
+def _edge_argvs(command):
+    if command == "table":
+        return [["table", "--dims", n, "--format", fmt] for n in EDGE_NS for fmt in cli.ROW_FORMATS]
+    argvs = []
+    for n in EDGE_NS:
+        for r in EDGE_RS:
+            if command == "hyperbolic":
+                for theta in (None,) + EDGE_THETAS:
+                    argv = ["hyperbolic", "--n", n, "--r", r]
+                    argv += [] if theta is None else ["--theta", theta]
+                    argvs += [argv, argv + ["--refined"]]
+            else:
+                for R in EDGE_WINDOWS:
+                    argv = ["overlap", "--n", n, "--r", r, "--R", R]
+                    argvs += [argv, argv + ["--format", "json"]]
+    return argvs
+
+
+@pytest.mark.parametrize("command", ["hyperbolic", "overlap", "table"])
+def test_exit_code_sweep(capsys, command):
+    bad = []
+    for argv in _edge_argvs(command):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code == 0:
+            ok = err == "" and "nan" not in out.lower() and "inf" not in out.lower()
+        elif code == 2:
+            # argparse prefixes its line with "packbounds <command>: "
+            ok = out == "" and err.endswith("\n") and "error: " in err.splitlines()[-1]
+        elif code == 3:
+            ok = out == "" and err.count("\n") == 1 and isinstance(json.loads(err), dict)
+        else:
+            ok = False
+        if not ok or "Traceback" in err:
+            bad.append((argv, code, out, err))
     assert bad == []
 
 

@@ -258,7 +258,7 @@ def test_degree_monotone_on_fixed_grid():
     prev = None
     for d in (4, 6, 8, 10, 12):
         p = LPProblem(n=4, theta=theta, degree=d, constraint_grid=grid)
-        cert = lp_solve_spherical(p, max_rounds=1)
+        cert = lp_solve_spherical(p)
         raw = cert.diagnostics["raw_objective"]
         if prev is not None:
             assert raw <= prev + 1e-9
@@ -272,8 +272,8 @@ def test_degree_monotone_on_fixed_grid():
 
 def test_solve_builds_no_table_wider_than_its_constraint_grid(monkeypatch):
     # the sign check evaluates g only at the ends of [-1, cos theta] and at
-    # the roots of g', so the widest Gegenbauer table is the last round's
-    # constraint grid (80 -> 160 -> 320 points at degree 10)
+    # the roots of g', so the widest Gegenbauer table is the constraint grid:
+    # one solve on 32 * degree = 320 points at degree 10
     sizes = []
     table = GegenbauerContext.eval_normalized_table
 
@@ -284,7 +284,7 @@ def test_solve_builds_no_table_wider_than_its_constraint_grid(monkeypatch):
 
     monkeypatch.setattr(GegenbauerContext, "eval_normalized_table", counted)
     cert = lp_solve_spherical(LPProblem(n=8, theta=math.pi / 3, degree=10))
-    assert cert.diagnostics["rounds"] == 3
+    assert cert.diagnostics["rounds"] == 1
     assert cert.diagnostics["grid_size"] == 320
     assert max(sizes) == 320
 
