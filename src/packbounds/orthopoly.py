@@ -33,8 +33,7 @@ class GegenbauerContext:
 
     Immutable after construction except two memos: the largest roots and
     the squared off-diagonal of the Jacobi matrix.  Both only ever gain
-    entries that do not depend on the order of the requests, so threads may
-    share a context.
+    entries that do not depend on the order of the requests.
     """
 
     def __init__(self, n: int):
@@ -89,15 +88,14 @@ class GegenbauerContext:
         _check_degree(k)
         if k < 1:
             raise ValueError("largest_root requires degree k >= 1")
-        cached = self._roots.get(k)
-        if cached is not None:
-            return cached
-        return self._roots.setdefault(k, self._largest_root_uncached(k))
+        root = self._roots.get(k)
+        if root is None:
+            root = self._roots[k] = self._largest_root_uncached(k)
+        return root
 
     def _offdiag_sq(self, k: int) -> list[float]:
         # One growing array (at least the 3 entries the closed forms read)
-        # serves every degree; a racing thread may swap in a shorter one, but
-        # this call keeps the array it built.
+        # serves every degree.
         b2 = self._b2
         if b2.size < k - 1:
             b2 = self._b2 = _squared_offdiag(self.alpha, max(k - 1, 2 * b2.size, 3))
@@ -165,10 +163,9 @@ def find_largest_roots(contexts: list[GegenbauerContext], k: int) -> None:
             roots = _confirm_cells(b2, k, _polish_lanes(b2, k, np.array(x)))
         for c, root in zip(ctxs, roots.tolist()):
             if not math.isnan(root):
-                c._roots.setdefault(k, root)
-    for c in todo:
-        if k not in c._roots:
-            c.largest_root(k)
+                c._roots[k] = root
+    for c in todo:  # a cached root returns at once; the rest go scalar
+        c.largest_root(k)
 
 
 def _squared_offdiag(alpha, m: int) -> np.ndarray:

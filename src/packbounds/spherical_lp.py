@@ -6,13 +6,14 @@ objective g(1)/c_0.  Working with the normalized basis phi_k = C_k/C_k(1)
 keeps every constraint coefficient in [-1, 1] regardless of n and k.
 
 A dense simplex (Dantzig pricing, Bland fallback on degeneracy) solves the
-dual of the discretized problem, starting from its slack basis.  The result
-is then checked for the sign condition exactly: a polynomial attains its
-maximum on [-1, cos theta] at an endpoint or at a root of g', so g is
-evaluated at both endpoints and at every root of g' in between, with no
-sampled grid.  Any residual bump above zero is removed by shifting the
-constant coefficient, which costs a quantified sliver of objective but makes
-the certificate sound.
+dual of the discretized problem, starting from its slack basis.  Any bump of
+the solution above zero on [-1, cos theta] is removed by shifting the
+constant coefficient, which costs a quantified sliver of objective.
+
+A certificate is its coefficients: :class:`LPCertificate` derives what it
+claims from them in one check.  The objective is the exact g(1)/c_0 rounded
+up to a float; the sign residual is the maximum of g on [-1, cos theta],
+taken at both endpoints and at every root of g' in between.
 
 The module also converts a certificate into a Euclidean packing bound and
 numerically probes the lens-integral construction that turns g into a
@@ -60,8 +61,9 @@ class LPInfeasibleError(RuntimeError):
     dense simplex lost one to round-off; the error does not tell which.  At
     theta = pi/3, over n up to 64 and degrees 10..40, it is seen five times:
     "dual unbounded" at degree 10 for n = 32, 48 and 64, where scipy's HiGHS
-    solver finds the discretized LP infeasible too, and "violation too large
-    to absorb" at degree 20 for n = 48 and 64, where HiGHS solves it."""
+    solver finds the discretized LP infeasible too, and "too large to
+    absorb" at degree 20 for n = 48 and 64, where HiGHS solves it and a
+    finer grid fails alike."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +177,8 @@ def simplex_minimize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResu
         prev_obj = neg_z[0]
 
     x = np.zeros(nv)
-    for i in range(m):
-        if basis[i] < nv:
-            x[basis[i]] = T[i, -1]
+    structural = basis < nv
+    x[basis[structural]] = rhs[structural]
     return SimplexResult(
         x, float(c @ x), status, iterations, T[m, nv : nv + m].copy()
     )
@@ -236,25 +237,12 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
-class LPCertificate:
-    """Feasible g in the Gegenbauer basis with its verification summary."""
-
-    n: int
-    theta: float
-    coefficients: tuple[float, ...]  # c_0 .. c_d
-    objective: float  # g(1) / c_0
-    max_sign_residual: float
-    certified: bool
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
-@dataclass(frozen=True)
 class VerificationReport:
+    """What a certificate's coefficients show: the maximum of g on
+    [-1, cos theta] and where it lies, and the smallest c_k / c_0."""
+
     max_sign_residual: float
+    residual_location: float
     min_coefficient_ratio: float
     coefficients_ok: bool
     sign_ok: bool
@@ -262,6 +250,36 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.coefficients_ok and self.sign_ok
+
+
+@dataclass(frozen=True)
+class LPCertificate:
+    """g = sum_k c_k C_k on S^(n-1), stated by its coefficients alone.
+
+    On construction one check derives the rest: ``objective``, the exact
+    g(1)/c_0 rounded up to a float, and ``report``, which gives
+    ``max_sign_residual`` and the verdict ``certified``.  Non-finite
+    coefficients, c_0 <= 0, n < 2 or theta outside (0, pi] raise ValueError."""
+
+    n: int
+    theta: float
+    coefficients: tuple[float, ...]  # c_0 .. c_d
+    diagnostics: dict = field(default_factory=dict)
+    objective: float = field(init=False)  # g(1) / c_0, rounded up
+    max_sign_residual: float = field(init=False)
+    certified: bool = field(init=False)
+    report: VerificationReport = field(init=False)
+
+    def __post_init__(self):
+        objective, report = _check_certificate(self.n, self.theta, self.coefficients)
+        derived = {"objective": objective, "max_sign_residual": report.max_sign_residual,
+                   "certified": report.ok, "report": report}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +295,13 @@ def _normalized_weights(ctx: GegenbauerContext, coefficients) -> np.ndarray:
 
 
 def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
+    # the scaled rows are added in index order, elementwise: unlike a BLAS
+    # matrix-vector product, a point's value does not depend on how many share the call
     table = ctx.eval_normalized_table(len(weights) - 1, np.atleast_1d(t))
-    return weights @ table
+    table *= weights[:, None]
+    for row in table[1:]:
+        table[0] += row
+    return table[0]
 
 
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
@@ -318,19 +341,46 @@ def _max_violation(
 
 
 # ---------------------------------------------------------------------------
-# Solve / verify
+# Check / solve / verify
 # ---------------------------------------------------------------------------
 
 
+def _check_certificate(n: int, theta: float, coefficients) -> tuple[float, VerificationReport]:
+    """g(1)/c_0 rounded up, and the report of g = sum c_k C_k: certified when
+    every c_k >= -COEFF_TOL c_0 and max g on [-1, cos theta] <= CERT_RESIDUAL_TOL g(1).
+
+    Each c_k is a dyadic rational m_k / d_k and C_k(1) is the integer
+    C(k + n - 3, k) (1 at n = 2), so g(1) is an exact integer sum over the
+    largest d_k, which every other one divides."""
+    coeffs = np.asarray(coefficients, dtype=float)
+    if coeffs.size == 0 or not np.isfinite(coeffs).all() or coeffs[0] <= 0.0:
+        raise ValueError("a certificate needs finite coefficients c_0 .. c_d with c_0 > 0")
+    if not 0.0 < theta <= math.pi:
+        raise ValueError("theta must lie in (0, pi]")
+    ctx = shared_context(n)
+    parts = [c.as_integer_ratio() for c in coeffs.tolist()]
+    den = max(d for _, d in parts)
+    g1 = sum(m * (den // d) * (math.comb(k + n - 3, k) if n > 2 else 1)
+             for k, (m, d) in enumerate(parts))  # g(1) = g1 / den
+    num, div = g1 * parts[0][1], den * parts[0][0]  # g(1)/c_0 = num / div
+    objective = num / div  # the nearest float; one step up if that lies below
+    a, b = objective.as_integer_ratio()
+    objective = math.nextafter(objective, math.inf) if a * div < num * b else objective
+    v, v_at = _max_violation(ctx, _normalized_weights(ctx, coeffs), theta)
+    min_ratio = float(np.min(coeffs / coeffs[0]))
+    sign_ok = v <= CERT_RESIDUAL_TOL * (g1 / den)
+    return objective, VerificationReport(v, v_at, min_ratio, min_ratio >= -COEFF_TOL, sign_ok)
+
+
 def lp_solve_spherical(p: LPProblem) -> LPCertificate:
-    """Minimize g(1) over the discretized cone, then certify.
+    """Minimize g(1) over the discretized cone and shift g below zero.
 
     The LP is solved once, on the problem's grid (32 * degree points unless
-    given).  The candidate's maximum on [-1, cos theta] is then taken
-    exactly, at the endpoints and the critical points of g.  Any positive
-    bump v is absorbed by replacing g with (g - v)/(1 - v), which restores
-    c_0 = 1, keeps every other coefficient nonnegative, and moves the
-    objective by a recorded amount.
+    given).  The solution's maximum v on [-1, cos theta] is then taken
+    exactly, at the endpoints and the critical points of g, and a positive
+    v is absorbed by replacing g with (g - v)/(1 - v), which restores
+    c_0 = 1 and keeps every other coefficient nonnegative.  The returned
+    certificate checks its own coefficients.
     """
     ctx = shared_context(p.n)
     d = p.degree
@@ -355,72 +405,35 @@ def lp_solve_spherical(p: LPProblem) -> LPCertificate:
     raw_objective = float(weights.sum())
 
     v, _ = _max_violation(ctx, weights, p.theta)
-
     shift = 0.0
     if v > 0.0:
         shift = v * (1.0 + 1e-9) + 1e-15 * raw_objective
         if shift >= 1.0:
-            raise LPInfeasibleError("violation too large to absorb; grid far too coarse")
+            raise LPInfeasibleError(
+                f"g rises to {v:.6g} on [-1, cos theta] at n={p.n}, degree={d}, too much "
+                "to absorb into c_0 = 1: the constraint grid misses where g rises, or "
+                "round-off misled the dense simplex")
         weights = weights / (1.0 - shift)
         weights[0] = 1.0  # (g - shift)/(1 - shift) has constant term exactly 1
-    objective = float(weights.sum())
-
-    # re-verify the corrected function and assemble the certificate
-    v2, v2_at = _max_violation(ctx, weights, p.theta)
-    coeffs = tuple(
-        float(w * math.exp(-ctx.log_value_at_one(k))) for k, w in enumerate(weights)
-    )
-    certified = (v2 <= CERT_RESIDUAL_TOL * objective) and all(
-        ck >= -COEFF_TOL * coeffs[0] for ck in coeffs
-    )
-    return LPCertificate(
-        n=p.n,
-        theta=p.theta,
-        coefficients=coeffs,
-        objective=objective,
-        max_sign_residual=float(v2),
-        certified=certified,
-        diagnostics={
-            "raw_objective": raw_objective,
-            "correction_shift": shift,
-            "rounds": 1,  # one simplex solve per certificate
-            "grid_size": int(grid.size),
-            "simplex_iterations": res.iterations,
-            "residual_location": v2_at,
-        },
-    )
+    coeffs = tuple(float(w * math.exp(-ctx.log_value_at_one(k))) for k, w in enumerate(weights))
+    diagnostics = {"raw_objective": raw_objective, "correction_shift": shift,
+                   "rounds": 1,  # one simplex solve per certificate
+                   "grid_size": int(grid.size), "simplex_iterations": res.iterations}
+    return LPCertificate(p.n, p.theta, coeffs, diagnostics)
 
 
 def verify_certificate(cert: LPCertificate, p: LPProblem) -> VerificationReport:
-    """Re-check a certificate from its stored coefficients alone.
-
-    Coefficient nonnegativity, then the sign constraint: g at both ends of
-    [-1, cos theta] and at its exact critical points there.  ``p`` is not
-    read: the certificate carries n, theta and the degree.  Report-only:
-    never raises.
-    """
-    ctx = shared_context(cert.n)
-    coeffs = np.asarray(cert.coefficients, dtype=float)
-    c0 = coeffs[0]
-    min_ratio = float(np.min(coeffs / c0)) if c0 > 0 else -math.inf
-    coeff_ok = c0 > 0 and min_ratio >= -COEFF_TOL
-    weights = _normalized_weights(ctx, coeffs)
-    g1 = float(weights.sum())
-    v, _ = _max_violation(ctx, weights, cert.theta)
-    sign_ok = v <= CERT_RESIDUAL_TOL * g1
-    return VerificationReport(
-        max_sign_residual=float(v),
-        min_coefficient_ratio=min_ratio,
-        coefficients_ok=bool(coeff_ok),
-        sign_ok=bool(sign_ok),
-    )
+    """The report ``cert`` derived from its coefficients when it was built;
+    ``p`` is not read.  Never raises."""
+    return cert.report
 
 
 def euclid_bound_from_certificate(cert: LPCertificate, p: LPProblem) -> LogScaled:
     """Packing-density bound sin^n(theta/2) * g(1)/c_0, in log space.
 
     Only valid for theta >= pi/3 (the projection argument needs the
-    projection radius at most 2) and only from a certified g.
+    projection radius at most 2) and only from a certified g; both
+    ``certified`` and ``objective`` come from the coefficients alone.
     """
     if cert.theta < math.pi / 3.0 - 1e-12:
         raise ValueError("the Euclidean conversion requires theta >= pi/3")
@@ -523,12 +536,6 @@ def _lens_f(
     return omega * total
 
 
-def default_sample_radii(R: float) -> tuple[float, ...]:
-    eps = 1e-6
-    radii = [0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + eps, R, 2.0 * R - eps, 2.0 * R, 3.0 * R]
-    return tuple(sorted(set(radii)))
-
-
 def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     """Probe the function f built from g by integrating over ball overlaps.
 
@@ -548,7 +555,8 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     R = 1.0 / math.sin(cert.theta / 2.0)
     ctx = shared_context(n)
     weights = _normalized_weights(ctx, np.asarray(cert.coefficients))
-    radii = default_sample_radii(R)
+    eps = 1e-6
+    radii = tuple(sorted({0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + eps, R, 2.0 * R - eps, 2.0 * R, 3.0 * R}))
     gauss = np.polynomial.legendre.leggauss(64)
     fvals = tuple(_lens_f(ctx, weights, n, R, r, gauss) for r in radii)
     f0 = fvals[0]  # the sample radii start at 0
@@ -602,11 +610,4 @@ def certificate_from_json(text: str) -> LPCertificate:
     coeffs = tuple(float(c) for c in doc["coefficients"])
     if len(coeffs) != doc["degree"] + 1:
         raise ValueError("coefficient count does not match the declared degree")
-    return LPCertificate(
-        n=int(doc["n"]),
-        theta=float(doc["theta"]),
-        coefficients=coeffs,
-        objective=float(doc["objective"]),
-        max_sign_residual=float(doc["residual"]),
-        certified=bool(doc["certified"]),
-    )
+    return LPCertificate(n=int(doc["n"]), theta=float(doc["theta"]), coefficients=coeffs)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -298,15 +299,15 @@ THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
 # sha256 of ``lp --n N --theta pi/3 --degree D`` stdout, with the sign check
 # taken at both ends of [-1, cos theta] and at the critical points of g;
 # these certificates change when the maximum that check finds moves by a bit.
-# (32, 20) was re-pinned when one solve on the 32*degree grid became the
-# default: the doubling loop had stopped there on the 16*degree grid, and the
-# objective fell from 3603693.9158980567 to 3542749.414757542
+# Re-pinned when g came to be summed row by row in index order (the shift
+# moved, and with it every coefficient but those of (3, 20)) and the printed
+# objective and residual came to be derived from the printed coefficients
 LP_SHA256 = {
-    (3, 20): "4eb1f811d0ec9c5b0e7e0be5d09c95c0d27c40bba8eb27763aabdc989d7a9647",
-    (8, 10): "fdfab5d8d33078a73ef43a18796591ecd22475c5c829fca6fb48e5299529369f",
-    (16, 10): "c20460573b94a2f619efe968b8d53b669c0029248301d2e3419c75eadeeffdfe",
-    (24, 10): "538d58f51c22b221697324ef19e502a4411977b98847408f7009ff7e8e383ff3",
-    (32, 20): "f2304b6437416e659a0a4f0fec5940e13ff93db2bee3e2a0f3ed3f71a41599e0",
+    (3, 20): "8e9e44cff6c29a0185a56976ce42bb2416ef84bb69607b3492f784b3d1310af1",
+    (8, 10): "464e7caec96d31488e402de8ef23c36dfe924507269f06058b19f2dac26893c8",
+    (16, 10): "aa985590c978b764598d417ba70d2c3ed15be11822b6b5bcbd3a36a5cede2c72",
+    (24, 10): "4af5b03b0677dd76ea63ce99c8d5dd341e146f364bb903b2db37b28d5357c065",
+    (32, 20): "30cccb2a1ac875798b1907c7612379ecdd96b9616fe26f0dd203d972eaa1f42c",
 }
 
 
@@ -319,20 +320,32 @@ def test_lp_bytes_pinned(capsys, n, degree):
     code, out, err = _lp(capsys, n, degree)
     assert code == 0 and err == ""
     assert json.loads(out)["certified"] is True
+    _assert_printed_numbers_are_the_coefficients(n, out)
     assert hashlib.sha256(out.encode()).hexdigest() == LP_SHA256[(n, degree)]
 
 
 # One sha256 over "<exit code>\n<stdout>" of the benchmark's 44 ``lp`` ops,
-# in order: 39 certificates and 5 exit-3 failures.  Re-pinned when one solve
-# on the 32*degree grid became the default: the 31 certificates that the
-# doubling loop had solved on that grid keep their bytes, (24, 40), (32, 20),
-# (32, 30) and (32, 40) fell to lower objectives, and (48, 30), (48, 40),
-# (64, 30) and (64, 40) now certify
+# in order: 39 certificates and 5 exit-3 failures.  Re-pinned with LP_SHA256:
+# every certificate's objective and residual are now those of its printed
+# coefficients, and 36 of the 39 have new coefficients
 LP_SWEEP_NS = (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
 LP_SWEEP_DEGREES = (10, 20, 30, 40)
-LP_SWEEP_SHA256 = "be271c7dad34406dab69a5064959a49fd9a7dc78a6d62699a1a000ad5f74a602"
+LP_SWEEP_SHA256 = "e2879201eb41217b5baab3665f5dab44779c32646bb450af946cd7ceb8e46d76"
 # the kissing numbers: no certified objective at n = 8 or 24 may lie below
 KISSING = {8: 240, 24: 196560}
+
+
+def _assert_printed_numbers_are_the_coefficients(n, out):
+    # objective, residual and certified are read again from the printed
+    # coefficients alone, and the objective is g(1)/c_0 rounded up
+    doc = json.loads(out)
+    cert = slp.certificate_from_json(out)
+    assert slp.certificate_to_json(cert) + "\n" == out
+    report = slp.verify_certificate(cert, None)
+    assert (report.max_sign_residual, report.ok) == (doc["residual"], doc["certified"])
+    c = doc["coefficients"]
+    exact = sum(Fraction(ck) * math.comb(k + n - 3, k) for k, ck in enumerate(c)) / Fraction(c[0])
+    assert Fraction(math.nextafter(doc["objective"], -math.inf)) < exact <= Fraction(doc["objective"])
 
 
 def test_lp_sweep_bytes_pinned(capsys):
@@ -345,6 +358,7 @@ def test_lp_sweep_bytes_pinned(capsys):
             codes.append(code)
             digest.update(f"{code}\n{out}".encode())
             if code == 0:
+                _assert_printed_numbers_are_the_coefficients(n, out)
                 objectives.setdefault(n, []).append(json.loads(out)["objective"])
     assert (codes.count(0), codes.count(3)) == (39, 5)
     assert digest.hexdigest() == LP_SWEEP_SHA256
@@ -388,7 +402,7 @@ def test_lp_exit_code_sweep(capsys, n):
     assert bad == []
 
 
-# ``hyperbolic``, ``overlap`` and ``table`` at the edges of their domains:
+# ``hyperbolic``, ``overlap``, ``table`` and ``crossover`` at the edges of their domains:
 # n past both ends, radii from 0 to past exp overflow and invalid, theta near
 # 0, pi/3 and pi, and overlap windows R from tiny to past their range
 EDGE_NS = ("1", "2", "200", "201", "800", "801")
@@ -398,9 +412,17 @@ EDGE_THETAS = ("1e-9", repr(math.pi / 3 - 1e-13), THETA, repr(math.pi / 3 + 1e-1
 EDGE_WINDOWS = ("1e-300", "1e-9", "1", "2", "50", "51")
 
 
+# short ``crossover`` ranges at and past both ends of 4..800, and reversed
+EDGE_RANGES = [(3, 3), (3, 4), (3, 5), (4, 4), (4, 6), (798, 800), (800, 800),
+               (799, 801), (800, 801), (801, 801), (4, 3), (6, 4), (800, 798), (801, 800)]
+
+
 def _edge_argvs(command):
     if command == "table":
         return [["table", "--dims", n, "--format", fmt] for n in EDGE_NS for fmt in cli.ROW_FORMATS]
+    if command == "crossover":
+        return [["crossover", "--lo", str(lo), "--hi", str(hi), "--format", fmt]
+                for lo, hi in EDGE_RANGES for fmt in cli.ROW_FORMATS]
     argvs = []
     for n in EDGE_NS:
         for r in EDGE_RS:
@@ -416,7 +438,7 @@ def _edge_argvs(command):
     return argvs
 
 
-@pytest.mark.parametrize("command", ["hyperbolic", "overlap", "table"])
+@pytest.mark.parametrize("command", ["hyperbolic", "overlap", "table", "crossover"])
 def test_exit_code_sweep(capsys, command):
     bad = []
     for argv in _edge_argvs(command):
@@ -444,8 +466,10 @@ def test_exit_code_sweep(capsys, command):
 # radial integral over [R, 2R] moved from tanh-sinh to Gauss-Legendre after
 # rho = 2R - R s^2: only ``integral_f`` changed, 6234.181826177337 ->
 # 6234.1818261905355 (2.1e-12 relative; the exact vol(B_R)^2 c_0 is within
-# 2.3e-12 of the new value)
-TRANSFER_4_SHA256 = "614aee82e2ee234ca76d78ec13eb5c92b605254276cc123f96fa27448c9ffd09"
+# 2.3e-12 of the new value).  Re-pinned with LP_SHA256, when the certificate's
+# coefficients moved: f(0) 2018.1033218161815 -> 2018.1033218161817 and
+# integral_f 6234.1818261905355 -> 6234.181826190535
+TRANSFER_4_SHA256 = "2573e729f529bfddaa59bd0c64897881f7e43b107512833d40e24f4c91679110"
 
 
 def test_transfer_probe_pinned(capsys):
@@ -466,6 +490,18 @@ def test_lp_simplex_failure_exits_3(capsys):
     assert doc["error"] == "LPInfeasibleError"
     assert "n=32, degree=10" in doc["message"] and "round-off" in doc["message"]
     assert "setup is broken" not in doc["message"]
+
+
+def test_lp_unabsorbable_violation_exits_3(capsys):
+    # (64, 20) fails alike on 640, 1 280 and 2 560 grid points, so the
+    # message names the violation and both causes, not the grid alone
+    code, out, err = _lp(capsys, 64, 20)
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "LPInfeasibleError"
+    msg = doc["message"]
+    assert msg.startswith("g rises to 27.89") and "n=64, degree=20" in msg
+    assert "constraint grid" in msg and "round-off" in msg and "far too coarse" not in msg
 
 
 # Each case runs in a fresh interpreter: whether ``scipy.special`` is in

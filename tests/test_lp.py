@@ -293,31 +293,18 @@ def test_verify_linear_certificate_at_pi():
     # at n = 3 the degree-one basis polynomial is t itself, so (1, 1) is
     # exactly g(t) = 1 + t, whose single constraint value is g(-1) = 0
     p = LPProblem(n=3, theta=math.pi, degree=1)
-    cert = LPCertificate(
-        n=3,
-        theta=math.pi,
-        coefficients=(1.0, 1.0),
-        objective=2.0,
-        max_sign_residual=0.0,
-        certified=True,
-    )
+    cert = LPCertificate(n=3, theta=math.pi, coefficients=(1.0, 1.0))
     rep = verify_certificate(cert, p)
-    assert rep.ok
-    assert abs(rep.max_sign_residual) < 1e-14  # g(-1) = 0 exactly
+    assert rep.ok and cert.certified
+    assert rep.max_sign_residual == 0.0 and rep.residual_location == -1.0  # g(-1) = 0
+    assert cert.objective == 2.0
 
 
 def test_verify_flags_negative_coefficient():
     p = LPProblem(n=3, theta=math.pi / 2, degree=3)
-    cert = LPCertificate(
-        n=3,
-        theta=math.pi / 2,
-        coefficients=(1.0, -1e-3, 0.5, 0.0),
-        objective=1.0,
-        max_sign_residual=0.0,
-        certified=True,
-    )
+    cert = LPCertificate(n=3, theta=math.pi / 2, coefficients=(1.0, -1e-3, 0.5, 0.0))
     rep = verify_certificate(cert, p)
-    assert not rep.coefficients_ok
+    assert not rep.coefficients_ok and not cert.certified
     assert rep.min_coefficient_ratio < -1e-4
 
 
@@ -332,16 +319,66 @@ def test_verify_solver_output():
 def test_verify_flags_sign_violation():
     # a plainly positive function on the constraint interval
     p = LPProblem(n=3, theta=math.pi / 2, degree=2)
-    cert = LPCertificate(
-        n=3,
-        theta=math.pi / 2,
-        coefficients=(1.0, 0.0, 0.0),
-        objective=1.0,
-        max_sign_residual=0.0,
-        certified=True,
-    )
+    cert = LPCertificate(n=3, theta=math.pi / 2, coefficients=(1.0, 0.0, 0.0))
     rep = verify_certificate(cert, p)
-    assert not rep.sign_ok
+    assert not rep.sign_ok and not cert.certified
+    assert rep.max_sign_residual == 1.0  # g is identically 1
+
+
+@pytest.mark.parametrize(
+    "theta, coefficients",
+    [(math.pi / 2, c) for c in [(), (0.0, 1.0), (-1.0, 0.5), (math.nan, 1.0), (1.0, math.inf)]]
+    + [(t, (1.0, 1.0)) for t in (0.0, -1.0, 3.5, math.nan)],
+)
+def test_certificate_rejects_bad_input(theta, coefficients):
+    with pytest.raises(ValueError, match="certificate needs|theta must"):
+        LPCertificate(n=3, theta=theta, coefficients=coefficients)
+
+
+def test_certificate_takes_no_claims():
+    # objective, residual and certified are derived, never given
+    for claim in ("objective", "max_sign_residual", "certified"):
+        with pytest.raises(TypeError):
+            LPCertificate(n=3, theta=math.pi, coefficients=(1.0, 1.0), **{claim: 1.0})
+
+
+def _exact_objective_up(n, coefficients):
+    # g(1)/c_0 in Fractions, C_k(1) = C(k + n - 3, k) (1 at n = 2), and the
+    # least float at or above it
+    from fractions import Fraction
+
+    g1 = sum(Fraction(c) * (1 if n == 2 else math.comb(k + n - 3, k))
+             for k, c in enumerate(coefficients))
+    q = g1 / Fraction(coefficients[0])
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+@pytest.mark.parametrize(
+    "n, theta, degree", [(2, math.pi / 3, 6), (3, math.pi / 3, 10), (8, math.pi / 3, 10),
+                         (24, math.pi / 3, 20), (32, math.pi / 3, 20), (5, 2.0, 12)]
+)
+def test_objective_is_exact_ratio_rounded_up(n, theta, degree):
+    cert = lp_solve_spherical(LPProblem(n=n, theta=theta, degree=degree))
+    assert cert.objective == _exact_objective_up(n, cert.coefficients)
+    # a certificate with c_0 raised by one ulp has a smaller objective
+    bumped = (math.nextafter(cert.coefficients[0], math.inf),) + cert.coefficients[1:]
+    lower = LPCertificate(n=n, theta=theta, coefficients=bumped)
+    assert lower.objective == _exact_objective_up(n, bumped) <= cert.objective
+
+
+@pytest.mark.parametrize("n, theta, degree", [(3, 2.5, 1), (24, math.pi / 3, 40)])
+def test_eval_g_independent_of_point_count(n, theta, degree):
+    # a matrix-vector product rounded g(cos 2.5) of the n = 3 degree-1
+    # weights to 0.0 among 1 000 points and to 3.99e-18 among 2
+    cert = lp_solve_spherical(LPProblem(n=n, theta=theta, degree=degree))
+    ctx = shared_context(n)
+    w = _normalized_weights(ctx, cert.coefficients)
+    ts = np.linspace(-1.0, 1.0, 1000)
+    ts[0] = math.cos(theta)
+    together = _eval_g(ctx, w, ts)
+    alone = np.concatenate([_eval_g(ctx, w, t) for t in ts])
+    assert together.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -366,15 +403,9 @@ def test_sign_check_reaches_the_dense_grid_maximum(n, degree):
 
 
 def test_euclid_conversion_linear_g():
+    # g = 1 + t: C_1(t) = (n - 2) t for n > 2, and T_1(t) = t at n = 2
     for n in (2, 5, 9):
-        cert = LPCertificate(
-            n=n,
-            theta=math.pi,
-            coefficients=(1.0, 1.0),
-            objective=2.0,
-            max_sign_residual=0.0,
-            certified=True,
-        )
+        cert = LPCertificate(n=n, theta=math.pi, coefficients=(1.0, 1.0 / max(n - 2, 1)))
         p = LPProblem(n=n, theta=math.pi, degree=1)
         val = euclid_bound_from_certificate(cert, p)
         assert math.isclose(val.to_float(), 2.0, rel_tol=1e-12)
@@ -390,51 +421,38 @@ def test_euclid_conversion_cross_polytope():
 
 def test_euclid_conversion_rejects_small_theta():
     p = LPProblem(n=3, theta=1.0, degree=4)
-    cert = LPCertificate(
-        n=3,
-        theta=1.0,
-        coefficients=(1.0, 1.0),
-        objective=2.0,
-        max_sign_residual=0.0,
-        certified=True,
-    )
-    with pytest.raises(ValueError):
+    cert = lp_solve_spherical(p)
+    assert cert.certified
+    with pytest.raises(ValueError, match="theta >= pi/3"):
         euclid_bound_from_certificate(cert, p)
 
 
 def test_euclid_conversion_rejects_uncertified():
-    p = LPProblem(n=3, theta=math.pi, degree=1)
-    cert = LPCertificate(
-        n=3,
-        theta=math.pi,
-        coefficients=(1.0, 1.0),
-        objective=2.0,
-        max_sign_residual=0.0,
-        certified=False,
-    )
-    with pytest.raises(ValueError):
+    # g = 1 everywhere: the conversion would have read 0.354 from it
+    p = LPProblem(n=3, theta=math.pi / 2, degree=2)
+    cert = LPCertificate(n=3, theta=math.pi / 2, coefficients=(1.0, 0.0, 0.0))
+    assert not cert.certified
+    with pytest.raises(ValueError, match="uncertified"):
         euclid_bound_from_certificate(cert, p)
 
 
 def test_euclid_conversion_consistent_with_cz():
-    # a synthetic certificate carrying the closed-form objective at the
-    # cz-optimal angle must reproduce the cz value through the conversion
+    # at the cz-optimal angle the conversion scales g(1)/c_0 by the same
+    # sin^n(theta/2) that cz applies to the closed-form code bound, so a
+    # certified LP objective below that bound converts to a density below cz
     for n in (6, 24, 64):
         rec = cz_bound(n)
         ctx = shared_context(n)
         theta = math.acos(ctx.largest_root(rec.k_star)) + 1e-13
         closed, k = kl_spherical_code_bound(n, theta)
         assert k == rec.k_star
-        cert = LPCertificate(
-            n=n,
-            theta=theta,
-            coefficients=(1.0,),
-            objective=closed.to_float(),
-            max_sign_residual=0.0,
-            certified=True,
-        )
-        val = euclid_bound_from_certificate(cert, LPProblem(n=n, theta=theta, degree=1))
-        assert math.isclose(val.log_value, rec.value.log_value, rel_tol=1e-9, abs_tol=1e-9)
+        p = LPProblem(n=n, theta=theta, degree=10)
+        cert = lp_solve_spherical(p)
+        assert cert.certified and cert.objective < closed.to_float()
+        val = euclid_bound_from_certificate(cert, p)
+        expected = rec.value.log_value - closed.log_value + math.log(cert.objective)
+        assert math.isclose(val.log_value, expected, rel_tol=1e-9, abs_tol=1e-9)
+        assert val.log_value < rec.value.log_value
 
 
 # ---------------------------------------------------------------------------
