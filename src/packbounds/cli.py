@@ -60,8 +60,8 @@ def render_round_up(v: LogScaled, sig_digits: int) -> str:
 # ---------------------------------------------------------------------------
 
 _BOUND_FUNCS = {
-    "rogers": lambda dims: [eb.rogers_bound(n) for n in dims],
-    "levenshtein": lambda dims: [eb.levenshtein_bound(n) for n in dims],
+    "rogers": eb._rogers_lanes,
+    "levenshtein": eb._levenshtein_lanes,
     "kl": lambda dims: eb._scan_k(dims, "kl"),
     "cz": lambda dims: eb._scan_k(dims, "cz"),
 }
@@ -80,8 +80,9 @@ def _record_row(rec) -> dict:
 
 def bound_rows(dims: list[int], methods: list[str]) -> list[dict]:
     """One row per (dimension, method), ordered by dimension, then by the
-    order of ``methods``.  kl and cz each run one k-scan over all the
-    dimensions in lockstep."""
+    order of ``methods``.  Each method makes one lockstep call over all the
+    dimensions: Rogers one quadrature lane per dimension, Levenshtein one
+    Bessel-zero lane per dimension, kl and cz one k-scan."""
     dims = sorted(dims)
     records = {m: _BOUND_FUNCS[m](dims) for m in dict.fromkeys(methods)}
     return [_record_row(records[m][i]) for i in range(len(dims)) for m in methods]
@@ -89,14 +90,13 @@ def bound_rows(dims: list[int], methods: list[str]) -> list[dict]:
 
 def crossover_scan(lo: int, hi: int) -> list[tuple[int, str]]:
     """Best historical method for each n in [lo, hi], as ``best_method``
-    picks it, with the kl bounds from one lockstep k-scan over lo..hi."""
+    picks it, with the rogers, levenshtein and kl bounds each from one
+    lockstep call over lo..hi."""
     if not 4 <= lo <= hi <= 800:
         raise ValueError("crossover scan requires 4 <= lo <= hi <= 800")
     dims = list(range(lo, hi + 1))
-    return [
-        (n, eb._best_of([eb.rogers_bound(n), eb.levenshtein_bound(n), kl]))
-        for n, kl in zip(dims, eb._scan_k(dims, "kl"))
-    ]
+    lanes = zip(eb._rogers_lanes(dims), eb._levenshtein_lanes(dims), eb._scan_k(dims, "kl"))
+    return [(n, eb._best_of(list(recs))) for n, recs in zip(dims, lanes)]
 
 
 def _transitions(scan: list[tuple[int, str]]) -> list[dict]:

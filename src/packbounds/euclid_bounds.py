@@ -12,6 +12,12 @@ Four methods are implemented:
 
 All values are kept in log space; dimension 600 lands near 1e-100 without
 ever touching a denormal.
+
+All four methods run over a list of dimensions in lockstep: ``_rogers_lanes``
+integrates one quadrature lane per dimension, ``_levenshtein_lanes`` finds
+every Bessel zero in lanes, and ``_scan_k`` runs the kl or cz k-scans
+together.  Each per-dimension function is the one-dimension call of its
+lockstep helper and gives the same record bit for bit.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from .specfun import (
     IntegrandError,
     LogScaled,
     NonConvergenceError,
-    bessel_first_zero,
+    _first_zeros,
+    _real_line_lanes,
     golden_section_min,
-    integrate_real_line,
     log_binomial,
     log_gamma,
     scaled_erfc_complex,
@@ -101,43 +107,61 @@ def rogers_bound(n: int) -> BoundRecord:
     w(iz) stays in the right half plane (Im(iz) = a > 0), so the principal
     complex log never jumps a branch.
     """
-    if n < 2 or n > 1000:
-        raise ValueError("rogers_bound requires 2 <= n <= 1000")
-    a = math.sqrt(n / 2.0)
-    s2n = math.sqrt(2.0 * n)
+    return _rogers_lanes([n])[0]
 
-    def log_integrand(u: np.ndarray) -> np.ndarray:
-        w = scaled_erfc_complex(a - 1j * u)
-        return (n / 2.0 - u * u) - 1j * s2n * u + n * np.log(w)
 
-    peak = float(log_integrand(np.array([0.0]))[0].real)
-    if not math.isfinite(peak):
-        raise IntegrandError(f"rogers integrand peak is non-finite at n={n}")
+def _rogers_lanes(dims: list[int]) -> list[BoundRecord]:
+    """:func:`rogers_bound` at each n of ``dims``, one quadrature lane per n:
+    every evaluation of the integrand, the peaks included, is one
+    ``scaled_erfc_complex`` call over all the lanes still refining, with n,
+    a, sqrt(2n) and the peak as (L, 1) columns."""
+    for n in dims:
+        if n < 2 or n > 1000:
+            raise ValueError("rogers_bound requires 2 <= n <= 1000")
+    nf = np.array(dims, dtype=float)[:, None]
+    a = np.sqrt(nf / 2.0)
+    s2n = np.sqrt(2.0 * nf)
 
-    def scaled(u: np.ndarray) -> np.ndarray:
-        return np.exp(log_integrand(u) - peak)
+    def log_integrand(lanes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # (n/2 - u^2) - i sqrt(2n) u + n log w, partly in place: over all the
+        # lanes each (L, P) temporary is large
+        log_w = np.log(scaled_erfc_complex(a[lanes] - 1j * u))
+        log_w *= nf[lanes]
+        out = 1j * s2n[lanes] * u
+        np.subtract(nf[lanes] / 2.0 - u * u, out, out=out)
+        out += log_w
+        return out
 
-    res = integrate_real_line(scaled)
-    total = complex(res.value)
-    imag_residual = abs(total.imag) / abs(total.real)
+    peak = log_integrand(np.arange(len(dims)), np.zeros((len(dims), 1))).real
+    bad = np.flatnonzero(~np.isfinite(peak[:, 0]))
+    if bad.size:
+        raise IntegrandError(f"rogers integrand peak is non-finite at n={dims[bad[0]]}")
 
-    log_prefactor = (
-        log_gamma(n + 2.0)
-        - log_gamma(n / 2.0 + 1.0)
-        + (n - 1) / 2.0 * math.log(math.pi)
-        - 1.5 * n * math.log(2.0)
-    )
-    value = LogScaled.from_log(log_prefactor + peak + math.log(total.real))
-    return BoundRecord(
-        dimension=n,
-        method="rogers",
-        value=value,
-        diagnostics={
-            "imag_residual": imag_residual,
-            "quad_error": res.error,
-            "quad_nevals": res.nevals,
-        },
-    )
+    def scaled(lanes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = log_integrand(lanes, u)
+        out -= peak[lanes]
+        return np.exp(out, out=out)
+
+    records = []
+    for n, pk, res in zip(dims, peak[:, 0].tolist(), _real_line_lanes(scaled, len(dims))):
+        total = complex(res.value)
+        log_prefactor = (
+            log_gamma(n + 2.0)
+            - log_gamma(n / 2.0 + 1.0)
+            + (n - 1) / 2.0 * math.log(math.pi)
+            - 1.5 * n * math.log(2.0)
+        )
+        records.append(BoundRecord(
+            dimension=n,
+            method="rogers",
+            value=LogScaled.from_log(log_prefactor + pk + math.log(total.real)),
+            diagnostics={
+                "imag_residual": abs(total.imag) / abs(total.real),
+                "quad_error": res.error,
+                "quad_nevals": res.nevals,
+            },
+        ))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +171,25 @@ def rogers_bound(n: int) -> BoundRecord:
 
 def levenshtein_bound(n: int) -> BoundRecord:
     """j_(n/2)^n / ((n/2)!^2 4^n), exact in log space."""
-    if n < 1 or n > 800:
-        raise ValueError("levenshtein_bound requires 1 <= n <= 800")
-    j = bessel_first_zero(n / 2.0)
-    logv = n * math.log(j) - 2.0 * log_gamma(n / 2.0 + 1.0) - n * math.log(4.0)
-    return BoundRecord(
-        dimension=n,
-        method="levenshtein",
-        value=LogScaled.from_log(logv),
-        diagnostics={"bessel_first_zero": j},
-    )
+    return _levenshtein_lanes([n])[0]
+
+
+def _levenshtein_lanes(dims: list[int]) -> list[BoundRecord]:
+    """:func:`levenshtein_bound` at each n of ``dims``, with the Bessel zeros
+    j_(n/2) found in lanes."""
+    for n in dims:
+        if n < 1 or n > 800:
+            raise ValueError("levenshtein_bound requires 1 <= n <= 800")
+    records = []
+    for n, j in zip(dims, _first_zeros([n / 2.0 for n in dims])):
+        logv = n * math.log(j) - 2.0 * log_gamma(n / 2.0 + 1.0) - n * math.log(4.0)
+        records.append(BoundRecord(
+            dimension=n,
+            method="levenshtein",
+            value=LogScaled.from_log(logv),
+            diagnostics={"bessel_first_zero": j},
+        ))
+    return records
 
 
 # ---------------------------------------------------------------------------

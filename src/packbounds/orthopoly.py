@@ -242,10 +242,17 @@ def _confirm_cells(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     roots = np.full(x.size, np.nan)
     live = np.flatnonzero((0.0 < x) & (x < 1.0))
     edge = np.floor(np.ldexp(x[live], _CELL_BITS))
-    up = _count_below(b2[:, live], np.ldexp(edge, -_CELL_BITS)) < k
-    for _ in range(_CELL_WALK):
+    # one Sturm pass counts at edge - 1, edge and edge + 1 of every lane,
+    # which decides the walk's direction and its first step
+    sigma = np.ldexp(edge + [[-1.0], [0.0], [1.0]], -_CELL_BITS)
+    below, at, above = _count_below(b2[:, live], sigma)
+    up = at < k
+    count = np.where(up, above, below)
+    for step in range(_CELL_WALK):
         edge = edge + np.where(up, 1.0, -1.0)
-        hit = (_count_below(b2[:, live], np.ldexp(edge, -_CELL_BITS)) >= k) == up
+        if step:  # each further step is one more pass, over the lanes it needs
+            count = _count_below(b2[:, live], np.ldexp(edge, -_CELL_BITS))
+        hit = (count >= k) == up
         roots[live[hit]] = np.ldexp(2.0 * (edge[hit] - up[hit]) + 1.0, -_CELL_BITS - 1)
         live, edge, up = live[~hit], edge[~hit], up[~hit]
         if live.size == 0:

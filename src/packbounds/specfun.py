@@ -6,8 +6,12 @@ are either kept as natural logs (:class:`LogScaled`) or scaled analytically
 before a single ``exp`` is taken.
 
 Every integral in the package runs one quadrature rule, the adaptive
-16/32-point Gauss-Legendre of :func:`integrate`; callers absorb endpoint
-edges by a change of variable before they integrate.
+16/32-point Gauss-Legendre of :func:`_integrate_lanes`, which integrates
+many integrands ("lanes") at once, each on its own panels; :func:`integrate`
+is its one-lane call.  Callers absorb endpoint edges by a change of
+variable before they integrate.  The first Bessel zero runs in lanes too
+(:func:`_first_zeros`), so the Rogers and Levenshtein bounds over a list of
+dimensions make one call of their special function per step for all of them.
 
 ``scipy.special`` (Faddeeva, Bessel J, incomplete beta) is imported on
 first use, inside the functions that call it: the Gegenbauer, LP and
@@ -121,25 +125,92 @@ class QuadResult:
 
 
 # the nested 16/32-point Gauss-Legendre pair, abscissae concatenated so that
-# each panel makes one call of the integrand
+# each panel makes one call of the integrand, weights so that one product
+# serves both sums
 _X16, _W16 = leggauss(16)
 _X32, _W32 = leggauss(32)
 _X48 = np.concatenate((_X16, _X32))
+_W48 = np.concatenate((_W16, _W32))
 
 
-def _check_finite(vals: np.ndarray) -> None:
-    if not np.all(np.isfinite(vals)):
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # |z| as Python's abs takes it, by hypot for complex z: numpy's complex
+    # absolute may run a vector loop that differs from hypot in the last bit
+    return np.hypot(z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
+
+
+def _panels(f, lanes: np.ndarray, centres: np.ndarray):
+    """Nested 16/32-point Gauss-Legendre estimates and error estimates over
+    panels given by (midpoint, half-width) pairs, an (L, k, 2) array with
+    row j for lane ``lanes[j]``, from one call of f; each sum is a row
+    reduction."""
+    mid, half = centres[..., :1], centres[..., 1]
+    x = mid + half[..., None] * _X48
+    vals = np.asarray(f(lanes, x.reshape(lanes.size, -1))).reshape(x.shape)
+    if not np.isfinite(vals).all():
         raise IntegrandError("integrand returned a non-finite value")
+    terms = _W48 * vals
+    coarse = half * np.add.reduce(terms[..., :16], axis=-1)
+    fine = half * np.add.reduce(terms[..., 16:], axis=-1)
+    return fine, _modulus(fine - coarse)
 
 
-def _panel(f, a: float, b: float) -> tuple[complex, float, int]:
-    """Estimate over one panel with nested 16/32-point Gauss-Legendre."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * _X48))
-    _check_finite(vals)
-    coarse = half * np.sum(_W16 * vals[:16])
-    fine = half * np.sum(_W32 * vals[16:])
-    return complex(fine), abs(fine - coarse), 48
+def _integrate_lanes(f, a, b, rel_tol: float = 1e-11, abs_tol: float = 0.0) -> list[QuadResult]:
+    """Integrate many integrands ("lanes") at once, lane i over [a_i, b_i].
+
+    ``f(lanes, x)`` gets the indices of the lanes still refining and an
+    (L, P) array of abscissae, row j for lane ``lanes[j]``, and returns the
+    values elementwise.  Each lane keeps its own panel list and runs the
+    rule of :func:`integrate` on it: every round, each lane that misses its
+    target halves its worst panel (ties go to the leftmost), until
+    GL_MAX_SPLITS splits; the new panels of all the lanes are estimated in
+    one call of f.  A lane's result does not depend on the other lanes.  The
+    first lane that misses its target raises :class:`NonConvergenceError`
+    once all have stopped.
+    """
+    results = [QuadResult(0.0, 0.0, 0, True)] * len(a)
+    # each lane's panels, in the order a list of them would keep:
+    # edges (lo, hi), estimates and error estimates
+    edges: list[list] = [[] for _ in results]
+    ests: list[list] = [[] for _ in results]
+    errs: list[list] = [[] for _ in results]
+    lanes = [i for i in range(len(a)) if a[i] != b[i]]
+    fresh = [[(a[i], b[i])] for i in lanes]  # per live lane: the panels to estimate
+    nevals = 0
+    for split in range(GL_MAX_SPLITS + 1):
+        if not lanes:
+            break
+        centres = [[(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in new] for new in fresh]
+        est, err = _panels(f, np.array(lanes), np.array(centres))
+        nevals += 48 * len(fresh[0])
+        estimated = zip(lanes, fresh, est.tolist(), err.tolist())
+        lanes, fresh = [], []
+        for i, new, new_est, new_err in estimated:
+            span, es, er = edges[i], ests[i], errs[i]
+            span += new
+            es += new_est
+            er += new_err
+            total, total_err = sum(es), sum(er)
+            converged = total_err <= max(rel_tol * abs(total), abs_tol)
+            if converged or split == GL_MAX_SPLITS:
+                results[i] = QuadResult(
+                    total.real if total.imag == 0 else total, total_err, nevals, converged)
+                continue
+            # split the worst panel; ties resolve to the leftmost for determinism
+            worst = max(range(len(er)), key=lambda j: (er[j], -span[j][0]))
+            pa, pb = span.pop(worst)
+            del es[worst], er[worst]
+            pm = 0.5 * (pa + pb)
+            lanes.append(i)
+            fresh.append([(pa, pm), (pm, pb)])
+    for i, res in enumerate(results):
+        if not res.converged:
+            raise NonConvergenceError(
+                f"quadrature did not reach tolerance on [{a[i]}, {b[i]}] "
+                f"(error estimate {res.error:.3e})",
+                partial=res,
+            )
+    return results
 
 
 def integrate(
@@ -158,37 +229,15 @@ def integrate(
     as (b - x)^(1/2) are for the caller to absorb by a substitution.  If
     the target is not met a :class:`NonConvergenceError` is raised with the
     unconverged result as its ``partial``.  Identical inputs always produce
-    bit-identical outputs.
+    bit-identical outputs.  This is the one-lane call of
+    :func:`_integrate_lanes`, which every integral in the package runs.
     """
-    if a == b:
-        return QuadResult(0.0, 0.0, 0, True)
-    est, err, nev = _panel(f, a, b)
-    panels = [(a, b, est, err)]
-    total, total_err = est, err
-    for _ in range(GL_MAX_SPLITS):
-        if total_err <= max(rel_tol * abs(total), abs_tol):
-            break
-        # split the worst panel; ties resolve to the leftmost for determinism
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        pa, pb, pest, perr = panels.pop(worst)
-        pm = 0.5 * (pa + pb)
-        le, lerr, ln_ = _panel(f, pa, pm)
-        re_, rerr, rn = _panel(f, pm, pb)
-        nev += ln_ + rn
-        panels.append((pa, pm, le, lerr))
-        panels.append((pm, pb, re_, rerr))
-        total = sum(p[2] for p in panels)
-        total_err = sum(p[3] for p in panels)
-    value = total.real if total.imag == 0 else total
-    converged = bool(total_err <= max(rel_tol * abs(total), abs_tol))
-    res = QuadResult(value, float(total_err), nev, converged)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"quadrature did not reach tolerance on [{a}, {b}] "
-            f"(error estimate {res.error:.3e})",
-            partial=res,
-        )
-    return res
+    return _integrate_lanes(_one_lane(f), [a], [b], rel_tol, abs_tol)[0]
+
+
+def _one_lane(f: Callable[[np.ndarray], np.ndarray]):
+    # a 1-D integrand in the lane form, for a single lane
+    return lambda lanes, x: f(x[0])
 
 
 def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadResult:
@@ -197,19 +246,27 @@ def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadResult:
     The caller passes an integrand scaled so that its peak lies near 0
     with |f(0)| = 1.  The interval is cut where log|f| falls
     :data:`TAIL_NATS` nats below that; both cuts are located by outward
-    doubling, one call of ``f`` per step serving both sides.
+    doubling, one call of ``f`` per step serving both sides.  This is the
+    one-lane call of :func:`_real_line_lanes`.
     """
+    return _real_line_lanes(_one_lane(f), 1)[0]
+
+
+def _real_line_lanes(f, count: int) -> list[QuadResult]:
+    """:func:`integrate_real_line` for ``count`` lanes of a lane integrand
+    (see :func:`_integrate_lanes`): each doubling step makes one call of f
+    for every lane whose cuts are not both found yet."""
     floor = math.exp(-TAIL_NATS)
-    lo = hi = None
+    cuts = np.full((count, 2), np.nan)
+    todo = np.arange(count)
     u = 1.0
     for _ in range(60):
-        vals = np.asarray(f(np.array([-u, u])))
-        if lo is None and abs(complex(vals[0])) < floor:
-            lo = -u
-        if hi is None and abs(complex(vals[1])) < floor:
-            hi = u
-        if lo is not None and hi is not None:
-            return integrate(f, lo, hi)
+        small = _modulus(np.asarray(f(todo, np.tile([-u, u], (todo.size, 1))))) < floor
+        fresh = small & np.isnan(cuts[todo])
+        cuts[todo] = np.where(fresh, [-u, u], cuts[todo])
+        todo = todo[np.isnan(cuts[todo]).any(axis=1)]
+        if todo.size == 0:
+            return _integrate_lanes(f, cuts[:, 0], cuts[:, 1])
         u *= 2.0
     raise NonConvergenceError("could not locate an integrable tail")
 
@@ -261,26 +318,32 @@ def _first_zero_seed(nu: float) -> float:
     )
 
 
-def _newton_in_bracket(nu: float, lo: float, hi: float) -> float:
-    """Polish a sign-change bracket J(lo) > 0 > J(hi) by safeguarded Newton."""
+def _newton_in_brackets(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Polish sign-change brackets J(lo) > 0 > J(hi) by safeguarded Newton,
+    one lane per order; each step makes one jv call for J_nu and J_(nu -+ 1)
+    of every lane still moving."""
     from scipy.special import jv
     x = 0.5 * (lo + hi)
+    root = np.empty(x.size)
+    live = np.arange(x.size)
+    orders = np.stack((nu, nu - 1, nu + 1))
     for _ in range(100):
-        fx = jv(nu, x)
-        if fx > 0:
-            lo = x
-        else:
-            hi = x
-        dfx = 0.5 * (jv(nu - 1, x) - jv(nu + 1, x))
-        xn = x - fx / dfx if dfx != 0 else 0.5 * (lo + hi)
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-14 * x:
-            return xn
-        x = xn
-    if hi - lo <= 1e-12 * x:
-        return 0.5 * (lo + hi)
-    raise NonConvergenceError(f"first Bessel zero did not converge at nu={nu}")
+        fx, below, above = jv(orders[:, live], x)
+        pos = fx > 0
+        lo, hi = np.where(pos, x, lo), np.where(pos, hi, x)
+        dfx = 0.5 * (below - above)
+        xn = np.where(dfx != 0, x - fx / np.where(dfx != 0, dfx, 1.0), 0.5 * (lo + hi))
+        xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
+        done = np.abs(xn - x) <= 1e-14 * x
+        root[live[done]] = xn[done]
+        keep = ~done
+        live, x, lo, hi = live[keep], xn[keep], lo[keep], hi[keep]
+        if live.size == 0:
+            return root
+    if np.all(hi - lo <= 1e-12 * x):
+        root[live] = 0.5 * (lo + hi)
+        return root
+    raise NonConvergenceError(f"first Bessel zero did not converge at nu={nu[live[0]]}")
 
 
 def _first_zero_by_scan(nu: float) -> float:
@@ -295,7 +358,8 @@ def _first_zero_by_scan(nu: float) -> float:
     for _ in range(100000):
         x += step
         if jv(nu, x) < 0:
-            return _newton_in_bracket(nu, x - step, x)
+            (root,) = _newton_in_brackets(np.array([nu]), np.array([x - step]), np.array([x]))
+            return float(root)
     raise NonConvergenceError(f"sign scan found no zero at nu={nu}")
 
 
@@ -304,43 +368,52 @@ def bessel_first_zero(nu: float) -> float:
 
     Seeded by the large-order expansion and polished by Newton; a positivity
     scan below the root certifies it is the *first* zero, with an ascending
-    sign-scan fallback if not.  J_nu is positive on (0, j_nu).
+    sign-scan fallback if not.  J_nu is positive on (0, j_nu).  This is the
+    one-lane call of :func:`_first_zeros`.
     """
-    from scipy.special import jv
-    if nu < 0 or nu > 400:
-        raise ValueError("bessel_first_zero requires 0 <= nu <= 400")
-    seed = _first_zero_seed(nu)
-    # local walk around the seed; the step stays below the first-to-second
-    # zero gap (~1.9 nu^(1/3)) so the negative well cannot be stepped over
-    step = max(0.05, 0.2 * max(1.0, nu) ** (1.0 / 3.0))
+    return _first_zeros([nu])[0]
 
-    root = None
-    x = seed
-    fx = jv(nu, x)
-    if fx <= 0:  # seed overshot: back down into the positive run
-        for _ in range(400):
-            hi = x
-            x -= step
-            if x <= 0:
-                break
-            fx = jv(nu, x)
-            if fx > 0:
-                root = _newton_in_bracket(nu, x, hi)
-                break
-    else:
-        lo = x
-        for _ in range(400):
-            x += step
-            if jv(nu, x) < 0:
-                root = _newton_in_bracket(nu, lo, x)
-                break
-            lo = x
-    if root is not None:
-        # certify firstness: no sign change below the root
-        probes = np.linspace(0.02 * root, 0.98 * root, 48)
-        if np.all(jv(nu, probes) > -1e-12):
-            return root
-    return _first_zero_by_scan(nu)
+
+def _first_zeros(nus) -> list[float]:
+    """:func:`bessel_first_zero` at every order of ``nus``, in lanes: the
+    seed walk, the Newton polish and the firstness probe each make one jv
+    call per step over all the lanes.  A lane whose walk finds no bracket or
+    whose probe fails takes the scalar sign scan."""
+    from scipy.special import jv
+    nus = [float(nu) for nu in nus]
+    if any(nu < 0 or nu > 400 for nu in nus):
+        raise ValueError("bessel_first_zero requires 0 <= nu <= 400")
+    nu = np.array(nus)
+    x = np.array([_first_zero_seed(v) for v in nus])
+    # local walk around the seed; the step stays below the first-to-second
+    # zero gap (~1.9 nu^(1/3)) so the negative well cannot be stepped over.
+    # A seed with J <= 0 overshot: walk down into the positive run, else up
+    step = np.array([max(0.05, 0.2 * max(1.0, v) ** (1.0 / 3.0)) for v in nus])
+    up = jv(nu, x) > 0
+    step = np.where(up, step, -step)
+    prev, lo, hi = x.copy(), np.full(nu.size, np.nan), np.full(nu.size, np.nan)
+    live = np.arange(nu.size)
+    for _ in range(400):
+        prev[live] = x[live]
+        x[live] += step[live]
+        live = live[x[live] > 0]  # a walk down to 0 found nothing
+        fx = jv(nu[live], x[live])
+        cross = np.where(up[live], fx < 0, fx > 0)
+        found = live[cross]
+        lo[found] = np.minimum(prev[found], x[found])
+        hi[found] = np.maximum(prev[found], x[found])
+        live = live[~cross]
+        if live.size == 0:
+            break
+    roots = np.full(nu.size, np.nan)
+    ok = np.flatnonzero(~np.isnan(lo))
+    roots[ok] = _newton_in_brackets(nu[ok], lo[ok], hi[ok])
+    # certify firstness: no sign change below the root
+    probes = np.linspace(0.02 * roots[ok], 0.98 * roots[ok], 48, axis=1)
+    first = np.all(jv(nu[ok, None], probes) > -1e-12, axis=1)
+    roots[ok[~first]] = np.nan
+    return [_first_zero_by_scan(v) if math.isnan(r) else r
+            for v, r in zip(nus, roots.tolist())]
 
 
 def incomplete_beta(u: float, alpha: float, beta: float) -> float:

@@ -351,7 +351,8 @@ def _check_certificate(n: int, theta: float, coefficients) -> tuple[float, Verif
 
     Each c_k is a dyadic rational m_k / d_k and C_k(1) is the integer
     C(k + n - 3, k) (1 at n = 2), so g(1) is an exact integer sum over the
-    largest d_k, which every other one divides."""
+    largest d_k, which every other one divides.  Raises ValueError where
+    g(1), g(1)/c_0 or sum |c_k| C_k(1) exceeds the float range."""
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.size == 0 or not np.isfinite(coeffs).all() or coeffs[0] <= 0.0:
         raise ValueError("a certificate needs finite coefficients c_0 .. c_d with c_0 > 0")
@@ -363,12 +364,23 @@ def _check_certificate(n: int, theta: float, coefficients) -> tuple[float, Verif
     g1 = sum(m * (den // d) * (math.comb(k + n - 3, k) if n > 2 else 1)
              for k, (m, d) in enumerate(parts))  # g(1) = g1 / den
     num, div = g1 * parts[0][1], den * parts[0][0]  # g(1)/c_0 = num / div
-    objective = num / div  # the nearest float; one step up if that lies below
+    try:
+        objective = num / div  # the nearest float; one step up if that lies below
+        g1_float = g1 / den
+    except OverflowError:
+        raise ValueError("g(1) or g(1)/c_0 exceeds the float range") from None
+    with np.errstate(over="ignore"):
+        weights = _normalized_weights(ctx, coeffs)
+        # |g| <= sum |c_k| C_k(1) on [-1, 1]: within range, g evaluates without overflow
+        bounded = np.isfinite(np.abs(weights).sum())
+    if not bounded:
+        raise ValueError("sum |c_k| C_k(1) exceeds the float range")
     a, b = objective.as_integer_ratio()
     objective = math.nextafter(objective, math.inf) if a * div < num * b else objective
-    v, v_at = _max_violation(ctx, _normalized_weights(ctx, coeffs), theta)
-    min_ratio = float(np.min(coeffs / coeffs[0]))
-    sign_ok = v <= CERT_RESIDUAL_TOL * (g1 / den)
+    v, v_at = _max_violation(ctx, weights, theta)
+    with np.errstate(over="ignore"):  # a ratio past the float range reads -inf or inf
+        min_ratio = float(np.min(coeffs / coeffs[0]))
+    sign_ok = v <= CERT_RESIDUAL_TOL * g1_float
     return objective, VerificationReport(v, v_at, min_ratio, min_ratio >= -COEFF_TOL, sign_ok)
 
 

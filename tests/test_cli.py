@@ -127,13 +127,47 @@ def test_coarse_hyperbolic_past_the_refined_domain(capsys):
 
 def test_integrand_error_stays_exit_3(capsys, monkeypatch):
     # IntegrandError is a ValueError; it must not fall into the exit-2 clause
-    def broken(n):
+    def broken(z):
         raise IntegrandError("NaN in integrand")
 
-    monkeypatch.setattr(eb, "rogers_bound", broken)
+    monkeypatch.setattr(eb, "scaled_erfc_complex", broken)
     code, out, err = _run(capsys, ["table", "--dims", "8", "--methods", "rogers"])
     assert code == 3
     assert json.loads(err) == {"error": "IntegrandError", "message": "NaN in integrand"}
+
+
+def test_table_runs_rogers_in_lanes(capsys, monkeypatch):
+    # one Faddeeva call per quadrature round over all 200 dimensions, not
+    # one per panel per dimension (2 786 calls when each n ran alone)
+    calls = []
+
+    def counted(z):
+        calls.append(None)
+        return erfcx(z)
+
+    erfcx = eb.scaled_erfc_complex
+    monkeypatch.setattr(eb, "scaled_erfc_complex", counted)
+    dims = ",".join(str(n) for n in range(4, 801, 4))
+    code, out, _ = _run(capsys, ["table", "--dims", dims, "--methods", "rogers"])
+    assert code == 0 and len(out.splitlines()) == 201
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize(
+    "method, dims, message",
+    [
+        ("rogers", "1,8", "rogers_bound requires 2 <= n <= 1000"),
+        ("levenshtein", "8,900", "levenshtein_bound requires 1 <= n <= 800"),
+    ],
+)
+def test_lanes_validate_every_dimension_first(capsys, monkeypatch, method, dims, message):
+    def untouched(*args):
+        raise AssertionError("work started before every dimension was checked")
+
+    monkeypatch.setattr(eb, "scaled_erfc_complex", untouched)
+    monkeypatch.setattr(eb, "_first_zeros", untouched)
+    code, out, err = _run(capsys, ["table", "--dims", dims, "--methods", method])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_crossover_rows_match_best_method(capsys):

@@ -171,6 +171,34 @@ def test_lockstep_scan_matches_single_dimension_records(monkeypatch, method):
     assert batched == alone  # diagnostics included
 
 
+_LANES = {"rogers": eb._rogers_lanes, "levenshtein": eb._levenshtein_lanes}
+
+
+@pytest.mark.parametrize("method, top", [("rogers", 1000), ("levenshtein", 800)])
+def test_lanes_match_single_dimension_records(method, top):
+    # one call over many dimensions, unsorted and with repeats, gives each
+    # dimension's one-lane record bit for bit, diagnostics included
+    for dims in (list(range(2, top + 1, 7)), [top, 9, 2, 9, 300, 2, 57]):
+        assert _LANES[method](dims) == [_FUNCS[method](n) for n in dims]
+
+
+# captured from the per-dimension quadrature that the lanes replaced
+ROGERS_DIAGNOSTICS = {
+    8: {"imag_residual": 5.4048051679846065e-17, "quad_error": 6.331884919334036e-12,
+        "quad_nevals": 336},
+    24: {"imag_residual": 7.357530433106992e-18, "quad_error": 1.1923687109380567e-11,
+         "quad_nevals": 336},
+    200: {"imag_residual": 7.083453672164866e-16, "quad_error": 8.560393220756687e-12,
+          "quad_nevals": 432},
+}
+
+
+@pytest.mark.parametrize("n", sorted(ROGERS_DIAGNOSTICS))
+def test_rogers_quadrature_diagnostics_pinned(n):
+    # the same panels split in the same order give the same error sum
+    assert rogers_bound(n).diagnostics == ROGERS_DIAGNOSTICS[n]
+
+
 @pytest.mark.parametrize(
     "method,dims,message",
     [

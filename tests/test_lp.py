@@ -335,6 +335,19 @@ def test_certificate_rejects_bad_input(theta, coefficients):
         LPCertificate(n=3, theta=theta, coefficients=coefficients)
 
 
+def test_certificate_past_the_float_range_is_a_value_error():
+    # g(1)/c_0 is about 1e329 here; as JSON too
+    coefficients = (1.0,) + (1e300,) * 40
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        LPCertificate(n=64, theta=math.pi / 3, coefficients=coefficients)
+    doc = {"n": 64, "theta": math.pi / 3, "degree": 40, "coefficients": list(coefficients)}
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        certificate_from_json(json.dumps(doc))
+    # g(1) = 1 is finite, but g cannot be evaluated on [-1, 1] in floats
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        LPCertificate(n=3, theta=math.pi / 3, coefficients=(1.0, -1e308, 1e308))
+
+
 def test_certificate_takes_no_claims():
     # objective, residual and certified are derived, never given
     for claim in ("objective", "max_sign_residual", "certified"):

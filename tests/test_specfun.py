@@ -205,6 +205,19 @@ def test_bessel_positive_below_first_zero(nu):
     assert np.all(vals[xs > 0.5 * j] > 0.0)
 
 
+def test_first_zeros_lanes_with_a_scan_fallback(monkeypatch):
+    # a seed 1e5 away leaves its walk without a bracket, so that lane scans;
+    # the other lanes keep their one-lane zeros bit for bit
+    nus = [2.0, 50.0, 300.0]
+    alone = [bessel_first_zero(nu) for nu in nus]
+    seed = specfun._first_zero_seed
+    monkeypatch.setattr(specfun, "_first_zero_seed", lambda nu: 1e5 if nu == 50.0 else seed(nu))
+    scanned = specfun._first_zeros(nus)
+    assert [scanned[0], scanned[2]] == [alone[0], alone[2]]
+    assert math.isclose(scanned[1], alone[1], rel_tol=1e-13)
+    assert abs(jv(50.0, scanned[1])) < 1e-8
+
+
 def test_first_zero_domain():
     with pytest.raises(ValueError):
         bessel_first_zero(-1.0)
