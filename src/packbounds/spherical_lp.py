@@ -6,9 +6,12 @@ objective g(1)/c_0.  Working with the normalized basis phi_k = C_k/C_k(1)
 keeps every constraint coefficient in [-1, 1] regardless of n and k.
 
 A dense simplex (Dantzig pricing, Bland fallback on degeneracy) solves the
-dual of the discretized problem, starting from its slack basis.  Any bump of
-the solution above zero on [-1, cos theta] is removed by shifting the
-constant coefficient, which costs a quantified sliver of objective.
+dual of the discretized problem, starting from its slack basis, by column
+generation: it starts on about 2 * degree of the grid points, and every
+grid point the solution violates joins the tableau, which resumes from its
+basis, until none does.  Any bump of the solution above zero on
+[-1, cos theta] is removed by shifting the constant coefficient, which
+costs a quantified sliver of objective.
 
 A certificate is its coefficients: :class:`LPCertificate` derives what it
 claims from them in one check.  The objective is the exact g(1)/c_0 rounded
@@ -58,12 +61,15 @@ class LPInfeasibleError(RuntimeError):
     """The simplex gave no usable solution of the discretized LP.
 
     Either the discretized LP has no feasible point at this degree, or the
-    dense simplex lost one to round-off; the error does not tell which.  At
+    dense simplex lost one to round-off; the error does not tell which.  An
+    unbounded dual on part of the grid is unbounded on all of it, so column
+    generation fails where one solve on the whole grid would.  At
     theta = pi/3, over n up to 64 and degrees 10..40, it is seen five times:
     "dual unbounded" at degree 10 for n = 32, 48 and 64, where scipy's HiGHS
     solver finds the discretized LP infeasible too, and "too large to
     absorb" at degree 20 for n = 48 and 64, where HiGHS solves it and a
-    finer grid fails alike."""
+    finer grid fails alike.  A stalled simplex ("iteration_limit", as at
+    n = 200, degree 60) runs out of pivots on its first, narrow tableau."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +95,9 @@ def simplex_minimize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResu
     feasible and the method starts from it without a phase 1.  Pricing is
     Dantzig's rule with lowest-index tie breaking; after a long degenerate
     streak it switches permanently to Bland's rule, so the method cannot
-    cycle and is fully deterministic.
-
-    Each pivot works in views of the tableau and in buffers allocated once
-    per call: the ratio test divides only where the pivot column is
-    positive, and the rank-1 update forms the same products as
-    ``np.outer`` before subtracting them.  Every floating-point operation
-    and its order are those of the textbook update, so the result is the
-    same bit for bit.
+    cycle and is fully deterministic.  Every floating-point operation and
+    its order are those of the textbook update (see :class:`_Tableau`), so
+    the result is the same bit for bit.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -105,83 +106,130 @@ def simplex_minimize(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> SimplexResu
         raise ValueError("simplex_minimize requires finite c, A and b")
     if np.any(b < 0):
         raise ValueError("simplex_minimize requires b >= 0 (a feasible slack basis)")
-    m, nv = A.shape
-    T = np.zeros((m + 1, nv + m + 1))
-    T[:m, :nv] = A
-    T[:m, nv : nv + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :nv] = c
-    basis = np.arange(nv, nv + m)
-    red = T[m, :-1]  # reduced costs
-    rhs = T[:m, -1]
-    neg_z = T[m, -1:]  # the objective cell holds -z
-    ratios = np.empty(m)
-    pos = np.empty(m, dtype=bool)
-    tie = np.empty(m, dtype=bool)
-    colvals = np.empty(m + 1)
-    upd = np.empty_like(T)
+    tab = _Tableau(c, A, b)
+    tab.pivot()
+    return tab.result()
 
-    iterations = 0
-    max_iter = 200 * (m + nv + 10)
-    status = "iteration_limit"
-    bland = False
-    stall = 0
-    prev_obj = neg_z[0]
-    while iterations < max_iter:
-        if bland:
-            cands = np.nonzero(red < -PIVOT_TOL)[0]
-            if cands.size == 0:
-                status = "optimal"
-                break
-            j = int(cands[0])
-        else:
-            j = int(np.argmin(red))
-            if red[j] >= -PIVOT_TOL:
-                status = "optimal"
-                break
-        col = T[:m, j]
-        np.greater(col, PIVOT_TOL, out=pos)
-        if not pos.any():
-            # a barely-negative reduced cost with no usable pivot is
-            # roundoff, not a genuine ray
-            status = "optimal" if red[j] >= -1e-6 else "unbounded"
-            break
-        ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=pos)
-        i = int(ratios.argmin())
-        rmin = ratios[i]
-        np.less_equal(ratios, rmin + 1e-12 * (1.0 + abs(rmin)), out=tie)
-        if np.count_nonzero(tie) > 1:  # else the minimum is the only tie
-            ties = np.flatnonzero(tie)
-            if bland:
-                # lowest basis index among the ties (anti-cycling)
-                i = int(ties[np.argmin(basis[ties])])
-            else:
-                # largest pivot among the ties (numerical stability)
-                i = int(ties[np.argmax(col[ties])])
-        row = T[i]
-        row /= row[j]
-        np.copyto(colvals, T[:, j])
-        colvals[i] = 0.0
-        np.multiply(colvals[:, None], row, out=upd)
-        T -= upd
-        basis[i] = j
-        iterations += 1
-        # progress means -z increases
-        if neg_z[0] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
-            stall += 1
-            if stall > 40:
-                bland = True
-        else:
-            stall = 0
+
+class _Tableau:
+    """The dense simplex tableau of min c.x subject to A x <= b, x >= 0,
+    started from its slack basis and able to take more columns later.
+
+    Columns hold the structural variables in the order they arrived, then
+    the m slacks, then the right-hand side.  The slack block is B^-1 of the
+    current basis and the objective row over it is -c_B B^-1, so a column
+    (c_j, a_j) appended after any number of pivots enters as B^-1 a_j with
+    reduced cost c_j + (slack reduced costs) . a_j, and pivoting resumes
+    from the current basis with Dantzig's rule.  The iteration budget,
+    200 (m + columns + 10), counts every pivot since the tableau was built.
+    """
+
+    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray):
+        m, nv = A.shape
+        T = np.zeros((m + 1, nv + m + 1))
+        T[:m, :nv] = A
+        T[:m, nv : nv + m] = np.eye(m)
+        T[:m, -1] = b
+        T[m, :nv] = c
+        self.T, self.c, self.m, self.nv = T, c, m, nv
+        self.basis = np.arange(nv, nv + m)
+        self.status = "iteration_limit"
+        self.iterations = 0
+
+    def append(self, c: np.ndarray, A: np.ndarray) -> None:
+        """Add the columns of A, with costs c, after the structural ones."""
+        m, nv, k, old = self.m, self.nv, c.size, self.T
+        T = np.empty((m + 1, nv + k + m + 1))
+        T[:, :nv] = old[:, :nv]
+        T[:, nv + k :] = old[:, nv:]
+        T[:m, nv : nv + k] = old[:m, nv : nv + m] @ A
+        T[m, nv : nv + k] = c + old[m, nv : nv + m] @ A
+        self.basis[self.basis >= nv] += k
+        self.T, self.c, self.nv = T, np.concatenate((self.c, c)), nv + k
+
+    def pivot(self) -> str:
+        """Pivot until optimal, unbounded or out of budget; return the status.
+
+        Each pivot works in views of the tableau and in buffers allocated
+        once per call: the ratio test divides only where the pivot column
+        is positive, and the rank-1 update forms the same products as
+        ``np.outer`` before subtracting them."""
+        T, m, basis = self.T, self.m, self.basis
+        red = T[m, :-1]  # reduced costs
+        rhs = T[:m, -1]
+        neg_z = T[m, -1:]  # the objective cell holds -z
+        ratios = np.empty(m)
+        pos = np.empty(m, dtype=bool)
+        tie = np.empty(m, dtype=bool)
+        colvals = np.empty(m + 1)
+        upd = np.empty_like(T)
+
+        iterations = self.iterations
+        max_iter = 200 * (m + self.nv + 10)
+        status = "iteration_limit"
+        bland = False
+        stall = 0
         prev_obj = neg_z[0]
+        while iterations < max_iter:
+            if bland:
+                cands = np.nonzero(red < -PIVOT_TOL)[0]
+                if cands.size == 0:
+                    status = "optimal"
+                    break
+                j = int(cands[0])
+            else:
+                j = int(np.argmin(red))
+                if red[j] >= -PIVOT_TOL:
+                    status = "optimal"
+                    break
+            col = T[:m, j]
+            np.greater(col, PIVOT_TOL, out=pos)
+            if not pos.any():
+                # a barely-negative reduced cost with no usable pivot is
+                # roundoff, not a genuine ray
+                status = "optimal" if red[j] >= -1e-6 else "unbounded"
+                break
+            ratios.fill(np.inf)
+            np.divide(rhs, col, out=ratios, where=pos)
+            i = int(ratios.argmin())
+            rmin = ratios[i]
+            np.less_equal(ratios, rmin + 1e-12 * (1.0 + abs(rmin)), out=tie)
+            if np.count_nonzero(tie) > 1:  # else the minimum is the only tie
+                ties = np.flatnonzero(tie)
+                if bland:
+                    # lowest basis index among the ties (anti-cycling)
+                    i = int(ties[np.argmin(basis[ties])])
+                else:
+                    # largest pivot among the ties (numerical stability)
+                    i = int(ties[np.argmax(col[ties])])
+            row = T[i]
+            row /= row[j]
+            np.copyto(colvals, T[:, j])
+            colvals[i] = 0.0
+            np.multiply(colvals[:, None], row, out=upd)
+            T -= upd
+            basis[i] = j
+            iterations += 1
+            # progress means -z increases
+            if neg_z[0] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
+                stall += 1
+                if stall > 40:
+                    bland = True
+            else:
+                stall = 0
+            prev_obj = neg_z[0]
+        self.iterations, self.status = iterations, status
+        return status
 
-    x = np.zeros(nv)
-    structural = basis < nv
-    x[basis[structural]] = rhs[structural]
-    return SimplexResult(
-        x, float(c @ x), status, iterations, T[m, nv : nv + m].copy()
-    )
+    def result(self) -> SimplexResult:
+        """The current vertex, x in column order, and its status."""
+        m, nv = self.m, self.nv
+        x = np.zeros(nv)
+        structural = self.basis < nv
+        x[self.basis[structural]] = self.T[:m, -1][structural]
+        return SimplexResult(
+            x, float(self.c @ x), self.status, self.iterations, self.T[m, nv : nv + m].copy()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +254,8 @@ class LPProblem:
     """Discretized code-bound LP: dimension, angle, degree, constraint grid.
 
     The default grid is min(32 * degree, 4000) Chebyshev nodes on
-    [-1, cos theta]."""
+    [-1, cos theta].  The solve keeps g <= 0 at every grid point, but the
+    simplex holds only the points column generation has needed."""
 
     n: int
     theta: float
@@ -387,12 +436,18 @@ def _check_certificate(n: int, theta: float, coefficients) -> tuple[float, Verif
 def lp_solve_spherical(p: LPProblem) -> LPCertificate:
     """Minimize g(1) over the discretized cone and shift g below zero.
 
-    The LP is solved once, on the problem's grid (32 * degree points unless
-    given).  The solution's maximum v on [-1, cos theta] is then taken
-    exactly, at the endpoints and the critical points of g, and a positive
-    v is absorbed by replacing g with (g - v)/(1 - v), which restores
-    c_0 = 1 and keeps every other coefficient nonnegative.  The returned
-    certificate checks its own coefficients.
+    The LP on the problem's grid (32 * degree points unless given) is
+    solved by column generation: the dense simplex starts on every
+    (size // (2 * degree))-th grid point, both ends kept, and after each
+    optimal round every grid point is priced at once; those where the
+    solution's g exceeds PIVOT_TOL join the tableau, which resumes from its
+    basis.  The loop ends on the one-shot simplex's optimality test taken
+    over the whole grid, so it reaches the same optimum.  The solution's
+    maximum v on [-1, cos theta] is then taken exactly, at the endpoints and
+    the critical points of g, and a positive v is absorbed by replacing g
+    with (g - v)/(1 - v), which restores c_0 = 1 and keeps every other
+    coefficient nonnegative.  The returned certificate checks its own
+    coefficients.
     """
     ctx = shared_context(p.n)
     d = p.degree
@@ -404,7 +459,25 @@ def lp_solve_spherical(p: LPProblem) -> LPCertificate:
     # feasible slack basis, so no phase-1 artificials are ever needed;
     # the primal solution is read off the final slack reduced costs.
     phi = table[1:]  # (d, m): row k holds phi_k on the grid
-    res = simplex_minimize(-np.ones(grid.size), -phi, np.ones(d))
+    in_lp = np.zeros(grid.size, dtype=bool)
+    in_lp[:: max(grid.size // (2 * d), 1)] = True
+    in_lp[-1] = True
+    cols = np.flatnonzero(in_lp)
+    tab = _Tableau(-np.ones(cols.size), -phi[:, cols], np.ones(d))
+    rounds = 0
+    while True:
+        rounds += 1
+        # a restricted dual that is unbounded stays so with more columns
+        if tab.pivot() != "optimal":
+            break
+        # grid point j has reduced cost -1 - sum_k x_k phi_k(t_j) = -g(t_j)
+        reduced = -1.0 - tab.result().slack_reduced_costs @ phi
+        cols = np.flatnonzero((reduced < -PIVOT_TOL) & ~in_lp)
+        if cols.size == 0:
+            break
+        in_lp[cols] = True
+        tab.append(-np.ones(cols.size), -phi[:, cols])
+    res = tab.result()
     if res.status == "unbounded":
         raise LPInfeasibleError(
             f"dual unbounded at n={p.n}, degree={d}: the discretized LP is "
@@ -429,7 +502,7 @@ def lp_solve_spherical(p: LPProblem) -> LPCertificate:
         weights[0] = 1.0  # (g - shift)/(1 - shift) has constant term exactly 1
     coeffs = tuple(float(w * math.exp(-ctx.log_value_at_one(k))) for k, w in enumerate(weights))
     diagnostics = {"raw_objective": raw_objective, "correction_shift": shift,
-                   "rounds": 1,  # one simplex solve per certificate
+                   "rounds": rounds, "columns": int(in_lp.sum()),
                    "grid_size": int(grid.size), "simplex_iterations": res.iterations}
     return LPCertificate(p.n, p.theta, coeffs, diagnostics)
 

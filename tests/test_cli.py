@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -333,15 +334,15 @@ THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
 # sha256 of ``lp --n N --theta pi/3 --degree D`` stdout, with the sign check
 # taken at both ends of [-1, cos theta] and at the critical points of g;
 # these certificates change when the maximum that check finds moves by a bit.
-# Re-pinned when g came to be summed row by row in index order (the shift
-# moved, and with it every coefficient but those of (3, 20)) and the printed
-# objective and residual came to be derived from the printed coefficients
+# Re-pinned when the LP came to be solved by column generation over its grid:
+# the simplex ends on another vertex of the same optimum, so every coefficient
+# moved by round-off (objectives within 1.4e-10 relative at n <= 32)
 LP_SHA256 = {
-    (3, 20): "8e9e44cff6c29a0185a56976ce42bb2416ef84bb69607b3492f784b3d1310af1",
-    (8, 10): "464e7caec96d31488e402de8ef23c36dfe924507269f06058b19f2dac26893c8",
-    (16, 10): "aa985590c978b764598d417ba70d2c3ed15be11822b6b5bcbd3a36a5cede2c72",
-    (24, 10): "4af5b03b0677dd76ea63ce99c8d5dd341e146f364bb903b2db37b28d5357c065",
-    (32, 20): "30cccb2a1ac875798b1907c7612379ecdd96b9616fe26f0dd203d972eaa1f42c",
+    (3, 20): "4ec1eab398585790dda7935884ce19b5eaacf3e5e1846086843749f54f346e4c",
+    (8, 10): "42c94d57c59bc608bcd7fd5618afd3a1aaec4349eb9faa0d2849f016ecb800fa",
+    (16, 10): "67de64987234722980891937867f26dd04c3b93170de7ff0216806319229f5b0",
+    (24, 10): "b8efc7d38f99932d29730bb69c1a51e79114c500b834764c7b7dbbc1c151b5e8",
+    (32, 20): "58451ba99f22b0b08ccb6bd9d038d0f55c4a058b0bcf04cd65e839057ab33607",
 }
 
 
@@ -360,11 +361,11 @@ def test_lp_bytes_pinned(capsys, n, degree):
 
 # One sha256 over "<exit code>\n<stdout>" of the benchmark's 44 ``lp`` ops,
 # in order: 39 certificates and 5 exit-3 failures.  Re-pinned with LP_SHA256:
-# every certificate's objective and residual are now those of its printed
-# coefficients, and 36 of the 39 have new coefficients
+# every certificate moved, by round-off at n <= 32 and by up to 4.1e-5
+# relative at n = 48 and 64, and the (64, 20) message reads 27.8925 for 27.8923
 LP_SWEEP_NS = (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
 LP_SWEEP_DEGREES = (10, 20, 30, 40)
-LP_SWEEP_SHA256 = "e2879201eb41217b5baab3665f5dab44779c32646bb450af946cd7ceb8e46d76"
+LP_SWEEP_SHA256 = "b094fa4ff26dbf88e2ea552137df331a1c028dafd3f33ce9774bfef3e8fa703e"
 # the kissing numbers: no certified objective at n = 8 or 24 may lie below
 KISSING = {8: 240, 24: 196560}
 
@@ -501,9 +502,9 @@ def test_exit_code_sweep(capsys, command):
 # rho = 2R - R s^2: only ``integral_f`` changed, 6234.181826177337 ->
 # 6234.1818261905355 (2.1e-12 relative; the exact vol(B_R)^2 c_0 is within
 # 2.3e-12 of the new value).  Re-pinned with LP_SHA256, when the certificate's
-# coefficients moved: f(0) 2018.1033218161815 -> 2018.1033218161817 and
-# integral_f 6234.1818261905355 -> 6234.181826190535
-TRANSFER_4_SHA256 = "2573e729f529bfddaa59bd0c64897881f7e43b107512833d40e24f4c91679110"
+# coefficients moved: f(0) 2018.1033218161817 -> 2018.1033218176394, and the
+# other samples moved alike; integral_f kept 6234.181826190535
+TRANSFER_4_SHA256 = "60e8854ba45a12ab5875fd0ffc22a82417e10b69212a5e3973e64a2200961772"
 
 
 def test_transfer_probe_pinned(capsys):
@@ -524,6 +525,18 @@ def test_lp_simplex_failure_exits_3(capsys):
     assert doc["error"] == "LPInfeasibleError"
     assert "n=32, degree=10" in doc["message"] and "round-off" in doc["message"]
     assert "setup is broken" not in doc["message"]
+
+
+def test_lp_stalled_simplex_exits_3_fast(capsys):
+    # one solve on all 1 920 grid points ran about 398 000 pivots on a
+    # 61 x 1 981 tableau to the iteration limit, about two minutes; column
+    # generation reaches the same limit on its first, narrow tableau
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["lp", "--n", "200", "--theta", THETA, "--degree", "60"])
+    assert time.perf_counter() - start < 30.0
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert json.loads(err) == {"error": "LPInfeasibleError",
+                               "message": "simplex returned iteration_limit"}
 
 
 def test_lp_unabsorbable_violation_exits_3(capsys):

@@ -13,11 +13,13 @@ from packbounds.spherical_lp import (
     certificate_to_json,
     chebyshev_grid,
     euclid_bound_from_certificate,
+    PIVOT_TOL,
     lp_solve_spherical,
     simplex_minimize,
     verify_certificate,
     _eval_g,
     _normalized_weights,
+    _Tableau,
 )
 
 
@@ -170,6 +172,27 @@ def test_simplex_bit_identical_to_textbook(problem):
     assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [("degenerate", s) for s in (0, 1, 2, 10, 82)] + [("dual", 8, 10), ("dual", 24, 20), ("dual", 32, 10)],
+    ids=lambda problem: "-".join(map(str, problem)),
+)
+def test_tableau_append_reaches_the_one_shot_optimum(problem):
+    # half the columns first, the rest appended to the optimal tableau: the
+    # same status as all columns at once, and the same optimum
+    c, A, b = _degenerate_lp(problem[1]) if problem[0] == "degenerate" else _lp_dual(*problem[1:])
+    half = c.size // 2
+    tab = _Tableau(c[:half], A[:, :half], b)
+    if tab.pivot() == "optimal":
+        tab.append(c[half:], A[:, half:])
+        tab.pivot()
+    got, ref = tab.result(), simplex_minimize(c, A, b)
+    assert got.status == ref.status
+    if ref.status == "optimal":
+        assert got.x.size == c.size
+        assert math.isclose(got.objective, ref.objective, rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_simplex_dual_readout():
     # the slack reduced costs solve the dual: here max y st y <= 1
     res = simplex_minimize(np.array([-1.0]), np.array([[1.0], [0.5]]), np.array([1.0, 2.0]))
@@ -265,6 +288,36 @@ def test_degree_monotone_on_fixed_grid():
         prev = raw
 
 
+@pytest.mark.parametrize(
+    "n, theta, degree, size",
+    [(3, math.pi / 3, 40, None), (8, math.pi / 3, 20, None), (16, math.pi / 3, 30, None),
+     (24, math.pi / 3, 40, None), (32, math.pi / 3, 20, None), (16, math.pi / 3, 12, 160),
+     (4, 2.0, 12, 160)],
+)
+def test_column_generation_reaches_the_whole_grid_optimum(monkeypatch, n, theta, degree, size):
+    # the last solution the tableau hands back prices no grid point below
+    # -PIVOT_TOL, and its raw objective is that of one solve on every point
+    final = []
+    result = _Tableau.result
+
+    def kept(self):
+        res = result(self)
+        final.append(res.slack_reduced_costs)
+        return res
+
+    monkeypatch.setattr(_Tableau, "result", kept)
+    grid = None if size is None else chebyshev_grid(theta, size)
+    p = LPProblem(n=n, theta=theta, degree=degree, constraint_grid=grid)
+    cert = lp_solve_spherical(p)
+    phi = shared_context(n).eval_normalized_table(degree, p.constraint_grid)[1:]
+    assert np.all(-1.0 - final[-1] @ phi >= -PIVOT_TOL)
+    full = simplex_minimize(-np.ones(phi.shape[1]), -phi, np.ones(degree))
+    assert full.status == "optimal"
+    raw = 1.0 + np.maximum(full.slack_reduced_costs, 0.0).sum()
+    assert math.isclose(cert.diagnostics["raw_objective"], raw, rel_tol=1e-9)
+    assert cert.diagnostics["columns"] < cert.diagnostics["grid_size"] == phi.shape[1]
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -273,7 +326,7 @@ def test_degree_monotone_on_fixed_grid():
 def test_solve_builds_no_table_wider_than_its_constraint_grid(monkeypatch):
     # the sign check evaluates g only at the ends of [-1, cos theta] and at
     # the roots of g', so the widest Gegenbauer table is the constraint grid:
-    # one solve on 32 * degree = 320 points at degree 10
+    # column generation prices all 32 * degree = 320 points at degree 10
     sizes = []
     table = GegenbauerContext.eval_normalized_table
 
@@ -284,8 +337,8 @@ def test_solve_builds_no_table_wider_than_its_constraint_grid(monkeypatch):
 
     monkeypatch.setattr(GegenbauerContext, "eval_normalized_table", counted)
     cert = lp_solve_spherical(LPProblem(n=8, theta=math.pi / 3, degree=10))
-    assert cert.diagnostics["rounds"] == 1
-    assert cert.diagnostics["grid_size"] == 320
+    assert cert.diagnostics["rounds"] >= 1
+    assert cert.diagnostics["columns"] <= cert.diagnostics["grid_size"] == 320
     assert max(sizes) == 320
 
 
