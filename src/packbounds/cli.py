@@ -31,7 +31,7 @@ from . import hyperbolic as hyp
 from . import spherical_lp as slp
 from .specfun import IntegrandError, LogScaled, NonConvergenceError
 
-__all__ = ["render_round_up", "crossover_scan", "main"]
+__all__ = ["render_round_up", "main"]
 
 CSV_HEADER = ["n", "method", "value_log10", "value_rounded", "k_star", "theta_star"]
 ROW_FORMATS = ("csv", "json", "text")
@@ -56,15 +56,8 @@ def render_round_up(v: LogScaled, sig_digits: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Row assembly
+# Row rendering
 # ---------------------------------------------------------------------------
-
-_BOUND_FUNCS = {
-    "rogers": eb._rogers_lanes,
-    "levenshtein": eb._levenshtein_lanes,
-    "kl": lambda dims: eb._scan_k(dims, "kl"),
-    "cz": lambda dims: eb._scan_k(dims, "cz"),
-}
 
 
 def _record_row(rec) -> dict:
@@ -76,40 +69,6 @@ def _record_row(rec) -> dict:
         "k_star": rec.k_star,
         "theta_star": rec.theta_star,
     }
-
-
-def bound_rows(dims: list[int], methods: list[str]) -> list[dict]:
-    """One row per (dimension, method), ordered by dimension, then by the
-    order of ``methods``.  Each method makes one lockstep call over all the
-    dimensions: Rogers one quadrature lane per dimension, Levenshtein one
-    Bessel-zero lane per dimension, kl and cz one k-scan."""
-    dims = sorted(dims)
-    records = {m: _BOUND_FUNCS[m](dims) for m in dict.fromkeys(methods)}
-    return [_record_row(records[m][i]) for i in range(len(dims)) for m in methods]
-
-
-def crossover_scan(lo: int, hi: int) -> list[tuple[int, str]]:
-    """Best historical method for each n in [lo, hi], as ``best_method``
-    picks it, with the rogers, levenshtein and kl bounds each from one
-    lockstep call over lo..hi."""
-    if not 4 <= lo <= hi <= 800:
-        raise ValueError("crossover scan requires 4 <= lo <= hi <= 800")
-    dims = list(range(lo, hi + 1))
-    lanes = zip(eb._rogers_lanes(dims), eb._levenshtein_lanes(dims), eb._scan_k(dims, "kl"))
-    return [(n, eb._best_of(list(recs))) for n, recs in zip(dims, lanes)]
-
-
-def _transitions(scan: list[tuple[int, str]]) -> list[dict]:
-    out = []
-    for (n0, m0), (n1, m1) in zip(scan, scan[1:]):
-        if m0 != m1:
-            out.append({"n_before": n0, "from": m0, "n_after": n1, "to": m1})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> str:
@@ -147,15 +106,20 @@ def _emit_rows(rows: list[dict], fmt: str) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
-    bad = [m for m in args.methods if m not in _BOUND_FUNCS]
+    bad = [m for m in args.methods if m not in eb.METHODS]
     if bad:
         raise ValueError(f"unknown methods: {bad}")
-    return _emit_rows(bound_rows(args.dims, args.methods), args.format)
+    # rows by dimension, then in --methods order; one lockstep call per method
+    dims = sorted(args.dims)
+    records = {m: eb.bounds(m, dims) for m in dict.fromkeys(args.methods)}
+    rows = [_record_row(records[m][i]) for i in range(len(dims)) for m in args.methods]
+    return _emit_rows(rows, args.format)
 
 
 def _cmd_crossover(args: argparse.Namespace) -> str:
-    scan = crossover_scan(args.lo, args.hi)
-    trans = _transitions(scan)
+    scan = eb.crossover_scan(args.lo, args.hi)
+    trans = [{"n_before": n0, "from": m0, "n_after": n1, "to": m1}
+             for (n0, m0), (n1, m1) in zip(scan, scan[1:]) if m0 != m1]
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

@@ -17,7 +17,8 @@ All four methods run over a list of dimensions in lockstep: ``_rogers_lanes``
 integrates one quadrature lane per dimension, ``_levenshtein_lanes`` finds
 every Bessel zero in lanes, and ``_scan_k`` runs the kl or cz k-scans
 together.  Each per-dimension function is the one-dimension call of its
-lockstep helper and gives the same record bit for bit.
+lockstep helper and gives the same record bit for bit.  :func:`bounds` runs
+any of the ``METHODS`` by name, and :func:`crossover_scan` compares three.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import DEGREE_CAP, GegenbauerContext, find_largest_roots
+from .orthopoly import DEGREE_CAP, GegenbauerContext, find_largest_roots, shared_context
 from .specfun import (
     IntegrandError,
     LogScaled,
@@ -49,12 +50,11 @@ __all__ = [
     "kl_spherical_code_bound",
     "kl_bound",
     "cz_bound",
-    "optimize_asymptotic_rate",
+    "bounds",
+    "crossover_scan",
     "best_method",
-    "shared_context",
+    "optimize_asymptotic_rate",
 ]
-
-METHODS = ("rogers", "levenshtein", "kl", "cz")
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,6 @@ class RateResult:
 
     theta_star: float
     rate_log2: float
-
-
-# Gegenbauer contexts are shared across bound computations; the root caches
-# make repeated scans over dimensions cheap.
-_CTX_CACHE: dict[int, GegenbauerContext] = {}
-
-
-def shared_context(n: int) -> GegenbauerContext:
-    ctx = _CTX_CACHE.get(n)
-    if ctx is None:
-        ctx = _CTX_CACHE.setdefault(n, GegenbauerContext(n))
-    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +208,14 @@ def kl_spherical_code_bound(n: int, theta: float) -> tuple[LogScaled, int]:
         k += 1
         if k > DEGREE_CAP:
             raise NonConvergenceError("k-search exhausted the degree cap")
-    logv = (
-        math.log(4.0)
-        + log_binomial(k + n - 2, k)
-        - math.log(1.0 - ctx.largest_root(k + 1))
-    )
-    return LogScaled.from_log(logv), k
+    return LogScaled.from_log(_code_objective(0, ctx, k)), k
 
 
 def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
     # log of ((1 - t_(m,k))/2)^(n/2) * 4 C(k+m-2, k) / (1 - t_(m,k+1)) with
     # m = ctx.n: the code bound on S^(m-1) times the cap shrinkage in R^n;
-    # kl passes the (n+1)-dimensional context, cz the n-dimensional one
+    # kl passes the (n+1)-dimensional context, cz the n-dimensional one; at
+    # n = 0 the first term is -0.0 and this is the code bound, bit for bit
     t_k = ctx.largest_root(k)
     t_k1 = ctx.largest_root(k + 1)
     return (
@@ -305,7 +289,44 @@ def cz_bound(n: int) -> BoundRecord:
 
 
 # ---------------------------------------------------------------------------
-# The asymptotic rate and the historical comparison
+# The method registry and the crossover
+# ---------------------------------------------------------------------------
+
+# each method's lockstep helper, from a list of dimensions to their records
+_LANES = {
+    "rogers": _rogers_lanes,
+    "levenshtein": _levenshtein_lanes,
+    "kl": lambda dims: _scan_k(dims, "kl"),
+    "cz": lambda dims: _scan_k(dims, "cz"),
+}
+METHODS = tuple(_LANES)
+
+
+def bounds(method: str, dims: list[int]) -> list[BoundRecord]:
+    """The ``method`` bound at each n of ``dims``, from one lockstep call."""
+    if method not in _LANES:
+        raise ValueError(f"unknown method {method!r}; known: {list(METHODS)}")
+    return _LANES[method](dims)
+
+
+def crossover_scan(lo: int, hi: int) -> list[tuple[int, str]]:
+    """Which of the rogers, levenshtein and kl bounds is smallest at each n
+    in [lo, hi], ties broken in that order, each from one lockstep call."""
+    if not 4 <= lo <= hi <= 800:
+        raise ValueError("crossover scan requires 4 <= lo <= hi <= 800")
+    dims = list(range(lo, hi + 1))
+    lanes = zip(*(_LANES[m](dims) for m in ("rogers", "levenshtein", "kl")))
+    return [(n, min(recs, key=lambda rec: rec.value.log_value).method)
+            for n, recs in zip(dims, lanes)]
+
+
+def best_method(n: int) -> str:
+    """Which of the three historical bounds is smallest at dimension n."""
+    return crossover_scan(n, n)[0][1]
+
+
+# ---------------------------------------------------------------------------
+# The asymptotic rate
 # ---------------------------------------------------------------------------
 
 
@@ -327,18 +348,3 @@ def optimize_asymptotic_rate() -> RateResult:
     """
     theta = golden_section_min(_rate_objective, 1e-6, math.pi / 2.0, 1e-9)
     return RateResult(theta_star=theta, rate_log2=_rate_objective(theta))
-
-
-def best_method(n: int) -> str:
-    """Which of the three historical bounds is smallest at dimension n.
-
-    Ties break toward rogers, then levenshtein.
-    """
-    if not 4 <= n <= 800:
-        raise ValueError("best_method requires 4 <= n <= 800")
-    return _best_of([rogers_bound(n), levenshtein_bound(n), kl_bound(n)])
-
-
-def _best_of(records: list[BoundRecord]) -> str:
-    # the method of the smallest bound; ties go to the earliest record
-    return min(records, key=lambda rec: rec.value.log_value).method

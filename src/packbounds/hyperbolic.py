@@ -23,7 +23,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .euclid_bounds import BoundRecord, kl_spherical_code_bound, shared_context
+from .euclid_bounds import BoundRecord, _code_objective, kl_spherical_code_bound
+from .orthopoly import shared_context
 from .specfun import (
     LogScaled,
     incomplete_beta,
@@ -109,16 +110,16 @@ def hyp_density_bound(n: int, r: float, theta: float, refined: bool = False) -> 
     theta: sin^(n-1)(theta/2) * A(n, theta), or with the volume ratio
     vol(B_r)/vol(B_R) in place of the sine power when ``refined``."""
     _check_geometry(n, r, theta, refined)
-    return _density_records(n, r, [theta], refined)[0]
+    return _density_records(n, r, [theta], [kl_spherical_code_bound(n, theta)[1]], refined)[0]
 
 
 def _density_records(
-    n: int, r: float, thetas: list[float], refined: bool
+    n: int, r: float, thetas: list[float], degrees: list[int], refined: bool
 ) -> list[BoundRecord]:
-    """``hyp_density_bound`` at each angle, for checked arguments.  The
-    refined factor F(r)/F(R), F = int_0 sinh^(n-1), takes one helper call
-    over r and every R and is formed as one ratio: ln F itself reaches
-    -1.4e5 at n = 200, r = 1e-300, where its ulp is 3e-11."""
+    """``hyp_density_bound`` at each angle and its code bound's degree, for
+    checked arguments.  The refined factor F(r)/F(R), F = int_0 sinh^(n-1),
+    takes one helper call over r and every R and is formed as one ratio:
+    ln F itself reaches -1.4e5 at n = 200, r = 1e-300, where its ulp is 3e-11."""
     Rs = [radius_from_angle(r, theta) for theta in thetas]
     if refined:
         ratio, sh = _sinh_power_integral(n - 1, np.array([r, *Rs]))
@@ -127,11 +128,12 @@ def _density_records(
     else:
         logs = [(n - 1) * math.log(math.sin(theta / 2.0)) for theta in thetas]
     method = "hyp_refined" if refined else "hyp_coarse"
-    codes = [kl_spherical_code_bound(n, theta) for theta in thetas]
+    ctx = shared_context(n)
+    codes = [LogScaled.from_log(_code_objective(0, ctx, k)) for k in degrees]
     return [
         BoundRecord(n, method, LogScaled.from_log(log) * code, k, theta,
                     {"r": r, "R": R, "code_bound_log": code.log_value})
-        for theta, R, log, (code, k) in zip(thetas, Rs, logs, codes)
+        for theta, R, log, code, k in zip(thetas, Rs, logs, codes, degrees)
     ]
 
 
@@ -144,7 +146,8 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
     evaluated once at each of these angles, in that order, and the first
     minimal record is returned.  R(r, theta) is largest at pi/3, so the
-    domain check there covers every angle.
+    domain check there covers every angle.  Only pi/3 walks k for its code
+    bound: at acos(t_(n,k)) that walk would stop at k.
     """
     ctx = shared_context(n)
     _check_geometry(n, r, math.pi / 3.0, refined)
@@ -153,7 +156,8 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     while ctx.largest_root(k) <= 0.5:
         thetas.append(math.acos(ctx.largest_root(k)))
         k += 1
-    best = min(_density_records(n, r, thetas, refined), key=lambda rec: rec.value)
+    degrees = [kl_spherical_code_bound(n, math.pi / 3.0)[1], *range(1, k)]
+    best = min(_density_records(n, r, thetas, degrees, refined), key=lambda rec: rec.value)
     return replace(best, diagnostics=dict(best.diagnostics, optimized=True))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .specfun import NonConvergenceError, log_gamma
 
-__all__ = ["GegenbauerContext", "DEGREE_CAP", "find_largest_roots"]
+__all__ = ["GegenbauerContext", "DEGREE_CAP", "shared_context", "find_largest_roots"]
 
 DEGREE_CAP = 20000
 
@@ -112,8 +112,6 @@ class GegenbauerContext:
         stops after a step below 1e-8, which leaves an error far below 2^-47;
         the closed forms need none, and their last pivot may be exactly 0.
         """
-        if k == 1:
-            return 0.0
         b2 = self._offdiag_sq(k)
         x = self._start(k)
         try:
@@ -140,6 +138,16 @@ class GegenbauerContext:
             return 3.0 * roots[k - 1] - 3.0 * roots[k - 2] + roots[k - 3]
         except KeyError:
             return None
+
+
+# one context per dimension, shared by every bound, and so its root cache
+_CTX_CACHE: dict[int, GegenbauerContext] = {}
+
+
+def shared_context(n: int) -> GegenbauerContext:
+    if n not in _CTX_CACHE:
+        _CTX_CACHE[n] = GegenbauerContext(n)
+    return _CTX_CACHE[n]
 
 
 def _check_degree(k: int) -> None:

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .euclid_bounds import shared_context
-from .orthopoly import GegenbauerContext
+from .orthopoly import GegenbauerContext, shared_context
 from .specfun import LogScaled, integrate, log_gamma
 
 __all__ = [
@@ -306,8 +305,8 @@ class LPCertificate:
     """g = sum_k c_k C_k on S^(n-1), stated by its coefficients alone.
 
     On construction one check derives the rest: ``objective``, the exact
-    g(1)/c_0 rounded up to a float, and ``report``, which gives
-    ``max_sign_residual`` and the verdict ``certified``.  Non-finite
+    g(1)/c_0 rounded up to a float, and ``report``, from which
+    ``max_sign_residual`` and the verdict ``certified`` are read.  Non-finite
     coefficients, c_0 <= 0, n < 2 or theta outside (0, pi] raise ValueError."""
 
     n: int
@@ -315,20 +314,24 @@ class LPCertificate:
     coefficients: tuple[float, ...]  # c_0 .. c_d
     diagnostics: dict = field(default_factory=dict)
     objective: float = field(init=False)  # g(1) / c_0, rounded up
-    max_sign_residual: float = field(init=False)
-    certified: bool = field(init=False)
     report: VerificationReport = field(init=False)
 
     def __post_init__(self):
         objective, report = _check_certificate(self.n, self.theta, self.coefficients)
-        derived = {"objective": objective, "max_sign_residual": report.max_sign_residual,
-                   "certified": report.ok, "report": report}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "report", report)
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
+
+    @property
+    def max_sign_residual(self) -> float:
+        return self.report.max_sign_residual
+
+    @property
+    def certified(self) -> bool:
+        return self.report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +516,7 @@ def verify_certificate(cert: LPCertificate, p: LPProblem) -> VerificationReport:
     return cert.report
 
 
-def euclid_bound_from_certificate(cert: LPCertificate, p: LPProblem) -> LogScaled:
+def euclid_bound_from_certificate(cert: LPCertificate) -> LogScaled:
     """Packing-density bound sin^n(theta/2) * g(1)/c_0, in log space.
 
     Only valid for theta >= pi/3 (the projection argument needs the
@@ -691,8 +694,20 @@ def certificate_to_json(cert: LPCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> LPCertificate:
+    """The certificate of a ``certificate_to_json`` document, its claims
+    derived again; a malformed document raises ValueError."""
     doc = json.loads(text)
-    coeffs = tuple(float(c) for c in doc["coefficients"])
-    if len(coeffs) != doc["degree"] + 1:
+    if not isinstance(doc, dict) or not {"n", "theta", "degree", "coefficients"} <= doc.keys():
+        raise ValueError("a certificate document needs n, theta, degree and coefficients")
+    n, theta, degree, coeffs = doc["n"], doc["theta"], doc["degree"], doc["coefficients"]
+    if type(n) is not int or type(degree) is not int:  # no float, no bool
+        raise ValueError(f"n and degree must be integers, got {n!r} and {degree!r}")
+    if not isinstance(coeffs, list) or any(type(x) not in (int, float) for x in [theta, *coeffs]):
+        raise ValueError("theta and the coefficients must be numbers")
+    if len(coeffs) != degree + 1:
         raise ValueError("coefficient count does not match the declared degree")
-    return LPCertificate(n=int(doc["n"]), theta=float(doc["theta"]), coefficients=coeffs)
+    try:
+        theta, coeffs = float(theta), tuple(float(c) for c in coeffs)
+    except OverflowError:  # an integer literal past the float range
+        raise ValueError("theta or a coefficient exceeds the float range") from None
+    return LPCertificate(n, theta, coeffs)

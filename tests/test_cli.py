@@ -16,8 +16,9 @@ import pytest
 
 from packbounds import cli
 from packbounds import euclid_bounds as eb
+from packbounds import orthopoly
 from packbounds import spherical_lp as slp
-from packbounds.specfun import IntegrandError
+from packbounds.specfun import IntegrandError, LogScaled
 
 # sha256 of the seed's CSV for this table; the benchmark pins the same bytes
 TABLE_4_40_SHA256 = "cc094244ad2f79d2c1d8b059d016bdfd0fde17f8ad473b6a8da01645ee91d9e5"
@@ -42,7 +43,7 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
     code, first, err = _run(capsys, TABLE_ARGV)
     assert code == 0 and err == ""
     assert hashlib.sha256(first.encode()).hexdigest() == TABLE_4_40_SHA256
-    eb._CTX_CACHE.clear()  # a cold second run must give the same bytes
+    orthopoly._CTX_CACHE.clear()  # a cold second run must give the same bytes
     code, second, _ = _run(capsys, TABLE_ARGV)
     assert code == 0 and second == first
 
@@ -171,6 +172,25 @@ def test_lanes_validate_every_dimension_first(capsys, monkeypatch, method, dims,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_crossover_text_names_its_transition(capsys):
+    code, out, err = _run(capsys, ["crossover", "--lo", "94", "--hi", "97", "--format", "text"])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "   94 rogers",
+        "   95 rogers",
+        "   96 levenshtein",
+        "   97 levenshtein",
+        "transition rogers -> levenshtein between n=95 and n=96",
+    ]
+
+
+def test_render_round_up_edges():
+    with pytest.raises(ValueError, match="sig_digits must be >= 1"):
+        cli.render_round_up(LogScaled.from_log(0.0), 0)
+    # rounding the mantissa up to 10.00 carries into the next decade
+    assert cli.render_round_up(LogScaled.from_log(math.log(9.9996e5)), 4) == "1.000e6"
+
+
 def test_crossover_rows_match_best_method(capsys):
     code, out, _ = _run(capsys, ["crossover", "--lo", "4", "--hi", "40", "--format", "csv"])
     assert code == 0
@@ -194,6 +214,7 @@ def test_crossover_rows_match_best_method(capsys):
         ["rate", "--format", "csv"],
         ["overlap", "--n", "4", "--r", "1", "--R", "2", "--format", "csv"],
         ["table", "--dims", "8", "--methods", ","],
+        ["table", "--dims", "4,x"],
     ],
 )
 def test_removed_options_are_usage_errors(capsys, argv):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from packbounds import euclid_bounds as eb
+from packbounds import orthopoly
 from packbounds.cli import render_round_up
 from packbounds.euclid_bounds import (
     _code_objective,
@@ -14,8 +15,8 @@ from packbounds.euclid_bounds import (
     levenshtein_bound,
     optimize_asymptotic_rate,
     rogers_bound,
-    shared_context,
 )
+from packbounds.orthopoly import shared_context
 from packbounds.specfun import IntegrandError, integrate
 
 # golden values, rounded up to 4 significant digits
@@ -111,6 +112,14 @@ def test_code_bound_pi_third_n3():
     assert math.isclose(b.to_float(), expected, rel_tol=1e-12)
 
 
+def test_code_bound_domain():
+    with pytest.raises(ValueError, match="n >= 2"):
+        kl_spherical_code_bound(1, math.pi / 2)
+    for theta in (0.0, -1.0, 3.5, math.nan):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            kl_spherical_code_bound(4, theta)
+
+
 # ---------------------------------------------------------------------------
 # k-searches
 # ---------------------------------------------------------------------------
@@ -164,9 +173,9 @@ def test_cz_undefined_at_one():
 def test_lockstep_scan_matches_single_dimension_records(monkeypatch, method):
     # unsorted, with a repeat, over the whole domain; each scan on cold caches
     dims = [800, 2, 2, 47] + list(range(3, 801, 13)) + ([1] if method == "kl" else [])
-    monkeypatch.setattr(eb, "_CTX_CACHE", {})
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     batched = eb._scan_k(dims, method)
-    monkeypatch.setattr(eb, "_CTX_CACHE", {})
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     alone = [_FUNCS[method](n) for n in dims]
     assert batched == alone  # diagnostics included
 
@@ -301,3 +310,11 @@ def test_best_method_domain():
         best_method(3)
     with pytest.raises(ValueError):
         best_method(801)
+
+
+def test_bounds_runs_each_method_by_name():
+    assert eb.METHODS == ("rogers", "levenshtein", "kl", "cz")
+    for method in eb.METHODS:
+        assert eb.bounds(method, [24, 8]) == [_FUNCS[method](n) for n in (24, 8)]
+    with pytest.raises(ValueError, match="unknown method 'lp_transfer'"):
+        eb.bounds("lp_transfer", [8])

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,49 @@ def test_package_exports_only_declared_names():
     stale = [x for x in names if x not in declared]
     assert stale == []
     exec("from packbounds import *", {})
+
+
+PACKAGE = Path(packbounds.__file__).parent
+# the package modules each module may import; cli may import any of them
+LAYERS = {
+    "specfun": set(),
+    "orthopoly": {"specfun"},
+    "euclid_bounds": {"orthopoly", "specfun"},
+    "spherical_lp": {"orthopoly", "specfun"},
+    "hyperbolic": {"euclid_bounds", "orthopoly", "specfun"},
+}
+
+
+def _package_imports(name):
+    """The module's syntax tree, its (module, name) pairs of relative
+    imports (name None for ``from . import module``), and the local names
+    bound to package modules."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    edges, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    edges.append((alias.name, None))
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    edges.append((node.module, alias.name))
+    return tree, edges, aliases
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_module_imports_follow_the_layers(name):
+    _, edges, _ = _package_imports(name)
+    assert {module for module, _ in edges} == LAYERS[name]
+
+
+def test_cli_uses_only_public_names():
+    tree, edges, aliases = _package_imports("cli")
+    private = [f"{module}.{name}" for module, name in edges if name and name.startswith("_")]
+    private += [
+        f"{aliases[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases and node.attr.startswith("_")
+    ]
+    assert private == []

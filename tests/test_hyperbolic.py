@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from packbounds import hyperbolic as hyp
-from packbounds.euclid_bounds import kl_spherical_code_bound, shared_context
+from packbounds.euclid_bounds import kl_spherical_code_bound
+from packbounds.orthopoly import shared_context
 
 # overlap_finite of the first release (the benchmark's reference values),
 # each within about 6e-10 of the true overlap
@@ -112,7 +113,7 @@ def test_overlap_edges():
             hyp.overlap_finite(*bad)
         with pytest.raises(ValueError):
             hyp.overlap_monte_carlo(*bad, 10**4)
-    for bad in [(3, -1.0), (3, nan), (3, inf)]:
+    for bad in [(3, -1.0), (3, nan), (3, inf), (1, 1.0)]:
         with pytest.raises(ValueError):
             hyp.overlap_limit(*bad)
     # the overlap checks its own domain, naming R
@@ -298,6 +299,36 @@ def test_optimized_computes_the_small_ball_once(monkeypatch):
     assert m == 199 and s[0] == 1.0
     assert len(s) == len(set(s)) == len(_candidate_angles(200)) + 1 == 23
     assert best.value == hyp.hyp_density_bound(200, 1.0, best.theta_star, True).value
+
+
+def test_volume_and_radius_domains():
+    for n in (1, 201):
+        with pytest.raises(ValueError, match="2 <= n <= 200"):
+            hyp.hyp_ball_volume(n, 1.0)
+    with pytest.raises(ValueError, match="r > 0"):
+        hyp.radius_from_angle(0.0, math.pi / 3)
+    for theta in (0.0, -1.0, 3.5):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            hyp.radius_from_angle(1.0, theta)
+
+
+def test_optimized_walks_the_code_degree_once(monkeypatch):
+    # the candidate angles acos(t_(n,k)) carry their degree k from the root
+    # walk; only pi/3 asks the code bound to find its own
+    calls = []
+    code_bound = hyp.kl_spherical_code_bound
+
+    def counted(n, theta):
+        calls.append(theta)
+        return code_bound(n, theta)
+
+    monkeypatch.setattr(hyp, "kl_spherical_code_bound", counted)
+    for n in (2, 24, 200):
+        calls.clear()
+        best = hyp.hyp_bound_optimized(n, 1.0)
+        assert calls == [math.pi / 3.0]
+        assert best.k_star == code_bound(n, best.theta_star)[1]
+        assert best.value == hyp.hyp_density_bound(n, 1.0, best.theta_star).value
 
 
 def test_optimized_takes_the_left_end_at_n4():

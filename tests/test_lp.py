@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from packbounds.euclid_bounds import cz_bound, kl_spherical_code_bound, shared_context
-from packbounds.orthopoly import GegenbauerContext
+from packbounds.euclid_bounds import cz_bound, kl_spherical_code_bound
+from packbounds.orthopoly import GegenbauerContext, shared_context
 from packbounds.spherical_lp import (
     LPCertificate,
     LPProblem,
@@ -211,6 +211,8 @@ def test_grid_includes_endpoints():
     assert g[0] == -1.0
     assert abs(g[-1] - math.cos(math.pi / 2)) < 1e-15
     assert np.all(np.diff(g) >= 0)
+    with pytest.raises(ValueError, match="grid size must be >= 1"):
+        chebyshev_grid(math.pi / 2, 0)
 
 
 def test_problem_validation():
@@ -227,6 +229,8 @@ def test_problem_validation():
     for grid in ([], [math.nan], [-1.0, math.nan, 0.5]):
         with pytest.raises(ValueError, match="constraint grid"):
             LPProblem(n=3, theta=math.pi / 3, degree=4, constraint_grid=np.array(grid))
+    with pytest.raises(ValueError, match="capped at 4000"):
+        LPProblem(n=3, theta=math.pi / 3, degree=4, constraint_grid=chebyshev_grid(math.pi / 3, 4001))
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +476,14 @@ def test_euclid_conversion_linear_g():
     # g = 1 + t: C_1(t) = (n - 2) t for n > 2, and T_1(t) = t at n = 2
     for n in (2, 5, 9):
         cert = LPCertificate(n=n, theta=math.pi, coefficients=(1.0, 1.0 / max(n - 2, 1)))
-        p = LPProblem(n=n, theta=math.pi, degree=1)
-        val = euclid_bound_from_certificate(cert, p)
+        val = euclid_bound_from_certificate(cert)
         assert math.isclose(val.to_float(), 2.0, rel_tol=1e-12)
 
 
 def test_euclid_conversion_cross_polytope():
     p = LPProblem(n=3, theta=math.pi / 2, degree=8)
     cert = lp_solve_spherical(p)
-    val = euclid_bound_from_certificate(cert, p)
+    val = euclid_bound_from_certificate(cert)
     expected = 6.0 * (math.sqrt(2.0) / 2.0) ** 3
     assert math.isclose(val.to_float(), expected, rel_tol=1e-4)
 
@@ -490,16 +493,15 @@ def test_euclid_conversion_rejects_small_theta():
     cert = lp_solve_spherical(p)
     assert cert.certified
     with pytest.raises(ValueError, match="theta >= pi/3"):
-        euclid_bound_from_certificate(cert, p)
+        euclid_bound_from_certificate(cert)
 
 
 def test_euclid_conversion_rejects_uncertified():
     # g = 1 everywhere: the conversion would have read 0.354 from it
-    p = LPProblem(n=3, theta=math.pi / 2, degree=2)
     cert = LPCertificate(n=3, theta=math.pi / 2, coefficients=(1.0, 0.0, 0.0))
     assert not cert.certified
     with pytest.raises(ValueError, match="uncertified"):
-        euclid_bound_from_certificate(cert, p)
+        euclid_bound_from_certificate(cert)
 
 
 def test_euclid_conversion_consistent_with_cz():
@@ -515,7 +517,7 @@ def test_euclid_conversion_consistent_with_cz():
         p = LPProblem(n=n, theta=theta, degree=10)
         cert = lp_solve_spherical(p)
         assert cert.certified and cert.objective < closed.to_float()
-        val = euclid_bound_from_certificate(cert, p)
+        val = euclid_bound_from_certificate(cert)
         expected = rec.value.log_value - closed.log_value + math.log(cert.objective)
         assert math.isclose(val.log_value, expected, rel_tol=1e-9, abs_tol=1e-9)
         assert val.log_value < rec.value.log_value
@@ -538,6 +540,31 @@ def test_certificate_json_round_trip_bit_exact():
     assert back.max_sign_residual == cert.max_sign_residual
     assert back.certified == cert.certified
     assert certificate_to_json(back) == text
+
+
+# g = 1 + t at n = 3 (C_1(t) = t), certified at theta = pi; each document
+# below breaks one rule of the schema
+_GOOD_DOC = {"n": 3, "theta": math.pi, "degree": 1, "coefficients": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [({**_GOOD_DOC, **change}, "n and degree must be integers")
+     for change in ({"n": 3.9}, {"n": 3.0}, {"n": True}, {"n": None},
+                    {"degree": 1.5}, {"degree": True})]
+    + [({**_GOOD_DOC, **change}, "theta and the coefficients must be numbers")
+       for change in ({"theta": None}, {"theta": "3.14"}, {"theta": True},
+                      {"coefficients": 5}, {"coefficients": ["1", "1"]})]
+    + [({**_GOOD_DOC, "degree": 2}, "coefficient count does not match")]
+    + [({**_GOOD_DOC, "coefficients": [1, 10**400]}, "exceeds the float range")]
+    + [({k: v for k, v in _GOOD_DOC.items() if k != key}, "needs n, theta")
+       for key in _GOOD_DOC]
+    + [([_GOOD_DOC], "needs n, theta")],
+)
+def test_certificate_from_json_rejects_malformed_documents(doc, message):
+    assert certificate_from_json(json.dumps(_GOOD_DOC)).certified
+    with pytest.raises(ValueError, match=message):
+        certificate_from_json(json.dumps(doc))
 
 
 def test_certificate_json_schema_fields():

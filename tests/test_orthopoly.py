@@ -183,6 +183,8 @@ def test_degree_cap_enforced():
     ctx = GegenbauerContext(4)
     with pytest.raises(ValueError):
         ctx.largest_root(DEGREE_CAP + 1)
+    with pytest.raises(ValueError, match="k >= 1"):
+        ctx.largest_root(0)
     with pytest.raises(ValueError):
         ctx.eval_normalized_table(DEGREE_CAP + 1, [0.5])
 
