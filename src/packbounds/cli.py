@@ -109,9 +109,9 @@ def _cmd_table(args: argparse.Namespace) -> str:
     bad = [m for m in args.methods if m not in eb.METHODS]
     if bad:
         raise ValueError(f"unknown methods: {bad}")
-    # rows by dimension, then in --methods order; one lockstep call per method
+    # rows by dimension, then in --methods order, from one bounds call
     dims = sorted(args.dims)
-    records = {m: eb.bounds(m, dims) for m in dict.fromkeys(args.methods)}
+    records = eb.bounds(args.methods, dims)
     rows = [_record_row(records[m][i]) for i in range(len(dims)) for m in args.methods]
     return _emit_rows(rows, args.format)
 

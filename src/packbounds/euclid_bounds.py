@@ -15,10 +15,12 @@ ever touching a denormal.
 
 All four methods run over a list of dimensions in lockstep: ``_rogers_lanes``
 integrates one quadrature lane per dimension, ``_levenshtein_lanes`` finds
-every Bessel zero in lanes, and ``_scan_k`` runs the kl or cz k-scans
-together.  Each per-dimension function is the one-dimension call of its
-lockstep helper and gives the same record bit for bit.  :func:`bounds` runs
-any of the ``METHODS`` by name, and :func:`crossover_scan` compares three.
+every Bessel zero in lanes, and ``_scan_k`` runs the k-scans of (n, method)
+lanes together, kl and cz mixed, so each degree's largest roots are found in
+one pass over all of them.  Each per-dimension function is the one-lane call
+of its lockstep helper and gives the same record bit for bit.
+:func:`bounds` runs any list of the ``METHODS`` by name, each lockstep
+helper once, and :func:`crossover_scan` compares three from one such call.
 """
 
 from __future__ import annotations
@@ -98,14 +100,23 @@ def rogers_bound(n: int) -> BoundRecord:
     return _rogers_lanes([n])[0]
 
 
+# lanes per Rogers quadrature: its (L, P) temporaries grow with L, and
+# blocks of this size keep them small at no cost in time
+_ROGERS_BLOCK = 100
+
+
 def _rogers_lanes(dims: list[int]) -> list[BoundRecord]:
-    """:func:`rogers_bound` at each n of ``dims``, one quadrature lane per n:
-    every evaluation of the integrand, the peaks included, is one
-    ``scaled_erfc_complex`` call over all the lanes still refining, with n,
-    a, sqrt(2n) and the peak as (L, 1) columns."""
+    """:func:`rogers_bound` at each n of ``dims``, one quadrature lane per n,
+    in blocks of at most ``_ROGERS_BLOCK`` lanes: every evaluation of the
+    integrand, the peaks included, is one ``scaled_erfc_complex`` call over
+    all the lanes of the block still refining, with n, a, sqrt(2n) and the
+    peak as (L, 1) columns."""
     for n in dims:
         if n < 2 or n > 1000:
             raise ValueError("rogers_bound requires 2 <= n <= 1000")
+    if len(dims) > _ROGERS_BLOCK:
+        return [rec for i in range(0, len(dims), _ROGERS_BLOCK)
+                for rec in _rogers_lanes(dims[i:i + _ROGERS_BLOCK])]
     nf = np.array(dims, dtype=float)[:, None]
     a = np.sqrt(nf / 2.0)
     s2n = np.sqrt(2.0 * nf)
@@ -226,26 +237,33 @@ def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
     )
 
 
-def _scan_k(dims: list[int], method: str) -> list[BoundRecord]:
-    """The kl or cz bound at each n of ``dims``: k goes up to the first local
-    minimum of the log objective, where the infimum is attained, for every n
-    in lockstep, with root k + 1 of all the n still scanning found at once.
-    cz counts only the degrees whose root t_(n,k) <= 1/2 (t_1 = 0)."""
-    for n in dims:
+# each k-scan method: the dimension offset of its Gegenbauer family (kl
+# passes the (n+1)-dimensional context, cz the n-dimensional one) and the
+# cap on the roots t_(m,k) of the degrees it counts
+_SCANS = {"kl": (1, 1.0), "cz": (0, 0.5)}
+
+
+def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
+    """The kl or cz bound of each (n, method) lane: k goes up to the first
+    local minimum of the log objective, where the infimum is attained, for
+    every lane in lockstep, with root k + 1 of all the lanes still scanning
+    found at once, whatever their method.  cz counts only the degrees whose
+    root t_(n,k) <= 1/2 (t_1 = 0)."""
+    for n, method in lanes:
         if n < 1 or n > 800:
             raise ValueError(f"{method}_bound requires 1 <= n <= 800")
         if n == 1 and method == "cz":
             # no Gegenbauer family on S^0; kl, through S^1, covers n = 1
             raise ValueError("cz_bound is undefined for n = 1")
-    # kl passes the (n+1)-dimensional context, cz the n-dimensional one
-    ctxs = [shared_context(n + 1 if method == "kl" else n) for n in dims]
-    t_max = 0.5 if method == "cz" else 1.0
+    dims = [n for n, _ in lanes]
+    ctxs = [shared_context(n + _SCANS[method][0]) for n, method in lanes]
+    t_max = [_SCANS[method][1] for _, method in lanes]
     find_largest_roots(ctxs, 2)
     prev = [_code_objective(n, ctx, 1) for n, ctx in zip(dims, ctxs)]
-    records: list[BoundRecord | None] = [None] * len(dims)
-    active = range(len(dims))
-    for k in range(2, DEGREE_CAP + 1):
-        within = [i for i in active if ctxs[i].largest_root(k) <= t_max]
+    records: list[BoundRecord | None] = [None] * len(lanes)
+    active = range(len(lanes))
+    for k in range(2, DEGREE_CAP):  # the objective at k reads root k + 1
+        within = [i for i in active if ctxs[i].largest_root(k) <= t_max[i]]
         find_largest_roots([ctxs[i] for i in within], k + 1)
         cur = {i: _code_objective(dims[i], ctxs[i], k) for i in within}
         still = []
@@ -255,7 +273,7 @@ def _scan_k(dims: list[int], method: str) -> list[BoundRecord]:
                 k_star = k - 1
                 records[i] = BoundRecord(
                     dimension=n,
-                    method=method,
+                    method=lanes[i][1],
                     value=LogScaled.from_log(prev[i]),
                     k_star=k_star,
                     theta_star=math.acos(ctx.largest_root(k_star)),
@@ -273,49 +291,52 @@ def _scan_k(dims: list[int], method: str) -> list[BoundRecord]:
         active = still
         if not active:
             return records
-    raise NonConvergenceError(f"{method}_bound k-search found no local minimum")
+    n, method = lanes[active[0]]
+    raise NonConvergenceError(f"{method}_bound k-search found no local minimum at n={n}")
 
 
 def kl_bound(n: int) -> BoundRecord:
     """Packing bound via codes on S^n, at the first local minimum in k."""
-    return _scan_k([n], "kl")[0]
+    return _scan_k([(n, "kl")])[0]
 
 
 def cz_bound(n: int) -> BoundRecord:
     """Packing bound via codes on S^(n-1), restricted to code angles
     theta >= pi/3 (equivalently t_(n,k) <= 1/2), at the first local
     minimum in k within that range; undefined at n = 1."""
-    return _scan_k([n], "cz")[0]
+    return _scan_k([(n, "cz")])[0]
 
 
 # ---------------------------------------------------------------------------
 # The method registry and the crossover
 # ---------------------------------------------------------------------------
 
-# each method's lockstep helper, from a list of dimensions to their records
-_LANES = {
-    "rogers": _rogers_lanes,
-    "levenshtein": _levenshtein_lanes,
-    "kl": lambda dims: _scan_k(dims, "kl"),
-    "cz": lambda dims: _scan_k(dims, "cz"),
-}
-METHODS = tuple(_LANES)
+# the lockstep helper of each method that is not a k-scan
+_LANES = {"rogers": _rogers_lanes, "levenshtein": _levenshtein_lanes}
+METHODS = (*_LANES, *_SCANS)
 
 
-def bounds(method: str, dims: list[int]) -> list[BoundRecord]:
-    """The ``method`` bound at each n of ``dims``, from one lockstep call."""
-    if method not in _LANES:
-        raise ValueError(f"unknown method {method!r}; known: {list(METHODS)}")
-    return _LANES[method](dims)
+def bounds(methods: list[str], dims: list[int]) -> dict[str, list[BoundRecord]]:
+    """The bound of each of ``methods`` at each n of ``dims``, as
+    {method: records} in ``methods`` order: rogers and levenshtein from one
+    lockstep call each, and every k-scan method from one :func:`_scan_k`
+    over the lanes of them all."""
+    methods = list(dict.fromkeys(methods))
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; known: {list(METHODS)}")
+    scanned = iter(_scan_k([(n, m) for m in methods if m in _SCANS for n in dims]))
+    return {m: _LANES[m](dims) if m in _LANES else [next(scanned) for _ in dims]
+            for m in methods}
 
 
 def crossover_scan(lo: int, hi: int) -> list[tuple[int, str]]:
     """Which of the rogers, levenshtein and kl bounds is smallest at each n
-    in [lo, hi], ties broken in that order, each from one lockstep call."""
+    in [lo, hi], ties broken in that order, from one :func:`bounds` call."""
     if not 4 <= lo <= hi <= 800:
         raise ValueError("crossover scan requires 4 <= lo <= hi <= 800")
     dims = list(range(lo, hi + 1))
-    lanes = zip(*(_LANES[m](dims) for m in ("rogers", "levenshtein", "kl")))
+    lanes = zip(*bounds(["rogers", "levenshtein", "kl"], dims).values())
     return [(n, min(recs, key=lambda rec: rec.value.log_value).method)
             for n, recs in zip(dims, lanes)]
 

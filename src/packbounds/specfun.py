@@ -368,19 +368,35 @@ def _first_zero_by_scan(nu: float) -> float:
 def bessel_first_zero(nu: float) -> float:
     """First positive zero j_nu of J_nu, for 0 <= nu <= 400.
 
-    Seeded by the large-order expansion and polished by Newton; a positivity
-    scan below the root certifies it is the *first* zero, with an ascending
-    sign-scan fallback if not.  J_nu is positive on (0, j_nu).  This is the
-    one-lane call of :func:`_first_zeros`.
+    Seeded by the large-order expansion and polished by Newton; a zero
+    below a lower bound on the second zero (Qu and Wong, Trans. AMS 351,
+    1999) is the *first* zero, with an ascending sign-scan fallback if not.
+    J_nu is positive on (0, j_nu).  This is the one-lane call of
+    :func:`_first_zeros`.
     """
     return _first_zeros([nu])[0]
 
 
+# j_(0,2) and |a_2|, a_2 the second zero of the Airy function Ai, both
+# rounded down
+_J02 = 5.520078110286311
+_AIRY_A2 = 4.08794944413097
+
+
+def _second_zero_floor(nu: np.ndarray) -> np.ndarray:
+    """A lower bound on the second zero j_(nu,2) of J_nu, for nu >= 0:
+    j_(nu,k) increases with nu, so j_(nu,2) >= j_(0,2), and Qu and Wong
+    (Trans. AMS 351, 1999) give j_(nu,k) > nu - a_k 2^(-1/3) nu^(1/3) for
+    nu > 0, which at k = 2 is nu + |a_2| (nu/2)^(1/3)."""
+    return np.maximum(_J02, nu + _AIRY_A2 * np.cbrt(nu / 2.0))
+
+
 def _first_zeros(nus) -> list[float]:
     """:func:`bessel_first_zero` at every order of ``nus``, in lanes: the
-    seed walk, the Newton polish and the firstness probe each make one jv
-    call per step over all the lanes.  A lane whose walk finds no bracket or
-    whose probe fails takes the scalar sign scan."""
+    seed walk and the Newton polish each make one jv call per step over all
+    the lanes.  A zero of J_nu below :func:`_second_zero_floor` is j_(nu,1);
+    a lane whose walk finds no bracket, or whose zero does not clear that
+    check, takes the scalar sign scan."""
     from scipy.special import jv
     nus = [float(nu) for nu in nus]
     if any(nu < 0 or nu > 400 for nu in nus):
@@ -410,10 +426,8 @@ def _first_zeros(nus) -> list[float]:
     roots = np.full(nu.size, np.nan)
     ok = np.flatnonzero(~np.isnan(lo))
     roots[ok] = _newton_in_brackets(nu[ok], lo[ok], hi[ok])
-    # certify firstness: no sign change below the root
-    probes = np.linspace(0.02 * roots[ok], 0.98 * roots[ok], 48, axis=1)
-    first = np.all(jv(nu[ok, None], probes) > -1e-12, axis=1)
-    roots[ok[~first]] = np.nan
+    # a zero below the floor of j_(nu,2) is the first one
+    roots[ok[~(roots[ok] < _second_zero_floor(nu[ok]))]] = np.nan
     return [_first_zero_by_scan(v) if math.isnan(r) else r
             for v, r in zip(nus, roots.tolist())]
 

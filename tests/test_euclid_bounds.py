@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from packbounds import cli, orthopoly
 from packbounds import euclid_bounds as eb
-from packbounds import orthopoly
 from packbounds.cli import render_round_up
 from packbounds.euclid_bounds import (
     _code_objective,
@@ -17,7 +17,7 @@ from packbounds.euclid_bounds import (
     rogers_bound,
 )
 from packbounds.orthopoly import shared_context
-from packbounds.specfun import IntegrandError, integrate
+from packbounds.specfun import IntegrandError, NonConvergenceError, integrate
 
 # golden values, rounded up to 4 significant digits
 GOLDEN_SPOT = {
@@ -174,10 +174,51 @@ def test_lockstep_scan_matches_single_dimension_records(monkeypatch, method):
     # unsorted, with a repeat, over the whole domain; each scan on cold caches
     dims = [800, 2, 2, 47] + list(range(3, 801, 13)) + ([1] if method == "kl" else [])
     monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-    batched = eb._scan_k(dims, method)
+    batched = eb._scan_k([(n, method) for n in dims])
     monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     alone = [_FUNCS[method](n) for n in dims]
     assert batched == alone  # diagnostics included
+
+
+def test_mixed_scan_matches_single_dimension_records(monkeypatch):
+    # kl and cz lanes in one scan, unsorted and with repeats; over 2..60 the
+    # kl lane at n and the cz lane at n + 1 share one context
+    lanes = [(800, "cz"), (1, "kl"), (47, "kl"), (47, "cz"), (2, "cz"), (800, "kl"),
+             (47, "kl")] + [(n, m) for n in range(2, 61) for m in ("kl", "cz")]
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    mixed = eb._scan_k(lanes)
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    alone = [_FUNCS[m](n) for n, m in lanes]
+    assert mixed == alone  # diagnostics included
+
+
+def test_table_finds_each_degree_once_for_kl_and_cz(monkeypatch, capsys):
+    degrees = []
+    find = eb.find_largest_roots
+
+    def counted(contexts, k):
+        degrees.append(k)
+        return find(contexts, k)
+
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    monkeypatch.setattr(eb, "find_largest_roots", counted)
+    dims = ",".join(str(n) for n in range(4, 201, 4))
+    assert cli.main(["table", "--dims", dims, "--methods", "kl,cz", "--format", "csv"]) == 0
+    # one pass per degree over the kl and cz lanes together
+    assert degrees == list(range(2, len(degrees) + 2))
+    k_max = max(int(line.split(",")[4]) for line in capsys.readouterr().out.splitlines()[1:])
+    assert len(degrees) >= k_max
+
+
+def test_mixed_scan_without_a_minimum_names_the_first_lane_still_scanning(monkeypatch):
+    # under a degree cap of 4, kl at n = 2 stops at k = 2 (k* = 1), while cz
+    # at 800 and kl at 700 still scan at k = 3, the last degree whose
+    # objective the cap lets the scan read
+    monkeypatch.setattr(orthopoly, "DEGREE_CAP", 4)
+    monkeypatch.setattr(eb, "DEGREE_CAP", 4)
+    with pytest.raises(NonConvergenceError,
+                       match=r"^cz_bound k-search found no local minimum at n=800$"):
+        eb._scan_k([(2, "kl"), (800, "cz"), (700, "kl")])
 
 
 _LANES = {"rogers": eb._rogers_lanes, "levenshtein": eb._levenshtein_lanes}
@@ -219,7 +260,7 @@ def test_rogers_quadrature_diagnostics_pinned(n):
 )
 def test_lockstep_scan_domain(method, dims, message):
     with pytest.raises(ValueError, match=message):
-        eb._scan_k(dims, method)
+        eb._scan_k([(n, method) for n in dims])
 
 
 def test_strict_improvement_and_ratio_corridor():
@@ -315,6 +356,16 @@ def test_best_method_domain():
 def test_bounds_runs_each_method_by_name():
     assert eb.METHODS == ("rogers", "levenshtein", "kl", "cz")
     for method in eb.METHODS:
-        assert eb.bounds(method, [24, 8]) == [_FUNCS[method](n) for n in (24, 8)]
+        assert eb.bounds([method], [24, 8]) == {method: [_FUNCS[method](n) for n in (24, 8)]}
     with pytest.raises(ValueError, match="unknown method 'lp_transfer'"):
-        eb.bounds("lp_transfer", [8])
+        eb.bounds(["lp_transfer"], [8])
+
+
+def test_bounds_runs_many_methods_in_one_call():
+    # keys in first-seen order, a repeated method run once
+    methods = ["cz", "rogers", "kl", "cz", "levenshtein"]
+    got = eb.bounds(methods, [24, 8, 24])
+    assert list(got) == ["cz", "rogers", "kl", "levenshtein"]
+    for method, recs in got.items():
+        assert recs == [_FUNCS[method](n) for n in (24, 8, 24)]
+    assert eb.bounds([], [8]) == {}

@@ -218,6 +218,19 @@ def test_first_zeros_lanes_with_a_scan_fallback(monkeypatch):
     assert abs(jv(50.0, scanned[1])) < 1e-8
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0, 2.5, 7.0, 20.0, 55.5, 120.0, 250.0, 400.0])
+def test_second_zero_floor_lies_between_the_first_two_zeros(nu):
+    # J_nu > 0 on (0, j_(nu,1)) with j_(nu,1) > nu, and consecutive zeros lie
+    # more than 3 apart, so the sign changes of J_nu on a grid of steps <= 1
+    # from nu to the floor count its zeros there: exactly one, j_(nu,1)
+    floor = float(specfun._second_zero_floor(np.array(nu)))
+    xs = mp.linspace(max(nu, 0.5), floor, max(2, math.ceil(floor - nu) + 1))
+    with mp.workdps(20):
+        signs = [mp.sign(mp.besselj(nu, x)) for x in xs]
+    assert signs[0] == 1 and signs[-1] == -1
+    assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
+
+
 def test_first_zero_domain():
     with pytest.raises(ValueError):
         bessel_first_zero(-1.0)
