@@ -234,6 +234,16 @@ def test_radial_cdf_vs_high_precision(n, s):
     assert math.isclose(volume, hyp.log_sphere_surface(n) + log_ref, rel_tol=1e-14)
 
 
+def _polish_calls(monkeypatch):
+    """Sizes of the ``_sinh_power_integral`` calls that polish samples: all
+    but the first, for ln F(R), and the table's, over its interior nodes."""
+    sizes = []
+    cdf = hyp._sinh_power_integral
+    monkeypatch.setattr(hyp, "_sinh_power_integral",
+                        lambda m, x: sizes.append(x.size) or cdf(m, x))
+    return lambda: [size for size in sizes[1:] if size != hyp._QUANTILE_NODES - 1]
+
+
 @pytest.mark.parametrize("n, s", sorted(SINH_POWER_INTEGRALS))
 def test_radial_quantile_takes_few_newton_steps(n, s, monkeypatch):
     # at R = 2 and, for the point near R = 40, where F = e^(7797) overflows;
@@ -241,13 +251,77 @@ def test_radial_quantile_takes_few_newton_steps(n, s, monkeypatch):
     R = 40.0 if s > 2.0 else 2.0
     (ratio_R,), (sinh_R,) = hyp._sinh_power_integral(n - 1, np.array([R]))
     log_u = SINH_POWER_INTEGRALS[n, s][1] - math.log(ratio_R) - (n - 1) * math.log(sinh_R)
-    # one evaluation of F for ln F(R), then one per Newton step
-    calls = []
-    cdf = hyp._sinh_power_integral
-    monkeypatch.setattr(hyp, "_sinh_power_integral", lambda m, x: calls.append(x) or cdf(m, x))
+    polish = _polish_calls(monkeypatch)
     (got,) = hyp._radial_quantile(n - 1, R, np.array([log_u]))
     assert math.isclose(got, s, rel_tol=1e-13)
-    assert 1 <= len(calls) - 1 <= 12
+    # from the tabulated start, one evaluation of F per Newton step
+    assert 1 <= len(polish()) <= 3
+
+
+@pytest.mark.parametrize("n, R", [(2, 2.0), (4, 2.0), (50, 0.5), (200, 40.0)])
+def test_radial_quantile_polishes_each_block_in_few_steps(n, R, monkeypatch):
+    # a full block and a one-sample block, told apart by their sizes
+    log_u = np.log(np.random.default_rng(5).random(hyp._QUANTILE_BLOCK + 1))
+    polish = _polish_calls(monkeypatch)
+    hyp._radial_quantile(n - 1, R, log_u)
+    sizes = polish()
+    assert 1 <= sizes.count(hyp._QUANTILE_BLOCK) <= 3
+    assert 1 <= sizes.count(1) <= 3
+    assert len(sizes) == sizes.count(hyp._QUANTILE_BLOCK) + sizes.count(1)
+
+
+def _assert_round_trip(m, R, s, log_u):
+    """F(s)/F(R) = u, F(s) = int_0^s sinh^m, to 1e-13 in ln u, beyond the
+    rounding of ln u itself and of s, which moves ln F by s F'/F per unit
+    relative change."""
+    ratio, sh = hyp._sinh_power_integral(m, s)
+    (ratio_R,), (sinh_R,) = hyp._sinh_power_integral(m, np.array([R]))
+    error = np.abs(np.log(ratio / ratio_R) + m * np.log(sh / sinh_R) - log_u)
+    assert np.all(error <= 1e-13 + 2.0**-51 * (np.abs(log_u) + s / ratio))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 50, 200])
+@pytest.mark.parametrize("R", [1e-100, 1e-7, 0.5, 2.0, 40.0, 50.0])
+def test_radial_quantile_round_trip(n, R):
+    m, K = n - 1, hyp._QUANTILE_NODES
+    # the table's nodes and the midpoints between them, in t = u^(1/(m+1)),
+    # and u near 0 and near 1 (the largest draw of a uniform generator)
+    t = np.arange(1, 2 * K) / (2 * K)
+    log_u = np.concatenate(((m + 1) * np.log(t), [-700.0, -36.0, math.log1p(-2.0**-53)]))
+    s = hyp._radial_quantile(m, R, log_u)
+    assert np.all((s > 0.0) & (s <= R))
+    _assert_round_trip(m, R, s, log_u)
+    # u = 0 and u = 1 give 0 and R exactly
+    assert list(hyp._radial_quantile(m, R, np.array([-math.inf, 0.0]))) == [0.0, R]
+
+
+@pytest.mark.parametrize("size", [1, hyp._QUANTILE_BLOCK, hyp._QUANTILE_BLOCK + 1])
+@pytest.mark.parametrize("n, R", [(3, 2.0), (200, 50.0)])
+def test_radial_quantile_across_blocks(size, n, R):
+    m = n - 1
+    log_u = np.log(np.random.default_rng(7).random(size))
+    # u = 1 at the end of the first block and u = 0 at the start of the
+    # second; a single sample stays a draw
+    for i in {hyp._QUANTILE_BLOCK - 1, hyp._QUANTILE_BLOCK} & set(range(1, size)):
+        log_u[i] = -math.inf if i % 2 == 0 else 0.0
+    s = hyp._radial_quantile(m, R, log_u)
+    assert s.shape == log_u.shape
+    assert np.all(s[log_u == -math.inf] == 0.0)
+    assert np.all(s[log_u == 0.0] == R)
+    inner = np.isfinite(log_u) & (log_u < 0.0)
+    _assert_round_trip(m, R, s[inner], log_u[inner])
+
+
+def test_radial_quantile_memory_is_blocked():
+    log_u = np.log(np.random.default_rng(1).random(200_000))
+    tracemalloc.start()
+    try:
+        hyp._radial_quantile(3, 2.0, log_u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Newton over all 200 000 samples at once held 19 MB of temporaries
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 24, 100])
