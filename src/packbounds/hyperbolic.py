@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -287,22 +288,23 @@ _QUANTILE_NODES = 2048
 _QUANTILE_BLOCK = 1 << 15
 
 
-def _radial_quantile(m: int, R: float, log_u: np.ndarray) -> np.ndarray:
-    """s in [0, R] with F(s) / F(R) = e^log_u, F(s) = int_0^s sinh^m, by
-    Newton's method on ln F: concave, so from any start the iterates rise to
-    the root after the first step.  On F itself the steps shrink to 1/m where
-    F grows like e^(m s).  u = 0 gives 0 and u = 1 gives R, both exactly.
+def _radial_quantile(m: int, R: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The map log_u -> s in [0, R] with F(s) / F(R) = e^log_u, F(s) =
+    int_0^s sinh^m, by Newton's method on ln F: concave, so from any start
+    the iterates rise to the root after the first step.  On F itself the
+    steps shrink to 1/m where F grows like e^(m s).  u = 0 gives 0 and u = 1
+    gives R, both exactly.
 
-    The quantile is first solved at the nodes t_j = j/K, K = _QUANTILE_NODES,
-    t = u^(1/(m+1)), from the power-law start min(((m+1) F)^(1/(m+1)), R),
-    which is >= the root; s is about linear in t, since F(s) ~ s^(m+1)/(m+1)
-    for small s.  Each sample then starts from the linear interpolation in t
-    between its two nodes (below t_1, from the power-law start) and takes
-    the same Newton steps, _QUANTILE_BLOCK samples at a time, until its
-    block's largest step is at most 1e-13 R: two steps where the power-law
-    start took five, on temporaries a sixth of the size.  Only the start
-    changes, and both starts converge to the same root, so a radius moves
-    by rounding alone.
+    The quantile is solved here, once, at the nodes t_j = j/K,
+    K = _QUANTILE_NODES, t = u^(1/(m+1)), from the power-law start
+    min(((m+1) F)^(1/(m+1)), R), which is >= the root; s is about linear in
+    t, since F(s) ~ s^(m+1)/(m+1) for small s.  The map starts each sample
+    from the linear interpolation in t between its two nodes (below t_1,
+    from the power-law start) and takes the same Newton steps,
+    _QUANTILE_BLOCK samples at a time, until its block's largest step is at
+    most 1e-13 R: two steps where the power-law start took five, on
+    temporaries a sixth of the size.  Only the start changes, and both
+    starts converge to the same root, so a radius moves by rounding alone.
     """
     (ratio_R,), (sinh_R,) = _sinh_power_integral(m, np.array([R]))
 
@@ -324,21 +326,26 @@ def _radial_quantile(m: int, R: float, log_u: np.ndarray) -> np.ndarray:
     slope = math.exp((math.log(m + 1) + math.log(ratio_R) + m * math.log(sinh_R)) / (m + 1))
     t = np.arange(1, K) / K
     table = np.concatenate(([0.0], newton(np.minimum(slope * t, R), (m + 1) * np.log(t)), [R]))
-    out = np.empty_like(log_u)
-    for lo in range(0, log_u.size, _QUANTILE_BLOCK):
-        block = log_u[lo:lo + _QUANTILE_BLOCK]
-        x = np.exp(block / (m + 1)) * K
-        j = np.minimum(x.astype(np.intp), K - 1)
-        frac = x - j
-        # exact at both nodes, so t = 0 starts at 0 and t = 1 at R
-        s = (1.0 - frac) * table[j] + frac * table[j + 1]
-        # below t_1 a large ball's quantile runs from 0 far into the e^(m s)
-        # regime, where the chord starts too low for a step rule relative to
-        # R, so those samples keep the power-law start, which is >= the root
-        first = j == 0
-        s[first] = np.minimum(slope / K * frac[first], R)
-        out[lo:lo + _QUANTILE_BLOCK] = newton(s, block)
-    return out
+
+    def quantile(log_u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(log_u)
+        for lo in range(0, log_u.size, _QUANTILE_BLOCK):
+            block = log_u[lo:lo + _QUANTILE_BLOCK]
+            x = np.exp(block / (m + 1)) * K
+            j = np.minimum(x.astype(np.intp), K - 1)
+            frac = x - j
+            # exact at both nodes, so t = 0 starts at 0 and t = 1 at R
+            s = (1.0 - frac) * table[j] + frac * table[j + 1]
+            # below t_1 a large ball's quantile runs from 0 far into the
+            # e^(m s) regime, where the chord starts too low for a step rule
+            # relative to R, so those samples keep the power-law start,
+            # which is >= the root
+            first = j == 0
+            s[first] = np.minimum(slope / K * frac[first], R)
+            out[lo:lo + _QUANTILE_BLOCK] = newton(s, block)
+        return out
+
+    return quantile
 
 
 def overlap_monte_carlo(
@@ -354,12 +361,13 @@ def overlap_monte_carlo(
     Points are drawn exactly uniformly in a radius-R ball of H^n using the
     hyperboloid model: radius by Newton's method on the radial CDF, whose
     density is sinh^(n-1), without the quadrature of ``overlap_finite``,
-    started from a table of the quantile (``_radial_quantile``); direction
-    by normalized Gaussians.  Membership in the second ball at distance r is
-    tested with the Minkowski form.  Returns (mean, stderr); deterministic
-    for a fixed seed.  The uniform and Gaussian draws do not depend on how
-    the radii are solved, and the radii only to rounding, so a sample
-    changes sides only if it lies within an ulp of the second sphere.
+    started from a table of the quantile (``_radial_quantile``) solved once
+    per call; direction by normalized Gaussians.  Membership in the second
+    ball at distance r is tested with the Minkowski form.  Returns (mean,
+    stderr); deterministic for a fixed seed.  The uniform and Gaussian draws
+    do not depend on how the radii are solved, and the radii only to
+    rounding, so a sample changes sides only if it lies within an ulp of the
+    second sphere.
     """
     if not 2 <= n <= 200:
         raise ValueError(f"overlap_monte_carlo requires 2 <= n <= 200, got n = {n}")
@@ -375,13 +383,14 @@ def overlap_monte_carlo(
     sinh_hR = math.sinh(R / 2.0)
     b, cosh_r, cosh_hr = math.sinh(r / 2.0) / sinh_hR, math.cosh(r), math.cosh(r / 2.0)
 
+    quantile = _radial_quantile(n - 1, R)
     hits = 0
     chunk = (1 << 21) // max(n, 4)  # caps the (chunk, n) Gaussian block at 16 MB
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
         with np.errstate(divide="ignore"):
-            s = _radial_quantile(n - 1, R, np.log(rng.random(m)))
+            s = quantile(np.log(rng.random(m)))
         w = rng.standard_normal((m, n))
         w1 = w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w))
         # (cosh d - 1)/(cosh R - 1) at the distance d to the second center, by

@@ -60,27 +60,41 @@ class GegenbauerContext:
         """C_j(t) / C_j(1) for j = 0..kmax at once, shape (kmax+1, len(t)).
 
         The three-term recurrence of the normalized family is uniform in n
-        (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1].
-        Row j is ((2(j + a - 1) t) out[j-1] - (j - 1) out[j-2]) / (j + 2a - 1),
-        written in place into ``out[j]`` with one scratch row; the operations
-        and their order are those of the plain array expression, so the
-        table is the same bit for bit."""
-        _check_degree(kmax)
+        (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1];
+        :meth:`normalized_rows` runs it into the rows of the table."""
+        _check_degree(kmax)  # before the table is allocated
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((kmax + 1, t.size))
+        for _ in self.normalized_rows(kmax, t, out):
+            pass
+        return out
+
+    def normalized_rows(self, kmax: int, t: np.ndarray, out: np.ndarray):
+        """Yield the rows C_j(t) / C_j(1), j = 0..kmax, in turn.
+
+        Row j is written into ``out[j % len(out)]``: a (kmax+1)-row ``out``
+        keeps the whole table, a 3-row one keeps just the rows the next step
+        reads.  Row j is ((2(j + a - 1) t) row[j-1] - (j - 1) row[j-2]) /
+        (j + 2a - 1), written in place with one scratch row; the operations
+        and their order are those of the plain array expression, so each row
+        is the same bit for bit."""
+        _check_degree(kmax)
+        size = len(out)
         out[0] = 1.0
+        yield out[0]
         if kmax >= 1:
-            out[1] = t
+            out[1 % size] = t
+            yield out[1 % size]
         a = self.alpha
         scratch = np.empty(t.size)
         for j in range(2, kmax + 1):
-            row = out[j]
+            row = out[j % size]
             np.multiply(2 * (j + a - 1), t, out=scratch)
-            scratch *= out[j - 1]
-            np.multiply(j - 1, out[j - 2], out=row)
+            scratch *= out[(j - 1) % size]
+            np.multiply(j - 1, out[(j - 2) % size], out=row)
             np.subtract(scratch, row, out=row)
             row /= j + 2 * a - 1
-        return out
+            yield row
 
     # -- largest roots ------------------------------------------------------
 

@@ -8,11 +8,12 @@ before a single ``exp`` is taken.
 Every adaptive integral in the package runs one quadrature rule, the
 16/32-point Gauss-Legendre of :func:`_integrate_lanes`, which integrates
 many integrands ("lanes") at once, each on its own panels; :func:`integrate`
-is its one-lane call.  The lens integrals of ``spherical_lp._lens_f`` are
-the exception: they use a fixed 64-point Gauss-Legendre rule.  Callers
-absorb endpoint edges by a change of variable before they integrate.  The
-first Bessel zero runs in lanes too (:func:`_first_zeros`), so the Rogers
-and Levenshtein bounds over a list of dimensions make one call of their
+is its one-lane call.  The lens integrals of ``spherical_lp._lens_f``, one
+call for a whole array of radii, are the exception: they use a fixed
+64-point Gauss-Legendre rule in u and in phi.  Callers absorb endpoint
+edges by a change of variable before they integrate.  The first Bessel
+zero runs in lanes too (:func:`_first_zeros`), so the Rogers and
+Levenshtein bounds over a list of dimensions make one call of their
 special function per step for all of them.
 
 ``scipy.special`` (Faddeeva, Bessel J, incomplete beta) is imported on

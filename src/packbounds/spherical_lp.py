@@ -151,7 +151,8 @@ class _Tableau:
 
         Each pivot works in views of the tableau and in buffers allocated
         once per call: the ratio test divides only where the pivot column
-        is positive, and the rank-1 update forms the same products as
+        is positive, so a least ratio of +inf means there is no pivot row,
+        and the rank-1 update forms the same products as
         ``np.outer`` before subtracting them."""
         T, m, basis = self.T, self.m, self.basis
         red = T[m, :-1]  # reduced costs
@@ -168,7 +169,8 @@ class _Tableau:
         status = "iteration_limit"
         bland = False
         stall = 0
-        prev_obj = neg_z[0]
+        prev_obj = neg_z.item(0)
+        red_argmin, ratios_argmin = red.argmin, ratios.argmin
         while iterations < max_iter:
             if bland:
                 cands = np.nonzero(red < -PIVOT_TOL)[0]
@@ -177,21 +179,21 @@ class _Tableau:
                     break
                 j = int(cands[0])
             else:
-                j = int(np.argmin(red))
-                if red[j] >= -PIVOT_TOL:
+                j = int(red_argmin())
+                if red.item(j) >= -PIVOT_TOL:
                     status = "optimal"
                     break
             col = T[:m, j]
             np.greater(col, PIVOT_TOL, out=pos)
-            if not pos.any():
-                # a barely-negative reduced cost with no usable pivot is
-                # roundoff, not a genuine ray
-                status = "optimal" if red[j] >= -1e-6 else "unbounded"
-                break
             ratios.fill(np.inf)
             np.divide(rhs, col, out=ratios, where=pos)
-            i = int(ratios.argmin())
-            rmin = ratios[i]
+            i = int(ratios_argmin())
+            rmin = ratios.item(i)
+            if rmin == np.inf:
+                # no positive pivot: a barely-negative reduced cost is
+                # roundoff, not a genuine ray
+                status = "optimal" if red.item(j) >= -1e-6 else "unbounded"
+                break
             np.less_equal(ratios, rmin + 1e-12 * (1.0 + abs(rmin)), out=tie)
             if np.count_nonzero(tie) > 1:  # else the minimum is the only tie
                 ties = np.flatnonzero(tie)
@@ -210,13 +212,14 @@ class _Tableau:
             basis[i] = j
             iterations += 1
             # progress means -z increases
-            if neg_z[0] <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
+            obj = neg_z.item(0)
+            if obj <= prev_obj + 1e-13 * (1 + abs(prev_obj)):
                 stall += 1
                 if stall > 40:
                     bland = True
             else:
                 stall = 0
-            prev_obj = neg_z[0]
+            prev_obj = obj
         self.iterations, self.status = iterations, status
         return status
 
@@ -347,13 +350,23 @@ def _normalized_weights(ctx: GegenbauerContext, coefficients) -> np.ndarray:
 
 
 def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
-    # the scaled rows are added in index order, elementwise: unlike a BLAS
-    # matrix-vector product, a point's value does not depend on how many share the call
-    table = ctx.eval_normalized_table(len(weights) - 1, np.atleast_1d(t))
-    table *= weights[:, None]
-    for row in table[1:]:
-        table[0] += row
-    return table[0]
+    """g(t) = sum_k weights[k] phi_k(t), elementwise over t.
+
+    Each row phi_k of the recurrence is scaled and added to the sum in index
+    order, on three rolling rows rather than the whole (d+1) x len(t) table.
+    Unlike a BLAS matrix-vector product, this gives a point the same value
+    however many points share the call."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    rows = np.empty((3, t.size))
+    total = np.empty(t.size)
+    term = np.empty(t.size)
+    for k, row in enumerate(ctx.normalized_rows(len(weights) - 1, t, rows)):
+        if k == 0:
+            np.multiply(row, weights[0], out=total)
+        else:
+            np.multiply(row, weights[k], out=term)
+            total += term
+    return total
 
 
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
@@ -550,16 +563,22 @@ class TransferProbe:
     integral_f: float
 
 
+# points of the lens integrand evaluated at once: four 64 x 64 segments, which
+# ran faster than two or eight (fewer numpy calls, temporaries still in cache)
+_LENS_BLOCK = 1 << 14
+
+
 def _lens_f(
     ctx: GegenbauerContext,
     weights: np.ndarray,
     n: int,
     R: float,
-    rho: float,
+    radii,
     gauss: tuple[np.ndarray, np.ndarray],
-) -> float:
+) -> np.ndarray:
     """f(rho) = integral over B_R(x) ^ B_R(y) of g(cos angle(x z y)) dz,
-    |x - y| = rho, reduced to 2-D by symmetry of revolution about the axis.
+    |x - y| = rho, for each rho in ``radii``, reduced to 2-D by symmetry of
+    revolution about the axis.
 
     Coordinates: u = |z - x| in (0, R], phi = polar angle of z at x toward
     y.  The lens constraint |z - y| <= R caps phi at phi_max(u); the sphere
@@ -573,9 +592,16 @@ def _lens_f(
     so the cut segment is parametrized by u = lo + (hi-lo) w^2.  ``gauss``
     holds the Gauss-Legendre nodes and weights on [-1, 1] used for both
     variables.
+
+    Each (radius, u-segment) pair of the call is one product grid of
+    (u, phi) nodes, and the integrand runs over _LENS_BLOCK points of these
+    grids at a time.  A segment is still reduced on its own, by one
+    matrix-vector product over phi and one dot product over u, and added to
+    its radius's total in the order of its u-segments, so a radius's value
+    does not depend on which radii share the call.  Where the whole
+    direction sphere lies in the lens, phi_max = pi, and cos phi and
+    sin^(n-2) phi are taken once on the phi nodes.
     """
-    if rho >= 2.0 * R:
-        return 0.0
     omega = 2.0 * math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n - 1) / 2.0))
     xg, wg = gauss
     s01 = 0.5 * (xg + 1.0)  # nodes on (0,1)
@@ -585,43 +611,67 @@ def _lens_f(
     s_phi = s01 * s01
     w_phi = 2.0 * s01 * w01
 
-    def phi_integral(u: np.ndarray, phimax: np.ndarray) -> np.ndarray:
-        # inner integral over phi for each u (vectorized in both)
-        phi = np.outer(s_phi, phimax)
-        uu = u[None, :]
-        cphi = np.cos(phi)
-        v = np.sqrt(np.maximum(uu * uu + rho * rho - 2.0 * uu * rho * cphi, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            arg = np.where(v > 0.0, (uu - rho * cphi) / np.where(v > 0, v, 1.0), 1.0)
-        np.clip(arg, -1.0, 1.0, out=arg)
-        gvals = _eval_g(ctx, weights, arg.ravel()).reshape(arg.shape)
-        integrand = np.sin(phi) ** (n - 2) * gvals
-        return phimax * (w_phi @ integrand)
+    radii = np.asarray(radii, dtype=float).tolist()
+    segments = []  # (radius index, rho, a, b, whole direction sphere inside)
+    for i, rho in enumerate(radii):
+        if rho >= 2.0 * R:
+            continue
+        u_lo = max(0.0, rho - R)
+        split = R - rho  # below it the whole direction sphere is inside the lens
+        cuts = {u_lo, R}
+        if u_lo < split < R:
+            cuts.add(split)
+        if u_lo < rho < R:  # corner of the integrand at (u, phi) = (rho, 0)
+            cuts.add(rho)
+        edges = sorted(cuts)
+        segments += [(i, rho, a, b, b <= split) for a, b in zip(edges, edges[1:])]
 
-    u_lo = max(0.0, rho - R)
-    split = R - rho  # below it the whole direction sphere is inside the lens
-    cuts = {u_lo, R}
-    if u_lo < split < R:
-        cuts.add(split)
-    if u_lo < rho < R:  # corner of the integrand at (u, phi) = (rho, 0)
-        cuts.add(rho)
-    edges = sorted(cuts)
-
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if b <= split:  # whole direction sphere inside the lens
+    values = [0.0] * len(segments)
+    per_block = max(1, _LENS_BLOCK // (s_phi.size * s01.size))
+    for whole in (True, False):
+        group = [k for k, seg in enumerate(segments) if seg[4] == whole]
+        if not group:
+            continue
+        _, rho, a, b, _ = (np.array(col)[:, None] for col in zip(*(segments[k] for k in group)))
+        if whole:
             u = a + (b - a) * s01
-            du = np.full_like(u, b - a)
-            phimax = np.full_like(u, math.pi)
+            du = np.broadcast_to(b - a, u.shape)
+            phimax = math.pi
+            phi = s_phi * math.pi
+            cphi = np.cos(phi)[:, None]
+            sin_pow = (np.sin(phi) ** (n - 2))[:, None]
         else:
             # u = a + (b - a) w^2 absorbs the sqrt edge of phi_max at u = a
             u = a + (b - a) * s_phi
             du = 2.0 * (b - a) * s01
             cmin = (u * u + rho * rho - R * R) / (2.0 * u * rho)
             phimax = np.arccos(np.clip(cmin, -1.0, 1.0))
-        vals = u ** (n - 1) * phi_integral(u, phimax) * du
-        total += float(w01 @ vals)
-    return omega * total
+        inner = np.empty_like(u)  # the phi integral before its phi_max factor
+        for lo in range(0, len(group), per_block):
+            uu = u[lo : lo + per_block, None, :]
+            rr = rho[lo : lo + per_block, :, None]
+            if not whole:
+                phi = s_phi[:, None] * phimax[lo : lo + per_block, None, :]
+                sin_pow = np.sin(phi) ** (n - 2)
+                cphi = np.cos(phi, out=phi)
+            # v = |z - y|, then arg = (u - rho cos phi) / v in its place (1 where v = 0)
+            arg = uu * uu + rr * rr - 2.0 * uu * rr * cphi
+            np.sqrt(np.maximum(arg, 0.0, out=arg), out=arg)
+            apart = arg > 0.0
+            np.divide(uu - rr * cphi, np.where(apart, arg, 1.0), out=arg)
+            arg[~apart] = 1.0
+            np.clip(arg, -1.0, 1.0, out=arg)
+            integrand = sin_pow * _eval_g(ctx, weights, arg.ravel()).reshape(arg.shape)
+            for k, grid in enumerate(integrand, lo):
+                inner[k] = w_phi @ grid
+        rows = u ** (n - 1) * (phimax * inner) * du
+        for k, row in zip(group, rows):
+            values[k] = float(w01 @ row)
+
+    totals = [0.0] * len(radii)
+    for (i, *_), value in zip(segments, values):
+        totals[i] += value
+    return omega * np.array(totals)
 
 
 def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
@@ -632,10 +682,13 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     int f = vol(B_R)^2 mean(g) hold for exact arithmetic; the probe is the
     numerical check.  Small n only: the reduction is 2-D but the radial
     integral makes it a triple quadrature.  Every lens integral uses the
-    same 64-point Gauss-Legendre rule, built once here.  The radial
-    integral runs over [0, R] directly and over [R, 2R] after
-    rho = 2R - R s^2, s in [0, 1], which makes the integrand smooth at the
-    edge of the support, where f behaves like (2R - rho)^((n+1)/2).
+    same 64-point Gauss-Legendre rule, built once here.  The sample radii
+    are one call of the lens evaluator :func:`_lens_f`, and so is each
+    evaluation of a radial integrand over its quadrature nodes; a radius's
+    value does not depend on the call it shares.  The radial integral runs
+    over [0, R] directly and over [R, 2R] after rho = 2R - R s^2,
+    s in [0, 1], which makes the integrand smooth at the edge of the
+    support, where f behaves like (2R - rho)^((n+1)/2).
     """
     n = cert.n
     if not 2 <= n <= 8:
@@ -646,15 +699,15 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     eps = 1e-6
     radii = tuple(sorted({0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + eps, R, 2.0 * R - eps, 2.0 * R, 3.0 * R}))
     gauss = np.polynomial.legendre.leggauss(64)
-    fvals = tuple(_lens_f(ctx, weights, n, R, r, gauss) for r in radii)
+    fvals = tuple(_lens_f(ctx, weights, n, R, radii, gauss).tolist())
     f0 = fvals[0]  # the sample radii start at 0
 
     surface = 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
 
     def radial(rho: np.ndarray) -> np.ndarray:
-        return np.array(
-            [_lens_f(ctx, weights, n, R, float(r), gauss) * r ** (n - 1) for r in rho]
-        )
+        f = _lens_f(ctx, weights, n, R, rho, gauss).tolist()
+        # a scalar power per radius: numpy's array power may round otherwise
+        return np.array([v * r ** (n - 1) for v, r in zip(f, rho)])
 
     def outer(s: np.ndarray) -> np.ndarray:
         # rho = 2R - R s^2 absorbs the (2R - rho)^((n+1)/2) edge of f at 2R

@@ -528,13 +528,26 @@ def test_exit_code_sweep(capsys, command):
 TRANSFER_4_SHA256 = "60e8854ba45a12ab5875fd0ffc22a82417e10b69212a5e3973e64a2200961772"
 
 
-def test_transfer_probe_pinned(capsys):
-    code, out, _ = _lp(capsys, 4, 10)
+# the same for ``lp --n 8 --theta pi/3 --degree 10``, the benchmark's other
+# transfer, pinned when the lens integrals came to run in blocks across radii
+TRANSFER_8_SHA256 = "9fa65e4a9612ffca53dea33585258ad4e2ff363b5b951cec88ab36d64e2df690"
+
+
+def _transfer_digest(capsys, n):
+    code, out, _ = _lp(capsys, n, 10)
     assert code == 0
     cert = slp.certificate_from_json(out)
-    probe = slp.transfer_g_to_f(cert, slp.LPProblem(n=4, theta=cert.theta, degree=10))
+    probe = slp.transfer_g_to_f(cert, slp.LPProblem(n=n, theta=cert.theta, degree=10))
     text = json.dumps(dataclasses.asdict(probe), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == TRANSFER_4_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_transfer_probe_pinned(capsys):
+    assert _transfer_digest(capsys, 4) == TRANSFER_4_SHA256
+
+
+def test_transfer_probe_pinned_at_n8(capsys):
+    assert _transfer_digest(capsys, 8) == TRANSFER_8_SHA256
 
 
 def test_lp_simplex_failure_exits_3(capsys):

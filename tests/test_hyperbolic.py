@@ -152,6 +152,14 @@ def test_monte_carlo_bytes_pinned(n, seed):
     assert hyp.overlap_monte_carlo(n, 1.0, 2.0, 200_000, seed=seed) == MONTE_CARLO_PINS[n, seed]
 
 
+@pytest.mark.parametrize("seed, pinned", [(1, (0.46552, 0.002230744851389329)),
+                                          (11, (0.46624, 0.002230965093406887))])
+def test_monte_carlo_bytes_pinned_over_many_chunks(seed, pinned):
+    # at n = 200 a chunk holds 10 485 samples, so 50 000 take five chunks,
+    # the last one short; every chunk reads the same quantile table
+    assert hyp.overlap_monte_carlo(200, 0.1, 2.0, 50_000, seed=seed) == pinned
+
+
 @pytest.mark.parametrize(
     "n, r, R",
     [(n, r, 2.0) for n in (2, 5, 10, 50, 200) for r in (0.0, 0.05, 1.0, 2.0, 3.0, 4.0, 5.0)]
@@ -252,7 +260,7 @@ def test_radial_quantile_takes_few_newton_steps(n, s, monkeypatch):
     (ratio_R,), (sinh_R,) = hyp._sinh_power_integral(n - 1, np.array([R]))
     log_u = SINH_POWER_INTEGRALS[n, s][1] - math.log(ratio_R) - (n - 1) * math.log(sinh_R)
     polish = _polish_calls(monkeypatch)
-    (got,) = hyp._radial_quantile(n - 1, R, np.array([log_u]))
+    (got,) = hyp._radial_quantile(n - 1, R)(np.array([log_u]))
     assert math.isclose(got, s, rel_tol=1e-13)
     # from the tabulated start, one evaluation of F per Newton step
     assert 1 <= len(polish()) <= 3
@@ -263,7 +271,7 @@ def test_radial_quantile_polishes_each_block_in_few_steps(n, R, monkeypatch):
     # a full block and a one-sample block, told apart by their sizes
     log_u = np.log(np.random.default_rng(5).random(hyp._QUANTILE_BLOCK + 1))
     polish = _polish_calls(monkeypatch)
-    hyp._radial_quantile(n - 1, R, log_u)
+    hyp._radial_quantile(n - 1, R)(log_u)
     sizes = polish()
     assert 1 <= sizes.count(hyp._QUANTILE_BLOCK) <= 3
     assert 1 <= sizes.count(1) <= 3
@@ -288,11 +296,11 @@ def test_radial_quantile_round_trip(n, R):
     # and u near 0 and near 1 (the largest draw of a uniform generator)
     t = np.arange(1, 2 * K) / (2 * K)
     log_u = np.concatenate(((m + 1) * np.log(t), [-700.0, -36.0, math.log1p(-2.0**-53)]))
-    s = hyp._radial_quantile(m, R, log_u)
+    s = hyp._radial_quantile(m, R)(log_u)
     assert np.all((s > 0.0) & (s <= R))
     _assert_round_trip(m, R, s, log_u)
     # u = 0 and u = 1 give 0 and R exactly
-    assert list(hyp._radial_quantile(m, R, np.array([-math.inf, 0.0]))) == [0.0, R]
+    assert list(hyp._radial_quantile(m, R)(np.array([-math.inf, 0.0]))) == [0.0, R]
 
 
 @pytest.mark.parametrize("size", [1, hyp._QUANTILE_BLOCK, hyp._QUANTILE_BLOCK + 1])
@@ -304,7 +312,7 @@ def test_radial_quantile_across_blocks(size, n, R):
     # second; a single sample stays a draw
     for i in {hyp._QUANTILE_BLOCK - 1, hyp._QUANTILE_BLOCK} & set(range(1, size)):
         log_u[i] = -math.inf if i % 2 == 0 else 0.0
-    s = hyp._radial_quantile(m, R, log_u)
+    s = hyp._radial_quantile(m, R)(log_u)
     assert s.shape == log_u.shape
     assert np.all(s[log_u == -math.inf] == 0.0)
     assert np.all(s[log_u == 0.0] == R)
@@ -316,7 +324,7 @@ def test_radial_quantile_memory_is_blocked():
     log_u = np.log(np.random.default_rng(1).random(200_000))
     tracemalloc.start()
     try:
-        hyp._radial_quantile(3, 2.0, log_u)
+        hyp._radial_quantile(3, 2.0)(log_u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -451,6 +451,20 @@ def test_eval_g_independent_of_point_count(n, theta, degree):
     assert together.tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 4, 8, 24, 64])
+@pytest.mark.parametrize("degree", [10, 40])
+def test_eval_g_is_the_scaled_table_summed_in_order(n, degree):
+    # three rolling rows give what the whole table, its rows scaled and
+    # added in index order, gave
+    ctx = shared_context(n)
+    w = np.random.default_rng(n + degree).random(degree + 1) * 10.0 ** -np.arange(degree + 1)
+    ts = np.concatenate(([-1.0, -0.0, 0.0, 1.0], np.linspace(-1.0, 1.0, 2001)))
+    table = ctx.eval_normalized_table(degree, ts) * w[:, None]
+    for row in table[1:]:
+        table[0] += row
+    assert _eval_g(ctx, w, ts).tobytes() == table[0].tobytes()
+
+
 @pytest.mark.parametrize(
     "n, degree", [(3, 20), (3, 40), (8, 10), (8, 40), (16, 10), (24, 10), (32, 20)]
 )

@@ -7,10 +7,13 @@ vol(B_1) f(0) / int f collapses to sin^n(theta/2) g(1)/mean(g).
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from packbounds import spherical_lp
+from packbounds.orthopoly import shared_context
 from packbounds.specfun import log_gamma
 from packbounds.spherical_lp import LPProblem, lp_solve_spherical, transfer_g_to_f
 
@@ -79,14 +82,47 @@ def test_dimension_guard():
 def test_f_at_zero_is_the_first_sample(monkeypatch):
     p = LPProblem(n=3, theta=math.pi / 2, degree=4)
     cert = lp_solve_spherical(p)
-    rhos = []
+    calls = []
     lens_f = spherical_lp._lens_f
 
-    def counted(ctx, weights, n, R, rho, gauss):
-        rhos.append(rho)
-        return lens_f(ctx, weights, n, R, rho, gauss)
+    def counted(ctx, weights, n, R, radii, gauss):
+        calls.append(np.asarray(radii, dtype=float).tolist())
+        return lens_f(ctx, weights, n, R, radii, gauss)
 
     monkeypatch.setattr(spherical_lp, "_lens_f", counted)
     probe = transfer_g_to_f(cert, p)
     assert probe.sample_radii[0] == 0.0 and probe.f_values[0] == probe.f_at_zero
-    assert rhos.count(0.0) == 1
+    # the sample radii are the first call, and 0 among all radii only there
+    assert calls[0] == list(probe.sample_radii)
+    assert sum(radii.count(0.0) for radii in calls) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lens_value_independent_of_the_radii_sharing_the_call(n):
+    # segments of different radii share the integrand's blocks, but each
+    # radius is reduced alone, so its value is the same bit for bit
+    p = LPProblem(n=n, theta=math.pi / 3, degree=8)
+    cert = lp_solve_spherical(p)
+    ctx = shared_context(n)
+    weights = spherical_lp._normalized_weights(ctx, np.asarray(cert.coefficients))
+    R = 1.0 / math.sin(p.theta / 2.0)
+    gauss = np.polynomial.legendre.leggauss(64)
+    radii = [0.0, R, 2.0 * R - 1e-6, 0.5, 2.0 * R, 1.5 * R, 3.0 * R, R, 0.0, 0.5]
+    together = spherical_lp._lens_f(ctx, weights, n, R, radii, gauss)
+    alone = np.concatenate([spherical_lp._lens_f(ctx, weights, n, R, [r], gauss) for r in radii])
+    assert together.tobytes() == alone.tobytes()
+    assert together[0] > 0.0 and together[4] == together[6] == 0.0
+
+
+def test_transfer_memory_is_blocked():
+    p = LPProblem(n=8, theta=math.pi / 3, degree=10)
+    cert = lp_solve_spherical(p)
+    tracemalloc.start()
+    try:
+        transfer_g_to_f(cert, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lens integrand runs in blocks of 2^14 points and g on three
+    # rolling rows: about 1.6 MB at its peak
+    assert peak < 2.5e6
