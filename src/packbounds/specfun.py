@@ -349,31 +349,13 @@ def _newton_in_brackets(nu: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
     raise NonConvergenceError(f"first Bessel zero did not converge at nu={nu[live[0]]}")
 
 
-def _first_zero_by_scan(nu: float) -> float:
-    """Ascending sign scan from nu (J_nu > 0 on (0, j_nu) and j_nu > nu)."""
-    from scipy.special import jv
-    lo = max(nu, 1e-3)
-    # comfortably below both the gap to the second zero (~1.9 nu^(1/3)) and pi
-    step = max(0.02, 0.05 * max(1.0, nu) ** (1.0 / 3.0))
-    if jv(nu, lo) <= 0:
-        raise NonConvergenceError(f"unexpected sign at the scan start, nu={nu}")
-    x = lo
-    for _ in range(100000):
-        x += step
-        if jv(nu, x) < 0:
-            (root,) = _newton_in_brackets(np.array([nu]), np.array([x - step]), np.array([x]))
-            return float(root)
-    raise NonConvergenceError(f"sign scan found no zero at nu={nu}")
-
-
 def bessel_first_zero(nu: float) -> float:
     """First positive zero j_nu of J_nu, for 0 <= nu <= 400.
 
-    Seeded by the large-order expansion and polished by Newton; a zero
-    below a lower bound on the second zero (Qu and Wong, Trans. AMS 351,
-    1999) is the *first* zero, with an ascending sign-scan fallback if not.
-    J_nu is positive on (0, j_nu).  This is the one-lane call of
-    :func:`_first_zeros`.
+    Seeded by the large-order expansion, bracketed by one step and polished
+    by Newton; a bracket below a lower bound on the second zero (Qu and
+    Wong, Trans. AMS 351, 1999) holds the *first* zero and no other, else
+    NonConvergenceError.  This is the one-lane call of :func:`_first_zeros`.
     """
     return _first_zeros([nu])[0]
 
@@ -394,43 +376,25 @@ def _second_zero_floor(nu: np.ndarray) -> np.ndarray:
 
 def _first_zeros(nus) -> list[float]:
     """:func:`bessel_first_zero` at every order of ``nus``, in lanes: the
-    seed walk and the Newton polish each make one jv call per step over all
-    the lanes.  A zero of J_nu below :func:`_second_zero_floor` is j_(nu,1);
-    a lane whose walk finds no bracket, or whose zero does not clear that
-    check, takes the scalar sign scan."""
+    bracket step and each Newton step make one jv call over all the lanes."""
     from scipy.special import jv
     nus = [float(nu) for nu in nus]
-    if any(nu < 0 or nu > 400 for nu in nus):
+    if not all(0 <= nu <= 400 for nu in nus):
         raise ValueError("bessel_first_zero requires 0 <= nu <= 400")
     nu = np.array(nus)
     x = np.array([_first_zero_seed(v) for v in nus])
-    # local walk around the seed; the step stays below the first-to-second
-    # zero gap (~1.9 nu^(1/3)) so the negative well cannot be stepped over.
-    # A seed with J <= 0 overshot: walk down into the positive run, else up
+    # one step, shorter than the gap to j_(nu,2) (~1.9 nu^(1/3)), towards
+    # the zero: down where J <= 0 at the seed (it overshot), else up
     step = np.array([max(0.05, 0.2 * max(1.0, v) ** (1.0 / 3.0)) for v in nus])
     up = jv(nu, x) > 0
-    step = np.where(up, step, -step)
-    prev, lo, hi = x.copy(), np.full(nu.size, np.nan), np.full(nu.size, np.nan)
-    live = np.arange(nu.size)
-    for _ in range(400):
-        prev[live] = x[live]
-        x[live] += step[live]
-        live = live[x[live] > 0]  # a walk down to 0 found nothing
-        fx = jv(nu[live], x[live])
-        cross = np.where(up[live], fx < 0, fx > 0)
-        found = live[cross]
-        lo[found] = np.minimum(prev[found], x[found])
-        hi[found] = np.maximum(prev[found], x[found])
-        live = live[~cross]
-        if live.size == 0:
-            break
-    roots = np.full(nu.size, np.nan)
-    ok = np.flatnonzero(~np.isnan(lo))
-    roots[ok] = _newton_in_brackets(nu[ok], lo[ok], hi[ok])
-    # a zero below the floor of j_(nu,2) is the first one
-    roots[ok[~(roots[ok] < _second_zero_floor(nu[ok]))]] = np.nan
-    return [_first_zero_by_scan(v) if math.isnan(r) else r
-            for v, r in zip(nus, roots.tolist())]
+    y = x + np.where(up, step, -step)
+    fy = jv(nu, y)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    # a sign change in (0, j_(nu,2)) brackets j_(nu,1) and no other zero
+    ok = np.where(up, fy < 0, fy > 0) & (lo > 0) & (hi < _second_zero_floor(nu))
+    if not ok.all():
+        raise NonConvergenceError(f"no first-zero bracket at nu={nu[~ok][0]}")
+    return _newton_in_brackets(nu, lo, hi).tolist()
 
 
 def incomplete_beta(u: float, alpha: float, beta: float) -> float:
@@ -452,8 +416,10 @@ def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: flo
     """Golden-section search for a minimum of f on [a, b].
 
     The bracket shrinks until its width is <= tol and yields its midpoint.
-    To maximize, minimize the negation.
+    To maximize, minimize the negation.  Raises ValueError unless tol > 0.
     """
+    if not tol > 0:
+        raise ValueError("golden_section_min requires tol > 0")
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)

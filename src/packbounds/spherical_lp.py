@@ -54,6 +54,7 @@ __all__ = [
 PIVOT_TOL = 1e-9  # reduced costs and pivots within this of zero count as zero
 COEFF_TOL = 1e-12  # allowed negativity of c_k relative to c_0
 CERT_RESIDUAL_TOL = 1e-9  # certified iff max residual <= tol * g(1)
+MAX_DEGREE = 200  # of an LP problem or certificate; bounds the check's root solve
 
 
 class LPInfeasibleError(RuntimeError):
@@ -269,8 +270,8 @@ class LPProblem:
             raise ValueError("LPProblem requires n >= 2")
         if not 0.0 < self.theta <= math.pi:
             raise ValueError("theta must lie in (0, pi]")
-        if self.degree < 1 or self.degree > 200:
-            raise ValueError("degree must lie in [1, 200]")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"degree must lie in [1, {MAX_DEGREE}]")
         grid = self.constraint_grid
         if grid is None:
             grid = chebyshev_grid(self.theta, min(32 * self.degree, 4000))
@@ -310,7 +311,8 @@ class LPCertificate:
     On construction one check derives the rest: ``objective``, the exact
     g(1)/c_0 rounded up to a float, and ``report``, from which
     ``max_sign_residual`` and the verdict ``certified`` are read.  Non-finite
-    coefficients, c_0 <= 0, n < 2 or theta outside (0, pi] raise ValueError."""
+    coefficients, c_0 <= 0, a degree above MAX_DEGREE, n < 2 or theta outside
+    (0, pi] raise ValueError."""
 
     n: int
     theta: float
@@ -418,6 +420,8 @@ def _check_certificate(n: int, theta: float, coefficients) -> tuple[float, Verif
     C(k + n - 3, k) (1 at n = 2), so g(1) is an exact integer sum over the
     largest d_k, which every other one divides.  Raises ValueError where
     g(1), g(1)/c_0 or sum |c_k| C_k(1) exceeds the float range."""
+    if len(coefficients) > MAX_DEGREE + 1:
+        raise ValueError(f"a certificate's degree is capped at {MAX_DEGREE}")
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.size == 0 or not np.isfinite(coeffs).all() or coeffs[0] <= 0.0:
         raise ValueError("a certificate needs finite coefficients c_0 .. c_d with c_0 > 0")

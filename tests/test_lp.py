@@ -6,7 +6,9 @@ import pytest
 
 from packbounds.euclid_bounds import cz_bound, kl_spherical_code_bound
 from packbounds.orthopoly import GegenbauerContext, shared_context
+from packbounds import spherical_lp
 from packbounds.spherical_lp import (
+    MAX_DEGREE,
     LPCertificate,
     LPProblem,
     certificate_from_json,
@@ -403,6 +405,24 @@ def test_certificate_past_the_float_range_is_a_value_error():
     # g(1) = 1 is finite, but g cannot be evaluated on [-1, 1] in floats
     with pytest.raises(ValueError, match="exceeds the float range"):
         LPCertificate(n=3, theta=math.pi / 3, coefficients=(1.0, -1e308, 1e308))
+
+
+def test_certificate_degree_is_capped_before_any_check(monkeypatch):
+    # past the LPProblem degree cap the check's root solve grows too costly
+    # for documents read from outside; reject before it runs
+    def no_check(*args):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(spherical_lp, "_max_violation", no_check)
+    coefficients = (1.0,) * (MAX_DEGREE + 2)
+    with pytest.raises(ValueError, match="capped at 200"):
+        LPCertificate(n=3, theta=math.pi / 3, coefficients=coefficients)
+    doc = {"n": 3, "theta": math.pi / 3, "degree": MAX_DEGREE + 1, "coefficients": list(coefficients)}
+    with pytest.raises(ValueError, match="capped at 200"):
+        certificate_from_json(json.dumps(doc))
+    # 201 coefficients, degree 200, reach the check
+    with pytest.raises(AssertionError, match="the check ran"):
+        LPCertificate(n=3, theta=math.pi / 3, coefficients=coefficients[1:])
 
 
 def test_certificate_takes_no_claims():

@@ -205,17 +205,28 @@ def test_bessel_positive_below_first_zero(nu):
     assert np.all(vals[xs > 0.5 * j] > 0.0)
 
 
-def test_first_zeros_lanes_with_a_scan_fallback(monkeypatch):
-    # a seed 1e5 away leaves its walk without a bracket, so that lane scans;
-    # the other lanes keep their one-lane zeros bit for bit
-    nus = [2.0, 50.0, 300.0]
-    alone = [bessel_first_zero(nu) for nu in nus]
+@pytest.mark.parametrize(
+    "nu, bad_seed",
+    [(50.0, 1e5),  # no sign change one step from the seed
+     (2.0, 11.6),  # a step across j_(2,3), above the floor of j_(2,2)
+     (2.0, 0.0)],  # J_2(0) = 0, so the step goes down across x = 0
+)
+def test_first_zeros_without_a_first_zero_bracket_raise(monkeypatch, nu, bad_seed):
     seed = specfun._first_zero_seed
-    monkeypatch.setattr(specfun, "_first_zero_seed", lambda nu: 1e5 if nu == 50.0 else seed(nu))
-    scanned = specfun._first_zeros(nus)
-    assert [scanned[0], scanned[2]] == [alone[0], alone[2]]
-    assert math.isclose(scanned[1], alone[1], rel_tol=1e-13)
-    assert abs(jv(50.0, scanned[1])) < 1e-8
+    monkeypatch.setattr(specfun, "_first_zero_seed", lambda v: bad_seed if v == nu else seed(v))
+    with pytest.raises(NonConvergenceError, match=f"nu={nu}"):
+        specfun._first_zeros([2.0, 50.0, 300.0])
+
+
+def test_first_zeros_bracket_every_order_in_one_step():
+    # one step from every seed brackets j_(nu,1): a failing lane would raise
+    nu = np.arange(4001) / 10.0
+    zeros = np.array(specfun._first_zeros(nu.tolist()))
+    assert np.all(zeros < specfun._second_zero_floor(nu))
+    assert np.all(jv(nu, zeros * (1.0 - 1e-12)) > 0.0)
+    assert np.all(jv(nu, zeros * (1.0 + 1e-12)) < 0.0)
+    # a lane's zero does not depend on the lanes that share the call
+    assert [bessel_first_zero(v) for v in nu[::250]] == zeros[::250].tolist()
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0, 2.5, 7.0, 20.0, 55.5, 120.0, 250.0, 400.0])
@@ -236,6 +247,8 @@ def test_first_zero_domain():
         bessel_first_zero(-1.0)
     with pytest.raises(ValueError):
         bessel_first_zero(401.0)
+    with pytest.raises(ValueError):
+        bessel_first_zero(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +354,19 @@ def test_golden_section_min_brackets_the_minimum():
     assert abs(golden_section_min(f, 0.0, 1.0, 1e-10) - 0.3) < 1e-10
     # maximizing f through its negation; that maximum sits at the end x = 1
     assert abs(golden_section_min(lambda x: -f(x), 0.0, 1.0, 1e-10) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_golden_section_min_requires_a_positive_tol(tol):
+    calls = []
+
+    def f(x):
+        # a search that never ends would otherwise hang here
+        calls.append(x)
+        if len(calls) > 10_000:
+            raise RuntimeError("the search does not stop")
+        return (x - 0.3) ** 2
+
+    with pytest.raises(ValueError, match="tol > 0"):
+        golden_section_min(f, 0.0, 1.0, tol)
+    assert calls == []
