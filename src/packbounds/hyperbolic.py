@@ -14,9 +14,10 @@ the regularized incomplete beta share of each sphere about one center,
 normalized by F(R), and a Monte-Carlo sampler in the hyperboloid model, an
 independent oracle for the other two that draws radii by Newton's method on
 ln F, without quadrature, for 2 <= n <= 200 and 1e-300 <= R <= 50.  The
-radii start from a table of the quantile at 2048 nodes, and Newton polishes
-them in cache-sized blocks to the same stopping rule, so a radius moves by
-rounding alone and no seeded estimate changes.
+radii come from a table of the quantile at 2048 nodes.  The bracket between
+two nodes settles the side of the second sphere for nearly every sample, and
+Newton polishes only the rest, from the table, to the same stopping rule, so
+no seeded estimate changes.
 """
 
 from __future__ import annotations
@@ -288,19 +289,22 @@ _QUANTILE_NODES = 2048
 _QUANTILE_BLOCK = 1 << 15
 
 
-def _radial_quantile(m: int, R: float) -> Callable[[np.ndarray], np.ndarray]:
+def _radial_quantile(m: int, R: float) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
     """The map log_u -> s in [0, R] with F(s) / F(R) = e^log_u, F(s) =
     int_0^s sinh^m, by Newton's method on ln F: concave, so from any start
     the iterates rise to the root after the first step.  On F itself the
     steps shrink to 1/m where F grows like e^(m s).  u = 0 gives 0 and u = 1
-    gives R, both exactly.
+    gives R, both exactly.  Returned with its node table s_0 = 0, ..., s_K = R.
 
     The quantile is solved here, once, at the nodes t_j = j/K,
     K = _QUANTILE_NODES, t = u^(1/(m+1)), from the power-law start
     min(((m+1) F)^(1/(m+1)), R), which is >= the root; s is about linear in
-    t, since F(s) ~ s^(m+1)/(m+1) for small s.  The map starts each sample
-    from the linear interpolation in t between its two nodes (below t_1,
-    from the power-law start) and takes the same Newton steps,
+    t, since F(s) ~ s^(m+1)/(m+1) for small s.  The quantile increases with
+    t, so a sample with t in [t_j, t_(j+1)] has its radius in [s_j, s_(j+1)]
+    up to the 1e-13 R of Newton's stopping rule: ``overlap_monte_carlo``
+    decides most samples from that bracket alone.  The map starts each
+    sample from the linear interpolation in t between its two nodes (below
+    t_1, from the power-law start) and takes the same Newton steps,
     _QUANTILE_BLOCK samples at a time, until its block's largest step is at
     most 1e-13 R: two steps where the power-law start took five, on
     temporaries a sixth of the size.  Only the start changes, and both
@@ -345,7 +349,7 @@ def _radial_quantile(m: int, R: float) -> Callable[[np.ndarray], np.ndarray]:
             out[lo:lo + _QUANTILE_BLOCK] = newton(s, block)
         return out
 
-    return quantile
+    return quantile, table
 
 
 def overlap_monte_carlo(
@@ -359,15 +363,39 @@ def overlap_monte_carlo(
     2 <= n <= 200, 1e-300 <= R <= 50 and finite r >= 0.
 
     Points are drawn exactly uniformly in a radius-R ball of H^n using the
-    hyperboloid model: radius by Newton's method on the radial CDF, whose
-    density is sinh^(n-1), without the quadrature of ``overlap_finite``,
-    started from a table of the quantile (``_radial_quantile``) solved once
-    per call; direction by normalized Gaussians.  Membership in the second
-    ball at distance r is tested with the Minkowski form.  Returns (mean,
-    stderr); deterministic for a fixed seed.  The uniform and Gaussian draws
-    do not depend on how the radii are solved, and the radii only to
-    rounding, so a sample changes sides only if it lies within an ulp of the
-    second sphere.
+    hyperboloid model: radius by the inverse of the radial CDF, whose
+    density is sinh^(n-1), without the quadrature of ``overlap_finite``;
+    direction by normalized Gaussians.  Returns (mean, stderr);
+    deterministic for a fixed seed.
+
+    A point at radius s whose direction makes cosine w1 with the second
+    center lies in the second ball exactly when w1 >= c(s), by the
+    hyperbolic law of cosines, with
+
+        c(s) = (cosh r cosh s - cosh R) / (sinh r sinh s) = (1 - P) / Q,
+
+    P = a^2 cosh r + b^2, Q = -2ab cosh(s/2) cosh(r/2), a = sinh(s/2) /
+    sinh(R/2), b = sinh(r/2) / sinh(R/2): the test q = P + Q w1 <= 1 on
+    (cosh d - 1)/(cosh R - 1) at the distance d to the second center, which
+    keeps its digits where cosh of a radius rounds to 1.  c' has the sign of
+    cosh R cosh s - cosh r, so c rises on (0, R] when r <= R and otherwise
+    falls to its minimum at s0, sinh^2(s0/2) = (sinh^2(r/2) - sinh^2(R/2)) /
+    cosh R (in this half-angle form, since acosh(cosh r / cosh R) is 0 for
+    tiny balls), and then rises.  Over one bracket [s_j, s_(j+1)] of the
+    quantile table (``_radial_quantile``) c is therefore largest at an end
+    and least at an end or at s0.  Each bracket is widened by 1e-9 R, far
+    beyond the 1e-13 R of the table and of Newton, and its highest and
+    lowest c by 1e-9, beyond the rounding of c and q, so a sample with
+    w1 >= the high threshold is a hit and one with w1 < the low threshold a
+    miss in the polished test too.  The rest, about 5 in 10^4 samples at
+    r = 1, R = 2, n = 2..4, take that test: the tabulated start, Newton,
+    then q.  The uniform and
+    Gaussian draws do not depend on how the radii are solved, so no seeded
+    estimate changes.
+
+    c is evaluated under ``np.errstate``: Q = 0 at s = 0 or r = 0 gives
+    +-inf, and 0/0 (at s = 0 when r = R, at s = R when r = 0) gives nan,
+    which decides nothing and leaves its samples to the polished test.
     """
     if not 2 <= n <= 200:
         raise ValueError(f"overlap_monte_carlo requires 2 <= n <= 200, got n = {n}")
@@ -383,22 +411,40 @@ def overlap_monte_carlo(
     sinh_hR = math.sinh(R / 2.0)
     b, cosh_r, cosh_hr = math.sinh(r / 2.0) / sinh_hR, math.cosh(r), math.cosh(r / 2.0)
 
-    quantile = _radial_quantile(n - 1, R)
+    def terms(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # P and Q of q = P + Q w1; s <= R, so a <= 1 but for rounding
+        a = np.minimum(np.sinh(s / 2.0) / sinh_hR, 1.0)
+        return a * a * cosh_r + b * b, -2.0 * a * b * np.cosh(s / 2.0) * cosh_hr
+
+    quantile, table = _radial_quantile(n - 1, R)
+    K = table.size - 1
+    ends = [np.maximum(table[:-1] - 1e-9 * R, 0.0), np.minimum(table[1:] + 1e-9 * R, R)]
+    if r > R:
+        # sinh(R/2) (b^2 - 1)^(1/2), not the difference of squares, which
+        # underflows at R = 1e-300
+        s0 = 2.0 * math.asinh(sinh_hR * math.sqrt((b - 1.0) * (b + 1.0) / math.cosh(R)))
+        ends.append(np.where((ends[0] <= s0) & (s0 <= ends[1]), s0, ends[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.array([(1.0 - P) / Q for P, Q in map(terms, ends)])
+    high = np.max(c[:2], axis=0) + 1e-9
+    low = np.min(c, axis=0) - 1e-9
+
     hits = 0
     chunk = (1 << 21) // max(n, 4)  # caps the (chunk, n) Gaussian block at 16 MB
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
         with np.errstate(divide="ignore"):
-            s = quantile(np.log(rng.random(m)))
+            log_u = np.log(rng.random(m))
         w = rng.standard_normal((m, n))
         w1 = w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w))
-        # (cosh d - 1)/(cosh R - 1) at the distance d to the second center, by
-        # the Minkowski form and cosh x - 1 = 2 sinh^2(x/2): cosh x alone
-        # rounds to 1 once x^2 < 1e-16.  s <= R, so a <= 1 but for rounding.
-        a = np.minimum(np.sinh(s / 2.0) / sinh_hR, 1.0)
-        q = a * a * cosh_r + b * b - 2.0 * a * b * np.cosh(s / 2.0) * cosh_hr * w1
-        hits += int(np.count_nonzero(q <= 1.0))
+        # each sample's bracket, as the quantile map finds it
+        j = np.minimum((np.exp(log_u / n) * K).astype(np.intp), K - 1)
+        hit = w1 >= high[j]
+        # a nan threshold fails both comparisons and leaves its samples open
+        open_ = np.flatnonzero(~(hit | (w1 < low[j])))
+        P, Q = terms(quantile(log_u[open_]))
+        hits += int(np.count_nonzero(hit)) + int(np.count_nonzero(P + Q * w1[open_] <= 1.0))
         done += m
     mean = hits / samples
     stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)

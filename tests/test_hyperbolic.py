@@ -160,6 +160,27 @@ def test_monte_carlo_bytes_pinned_over_many_chunks(seed, pinned):
     assert hyp.overlap_monte_carlo(200, 0.1, 2.0, 50_000, seed=seed) == pinned
 
 
+# geometries that the seeded pins above never sample: r > R, r = R, and
+# tiny balls with r > R, where c(s) is least at the half-angle s0 inside
+# the ball; taken from the sampler that polished every radius
+MONTE_CARLO_GEOMETRY_PINS = {
+    (3, 3.0, 2.0, 1): (0.02813, 0.0003697208615969621),
+    (3, 3.0, 2.0, 11): (0.02789, 0.00036818574048976964),
+    (10, 2.0, 2.0, 1): (0.00315, 0.00012530118714521423),
+    (10, 2.0, 2.0, 11): (0.00316, 0.00012549929083464974),
+    (10, 1.5e-7, 1e-7, 1): (0.002985, 0.00012198544534082744),
+    (10, 1.5e-7, 1e-7, 11): (0.002965, 0.00012157731644924558),
+    (3, 1.5e-100, 1e-100, 1): (0.085855, 0.0006264340307446587),
+    (3, 1.5e-100, 1e-100, 11): (0.085145, 0.0006240806397213424),
+}
+
+
+@pytest.mark.parametrize("n, r, R, seed", sorted(MONTE_CARLO_GEOMETRY_PINS))
+def test_monte_carlo_bytes_pinned_off_the_bench(n, r, R, seed):
+    pinned = MONTE_CARLO_GEOMETRY_PINS[n, r, R, seed]
+    assert hyp.overlap_monte_carlo(n, r, R, 200_000, seed=seed) == pinned
+
+
 @pytest.mark.parametrize(
     "n, r, R",
     [(n, r, 2.0) for n in (2, 5, 10, 50, 200) for r in (0.0, 0.05, 1.0, 2.0, 3.0, 4.0, 5.0)]
@@ -260,7 +281,8 @@ def test_radial_quantile_takes_few_newton_steps(n, s, monkeypatch):
     (ratio_R,), (sinh_R,) = hyp._sinh_power_integral(n - 1, np.array([R]))
     log_u = SINH_POWER_INTEGRALS[n, s][1] - math.log(ratio_R) - (n - 1) * math.log(sinh_R)
     polish = _polish_calls(monkeypatch)
-    (got,) = hyp._radial_quantile(n - 1, R)(np.array([log_u]))
+    quantile, _ = hyp._radial_quantile(n - 1, R)
+    (got,) = quantile(np.array([log_u]))
     assert math.isclose(got, s, rel_tol=1e-13)
     # from the tabulated start, one evaluation of F per Newton step
     assert 1 <= len(polish()) <= 3
@@ -271,7 +293,8 @@ def test_radial_quantile_polishes_each_block_in_few_steps(n, R, monkeypatch):
     # a full block and a one-sample block, told apart by their sizes
     log_u = np.log(np.random.default_rng(5).random(hyp._QUANTILE_BLOCK + 1))
     polish = _polish_calls(monkeypatch)
-    hyp._radial_quantile(n - 1, R)(log_u)
+    quantile, _ = hyp._radial_quantile(n - 1, R)
+    quantile(log_u)
     sizes = polish()
     assert 1 <= sizes.count(hyp._QUANTILE_BLOCK) <= 3
     assert 1 <= sizes.count(1) <= 3
@@ -296,11 +319,17 @@ def test_radial_quantile_round_trip(n, R):
     # and u near 0 and near 1 (the largest draw of a uniform generator)
     t = np.arange(1, 2 * K) / (2 * K)
     log_u = np.concatenate(((m + 1) * np.log(t), [-700.0, -36.0, math.log1p(-2.0**-53)]))
-    s = hyp._radial_quantile(m, R)(log_u)
+    quantile, table = hyp._radial_quantile(m, R)
+    s = quantile(log_u)
     assert np.all((s > 0.0) & (s <= R))
     _assert_round_trip(m, R, s, log_u)
-    # u = 0 and u = 1 give 0 and R exactly
-    assert list(hyp._radial_quantile(m, R)(np.array([-math.inf, 0.0]))) == [0.0, R]
+    # u = 0 and u = 1 give 0 and R exactly, and so do the table's end nodes
+    assert list(quantile(np.array([-math.inf, 0.0]))) == [0.0, R]
+    assert table.size == K + 1 and table[0] == 0.0 and table[-1] == R
+    # the table holds the map at t_j, and the radius between two nodes lies
+    # between their radii: the brackets that decide most Monte-Carlo samples
+    assert np.all(np.abs(s[1:2 * K - 1:2] - table[1:-1]) <= 1e-13 * R)
+    assert np.all((table[:-1] < s[:2 * K:2]) & (s[:2 * K:2] < table[1:]))
 
 
 @pytest.mark.parametrize("size", [1, hyp._QUANTILE_BLOCK, hyp._QUANTILE_BLOCK + 1])
@@ -312,7 +341,8 @@ def test_radial_quantile_across_blocks(size, n, R):
     # second; a single sample stays a draw
     for i in {hyp._QUANTILE_BLOCK - 1, hyp._QUANTILE_BLOCK} & set(range(1, size)):
         log_u[i] = -math.inf if i % 2 == 0 else 0.0
-    s = hyp._radial_quantile(m, R)(log_u)
+    quantile, _ = hyp._radial_quantile(m, R)
+    s = quantile(log_u)
     assert s.shape == log_u.shape
     assert np.all(s[log_u == -math.inf] == 0.0)
     assert np.all(s[log_u == 0.0] == R)
@@ -324,12 +354,71 @@ def test_radial_quantile_memory_is_blocked():
     log_u = np.log(np.random.default_rng(1).random(200_000))
     tracemalloc.start()
     try:
-        hyp._radial_quantile(3, 2.0)(log_u)
+        quantile, _ = hyp._radial_quantile(3, 2.0)
+        quantile(log_u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # Newton over all 200 000 samples at once held 19 MB of temporaries
     assert peak < 8e6
+
+
+def _polished_overlap(n, r, R, samples, seed):
+    """``overlap_monte_carlo`` without the brackets, as a reference: every
+    radius polished by Newton from the table, then the test q <= 1."""
+    rng = np.random.default_rng(seed)
+    sinh_hR = math.sinh(R / 2.0)
+    b, cosh_r, cosh_hr = math.sinh(r / 2.0) / sinh_hR, math.cosh(r), math.cosh(r / 2.0)
+    quantile, _ = hyp._radial_quantile(n - 1, R)
+    hits, done, chunk = 0, 0, (1 << 21) // max(n, 4)
+    while done < samples:
+        m = min(chunk, samples - done)
+        with np.errstate(divide="ignore"):
+            s = quantile(np.log(rng.random(m)))
+        w = rng.standard_normal((m, n))
+        w1 = w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w))
+        a = np.minimum(np.sinh(s / 2.0) / sinh_hR, 1.0)
+        q = a * a * cosh_r + b * b - 2.0 * a * b * np.cosh(s / 2.0) * cosh_hr * w1
+        hits += int(np.count_nonzero(q <= 1.0))
+        done += m
+    mean = hits / samples
+    return mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 50, 200])
+@pytest.mark.parametrize("R", [1e-100, 1e-7, 2.0, 50.0])
+@pytest.mark.parametrize("share", [0.0, 0.5, 1.0, 1.5, 2.0 - 1e-6])
+def test_monte_carlo_brackets_keep_every_verdict(n, R, share):
+    # concentric, r < R, r = R (0/0 at s = 0), r > R (c least at s0) and
+    # nearly disjoint balls, at R from tiny to the domain's end
+    r = share * R
+    for seed in (1, 11):
+        got = hyp.overlap_monte_carlo(n, r, R, 20_000, seed=seed)
+        assert got == _polished_overlap(n, r, R, 20_000, seed)
+        if r == 0.0:
+            assert got == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("n, R", [(2, 1.0), (3, 1.0), (2, 10.0), (4, 1e-7), (4, 1e-100)])
+def test_monte_carlo_brackets_keep_every_verdict_on_a_coarse_table(n, R, monkeypatch):
+    # 8 nodes make brackets wide enough that c's minimum at s0 inside one,
+    # at r = 1.2 R, lies well below c at both its ends: brackets that left s0
+    # out would count some of these hits as misses
+    monkeypatch.setattr(hyp, "_QUANTILE_NODES", 8)
+    r = 1.2 * R
+    for seed in (1, 11):
+        assert hyp.overlap_monte_carlo(n, r, R, 20_000, seed=seed) == \
+            _polished_overlap(n, r, R, 20_000, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_monte_carlo_polishes_few_samples(n, monkeypatch):
+    # the bench's geometry: Newton evaluates F on every sample it polishes,
+    # and the brackets leave a few in 10^4 of them open
+    samples = 200_000
+    polish = _polish_calls(monkeypatch)
+    hyp.overlap_monte_carlo(n, 1.0, 2.0, samples, seed=1)
+    assert sum(polish()) <= 0.01 * samples
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 24, 100])
