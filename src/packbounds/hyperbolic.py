@@ -13,11 +13,10 @@ the incomplete beta function, a finite-R radial integral whose integrand is
 the regularized incomplete beta share of each sphere about one center,
 normalized by F(R), and a Monte-Carlo sampler in the hyperboloid model, an
 independent oracle for the other two that draws radii by Newton's method on
-ln F, without quadrature, for 2 <= n <= 200 and 1e-300 <= R <= 50.  The
-radii come from a table of the quantile at 2048 nodes.  The bracket between
-two nodes settles the side of the second sphere for nearly every sample, and
-Newton polishes only the rest, from the table, to the same stopping rule, so
-no seeded estimate changes.
+ln F, without quadrature, for 2 <= n <= 200 and 1e-300 <= R <= 50.  A
+table of the radial quantile at 2048 nodes brackets each radius.  The
+bracket settles the side of the second sphere for nearly every sample, and
+Newton solves only the radii of the rest.
 """
 
 from __future__ import annotations
@@ -151,17 +150,15 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
     evaluated once at each of these angles, in that order, and the first
     minimal record is returned.  R(r, theta) is largest at pi/3, so the
-    domain check there covers every angle.  Only pi/3 walks k for its code
-    bound: at acos(t_(n,k)) that walk would stop at k.
+    domain check there covers every angle.  The degrees are walked once,
+    by the code bound at pi/3: its degree k0 is the first whose root
+    reaches 1/2, so the root angles are those of k = 1, ..., k0 - 1.
     """
     ctx = shared_context(n)
     _check_geometry(n, r, math.pi / 3.0, refined)
-    thetas = [math.pi / 3.0]
-    k = 1
-    while ctx.largest_root(k) <= 0.5:
-        thetas.append(math.acos(ctx.largest_root(k)))
-        k += 1
-    degrees = [kl_spherical_code_bound(n, math.pi / 3.0)[1], *range(1, k)]
+    k0 = kl_spherical_code_bound(n, math.pi / 3.0)[1]
+    thetas = [math.pi / 3.0, *(math.acos(ctx.largest_root(k)) for k in range(1, k0))]
+    degrees = [k0, *range(1, k0)]
     best = min(_density_records(n, r, thetas, degrees, refined), key=lambda rec: rec.value)
     return replace(best, diagnostics=dict(best.diagnostics, optimized=True))
 
@@ -296,59 +293,41 @@ def _radial_quantile(m: int, R: float) -> tuple[Callable[[np.ndarray], np.ndarra
     steps shrink to 1/m where F grows like e^(m s).  u = 0 gives 0 and u = 1
     gives R, both exactly.  Returned with its node table s_0 = 0, ..., s_K = R.
 
-    The quantile is solved here, once, at the nodes t_j = j/K,
-    K = _QUANTILE_NODES, t = u^(1/(m+1)), from the power-law start
-    min(((m+1) F)^(1/(m+1)), R), which is >= the root; s is about linear in
-    t, since F(s) ~ s^(m+1)/(m+1) for small s.  The quantile increases with
-    t, so a sample with t in [t_j, t_(j+1)] has its radius in [s_j, s_(j+1)]
-    up to the 1e-13 R of Newton's stopping rule: ``overlap_monte_carlo``
-    decides most samples from that bracket alone.  The map starts each
-    sample from the linear interpolation in t between its two nodes (below
-    t_1, from the power-law start) and takes the same Newton steps,
-    _QUANTILE_BLOCK samples at a time, until its block's largest step is at
-    most 1e-13 R: two steps where the power-law start took five, on
-    temporaries a sixth of the size.  Only the start changes, and both
-    starts converge to the same root, so a radius moves by rounding alone.
+    Each _QUANTILE_BLOCK of samples starts from the power-law start
+    min(((m+1) F)^(1/(m+1)), R), which is >= the root, since F(s) >=
+    s^(m+1)/(m+1), and steps until its block's largest step is at most
+    1e-13 R.  The table is the same map at the nodes t_j = j/K,
+    K = _QUANTILE_NODES, t = u^(1/(m+1)); s is about linear in t for small
+    s.  The quantile increases with t, so a sample with t in
+    [t_j, t_(j+1)] has its radius in [s_j, s_(j+1)] up to the 1e-13 R of
+    the stopping rule: ``overlap_monte_carlo`` decides most samples from
+    that bracket alone.
     """
     (ratio_R,), (sinh_R,) = _sinh_power_integral(m, np.array([R]))
-
-    def newton(s: np.ndarray, log_u: np.ndarray) -> np.ndarray:
-        while True:
-            ratio, sh = _sinh_power_integral(m, s)
-            # ln F(s)/F(R) from ratios near 1, so that a huge ln F(R) cannot
-            # swamp the step in rounding
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_cdf = np.log(ratio / ratio_R) + m * np.log(sh / sinh_R)
-                step = np.where(s > 0.0, ratio * (log_cdf - log_u), 0.0)
-            # a step takes at most half of s, so no overshoot reaches s <= 0
-            s = np.minimum(np.maximum(s - step, 0.5 * s), R)
-            if np.max(np.abs(step)) <= 1e-13 * R:
-                return s
-
-    K = _QUANTILE_NODES
     # ((m+1) F(R))^(1/(m+1)), so that the power-law start is slope * t
     slope = math.exp((math.log(m + 1) + math.log(ratio_R) + m * math.log(sinh_R)) / (m + 1))
-    t = np.arange(1, K) / K
-    table = np.concatenate(([0.0], newton(np.minimum(slope * t, R), (m + 1) * np.log(t)), [R]))
 
     def quantile(log_u: np.ndarray) -> np.ndarray:
         out = np.empty_like(log_u)
         for lo in range(0, log_u.size, _QUANTILE_BLOCK):
             block = log_u[lo:lo + _QUANTILE_BLOCK]
-            x = np.exp(block / (m + 1)) * K
-            j = np.minimum(x.astype(np.intp), K - 1)
-            frac = x - j
-            # exact at both nodes, so t = 0 starts at 0 and t = 1 at R
-            s = (1.0 - frac) * table[j] + frac * table[j + 1]
-            # below t_1 a large ball's quantile runs from 0 far into the
-            # e^(m s) regime, where the chord starts too low for a step rule
-            # relative to R, so those samples keep the power-law start,
-            # which is >= the root
-            first = j == 0
-            s[first] = np.minimum(slope / K * frac[first], R)
-            out[lo:lo + _QUANTILE_BLOCK] = newton(s, block)
+            s = np.minimum(slope * np.exp(block / (m + 1)), R)
+            while True:
+                ratio, sh = _sinh_power_integral(m, s)
+                # ln F(s)/F(R) from ratios near 1, so that a huge ln F(R)
+                # cannot swamp the step in rounding
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    log_cdf = np.log(ratio / ratio_R) + m * np.log(sh / sinh_R)
+                    step = np.where(s > 0.0, ratio * (log_cdf - block), 0.0)
+                # a step takes at most half of s, so no overshoot reaches s <= 0
+                s = np.minimum(np.maximum(s - step, 0.5 * s), R)
+                if np.max(np.abs(step)) <= 1e-13 * R:
+                    break
+            out[lo:lo + _QUANTILE_BLOCK] = s
         return out
 
+    K = _QUANTILE_NODES
+    table = np.concatenate(([0.0], quantile((m + 1) * np.log(np.arange(1, K) / K)), [R]))
     return quantile, table
 
 
@@ -388,10 +367,9 @@ def overlap_monte_carlo(
     lowest c by 1e-9, beyond the rounding of c and q, so a sample with
     w1 >= the high threshold is a hit and one with w1 < the low threshold a
     miss in the polished test too.  The rest, about 5 in 10^4 samples at
-    r = 1, R = 2, n = 2..4, take that test: the tabulated start, Newton,
-    then q.  The uniform and
-    Gaussian draws do not depend on how the radii are solved, so no seeded
-    estimate changes.
+    r = 1, R = 2, n = 2..4, take that test: the radius by Newton from the
+    power-law start, then q.  The uniform and Gaussian draws do not depend
+    on how the radii are solved.
 
     c is evaluated under ``np.errstate``: Q = 0 at s = 0 or r = 0 gives
     +-inf, and 0/0 (at s = 0 when r = R, at s = R when r = 0) gives nan,

@@ -37,7 +37,6 @@ __all__ = [
     "NonConvergenceError",
     "IntegrandError",
     "integrate",
-    "integrate_real_line",
     "log_gamma",
     "log_binomial",
     "scaled_erfc_complex",
@@ -243,22 +242,14 @@ def _one_lane(f: Callable[[np.ndarray], np.ndarray]):
     return lambda lanes, x: f(x[0])
 
 
-def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadResult:
-    """Integrate over (-inf, inf) after truncating the tails.
-
-    The caller passes an integrand scaled so that its peak lies near 0
-    with |f(0)| = 1.  The interval is cut where log|f| falls
-    :data:`TAIL_NATS` nats below that; both cuts are located by outward
-    doubling, one call of ``f`` per step serving both sides.  This is the
-    one-lane call of :func:`_real_line_lanes`.
-    """
-    return _real_line_lanes(_one_lane(f), 1)[0]
-
-
 def _real_line_lanes(f, count: int) -> list[QuadResult]:
-    """:func:`integrate_real_line` for ``count`` lanes of a lane integrand
-    (see :func:`_integrate_lanes`): each doubling step makes one call of f
-    for every lane whose cuts are not both found yet."""
+    """Integrate each of ``count`` lanes of a lane integrand (see
+    :func:`_integrate_lanes`) over (-inf, inf) after truncating the tails.
+
+    Each lane is scaled so that its peak lies near 0 with |f(0)| = 1.  Its
+    interval is cut where log|f| falls :data:`TAIL_NATS` nats below that;
+    both cuts are located by outward doubling, and each doubling step makes
+    one call of f for every lane whose cuts are not both found yet."""
     floor = math.exp(-TAIL_NATS)
     cuts = np.full((count, 2), np.nan)
     todo = np.arange(count)

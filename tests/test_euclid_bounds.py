@@ -278,6 +278,23 @@ def test_rate_corridor_at_600():
     assert -0.62 < per_dim < -0.50
 
 
+def test_table_shows_the_headline():
+    # the improvement over kl grows with n (1.14, 1.21, 1.24), and the
+    # per-dimension slope of log2 cz (-0.530 over 50..100, -0.584 over
+    # 700..800) nears the asymptotic rate -0.5991
+    dims = [50, 100, 200, 700, 800]
+    records = eb.bounds(["kl", "cz"], dims)
+    kl, cz = ({n: rec.value.log_value for n, rec in zip(dims, records[m])} for m in ("kl", "cz"))
+    ratios = [kl[n] - cz[n] for n in (50, 200, 800)]
+    assert 0.0 < ratios[0] < ratios[1] < ratios[2]
+
+    def slope(lo, hi):
+        return (cz[hi] - cz[lo]) / math.log(2.0) / (hi - lo)
+
+    rate = optimize_asymptotic_rate().rate_log2
+    assert abs(slope(700, 800) - rate) < abs(slope(50, 100) - rate)
+
+
 # ---------------------------------------------------------------------------
 # caps, rate, crossovers
 # ---------------------------------------------------------------------------

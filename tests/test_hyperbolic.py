@@ -284,8 +284,8 @@ def test_radial_quantile_takes_few_newton_steps(n, s, monkeypatch):
     quantile, _ = hyp._radial_quantile(n - 1, R)
     (got,) = quantile(np.array([log_u]))
     assert math.isclose(got, s, rel_tol=1e-13)
-    # from the tabulated start, one evaluation of F per Newton step
-    assert 1 <= len(polish()) <= 3
+    # from the power-law start, one evaluation of F per Newton step
+    assert 1 <= len(polish()) <= 5
 
 
 @pytest.mark.parametrize("n, R", [(2, 2.0), (4, 2.0), (50, 0.5), (200, 40.0)])
@@ -296,9 +296,18 @@ def test_radial_quantile_polishes_each_block_in_few_steps(n, R, monkeypatch):
     quantile, _ = hyp._radial_quantile(n - 1, R)
     quantile(log_u)
     sizes = polish()
-    assert 1 <= sizes.count(hyp._QUANTILE_BLOCK) <= 3
-    assert 1 <= sizes.count(1) <= 3
+    assert 1 <= sizes.count(hyp._QUANTILE_BLOCK) <= 5
+    assert 1 <= sizes.count(1) <= 5
     assert len(sizes) == sizes.count(hyp._QUANTILE_BLOCK) + sizes.count(1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 50, 200])
+def test_radial_quantile_table_is_the_map_at_its_nodes(n):
+    # one path: the table's interior is the quantile at t_j = j/K, bit for bit
+    m, K = n - 1, hyp._QUANTILE_NODES
+    quantile, table = hyp._radial_quantile(m, 2.0)
+    nodes = quantile((m + 1) * np.log(np.arange(1, K) / K))
+    assert table[1:-1].tobytes() == nodes.tobytes()
 
 
 def _assert_round_trip(m, R, s, log_u):
