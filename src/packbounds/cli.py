@@ -189,7 +189,8 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def _parse_methods(text: str) -> list[str]:
-    methods = [x.strip() for x in text.split(",") if x.strip()]
+    """The comma-separated method names, each once, in first-seen order."""
+    methods = list(dict.fromkeys(x.strip() for x in text.split(",") if x.strip()))
     if not methods:
         raise argparse.ArgumentTypeError("empty method list")
     return methods

@@ -371,6 +371,41 @@ def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
     return total
 
 
+def _chebyshev_coefficients(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
+    """g's d + 1 coefficients a_k in the Chebyshev basis, g = sum_k a_k T_k.
+
+    g is a polynomial of degree d, so numpy's interpolation at the d + 1
+    Chebyshev points of the first kind, where :func:`_eval_g` evaluates it,
+    is exact up to rounding.  That rounding grows like d^2: summed again,
+    the coefficients give g within about 0.1 (d + 1)^2 ulps of sum |w_k|
+    (measured at d = 40 and 200).  The LP check roots their derivative;
+    the transfer probe sums them by :func:`_chebyshev_sum`."""
+    d = len(weights) - 1
+    return np.polynomial.chebyshev.chebinterpolate(lambda t: _eval_g(ctx, weights, t), d)
+
+
+def _chebyshev_sum(coef: np.ndarray, x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(x), elementwise, by Clenshaw's recurrence.
+
+    From b_(d+1) = b_(d+2) = 0, b_k = coef[k] + 2x b_(k+1) - b_(k+2) down to
+    k = 1 costs three array passes per degree, and the sum is
+    coef[0] + x b_1 - b_2.  It runs in the four rows of ``work``, each the
+    size of x, and returns one of them."""
+    x2, b0, b1, b2 = work
+    np.add(x, x, out=x2)
+    b1.fill(0.0)
+    b2.fill(0.0)
+    for c in coef[:0:-1]:
+        np.multiply(x2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    np.multiply(x, b1, out=b0)
+    b0 -= b2
+    b0 += coef[0]
+    return b0
+
+
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
     """The real parts of all roots of g', none when g has degree < 2.
 
@@ -381,11 +416,9 @@ def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
     more point to test, so no tolerance decides which roots count.
     """
     cheb = np.polynomial.chebyshev
-    d = len(weights) - 1
-    if d < 2:
+    if len(weights) < 3:
         return np.array([])
-    coef = cheb.chebinterpolate(lambda t: _eval_g(ctx, weights, t), d)
-    return cheb.chebroots(cheb.chebder(coef)).real
+    return cheb.chebroots(cheb.chebder(_chebyshev_coefficients(ctx, weights))).real
 
 
 def _max_violation(
@@ -573,8 +606,7 @@ _LENS_BLOCK = 1 << 14
 
 
 def _lens_f(
-    ctx: GegenbauerContext,
-    weights: np.ndarray,
+    coef: np.ndarray,
     n: int,
     R: float,
     radii,
@@ -582,7 +614,8 @@ def _lens_f(
 ) -> np.ndarray:
     """f(rho) = integral over B_R(x) ^ B_R(y) of g(cos angle(x z y)) dz,
     |x - y| = rho, for each rho in ``radii``, reduced to 2-D by symmetry of
-    revolution about the axis.
+    revolution about the axis.  ``coef`` holds g's Chebyshev coefficients
+    (:func:`_chebyshev_coefficients`).
 
     Coordinates: u = |z - x| in (0, R], phi = polar angle of z at x toward
     y.  The lens constraint |z - y| <= R caps phi at phi_max(u); the sphere
@@ -599,12 +632,15 @@ def _lens_f(
 
     Each (radius, u-segment) pair of the call is one product grid of
     (u, phi) nodes, and the integrand runs over _LENS_BLOCK points of these
-    grids at a time.  A segment is still reduced on its own, by one
-    matrix-vector product over phi and one dot product over u, and added to
-    its radius's total in the order of its u-segments, so a radius's value
-    does not depend on which radii share the call.  Where the whole
-    direction sphere lies in the lens, phi_max = pi, and cos phi and
-    sin^(n-2) phi are taken once on the phi nodes.
+    grids at a time, g summed by Clenshaw's recurrence (:func:`_chebyshev_sum`)
+    in four rows allocated once per call.  A segment is still reduced on its
+    own, by one matrix-vector product over phi and one dot product over u,
+    and added to its radius's total in the order of its u-segments, so a
+    radius's value does not depend on which radii share the call.  Where the
+    whole direction sphere lies in the lens, phi_max = pi, and cos phi and
+    sin^(n-2) phi are taken once on the phi nodes; in a cut segment
+    sin^(n-2) phi is ((1 - cos phi)(1 + cos phi))^((n-2)/2), from the cosine
+    the integrand needs anyway.
     """
     omega = 2.0 * math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n - 1) / 2.0))
     xg, wg = gauss
@@ -632,6 +668,7 @@ def _lens_f(
 
     values = [0.0] * len(segments)
     per_block = max(1, _LENS_BLOCK // (s_phi.size * s01.size))
+    work = np.empty((4, per_block * s_phi.size * s01.size))  # Clenshaw's rows
     for whole in (True, False):
         group = [k for k, seg in enumerate(segments) if seg[4] == whole]
         if not group:
@@ -655,9 +692,8 @@ def _lens_f(
             uu = u[lo : lo + per_block, None, :]
             rr = rho[lo : lo + per_block, :, None]
             if not whole:
-                phi = s_phi[:, None] * phimax[lo : lo + per_block, None, :]
-                sin_pow = np.sin(phi) ** (n - 2)
-                cphi = np.cos(phi, out=phi)
+                cphi = np.cos(s_phi[:, None] * phimax[lo : lo + per_block, None, :])
+                sin_pow = ((1.0 - cphi) * (1.0 + cphi)) ** ((n - 2) / 2.0)
             # v = |z - y|, then arg = (u - rho cos phi) / v in its place (1 where v = 0)
             arg = uu * uu + rr * rr - 2.0 * uu * rr * cphi
             np.sqrt(np.maximum(arg, 0.0, out=arg), out=arg)
@@ -665,7 +701,8 @@ def _lens_f(
             np.divide(uu - rr * cphi, np.where(apart, arg, 1.0), out=arg)
             arg[~apart] = 1.0
             np.clip(arg, -1.0, 1.0, out=arg)
-            integrand = sin_pow * _eval_g(ctx, weights, arg.ravel()).reshape(arg.shape)
+            integrand = _chebyshev_sum(coef, arg.ravel(), work[:, : arg.size]).reshape(arg.shape)
+            integrand *= sin_pow
             for k, grid in enumerate(integrand, lo):
                 inner[k] = w_phi @ grid
         rows = u ** (n - 1) * (phimax * inner) * du
@@ -686,30 +723,31 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     int f = vol(B_R)^2 mean(g) hold for exact arithmetic; the probe is the
     numerical check.  Small n only: the reduction is 2-D but the radial
     integral makes it a triple quadrature.  Every lens integral uses the
-    same 64-point Gauss-Legendre rule, built once here.  The sample radii
-    are one call of the lens evaluator :func:`_lens_f`, and so is each
-    evaluation of a radial integrand over its quadrature nodes; a radius's
-    value does not depend on the call it shares.  The radial integral runs
-    over [0, R] directly and over [R, 2R] after rho = 2R - R s^2,
-    s in [0, 1], which makes the integrand smooth at the edge of the
-    support, where f behaves like (2R - rho)^((n+1)/2).
+    same 64-point Gauss-Legendre rule and g's Chebyshev coefficients, both
+    computed once here, the latter as the LP check computes them.  The
+    sample radii are one call of the lens evaluator :func:`_lens_f`, and so
+    is each evaluation of a radial integrand over its quadrature nodes; a
+    radius's value does not depend on the call it shares.  The radial
+    integral runs over [0, R] directly and over [R, 2R] after
+    rho = 2R - R s^2, s in [0, 1], which makes the integrand smooth at the
+    edge of the support, where f behaves like (2R - rho)^((n+1)/2).
     """
     n = cert.n
     if not 2 <= n <= 8:
         raise ValueError("transfer_g_to_f supports 2 <= n <= 8")
     R = 1.0 / math.sin(cert.theta / 2.0)
     ctx = shared_context(n)
-    weights = _normalized_weights(ctx, np.asarray(cert.coefficients))
+    coef = _chebyshev_coefficients(ctx, _normalized_weights(ctx, np.asarray(cert.coefficients)))
     eps = 1e-6
     radii = tuple(sorted({0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + eps, R, 2.0 * R - eps, 2.0 * R, 3.0 * R}))
     gauss = np.polynomial.legendre.leggauss(64)
-    fvals = tuple(_lens_f(ctx, weights, n, R, radii, gauss).tolist())
+    fvals = tuple(_lens_f(coef, n, R, radii, gauss).tolist())
     f0 = fvals[0]  # the sample radii start at 0
 
     surface = 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
 
     def radial(rho: np.ndarray) -> np.ndarray:
-        f = _lens_f(ctx, weights, n, R, rho, gauss).tolist()
+        f = _lens_f(coef, n, R, rho, gauss).tolist()
         # a scalar power per radius: numpy's array power may round otherwise
         return np.array([v * r ** (n - 1) for v, r in zip(f, rho)])
 
