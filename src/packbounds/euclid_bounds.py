@@ -16,9 +16,11 @@ ever touching a denormal.
 All four methods run over a list of dimensions in lockstep: ``_rogers_lanes``
 integrates one quadrature lane per dimension, ``_levenshtein_lanes`` finds
 every Bessel zero in lanes, and ``_scan_k`` runs the k-scans of (n, method)
-lanes together, kl and cz mixed, so each degree's largest roots are found in
-one pass over all of them.  Each per-dimension function is the one-lane call
-of its lockstep helper and gives the same record bit for bit.
+lanes together, kl and cz mixed, on arrays of lane state: each degree's
+largest roots come from one ``find_largest_roots`` call over all the lanes
+and its objectives from one ``_code_objectives`` call.  Each per-dimension
+function is the one-lane call of its lockstep helper and gives the same
+record bit for bit.
 :func:`bounds` runs any list of the ``METHODS`` by name, each lockstep
 helper once, and :func:`crossover_scan` compares three from one such call.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .specfun import (
     _first_zeros,
     _real_line_lanes,
     golden_section_min,
-    log_binomial,
     log_gamma,
     scaled_erfc_complex,
 )
@@ -204,7 +206,9 @@ def kl_spherical_code_bound(n: int, theta: float) -> tuple[LogScaled, int]:
 
         A(n, theta) <= 4 C(k+n-2, k) / (1 - t_(n,k+1)).
 
-    Returns the bound and the k used.
+    Returns the bound and the k used.  The first ``_WALK_DEGREES`` roots are
+    walked in turn; a larger k is found by one Sturm count per probe, and
+    only t_k and t_(k+1) are found.
     """
     if n < 2:
         raise ValueError("kl_spherical_code_bound requires n >= 2")
@@ -214,26 +218,50 @@ def kl_spherical_code_bound(n: int, theta: float) -> tuple[LogScaled, int]:
     # absolute slack so that boundary angles (cos(pi/2) = 6.1e-17 in floats,
     # cos theta landing exactly on a root) select the intended degree
     c = math.cos(theta) - 1e-12
-    k = 1
-    while ctx.largest_root(k) < c:
-        k += 1
-        if k > DEGREE_CAP:
+    walk = min(_WALK_DEGREES, DEGREE_CAP)
+    k = next((k for k in range(1, walk + 1) if ctx.largest_root(k) >= c), None)
+    if k is None:
+        k = ctx.first_degree_reaching(c, walk + 1, DEGREE_CAP)
+        if k is None:
             raise NonConvergenceError("k-search exhausted the degree cap")
     return LogScaled.from_log(_code_objective(0, ctx, k)), k
 
 
+# The degrees kl_spherical_code_bound walks root by root.  The walk up to
+# t_(k+1) costs about 6 Sturm passes of j rows at each degree j, 3 k^2 rows
+# in all, and bisecting t_k and t_(k+1) with no roots below cached 2 x 47
+# passes of k rows: the two meet near k = 31.  The walk also leaves the
+# roots below k cached, which hyp_bound_optimized reads next.
+_WALK_DEGREES = 32
+
+
 def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
-    # log of ((1 - t_(m,k))/2)^(n/2) * 4 C(k+m-2, k) / (1 - t_(m,k+1)) with
-    # m = ctx.n: the code bound on S^(m-1) times the cap shrinkage in R^n;
-    # kl passes the (n+1)-dimensional context, cz the n-dimensional one; at
-    # n = 0 the first term is -0.0 and this is the code bound, bit for bit
-    t_k = ctx.largest_root(k)
-    t_k1 = ctx.largest_root(k + 1)
+    """:func:`_code_objectives` at one (n, ctx.n, k) lane, given as numbers."""
+    return _code_objectives(n, ctx.n, k, ctx.largest_root(k), ctx.largest_root(k + 1))
+
+
+def _libm(f, x):
+    # f by the scalar libm call, on each entry of an array: np.log's SIMD
+    # kernels differ from math.log in the last bit on some hosts
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.tolist()), float, x.size)
+    return f(x)
+
+
+def _code_objectives(n, m, k, t_k, t_k1):
+    """log of ((1 - t_(m,k))/2)^(n/2) * 4 C(k+m-2, k) / (1 - t_(m,k+1)) per
+    lane: the code bound on S^(m-1) times the cap shrinkage in R^n.  Each
+    argument is a number or an array of lanes that broadcasts with the
+    others; numbers alone give a float.  kl passes m = n + 1, cz m = n; at
+    n = 0 the first term is -0.0 and this is the code bound, bit for bit.
+    Logs and log-gammas are math's, and numpy does + - * in the order of the
+    scalar expression, so each lane is the float the numbers give."""
     return (
-        (n / 2.0) * math.log((1.0 - t_k) / 2.0)
+        n / 2.0 * _libm(math.log, (1.0 - t_k) / 2.0)
         + math.log(4.0)
-        + log_binomial(k + ctx.n - 2, k)
-        - math.log(1.0 - t_k1)
+        + (_libm(math.lgamma, k + m - 1) - _libm(math.lgamma, k + 1)
+           - _libm(math.lgamma, m - 1))  # ln C(k + m - 2, k)
+        - _libm(math.log, 1.0 - t_k1)
     )
 
 
@@ -246,52 +274,70 @@ _SCANS = {"kl": (1, 1.0), "cz": (0, 0.5)}
 def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
     """The kl or cz bound of each (n, method) lane: k goes up to the first
     local minimum of the log objective, where the infimum is attained, for
-    every lane in lockstep, with root k + 1 of all the lanes still scanning
-    found at once, whatever their method.  cz counts only the degrees whose
-    root t_(n,k) <= 1/2 (t_1 = 0)."""
+    every lane in lockstep.  cz counts only the degrees whose root
+    t_(n,k) <= 1/2 (t_1 = 0).
+
+    The lanes still scanning keep their context, n, m, cap, t_(k-1), t_k
+    and the objectives at k - 2 and k - 1 as arrays.  Each degree is one
+    comparison with the caps, one :func:`find_largest_roots` call for root
+    k + 1 of the lanes within them, whatever their method, one
+    :func:`_code_objectives` call and one comparison with the objectives at
+    k - 1.  Only a lane that stops becomes a ``BoundRecord``, its
+    ``objective_prev`` the stored objective at k - 2."""
     for n, method in lanes:
         if n < 1 or n > 800:
             raise ValueError(f"{method}_bound requires 1 <= n <= 800")
         if n == 1 and method == "cz":
             # no Gegenbauer family on S^0; kl, through S^1, covers n = 1
             raise ValueError("cz_bound is undefined for n = 1")
-    dims = [n for n, _ in lanes]
     ctxs = [shared_context(n + _SCANS[method][0]) for n, method in lanes]
-    t_max = [_SCANS[method][1] for _, method in lanes]
-    find_largest_roots(ctxs, 2)
-    prev = [_code_objective(n, ctx, 1) for n, ctx in zip(dims, ctxs)]
+    live = {  # each lane still scanning, at degree k
+        "lane": np.arange(len(lanes)),
+        "ctx": np.array(ctxs, dtype=object),
+        "n": np.array([n for n, _ in lanes]),
+        "m": np.array([ctx.n for ctx in ctxs]),
+        "cap": np.array([_SCANS[method][1] for _, method in lanes]),
+        "t_prev": np.zeros(len(lanes)),  # t_(k-1)
+        "t": find_largest_roots(ctxs, 2),  # t_k
+        "obj_prev": np.full(len(lanes), np.nan),  # the objective at k - 2
+    }
+    live["obj"] = _code_objectives(live["n"], live["m"], 1, live["t_prev"], live["t"])
     records: list[BoundRecord | None] = [None] * len(lanes)
-    active = range(len(lanes))
+
+    def stop(mask: np.ndarray, k: int, obj_next: np.ndarray | None) -> dict:
+        # the record of each masked lane, at k* = k - 1; the others go on
+        after = repeat(None) if obj_next is None else obj_next[mask].tolist()
+        for i, t_star, before, value, nxt in zip(
+            *(live[key][mask].tolist() for key in ("lane", "t_prev", "obj_prev", "obj")), after
+        ):
+            records[i] = BoundRecord(
+                dimension=lanes[i][0],
+                method=lanes[i][1],
+                value=LogScaled.from_log(value),
+                k_star=k - 1,
+                theta_star=math.acos(t_star),
+                diagnostics={
+                    "objective_prev": before if k > 2 else None,
+                    "objective": value,
+                    "objective_next": nxt,
+                },
+            )
+        return {key: a[~mask] for key, a in live.items()}
+
     for k in range(2, DEGREE_CAP):  # the objective at k reads root k + 1
-        within = [i for i in active if ctxs[i].largest_root(k) <= t_max[i]]
-        find_largest_roots([ctxs[i] for i in within], k + 1)
-        cur = {i: _code_objective(dims[i], ctxs[i], k) for i in within}
-        still = []
-        for i in active:
-            n, ctx, obj = dims[i], ctxs[i], cur.get(i)
-            if obj is None or obj > prev[i]:
-                k_star = k - 1
-                records[i] = BoundRecord(
-                    dimension=n,
-                    method=lanes[i][1],
-                    value=LogScaled.from_log(prev[i]),
-                    k_star=k_star,
-                    theta_star=math.acos(ctx.largest_root(k_star)),
-                    diagnostics={
-                        "objective_prev": _code_objective(n, ctx, k_star - 1)
-                        if k_star > 1
-                        else None,
-                        "objective": prev[i],
-                        "objective_next": obj,
-                    },
-                )
-            else:
-                prev[i] = obj
-                still.append(i)
-        active = still
-        if not active:
+        past = live["t"] > live["cap"]  # no objective at k
+        if past.any():
+            live = stop(past, k, None)
+        t_next = find_largest_roots(live["ctx"], k + 1)
+        obj = _code_objectives(live["n"], live["m"], k, live["t"], t_next)
+        rose = obj > live["obj"]
+        if rose.any():
+            live = stop(rose, k, obj)
+            t_next, obj = t_next[~rose], obj[~rose]
+        if not live["lane"].size:
             return records
-    n, method = lanes[active[0]]
+        live.update(t_prev=live["t"], t=t_next, obj_prev=live["obj"], obj=obj)
+    n, method = lanes[live["lane"][0]]
     raise NonConvergenceError(f"{method}_bound k-search found no local minimum at n={n}")
 
 

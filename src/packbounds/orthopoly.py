@@ -10,14 +10,17 @@ the matrix, so the (overflowing) polynomial itself is never evaluated.
 Degrees 2 to 4 start from closed forms, higher ones from the three cached
 roots below, polished by Newton; Sturm counts confirm the cell, and without
 a start the bisection runs.  :func:`find_largest_roots` runs this for many
-contexts at one degree in lockstep, one float64 array lane per context;
-numpy rounds elementwise as Python rounds floats, so each lane's root is the
-scalar one bit for bit.
+contexts at one degree in lockstep, one float64 array lane per context, and
+returns their roots as one array; numpy rounds elementwise as Python rounds
+floats, so each lane's root is the scalar one bit for bit.
+:meth:`GegenbauerContext.first_degree_reaching` decides t_k >= x by the
+same Sturm counts, without the root.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -140,18 +143,56 @@ class GegenbauerContext:
         return _bisect_largest(b2, k, self.n) if root is None else root
 
     def _start(self, k: int) -> float | None:
-        # Up to k = 4 the characteristic polynomial is y^2 - S y + P in
-        # y = x^2 (S the sum of the b2, P = b2_0 b2_2 at k = 4, else 0); above,
-        # the cubic extrapolation of the three cached roots below k, if any.
+        # The scalar route's start: the closed form up to k = 4, above it the
+        # extrapolation of the three cached roots below k, if any.
         if k <= 4:
             b = self._offdiag_sq(k) + [0.0] * (4 - k)
-            s = b[0] + b[1] + b[2]
-            return math.sqrt((s + math.sqrt(s * s - 4.0 * b[0] * b[2])) / 2.0)
+            return _closed_form(*b, math.sqrt)
         roots = self._roots
         try:
-            return 3.0 * roots[k - 1] - 3.0 * roots[k - 2] + roots[k - 3]
+            return _extrapolate(roots[k - 1], roots[k - 2], roots[k - 3])
         except KeyError:
             return None
+
+    def first_degree_reaching(self, x: float, lo: int, hi: int) -> int | None:
+        """The least degree k in [lo, hi], lo >= 2, whose largest root
+        t_k >= x, or None, found without finding a root.
+
+        t_k >= x holds iff t_k's cell lies at or above the first cell whose
+        midpoint reaches x, that is iff the Sturm count of degree k at that
+        cell's lower edge is below k: the cell test of the root itself.  The
+        count of degree k + 1 runs the pivots of degree k and one more, so
+        it grows by at most one and the test, once true, stays true; k is
+        found by doubling, then bisection, one count per probe."""
+        edge = math.floor(math.ldexp(x, _CELL_BITS))
+        edge += math.ldexp(2 * edge + 1, -_CELL_BITS - 1) < x
+        sigma = math.ldexp(edge, -_CELL_BITS)
+
+        def reaches(k: int) -> bool:
+            return _count_below(self._offdiag_sq(k), sigma) < k
+
+        below, k = lo - 1, lo
+        while not reaches(k):
+            if k >= hi:
+                return None
+            below, k = k, min(2 * k, hi)
+        while k - below > 1:
+            mid = (below + k) // 2
+            below, k = (below, mid) if reaches(mid) else (mid, k)
+        return k
+
+
+def _closed_form(b0, b1, b2, sqrt=np.sqrt):
+    # Up to k = 4 the characteristic polynomial is y^2 - S y + P in y = x^2,
+    # S the sum of the first three squared off-diagonal entries (0 past
+    # k - 1) and P = b2_0 b2_2; its larger root, per lane with np.sqrt.
+    s = b0 + b1 + b2
+    return sqrt((s + sqrt(s * s - 4.0 * b0 * b2)) / 2.0)
+
+
+def _extrapolate(r1, r2, r3):
+    # the cubic extrapolation of the roots at k - 1, k - 2 and k - 3
+    return 3.0 * r1 - 3.0 * r2 + r3
 
 
 # one context per dimension, shared by every bound, and so its root cache
@@ -169,25 +210,39 @@ def _check_degree(k: int) -> None:
         raise ValueError(f"degree {k} exceeds the degree cap {DEGREE_CAP}")
 
 
-def find_largest_roots(contexts: list[GegenbauerContext], k: int) -> None:
-    """Cache the degree-k largest root of every context, in lockstep: the
-    scalar route on (k - 1, L) arrays, one lane per context.  A lone lane, a
-    lane without a start and one whose Newton or cell walk fails go scalar."""
+def find_largest_roots(contexts: Sequence[GegenbauerContext], k: int) -> np.ndarray:
+    """The degree-k largest root of each context, as a float array aligned
+    with ``contexts``, each also cached.  The contexts without one run the
+    scalar route in lockstep on (k - 1, L) arrays, one lane per context,
+    from starts gathered once: the closed forms on the lanes' off-diagonal
+    columns up to k = 4, above it the three cached roots below k.  A lone
+    lane, a lane without a start and one whose Newton or cell walk fails go
+    scalar."""
     _check_degree(k)
+    if k < 1:
+        raise ValueError("largest_root requires degree k >= 1")
     todo = [c for c in dict.fromkeys(contexts) if k not in c._roots]
-    starts = [c._start(k) for c in todo] if len(todo) > 1 else []
-    lanes = [(c, x) for c, x in zip(todo, starts) if x is not None]
-    if len(lanes) > 1:
-        ctxs, x = zip(*lanes)
-        b2 = _squared_offdiag(np.array([c.alpha for c in ctxs]), k - 1)
-        # a lane reads NaN where the scalar route raises or gives up
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            roots = _confirm_cells(b2, k, _polish_lanes(b2, k, np.array(x)))
-        for c, root in zip(ctxs, roots.tolist()):
-            if not math.isnan(root):
-                c._roots[k] = root
-    for c in todo:  # a cached root returns at once; the rest go scalar
-        c.largest_root(k)
+    if len(todo) > 1:
+        alpha = np.array([c.alpha for c in todo])
+        if k <= 4:
+            b2 = _squared_offdiag(alpha, 3)
+            x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, b2, 0.0))
+        else:  # NaN where a root below is missing
+            x = _extrapolate(*np.array([[c._roots.get(k - j, math.nan) for c in todo]
+                                        for j in (1, 2, 3)]))
+        lanes = np.flatnonzero(~np.isnan(x))
+        if lanes.size > 1:
+            b2 = _squared_offdiag(alpha[lanes], k - 1)
+            # a lane reads NaN where the scalar route raises or gives up
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                roots = _confirm_cells(b2, k, _polish_lanes(b2, k, x[lanes]))
+            found = ~np.isnan(roots)
+            for i, root in zip(lanes[found].tolist(), roots[found].tolist()):
+                todo[i]._roots[k] = root
+    for c in todo:  # the rest go scalar
+        if k not in c._roots:
+            c._roots[k] = c._largest_root_uncached(k)
+    return np.array([c._roots[k] for c in contexts], dtype=float)
 
 
 def _squared_offdiag(alpha, m: int) -> np.ndarray:

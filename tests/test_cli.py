@@ -62,6 +62,13 @@ def test_table_4_800_csv_bytes_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_4_800_SHA256
 
 
+def test_table_pins_are_the_benchmark_reference():
+    # the benchmark checks its table ops against these same digests
+    reference = Path(__file__).parents[1] / "bench" / "reference.json"
+    pins = json.loads(reference.read_text())["table_sha256"]
+    assert pins == {"4:800:4": TABLE_4_800_SHA256, "4:40:4": TABLE_4_40_SHA256}
+
+
 def test_crossover_4_800_json_bytes_pinned(capsys):
     code, out, err = _run(capsys, ["crossover", "--lo", "4", "--hi", "800", "--format", "json"])
     assert code == 0 and err == ""

@@ -17,7 +17,7 @@ from packbounds.euclid_bounds import (
     rogers_bound,
 )
 from packbounds.orthopoly import shared_context
-from packbounds.specfun import IntegrandError, NonConvergenceError, integrate
+from packbounds.specfun import IntegrandError, LogScaled, NonConvergenceError, integrate
 
 # golden values, rounded up to 4 significant digits
 GOLDEN_SPOT = {
@@ -120,6 +120,60 @@ def test_code_bound_domain():
             kl_spherical_code_bound(4, theta)
 
 
+def _walked_code_bound(n, theta):
+    # the k walk, one root per degree, that the Sturm-count search past the
+    # walked degrees replaced (without its degree cap)
+    ctx = shared_context(n)
+    c = math.cos(theta) - 1e-12
+    k = 1
+    while ctx.largest_root(k) < c:
+        k += 1
+    return LogScaled.from_log(_code_objective(0, ctx, k)), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 24, 101, 400, 801])
+def test_code_bound_search_matches_the_walk(monkeypatch, n):
+    # angles on both sides of the walked degrees, pi/2 and the root angles
+    # acos(t_k) themselves, with the floats next to them
+    roots = orthopoly.GegenbauerContext(n)
+    thetas = [math.pi, 2.5, math.pi / 2, math.pi / 3, 0.5]
+    for k in (2, 5, 31, 32, 33, 34, 64, 65, 100):
+        at = math.acos(roots.largest_root(k))
+        thetas += [at, math.nextafter(at, 0.0), math.nextafter(at, 4.0)]
+    for theta in thetas:
+        monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+        searched = kl_spherical_code_bound(n, theta)
+        monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+        assert searched == _walked_code_bound(n, theta), theta
+
+
+def test_code_bound_at_small_angles_finds_two_roots_past_the_walk(monkeypatch):
+    # (801, pi/62) reaches k = 7751 with the bound the old walk gave: the
+    # degrees past the walk cost one Sturm count each, and only t_k and
+    # t_(k+1) are found there
+    found = []
+    uncached = orthopoly.GegenbauerContext._largest_root_uncached
+
+    def counted(self, k):
+        found.append(k)
+        return uncached(self, k)
+
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    monkeypatch.setattr(orthopoly.GegenbauerContext, "_largest_root_uncached", counted)
+    bound, k = kl_spherical_code_bound(801, math.pi / 62)
+    assert k == 7751
+    assert math.isclose(bound.log_value, 2658.169411621708, rel_tol=1e-14)
+    assert found == [*range(2, eb._WALK_DEGREES + 1), k, k + 1]
+
+
+@pytest.mark.parametrize("cap", [4, 40])
+def test_code_bound_degree_cap(monkeypatch, cap):
+    # within the walk and past it, the cap ends the search with one message
+    monkeypatch.setattr(eb, "DEGREE_CAP", cap)
+    with pytest.raises(NonConvergenceError, match=r"^k-search exhausted the degree cap$"):
+        kl_spherical_code_bound(801, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # k-searches
 # ---------------------------------------------------------------------------
@@ -208,6 +262,66 @@ def test_table_finds_each_degree_once_for_kl_and_cz(monkeypatch, capsys):
     assert degrees == list(range(2, len(degrees) + 2))
     k_max = max(int(line.split(",")[4]) for line in capsys.readouterr().out.splitlines()[1:])
     assert len(degrees) >= k_max
+
+
+def test_table_scan_reads_no_root_lane_by_lane(monkeypatch, capsys):
+    # the degree loop reads its roots as arrays from find_largest_roots,
+    # never one context at a time
+    calls = []
+    largest_root = orthopoly.GegenbauerContext.largest_root
+
+    def counted(self, k):
+        calls.append((self.n, k))
+        return largest_root(self, k)
+
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    monkeypatch.setattr(orthopoly.GegenbauerContext, "largest_root", counted)
+    dims = ",".join(str(n) for n in range(4, 201, 4))
+    assert cli.main(["table", "--dims", dims, "--methods", "kl,cz", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 101
+    assert calls == []
+
+
+def test_warm_scan_matches_a_cold_one_and_finds_no_cached_root_again(monkeypatch):
+    lanes = [(n, m) for n in range(3, 400, 7) for m in ("kl", "cz")]
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    cold = eb._scan_k(lanes)
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    # other dimensions on the same contexts, code bounds that leave gaps in
+    # the caches, and roots asked for in a shuffled order
+    eb._scan_k([(n + 1, "cz") for n in range(3, 400, 14)]
+               + [(n - 1, "kl") for n in range(10, 400, 14)])
+    for n in range(4, 400, 21):
+        kl_spherical_code_bound(n, 0.3)
+    order = list(range(1, 50))
+    np.random.default_rng(7).shuffle(order)
+    for n in range(3, 400, 35):
+        for k in order:
+            shared_context(n).largest_root(k)
+
+    def found():  # every context starts out with t_1 = 0 cached
+        return sum(len(ctx._roots) - 1 for ctx in orthopoly._CTX_CACHE.values())
+
+    before = found()
+    polished = []
+    scalar = []
+    polish = orthopoly._polish_lanes
+    uncached = orthopoly.GegenbauerContext._largest_root_uncached
+
+    def counted_polish(b2, k, x):
+        polished.append(x.size)
+        return polish(b2, k, x)
+
+    def counted_scalar(self, k):
+        assert k not in self._roots
+        scalar.append(k)
+        return uncached(self, k)
+
+    monkeypatch.setattr(orthopoly, "_polish_lanes", counted_polish)
+    monkeypatch.setattr(orthopoly.GegenbauerContext, "_largest_root_uncached", counted_scalar)
+    assert eb._scan_k(lanes) == cold  # diagnostics included
+    assert sum(polished) + len(scalar) == found() - before
+    assert sum(polished) > 0 and scalar
 
 
 def test_mixed_scan_without_a_minimum_names_the_first_lane_still_scanning(monkeypatch):

@@ -366,8 +366,8 @@ def test_lockstep_roots_bit_identical_on_table_contexts(monkeypatch):
     monkeypatch.setattr(orthopoly, "_confirm_cells", recording)
     ctxs = [GegenbauerContext(n) for n in TABLE_CONTEXTS]
     for k in range(2, 61):
-        find_largest_roots(ctxs, k)
-        got = [ctx.largest_root(k) for ctx in ctxs]
+        got = find_largest_roots(ctxs, k).tolist()  # returned, and cached
+        assert got == [ctx.largest_root(k) for ctx in ctxs]
         assert got == _reference_largest_roots(TABLE_CONTEXTS, k), k
     assert len(walked) == 59 and sum(walked) > 0
 
@@ -380,12 +380,28 @@ def test_lockstep_lanes_fall_back_to_the_scalar_route():
         find_largest_roots(warm, k)
     cold = [GegenbauerContext(n) for n in (6, 17)]
     ctxs = warm + cold + warm[:1]
-    find_largest_roots(ctxs, 30)
+    got = find_largest_roots(ctxs, 30)  # aligned with ctxs, repeat included
+    assert got.tolist() == [_reference_largest_root(ctx.n, 30) for ctx in ctxs]
     for ctx in ctxs:
         assert ctx.largest_root(30) == _reference_largest_root(ctx.n, 30)
     lone = GegenbauerContext(9)
     find_largest_roots([lone, lone], 2)
     assert lone.largest_root(2) == _reference_largest_root(9, 2)
+
+
+@pytest.mark.parametrize("n", [2, 5, 24, 801])
+def test_first_degree_reaching_is_the_root_test(n):
+    # at each root, in its cell on either side of the midpoint, and on the
+    # cell's edges, the Sturm-count search gives the least degree whose
+    # root reaches x, from either end of the range
+    roots = [GegenbauerContext(n).largest_root(k) for k in range(81)[1:]]
+    ctx = GegenbauerContext(n)
+    for t in roots[1:]:
+        for x in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0), t - 2.0**-48, t + 2.0**-48):
+            for lo in (2, 10):
+                want = next((k for k in range(lo, 81) if roots[k - 1] >= x), None)
+                assert ctx.first_degree_reaching(x, lo, 80) == want, (x, lo)
+    assert len(ctx._roots) == 1  # no root was found
 
 
 def test_sturm_count_takes_a_zero_pivot_as_negative_on_both_routes():
