@@ -179,8 +179,9 @@ def _cmd_rate(args: argparse.Namespace) -> str:
 
 
 def _parse_dims(text: str) -> list[int]:
+    """The comma-separated dimensions, each once, in first-seen order."""
     try:
-        dims = [int(x) for x in text.split(",") if x.strip()]
+        dims = list(dict.fromkeys(int(x) for x in text.split(",") if x.strip()))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from exc
     if not dims:

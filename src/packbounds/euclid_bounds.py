@@ -16,11 +16,14 @@ ever touching a denormal.
 All four methods run over a list of dimensions in lockstep: ``_rogers_lanes``
 integrates one quadrature lane per dimension, ``_levenshtein_lanes`` finds
 every Bessel zero in lanes, and ``_scan_k`` runs the k-scans of (n, method)
-lanes together, kl and cz mixed, on arrays of lane state: each degree's
-largest roots come from one ``find_largest_roots`` call over all the lanes
-and its objectives from one ``_code_objectives`` call.  Each per-dimension
-function is the one-lane call of its lockstep helper and gives the same
-record bit for bit.
+lanes together, kl and cz mixed, on arrays of lane state.  The state
+carries what the next degree reads: the roots t_(k-2), t_(k-1) and t_k, the
+squared off-diagonal rows of each lane's Jacobi matrix and ln Gamma(m - 1).
+Each degree's largest roots come from one ``_lockstep_roots`` call over all
+the lanes, which starts Newton from the carried roots, and its objectives
+from one ``_code_objectives`` call, which reads ln Gamma(k + m - 1) from a
+table built once per scan.  Each per-dimension function is the one-lane
+call of its lockstep helper and gives the same record bit for bit.
 :func:`bounds` runs any list of the ``METHODS`` by name, each lockstep
 helper once, and :func:`crossover_scan` compares three from one such call.
 """
@@ -33,7 +36,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .orthopoly import DEGREE_CAP, GegenbauerContext, find_largest_roots, shared_context
+from .orthopoly import DEGREE_CAP, GegenbauerContext, _lockstep_roots, shared_context
 from .specfun import (
     IntegrandError,
     LogScaled,
@@ -237,7 +240,8 @@ _WALK_DEGREES = 32
 
 def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
     """:func:`_code_objectives` at one (n, ctx.n, k) lane, given as numbers."""
-    return _code_objectives(n, ctx.n, k, ctx.largest_root(k), ctx.largest_root(k + 1))
+    return _code_objectives(n, k, ctx.largest_root(k), ctx.largest_root(k + 1),
+                            math.lgamma(k + ctx.n - 1), math.lgamma(ctx.n - 1))
 
 
 def _libm(f, x):
@@ -248,21 +252,26 @@ def _libm(f, x):
     return f(x)
 
 
-def _code_objectives(n, m, k, t_k, t_k1):
+def _code_objectives(n, k, t_k, t_k1, lgamma_km, lgamma_m):
     """log of ((1 - t_(m,k))/2)^(n/2) * 4 C(k+m-2, k) / (1 - t_(m,k+1)) per
-    lane: the code bound on S^(m-1) times the cap shrinkage in R^n.  Each
-    argument is a number or an array of lanes that broadcasts with the
-    others; numbers alone give a float.  kl passes m = n + 1, cz m = n; at
-    n = 0 the first term is -0.0 and this is the code bound, bit for bit.
-    Logs and log-gammas are math's, and numpy does + - * in the order of the
-    scalar expression, so each lane is the float the numbers give."""
+    lane, given ln Gamma(k + m - 1) and ln Gamma(m - 1): the code bound on
+    S^(m-1) times the cap shrinkage in R^n.  Each argument is a number or
+    an array of lanes that broadcasts with the others; numbers alone give a
+    float.  kl takes m = n + 1, cz m = n; at n = 0 the first term is -0.0
+    and this is the code bound, bit for bit.  Logs and log-gammas are
+    math's, and numpy does + - * in the order of the scalar expression, so
+    each lane is the float the numbers give."""
     return (
         n / 2.0 * _libm(math.log, (1.0 - t_k) / 2.0)
         + math.log(4.0)
-        + (_libm(math.lgamma, k + m - 1) - _libm(math.lgamma, k + 1)
-           - _libm(math.lgamma, m - 1))  # ln C(k + m - 2, k)
+        + (lgamma_km - math.lgamma(k + 1) - lgamma_m)  # ln C(k + m - 2, k)
         - _libm(math.log, 1.0 - t_k1)
     )
+
+
+def _lgammas(lo: int, hi: int) -> np.ndarray:
+    # math.lgamma at the integers lo..hi - 1
+    return np.fromiter(map(math.lgamma, range(lo, hi)), float, hi - lo)
 
 
 # each k-scan method: the dimension offset of its Gegenbauer family (kl
@@ -277,38 +286,57 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
     every lane in lockstep.  cz counts only the degrees whose root
     t_(n,k) <= 1/2 (t_1 = 0).
 
-    The lanes still scanning keep their context, n, m, cap, t_(k-1), t_k
-    and the objectives at k - 2 and k - 1 as arrays.  Each degree is one
-    comparison with the caps, one :func:`find_largest_roots` call for root
-    k + 1 of the lanes within them, whatever their method, one
-    :func:`_code_objectives` call and one comparison with the objectives at
-    k - 1.  Only a lane that stops becomes a ``BoundRecord``, its
-    ``objective_prev`` the stored objective at k - 2."""
+    The lanes still scanning keep as arrays their context, n, cap,
+    ln Gamma(m - 1), offset into the scan's table of ``math.lgamma`` over
+    the integers, t_(k-2), t_(k-1), t_k, the objectives at k - 2 and k - 1
+    and the squared off-diagonal rows of their Jacobi matrices, one (K, L)
+    array.  Each degree is one comparison with the caps, one
+    :func:`_lockstep_roots` call for root k + 1 of the lanes within them,
+    whatever their method, from the carried roots and rows, one
+    :func:`_code_objectives` call with ln Gamma(k + m - 1) read from the
+    table, and one comparison with the objectives at k - 1.  Only a lane
+    that stops becomes a ``BoundRecord``, its ``objective_prev`` the stored
+    objective at k - 2."""
     for n, method in lanes:
         if n < 1 or n > 800:
             raise ValueError(f"{method}_bound requires 1 <= n <= 800")
         if n == 1 and method == "cz":
             # no Gegenbauer family on S^0; kl, through S^1, covers n = 1
             raise ValueError("cz_bound is undefined for n = 1")
+    if not lanes:
+        return []
     ctxs = [shared_context(n + _SCANS[method][0]) for n, method in lanes]
+    ms = [ctx.n for ctx in ctxs]
+    # math.lgamma at lo, lo + 1, ..., top + K - 1: lane i reads
+    # ln Gamma(m_i - 1 + k) at j_i + k, j_i = m_i - 1 - lo, for k <= K, and
+    # K doubles when k passes it
+    lo, top = min(ms) - 1, max(ms)
+    lgammas = _lgammas(lo, top + 2)
+    j = np.array(ms) - 1 - lo
+    t_1 = np.zeros(len(lanes))
     live = {  # each lane still scanning, at degree k
         "lane": np.arange(len(lanes)),
         "ctx": np.array(ctxs, dtype=object),
         "n": np.array([n for n, _ in lanes]),
-        "m": np.array([ctx.n for ctx in ctxs]),
+        "j": j,
         "cap": np.array([_SCANS[method][1] for _, method in lanes]),
-        "t_prev": np.zeros(len(lanes)),  # t_(k-1)
-        "t": find_largest_roots(ctxs, 2),  # t_k
+        "lgamma_m": lgammas[j],
+        "t_prev2": t_1,  # t_(k-2), first read at k = 4
+        "t_prev": t_1,  # t_(k-1)
         "obj_prev": np.full(len(lanes), np.nan),  # the objective at k - 2
     }
-    live["obj"] = _code_objectives(live["n"], live["m"], 1, live["t_prev"], live["t"])
+    live["t"], live["b2"] = _lockstep_roots(  # t_k
+        live["ctx"], 2, (t_1, t_1, t_1), np.empty((0, len(lanes))))
+    live["obj"] = _code_objectives(live["n"], 1, t_1, live["t"], lgammas[j + 1], live["lgamma_m"])
     records: list[BoundRecord | None] = [None] * len(lanes)
 
     def stop(mask: np.ndarray, k: int, obj_next: np.ndarray | None) -> dict:
-        # the record of each masked lane, at k* = k - 1; the others go on
+        # the record of each masked lane, at k* = k - 1; the others go on,
+        # and none is left when the dict is empty
         after = repeat(None) if obj_next is None else obj_next[mask].tolist()
+        stopped = live["lane"][mask].tolist()
         for i, t_star, before, value, nxt in zip(
-            *(live[key][mask].tolist() for key in ("lane", "t_prev", "obj_prev", "obj")), after
+            stopped, *(live[key][mask].tolist() for key in ("t_prev", "obj_prev", "obj")), after
         ):
             records[i] = BoundRecord(
                 dimension=lanes[i][0],
@@ -322,21 +350,28 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
                     "objective_next": nxt,
                 },
             )
-        return {key: a[~mask] for key, a in live.items()}
+        if len(stopped) == live["lane"].size:
+            return {}
+        keep = ~mask  # lanes are the last axis, of b2 too
+        return {key: a[keep] if a.ndim == 1 else a[:, keep] for key, a in live.items()}
 
     for k in range(2, DEGREE_CAP):  # the objective at k reads root k + 1
         past = live["t"] > live["cap"]  # no objective at k
-        if past.any():
-            live = stop(past, k, None)
-        t_next = find_largest_roots(live["ctx"], k + 1)
-        obj = _code_objectives(live["n"], live["m"], k, live["t"], t_next)
+        if past.any() and not (live := stop(past, k, None)):
+            return records
+        t_next, live["b2"] = _lockstep_roots(
+            live["ctx"], k + 1, (live["t"], live["t_prev"], live["t_prev2"]), live["b2"])
+        if lo + lgammas.size < top + k:
+            lgammas = np.append(lgammas, _lgammas(lo + lgammas.size, top + 2 * k))
+        obj = _code_objectives(live["n"], k, live["t"], t_next,
+                               lgammas[live["j"] + k], live["lgamma_m"])
         rose = obj > live["obj"]
         if rose.any():
-            live = stop(rose, k, obj)
+            if not (live := stop(rose, k, obj)):
+                return records
             t_next, obj = t_next[~rose], obj[~rose]
-        if not live["lane"].size:
-            return records
-        live.update(t_prev=live["t"], t=t_next, obj_prev=live["obj"], obj=obj)
+        live.update(t_prev2=live["t_prev"], t_prev=live["t"], t=t_next,
+                    obj_prev=live["obj"], obj=obj)
     n, method = lanes[live["lane"][0]]
     raise NonConvergenceError(f"{method}_bound k-search found no local minimum at n={n}")
 

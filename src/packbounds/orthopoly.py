@@ -9,10 +9,16 @@ midpoint of the 2^-47-wide dyadic cell that Sturm-sequence bisection of
 the matrix, so the (overflowing) polynomial itself is never evaluated.
 Degrees 2 to 4 start from closed forms, higher ones from the three cached
 roots below, polished by Newton; Sturm counts confirm the cell, and without
-a start the bisection runs.  :func:`find_largest_roots` runs this for many
-contexts at one degree in lockstep, one float64 array lane per context, and
-returns their roots as one array; numpy rounds elementwise as Python rounds
-floats, so each lane's root is the scalar one bit for bit.
+a start the bisection runs.  :func:`_lockstep_roots` runs this for many
+contexts at one degree, one float64 array lane per context, on the state a
+k-scan carries from one degree to the next: each lane's three roots below
+k and the squared off-diagonal rows of its Jacobi matrix, one (K, L) array
+grown by doubling.  :func:`find_largest_roots` is its call on the cached
+roots.  The lane Newton step and Sturm count fill preallocated buffers, two
+ufunc calls per pivot and recurrence.  Newton's iterate may differ from the
+scalar one in the last bits, but the Sturm counts, which decide the cell,
+are the scalar ones bit for bit (numpy rounds elementwise as Python rounds
+floats), so each lane's root is the scalar one.
 :meth:`GegenbauerContext.first_degree_reaching` decides t_k >= x by the
 same Sturm counts, without the root.
 """
@@ -212,37 +218,58 @@ def _check_degree(k: int) -> None:
 
 def find_largest_roots(contexts: Sequence[GegenbauerContext], k: int) -> np.ndarray:
     """The degree-k largest root of each context, as a float array aligned
-    with ``contexts``, each also cached.  The contexts without one run the
-    scalar route in lockstep on (k - 1, L) arrays, one lane per context,
-    from starts gathered once: the closed forms on the lanes' off-diagonal
-    columns up to k = 4, above it the three cached roots below k.  A lone
-    lane, a lane without a start and one whose Newton or cell walk fails go
-    scalar."""
+    with ``contexts``, each also cached: :func:`_lockstep_roots` with the
+    contexts' cached roots below k as the carried roots (NaN where one is
+    missing, and that lane goes scalar) and no carried rows, so the rows of
+    the lanes it solves together are built afresh."""
+    below = np.array([[c._roots.get(k - j, math.nan) for c in contexts] for j in (1, 2, 3)])
+    return _lockstep_roots(contexts, k, below, np.empty((0, len(contexts))))[0]
+
+
+def _lockstep_roots(contexts, k: int, below, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root k of each lane, from the state a k-scan carries: lane i is
+    ``contexts[i]``, ``below`` holds its roots at k - 1, k - 2 and k - 3
+    (three rows, NaN where one is missing) and ``b2`` its squared
+    off-diagonal rows, (K, L).  Only the contexts without a cached root k
+    are solved, each once however many lanes share it, polished and
+    confirmed together from the closed forms on their first three rows up
+    to k = 4, above it from the cubic extrapolation of ``below``.  A lane
+    without a start, a lone one and one whose Newton or cell walk fails go
+    scalar; a lone one reads no rows.  Every root found is cached.  Returns
+    the roots aligned with ``contexts``, and ``b2``, grown by doubling to
+    at least k - 1 rows when the lanes solved together need them."""
     _check_degree(k)
     if k < 1:
         raise ValueError("largest_root requires degree k >= 1")
-    todo = [c for c in dict.fromkeys(contexts) if k not in c._roots]
-    if len(todo) > 1:
-        alpha = np.array([c.alpha for c in todo])
+    todo = {c: i for i, c in enumerate(contexts) if k not in c._roots}
+    if len(todo) == 1:
+        c = next(iter(todo))
+        c._roots[k] = c._largest_root_uncached(k)
+    elif todo:
+        if len(b2) < max(k - 1, 3):
+            alpha = np.array([c.alpha for c in contexts])
+            b2 = _squared_offdiag(alpha, max(k - 1, 3, 2 * len(b2)))
+        cols = None if len(todo) == len(contexts) else list(todo.values())
+        rows = b2[: max(k - 1, 3)] if cols is None else b2[: max(k - 1, 3), cols]
         if k <= 4:
-            b2 = _squared_offdiag(alpha, 3)
-            x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, b2, 0.0))
+            x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, rows[:3], 0.0))
         else:  # NaN where a root below is missing
-            x = _extrapolate(*np.array([[c._roots.get(k - j, math.nan) for c in todo]
-                                        for j in (1, 2, 3)]))
+            x = _extrapolate(*(r if cols is None else r[cols] for r in below))
+        roots = np.full(len(todo), np.nan)  # NaN: the scalar route's
         lanes = np.flatnonzero(~np.isnan(x))
-        if lanes.size > 1:
-            b2 = _squared_offdiag(alpha[lanes], k - 1)
+        if lanes.size > 1:  # a lone lane goes scalar too
+            rows = rows[: k - 1] if lanes.size == len(todo) else rows[: k - 1, lanes]
             # a lane reads NaN where the scalar route raises or gives up
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                roots = _confirm_cells(b2, k, _polish_lanes(b2, k, x[lanes]))
-            found = ~np.isnan(roots)
-            for i, root in zip(lanes[found].tolist(), roots[found].tolist()):
-                todo[i]._roots[k] = root
-    for c in todo:  # the rest go scalar
-        if k not in c._roots:
-            c._roots[k] = c._largest_root_uncached(k)
-    return np.array([c._roots[k] for c in contexts], dtype=float)
+                roots[lanes] = _confirm_cells(rows, k, _polish_lanes(rows, k, x[lanes]))
+        todo = list(todo)
+        for i in np.flatnonzero(np.isnan(roots)).tolist():
+            roots[i] = todo[i]._largest_root_uncached(k)
+        for c, root in zip(todo, roots.tolist()):
+            c._roots[k] = root
+        if cols is None:  # every lane is a distinct context, in order
+            return roots, b2
+    return np.array([c._roots[k] for c in contexts], dtype=float), b2
 
 
 def _squared_offdiag(alpha, m: int) -> np.ndarray:
@@ -274,6 +301,29 @@ def _count_below(b2, sigma):
     return cnt
 
 
+def _count_below_lanes(b2: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    # _count_below with one lane per column of b2, sigma broadcasting
+    # against a row, bit for bit: the pivots d_i = -sigma - b2_i / d_(i-1)
+    # fill one buffer, two ufunc calls per pivot, and are counted at the
+    # end; only a lane that met an exact zero pivot, where the rule of
+    # _count_below applies, is counted again by it
+    low = np.negative(sigma)
+    d = np.empty((len(b2) + 1,) + np.broadcast_shapes(low.shape, b2.shape[1:]))
+    d[0] = low
+    rows = list(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for bb, prev, row in zip(b2, rows, rows[1:]):
+            np.divide(bb, prev, out=row)
+            np.subtract(low, row, out=row)
+    count = np.count_nonzero(d < 0.0, axis=0)
+    zero = d[:-1] == 0.0
+    if zero.any():
+        sigma = np.broadcast_to(sigma, count.shape)
+        for at in zip(*np.nonzero(zero.any(axis=0))):
+            count[at] = _count_below(b2[:, at[-1]].tolist(), float(sigma[at]))
+    return count
+
+
 def _newton_step(b2, x):
     # p/p' for p(x) = det(x - J) = prod u_i with the pivots
     # u_i = x - b2_i / u_(i-1), so p'/p = sum u_i'/u_i
@@ -285,6 +335,24 @@ def _newton_step(b2, x):
         u = x - r
         s += du / u
     return 1.0 / s
+
+
+def _newton_lanes(b2: np.ndarray, x: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # _newton_step per lane in the buffers u (k, L) and r (k - 1, L): the
+    # pivots u_i and r_i = b2_i / u_(i-1) first, then w_i = u_i'/u_i =
+    # (1 + r_i w_(i-1)) / u_i as 1/u_i + (r_i/u_i) w_(i-1), two ufunc
+    # calls per pivot each, and p'/p = sum w_i at once
+    us, rs = list(u), list(r)
+    u[0] = x
+    for bb, prev, ri, ui in zip(b2, us, rs, us[1:]):
+        np.divide(bb, prev, out=ri)
+        np.subtract(x, ri, out=ui)
+    np.reciprocal(u, out=u)
+    r *= u[1:]
+    for prev, ri, ui in zip(us, rs, us[1:]):
+        np.multiply(ri, prev, out=ri)
+        np.add(ui, ri, out=ui)
+    return 1.0 / u.sum(axis=0)
 
 
 def _confirm_cell(b2: list[float], k: int, x: float) -> float | None:
@@ -303,13 +371,17 @@ def _confirm_cell(b2: list[float], k: int, x: float) -> float | None:
 
 
 def _polish_lanes(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
-    # the scalar Newton loop, each lane frozen after its own last step
-    live = np.arange(x.size)
-    for _ in range(_NEWTON_STEPS if k > 4 else 0):
-        step = _newton_step(b2[:, live], x[live])
-        x[live] -= step
-        live = live[~(np.abs(step) < 1e-8)]
-        if live.size == 0:
+    # the scalar Newton loop, run on every lane until the last one stops,
+    # each lane's iterate frozen after its own last step
+    if k <= 4:
+        return x
+    live = np.ones(x.size, dtype=bool)
+    u, r = np.empty((k, x.size)), np.empty((k - 1, x.size))
+    for _ in range(_NEWTON_STEPS):
+        step = _newton_lanes(b2, x, u, r)
+        np.subtract(x, step, out=x, where=live)
+        live &= ~(np.abs(step) < 1e-8)
+        if not live.any():
             break
     return x
 
@@ -322,13 +394,13 @@ def _confirm_cells(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     # one Sturm pass counts at edge - 1, edge and edge + 1 of every lane,
     # which decides the walk's direction and its first step
     sigma = np.ldexp(edge + [[-1.0], [0.0], [1.0]], -_CELL_BITS)
-    below, at, above = _count_below(b2[:, live], sigma)
+    below, at, above = _count_below_lanes(b2 if live.size == x.size else b2[:, live], sigma)
     up = at < k
     count = np.where(up, above, below)
     for step in range(_CELL_WALK):
         edge = edge + np.where(up, 1.0, -1.0)
         if step:  # each further step is one more pass, over the lanes it needs
-            count = _count_below(b2[:, live], np.ldexp(edge, -_CELL_BITS))
+            count = _count_below_lanes(b2[:, live], np.ldexp(edge, -_CELL_BITS))
         hit = (count >= k) == up
         roots[live[hit]] = np.ldexp(2.0 * (edge[hit] - up[hit]) + 1.0, -_CELL_BITS - 1)
         live, edge, up = live[~hit], edge[~hit], up[~hit]

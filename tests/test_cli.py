@@ -171,6 +171,15 @@ def test_table_prints_a_repeated_method_once(capsys, fmt):
     assert mixed == _run(capsys, ["table", "--dims", "8", "--methods", "cz,kl,rogers"])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_table_prints_a_repeated_dimension_once(capsys, fmt):
+    once = _run(capsys, ["table", "--dims", "8,4", "--methods", "kl,cz", "--format", fmt])
+    twice = _run(capsys, ["table", "--dims", "8,8,4", "--methods", "kl,cz", "--format", fmt])
+    assert once[0] == 0 and twice == once
+    mixed = _run(capsys, ["table", "--dims", "12, 8,12,8 ,4", "--methods", "rogers,kl"])
+    assert mixed == _run(capsys, ["table", "--dims", "4,8,12", "--methods", "rogers,kl"])
+
+
 @pytest.mark.parametrize(
     "method, dims, message",
     [

@@ -248,14 +248,14 @@ def test_mixed_scan_matches_single_dimension_records(monkeypatch):
 
 def test_table_finds_each_degree_once_for_kl_and_cz(monkeypatch, capsys):
     degrees = []
-    find = eb.find_largest_roots
+    find = eb._lockstep_roots
 
-    def counted(contexts, k):
+    def counted(contexts, k, below, b2):
         degrees.append(k)
-        return find(contexts, k)
+        return find(contexts, k, below, b2)
 
     monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-    monkeypatch.setattr(eb, "find_largest_roots", counted)
+    monkeypatch.setattr(eb, "_lockstep_roots", counted)
     dims = ",".join(str(n) for n in range(4, 201, 4))
     assert cli.main(["table", "--dims", dims, "--methods", "kl,cz", "--format", "csv"]) == 0
     # one pass per degree over the kl and cz lanes together

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyt, eval_gegenbauer
 
+from packbounds import euclid_bounds as eb
 from packbounds import orthopoly
 from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext, find_largest_roots
 from packbounds.specfun import integrate
@@ -389,6 +390,37 @@ def test_lockstep_lanes_fall_back_to_the_scalar_route():
     assert lone.largest_root(2) == _reference_largest_root(9, 2)
 
 
+def test_scan_finds_each_context_and_degree_once(monkeypatch):
+    # kl at n and cz at n + 1 share the context n + 1, and a lane given
+    # twice shares its own; kl at 200 scans on alone, by the scalar route.
+    # The scan polishes or scalar-solves each (context, degree) once, and
+    # every root it caches is the reference
+    lanes = [(n, m) for n in range(3, 60, 4) for m in ("kl", "cz")]
+    lanes += [(n + 1, "cz") for n in range(3, 60, 4)] + [(30, "kl"), (200, "kl"), (30, "kl")]
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    polished, scalar = [], []
+    polish = orthopoly._polish_lanes
+    uncached = GegenbauerContext._largest_root_uncached
+
+    def counted_polish(b2, k, x):
+        polished.append(x.size)
+        return polish(b2, k, x)
+
+    def counted_scalar(self, k):
+        assert k not in self._roots
+        scalar.append((self.n, k))
+        return uncached(self, k)
+
+    monkeypatch.setattr(orthopoly, "_polish_lanes", counted_polish)
+    monkeypatch.setattr(GegenbauerContext, "_largest_root_uncached", counted_scalar)
+    eb._scan_k(lanes)
+    cached = {(n, k): root for n, ctx in orthopoly._CTX_CACHE.items()
+              for k, root in ctx._roots.items() if k > 1}
+    assert sum(polished) + len(scalar) == len(cached)
+    assert scalar and len(set(scalar)) == len(scalar)
+    assert cached == {key: _reference_largest_root(*key) for key in cached}
+
+
 @pytest.mark.parametrize("n", [2, 5, 24, 801])
 def test_first_degree_reaching_is_the_root_test(n):
     # at each root, in its cell on either side of the midpoint, and on the
@@ -410,3 +442,35 @@ def test_sturm_count_takes_a_zero_pivot_as_negative_on_both_routes():
     assert orthopoly._count_below([0.25, 0.1], 0.5) == 1
     lanes = np.array([[0.25, 0.25, 0.3], [0.1, 0.1, 0.1]])
     assert orthopoly._count_below(lanes, np.array([0.5, 0.5, 0.5])).tolist() == [1, 1, 2]
+    assert orthopoly._count_below_lanes(lanes, np.array([0.5, 0.5, 0.5])).tolist() == [1, 1, 2]
+
+
+def test_lane_sturm_count_is_the_scalar_count():
+    # random off-diagonals, sigma on cell edges, and an exact zero pivot
+    # forced into every third lane: the lane count is _count_below's, lane
+    # by lane, for one sigma per lane and for three
+    rng = np.random.default_rng(29)
+    m, size = 40, 300
+    b2 = rng.uniform(0.05, 0.3, size=(m, size))
+    sigma = np.ldexp(np.floor(np.ldexp(rng.uniform(0.0, 1.0, size), 47)), -47)
+    zeros = 0
+    for lane in range(0, size, 3):
+        s, d = float(sigma[lane]), -float(sigma[lane])
+        i = int(rng.integers(0, m))
+        for bb in b2[:i, lane].tolist():
+            d = -s - bb / (d if d != 0.0 else -1e-300)
+        if d < 0.0:  # pick b2_i so that pivot i + 1 is exactly 0
+            b = -s * d
+            for cand in (b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)):
+                if -s - cand / d == 0.0:
+                    b2[i, lane] = cand
+                    zeros += 1
+                    break
+    assert zeros > 40
+
+    def scalar(sig):
+        return [orthopoly._count_below(b2[:, j].tolist(), float(sig[j])) for j in range(size)]
+
+    assert orthopoly._count_below_lanes(b2, sigma).tolist() == scalar(sigma)
+    edges = sigma + np.ldexp([[-1.0], [0.0], [1.0]], -47)
+    assert orthopoly._count_below_lanes(b2, edges).tolist() == [scalar(e) for e in edges]
