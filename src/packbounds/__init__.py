@@ -33,7 +33,6 @@ from .specfun import (
     bessel_first_zero,
     incomplete_beta,
     integrate,
-    log_binomial,
     log_gamma,
     scaled_erfc_complex,
 )

@@ -154,8 +154,8 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     by the code bound at pi/3: its degree k0 is the first whose root
     reaches 1/2, so the root angles are those of k = 1, ..., k0 - 1.
     """
-    ctx = shared_context(n)
     _check_geometry(n, r, math.pi / 3.0, refined)
+    ctx = shared_context(n)
     k0 = kl_spherical_code_bound(n, math.pi / 3.0)[1]
     thetas = [math.pi / 3.0, *(math.acos(ctx.largest_root(k)) for k in range(1, k0))]
     degrees = [k0, *range(1, k0)]
@@ -383,6 +383,8 @@ def overlap_monte_carlo(
                          f"got R = {R}, r = {r}")
     if samples < 10**4:
         raise ValueError("use at least 10^4 samples")
+    if seed < 0:
+        raise ValueError(f"overlap_monte_carlo requires a seed >= 0, got seed = {seed}")
     if r >= 2.0 * R:  # disjoint balls; cosh r may overflow
         return 0.0, 0.0
     rng = np.random.default_rng(seed)

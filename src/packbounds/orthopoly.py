@@ -2,23 +2,24 @@
 
 The positive-definite basis on S^(n-1) is C_k^(n/2-1).  For n = 2 the
 weight degenerates and the Chebyshev-T basis (the alpha -> 0 limit) is used
-instead.  Only the largest root of each degree is ever needed; it is the
-top eigenvalue of the symmetric tridiagonal Jacobi matrix, defined as the
-midpoint of the 2^-47-wide dyadic cell that Sturm-sequence bisection of
-[0, 1] ends on.  Sturm counts and Newton steps run on the LDL^T pivots of
-the matrix, so the (overflowing) polynomial itself is never evaluated.
-Degrees 2 to 4 start from closed forms, higher ones from the three cached
-roots below, polished by Newton; Sturm counts confirm the cell, and without
-a start the bisection runs.  :func:`_lockstep_roots` runs this for many
-contexts at one degree, one float64 array lane per context, on the state a
-k-scan carries from one degree to the next: each lane's three roots below
-k and the squared off-diagonal rows of its Jacobi matrix, one (K, L) array
-grown by doubling.  :func:`find_largest_roots` is its call on the cached
-roots.  The lane Newton step and Sturm count fill preallocated buffers, two
-ufunc calls per pivot and recurrence.  Newton's iterate may differ from the
-scalar one in the last bits, but the Sturm counts, which decide the cell,
-are the scalar ones bit for bit (numpy rounds elementwise as Python rounds
-floats), so each lane's root is the scalar one.
+instead.  :meth:`GegenbauerContext.eval_normalized_table` tabulates
+C_k / C_k(1) by its three-term recurrence.  Of the roots, only the largest
+of each degree is ever needed; it is the top eigenvalue of the symmetric
+tridiagonal Jacobi matrix, defined as the midpoint of the 2^-47-wide dyadic
+cell that Sturm-sequence bisection of [0, 1] ends on.  Sturm counts and
+Newton steps run on the LDL^T pivots of the matrix, so the (overflowing)
+polynomial itself is never evaluated.  Degrees 2 to 4 start from closed
+forms, higher ones from the three cached roots below, polished by Newton;
+Sturm counts confirm the cell, and without a start the bisection runs.
+:func:`_lockstep_roots` runs this for many contexts at one degree, one
+float64 array lane per context, on the state the kl/cz k-scan carries from
+one degree to the next: each lane's three roots below k and the squared
+off-diagonal rows of its Jacobi matrix, one (K, L) array grown by
+doubling.  The lane Newton step and Sturm count fill preallocated buffers,
+two ufunc calls per pivot and recurrence.  Newton's iterate may differ from
+the scalar one in the last bits, but the Sturm counts, which decide the
+cell, are the scalar ones bit for bit (numpy rounds elementwise as Python
+rounds floats), so each lane's root is the scalar one.
 :meth:`GegenbauerContext.first_degree_reaching` decides t_k >= x by the
 same Sturm counts, without the root.
 """
@@ -26,13 +27,12 @@ same Sturm counts, without the root.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
-from .specfun import NonConvergenceError, log_gamma
+from .specfun import log_gamma
 
-__all__ = ["GegenbauerContext", "DEGREE_CAP", "shared_context", "find_largest_roots"]
+__all__ = ["GegenbauerContext", "DEGREE_CAP", "shared_context"]
 
 DEGREE_CAP = 20000
 
@@ -69,41 +69,26 @@ class GegenbauerContext:
         """C_j(t) / C_j(1) for j = 0..kmax at once, shape (kmax+1, len(t)).
 
         The three-term recurrence of the normalized family is uniform in n
-        (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1];
-        :meth:`normalized_rows` runs it into the rows of the table."""
+        (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1].
+        Row j is ((2(j + a - 1) t) row[j-1] - (j - 1) row[j-2]) / (j + 2a - 1),
+        written in place with one scratch row by the operations of the plain
+        array expression, in their order, so each row is the same bit for bit."""
         _check_degree(kmax)  # before the table is allocated
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((kmax + 1, t.size))
-        for _ in self.normalized_rows(kmax, t, out):
-            pass
-        return out
-
-    def normalized_rows(self, kmax: int, t: np.ndarray, out: np.ndarray):
-        """Yield the rows C_j(t) / C_j(1), j = 0..kmax, in turn.
-
-        Row j is written into ``out[j % len(out)]``: a (kmax+1)-row ``out``
-        keeps the whole table, a 3-row one keeps just the rows the next step
-        reads.  Row j is ((2(j + a - 1) t) row[j-1] - (j - 1) row[j-2]) /
-        (j + 2a - 1), written in place with one scratch row; the operations
-        and their order are those of the plain array expression, so each row
-        is the same bit for bit."""
-        _check_degree(kmax)
-        size = len(out)
         out[0] = 1.0
-        yield out[0]
         if kmax >= 1:
-            out[1 % size] = t
-            yield out[1 % size]
+            out[1] = t
         a = self.alpha
         scratch = np.empty(t.size)
         for j in range(2, kmax + 1):
-            row = out[j % size]
+            row = out[j]
             np.multiply(2 * (j + a - 1), t, out=scratch)
-            scratch *= out[(j - 1) % size]
-            np.multiply(j - 1, out[(j - 2) % size], out=row)
+            scratch *= out[j - 1]
+            np.multiply(j - 1, out[j - 2], out=row)
             np.subtract(scratch, row, out=row)
             row /= j + 2 * a - 1
-            yield row
+        return out
 
     # -- largest roots ------------------------------------------------------
 
@@ -146,7 +131,7 @@ class GegenbauerContext:
             root = None if x is None else _confirm_cell(b2, k, x)
         except ZeroDivisionError:
             root = None
-        return _bisect_largest(b2, k, self.n) if root is None else root
+        return _bisect_largest(b2, k) if root is None else root
 
     def _start(self, k: int) -> float | None:
         # The scalar route's start: the closed form up to k = 4, above it the
@@ -216,28 +201,18 @@ def _check_degree(k: int) -> None:
         raise ValueError(f"degree {k} exceeds the degree cap {DEGREE_CAP}")
 
 
-def find_largest_roots(contexts: Sequence[GegenbauerContext], k: int) -> np.ndarray:
-    """The degree-k largest root of each context, as a float array aligned
-    with ``contexts``, each also cached: :func:`_lockstep_roots` with the
-    contexts' cached roots below k as the carried roots (NaN where one is
-    missing, and that lane goes scalar) and no carried rows, so the rows of
-    the lanes it solves together are built afresh."""
-    below = np.array([[c._roots.get(k - j, math.nan) for c in contexts] for j in (1, 2, 3)])
-    return _lockstep_roots(contexts, k, below, np.empty((0, len(contexts))))[0]
-
-
 def _lockstep_roots(contexts, k: int, below, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root k of each lane, from the state a k-scan carries: lane i is
     ``contexts[i]``, ``below`` holds its roots at k - 1, k - 2 and k - 3
-    (three rows, NaN where one is missing) and ``b2`` its squared
-    off-diagonal rows, (K, L).  Only the contexts without a cached root k
-    are solved, each once however many lanes share it, polished and
-    confirmed together from the closed forms on their first three rows up
-    to k = 4, above it from the cubic extrapolation of ``below``.  A lane
-    without a start, a lone one and one whose Newton or cell walk fails go
-    scalar; a lone one reads no rows.  Every root found is cached.  Returns
-    the roots aligned with ``contexts``, and ``b2``, grown by doubling to
-    at least k - 1 rows when the lanes solved together need them."""
+    (three rows) and ``b2`` its squared off-diagonal rows, (K, L).  Only
+    the contexts without a cached root k are solved, each once however many
+    lanes share it, polished and confirmed together from the closed forms
+    on their first three rows up to k = 4, above it from the cubic
+    extrapolation of ``below``.  A lone context goes scalar and reads no
+    rows, and so does a lane whose Newton or cell walk fails (a NaN start
+    among them).  Every root found is cached.  Returns the roots aligned
+    with ``contexts``, and ``b2``, grown by doubling to at least k - 1 rows
+    when the lanes solved together need them."""
     _check_degree(k)
     if k < 1:
         raise ValueError("largest_root requires degree k >= 1")
@@ -253,15 +228,12 @@ def _lockstep_roots(contexts, k: int, below, b2: np.ndarray) -> tuple[np.ndarray
         rows = b2[: max(k - 1, 3)] if cols is None else b2[: max(k - 1, 3), cols]
         if k <= 4:
             x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, rows[:3], 0.0))
-        else:  # NaN where a root below is missing
+        else:
             x = _extrapolate(*(r if cols is None else r[cols] for r in below))
-        roots = np.full(len(todo), np.nan)  # NaN: the scalar route's
-        lanes = np.flatnonzero(~np.isnan(x))
-        if lanes.size > 1:  # a lone lane goes scalar too
-            rows = rows[: k - 1] if lanes.size == len(todo) else rows[: k - 1, lanes]
-            # a lane reads NaN where the scalar route raises or gives up
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                roots[lanes] = _confirm_cells(rows, k, _polish_lanes(rows, k, x[lanes]))
+        rows = rows[: k - 1]
+        # a lane reads NaN where the scalar route raises or gives up
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            roots = _confirm_cells(rows, k, _polish_lanes(rows, k, x))
         todo = list(todo)
         for i in np.flatnonzero(np.isnan(roots)).tolist():
             roots[i] = todo[i]._largest_root_uncached(k)
@@ -290,14 +262,14 @@ _CELL_WALK = 2
 _NEWTON_STEPS = 8
 
 
-def _count_below(b2, sigma):
-    # Sturm count of eigenvalues below sigma (LDL^T sign pattern), also with
-    # one lane per column; a zero pivot becomes -1e-300, others plus -0.0 stay
+def _count_below(b2: list[float], sigma: float) -> int:
+    # Sturm count of eigenvalues below sigma (LDL^T sign pattern); a zero
+    # pivot becomes -1e-300
     d = low = -sigma
-    cnt = 0 + (d < 0)
+    cnt = int(d < 0)
     for bb in b2:
-        d = low - bb / (d + (d == 0.0) * -1e-300)
-        cnt = cnt + (d < 0)
+        d = low - bb / (d or -1e-300)
+        cnt += d < 0
     return cnt
 
 
@@ -409,16 +381,13 @@ def _confirm_cells(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _bisect_largest(b2: list[float], k: int, n: int) -> float:
+def _bisect_largest(b2: list[float], k: int) -> float:
+    # the root's definition: the midpoint of [0, 1] after _CELL_BITS Sturm halvings
     lo, hi = 0.0, 1.0
-    for _ in range(60):
+    for _ in range(_CELL_BITS):
         mid = 0.5 * (lo + hi)
         if _count_below(b2, mid) >= k:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-14:
-            break
-    if hi - lo > 1e-12:
-        raise NonConvergenceError(f"root bisection stalled at n={n}, k={k}")
     return 0.5 * (lo + hi)

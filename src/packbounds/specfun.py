@@ -38,7 +38,6 @@ __all__ = [
     "IntegrandError",
     "integrate",
     "log_gamma",
-    "log_binomial",
     "scaled_erfc_complex",
     "bessel_first_zero",
     "incomplete_beta",
@@ -275,15 +274,6 @@ def log_gamma(x: float) -> float:
     if x <= 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def log_binomial(a: int, b: int) -> float:
-    """ln C(a, b) for integers 0 <= b <= a, via log-gamma."""
-    if a < 0 or b < 0:
-        raise ValueError("log_binomial requires nonnegative integers")
-    if b > a:
-        raise ValueError(f"log_binomial requires b <= a, got ({a}, {b})")
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
 def scaled_erfc_complex(z):

@@ -354,20 +354,15 @@ def _normalized_weights(ctx: GegenbauerContext, coefficients) -> np.ndarray:
 def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
     """g(t) = sum_k weights[k] phi_k(t), elementwise over t.
 
-    Each row phi_k of the recurrence is scaled and added to the sum in index
-    order, on three rolling rows rather than the whole (d+1) x len(t) table.
-    Unlike a BLAS matrix-vector product, this gives a point the same value
-    however many points share the call."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    rows = np.empty((3, t.size))
-    total = np.empty(t.size)
-    term = np.empty(t.size)
-    for k, row in enumerate(ctx.normalized_rows(len(weights) - 1, t, rows)):
-        if k == 0:
-            np.multiply(row, weights[0], out=total)
-        else:
-            np.multiply(row, weights[k], out=term)
-            total += term
+    The rows phi_k of the normalized table are scaled by their weights and
+    summed in index order.  Unlike a BLAS matrix-vector product, this gives
+    a point the same value however many points share the call.  The callers
+    pass at most about 2d + 2 points, so the (d+1) x len(t) table is small."""
+    table = ctx.eval_normalized_table(len(weights) - 1, t)
+    table *= weights[:, None]
+    total = table[0]
+    for row in table[1:]:
+        total += row
     return total
 
 

@@ -85,6 +85,10 @@ REJECTION_NAMES = {
     "overlap --n 3 --r 1 --R 100": "overlap_finite requires 1e-300 <= R <= 50",
     "overlap --n 5 --r 1e-310 --R 1e-310": "overlap_finite requires 1e-300 <= R <= 50",
     "hyperbolic --n 3 --r 1e-310 --refined": "refined hyperbolic bounds require r >= 1e-300",
+    "hyperbolic --n 1 --r 1": "hyperbolic density bounds require n >= 2",
+    "hyperbolic --n 0 --r 1 --refined": "hyperbolic density bounds require n >= 2",
+    "overlap --n 3 --r 1 --R 2 --samples 10000 --seed -1 --format json":
+        "overlap_monte_carlo requires a seed >= 0, got seed = -1",
 }
 
 
@@ -116,6 +120,10 @@ REJECTION_NAMES = {
         ["overlap", "--n", "201", "--r", "1", "--R", "2", "--samples", "20000", "--format", "json"],
         ["overlap", "--n", "5", "--r", "1e-310", "--R", "1e-310"],
         ["hyperbolic", "--n", "3", "--r", "1e-310", "--refined"],
+        ["hyperbolic", "--n", "1", "--r", "1"],
+        ["hyperbolic", "--n", "0", "--r", "1", "--refined"],
+        ["overlap", "--n", "3", "--r", "1", "--R", "2", "--samples", "10000", "--seed", "-1",
+         "--format", "json"],
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv):

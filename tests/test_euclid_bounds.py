@@ -265,7 +265,7 @@ def test_table_finds_each_degree_once_for_kl_and_cz(monkeypatch, capsys):
 
 
 def test_table_scan_reads_no_root_lane_by_lane(monkeypatch, capsys):
-    # the degree loop reads its roots as arrays from find_largest_roots,
+    # the degree loop reads its roots as arrays from _lockstep_roots,
     # never one context at a time
     calls = []
     largest_root = orthopoly.GegenbauerContext.largest_root

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from packbounds import hyperbolic as hyp
-from packbounds.euclid_bounds import kl_spherical_code_bound
+from packbounds.euclid_bounds import _WALK_DEGREES, kl_spherical_code_bound
 from packbounds.orthopoly import shared_context
 
 # overlap_finite of the first release (the benchmark's reference values),
@@ -203,6 +203,8 @@ def test_monte_carlo_domain():
                       ((2, 0.0, 1e-310), "R = 1e-310")]:
         with pytest.raises(ValueError, match=name):
             hyp.overlap_monte_carlo(*bad, 10**4)
+    with pytest.raises(ValueError, match="seed = -1"):
+        hyp.overlap_monte_carlo(3, 1.0, 2.0, 10**4, seed=-1)
     # cosh r overflows, but the balls are disjoint whenever r >= 2R
     assert hyp.overlap_monte_carlo(3, 800.0, 2.0, 10**4) == (0.0, 0.0)
 
@@ -461,6 +463,22 @@ def test_optimized_is_the_minimum(n, r, refined):
     grid = list(np.linspace(math.pi / 3.0, math.pi, 41))
     for theta in candidates + grid:
         assert best.value <= hyp.hyp_density_bound(n, r, theta, refined).value
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_optimized_is_the_minimum_past_the_walked_degrees(n, r):
+    # k0 = 39 and 88 exceed the degrees kl_spherical_code_bound walks, so
+    # the optimizer's k0 comes from first_degree_reaching and two bisected
+    # roots, and the walk over k < k0 runs below them; coarse only, as the
+    # refined bound stops at n = 200
+    assert kl_spherical_code_bound(n, math.pi / 3.0)[1] > _WALK_DEGREES
+    best = hyp.hyp_bound_optimized(n, r)
+    candidates = _candidate_angles(n)
+    assert best.theta_star in candidates
+    assert best.k_star == kl_spherical_code_bound(n, best.theta_star)[1]
+    for theta in candidates:
+        assert best.value <= hyp.hyp_density_bound(n, r, theta).value
 
 
 def test_optimized_computes_the_small_ball_once(monkeypatch):

@@ -6,7 +6,7 @@ from scipy.special import eval_chebyt, eval_gegenbauer
 
 from packbounds import euclid_bounds as eb
 from packbounds import orthopoly
-from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext, find_largest_roots
+from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext
 from packbounds.specfun import integrate
 from packbounds.spherical_lp import _eval_g, _normalized_weights
 
@@ -349,6 +349,12 @@ def test_lane_reference_is_the_scalar_reference():
         assert _reference_largest_roots(ns, k) == [_reference_largest_root(n, k) for n in ns]
 
 
+def _lockstep(contexts, k):
+    # root k of each context in lockstep, from its cached roots below k (NaN where missing)
+    below = np.array([[c._roots.get(k - j, math.nan) for c in contexts] for j in (1, 2, 3)])
+    return orthopoly._lockstep_roots(contexts, k, below, np.empty((0, len(contexts))))[0]
+
+
 def test_lockstep_roots_bit_identical_on_table_contexts(monkeypatch):
     # every lane of every degree up to 60 is found in lockstep, none by the
     # scalar route, and some lanes confirm a cell next to their Newton iterate
@@ -367,7 +373,7 @@ def test_lockstep_roots_bit_identical_on_table_contexts(monkeypatch):
     monkeypatch.setattr(orthopoly, "_confirm_cells", recording)
     ctxs = [GegenbauerContext(n) for n in TABLE_CONTEXTS]
     for k in range(2, 61):
-        got = find_largest_roots(ctxs, k).tolist()  # returned, and cached
+        got = _lockstep(ctxs, k).tolist()  # returned, and cached
         assert got == [ctx.largest_root(k) for ctx in ctxs]
         assert got == _reference_largest_roots(TABLE_CONTEXTS, k), k
     assert len(walked) == 59 and sum(walked) > 0
@@ -378,15 +384,15 @@ def test_lockstep_lanes_fall_back_to_the_scalar_route():
     # context given twice is one lane; one context left is no lockstep
     warm = [GegenbauerContext(n) for n in (3, 17, 200)]
     for k in range(2, 30):
-        find_largest_roots(warm, k)
+        _lockstep(warm, k)
     cold = [GegenbauerContext(n) for n in (6, 17)]
     ctxs = warm + cold + warm[:1]
-    got = find_largest_roots(ctxs, 30)  # aligned with ctxs, repeat included
+    got = _lockstep(ctxs, 30)  # aligned with ctxs, repeat included
     assert got.tolist() == [_reference_largest_root(ctx.n, 30) for ctx in ctxs]
     for ctx in ctxs:
         assert ctx.largest_root(30) == _reference_largest_root(ctx.n, 30)
     lone = GegenbauerContext(9)
-    find_largest_roots([lone, lone], 2)
+    _lockstep([lone, lone], 2)
     assert lone.largest_root(2) == _reference_largest_root(9, 2)
 
 
@@ -441,7 +447,6 @@ def test_sturm_count_takes_a_zero_pivot_as_negative_on_both_routes():
     # as -1e-300, the next one is about +1e299 and not counted
     assert orthopoly._count_below([0.25, 0.1], 0.5) == 1
     lanes = np.array([[0.25, 0.25, 0.3], [0.1, 0.1, 0.1]])
-    assert orthopoly._count_below(lanes, np.array([0.5, 0.5, 0.5])).tolist() == [1, 1, 2]
     assert orthopoly._count_below_lanes(lanes, np.array([0.5, 0.5, 0.5])).tolist() == [1, 1, 2]
 
 

@@ -14,7 +14,6 @@ from packbounds.specfun import (
     golden_section_min,
     incomplete_beta,
     integrate,
-    log_binomial,
     log_gamma,
     scaled_erfc_complex,
 )
@@ -74,28 +73,6 @@ def test_log_gamma_domain():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-2.5)
-
-
-def test_log_binomial_exact_small():
-    assert math.isclose(log_binomial(4, 2), math.log(6.0), rel_tol=1e-14)
-    for a in range(0, 61, 6):
-        for b in range(0, a + 1, 5):
-            assert math.isclose(
-                log_binomial(a, b), math.log(math.comb(a, b)), rel_tol=1e-13, abs_tol=1e-13
-            )
-    assert log_binomial(17, 0) == 0.0
-
-
-def test_log_binomial_large_vs_exact_integer():
-    ref = float(mp.log(mp.mpf(math.comb(659, 60))))
-    assert math.isclose(log_binomial(659, 60), ref, rel_tol=1e-12)
-
-
-def test_log_binomial_domain():
-    with pytest.raises(ValueError):
-        log_binomial(3, 4)
-    with pytest.raises(ValueError):
-        log_binomial(-1, 0)
 
 
 # ---------------------------------------------------------------------------
