@@ -209,33 +209,31 @@ def kl_spherical_code_bound(n: int, theta: float) -> tuple[LogScaled, int]:
 
         A(n, theta) <= 4 C(k+n-2, k) / (1 - t_(n,k+1)).
 
-    Returns the bound and the k used.  The first ``_WALK_DEGREES`` roots are
-    walked in turn; a larger k is found by one Sturm count per probe, and
-    only t_k and t_(k+1) are found.
+    Returns the bound and the k used.  k comes from :func:`_code_degree`,
+    by Sturm counts alone, so only t_k and t_(k+1) are found.
     """
     if n < 2:
         raise ValueError("kl_spherical_code_bound requires n >= 2")
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
     ctx = shared_context(n)
-    # absolute slack so that boundary angles (cos(pi/2) = 6.1e-17 in floats,
-    # cos theta landing exactly on a root) select the intended degree
-    c = math.cos(theta) - 1e-12
-    walk = min(_WALK_DEGREES, DEGREE_CAP)
-    k = next((k for k in range(1, walk + 1) if ctx.largest_root(k) >= c), None)
-    if k is None:
-        k = ctx.first_degree_reaching(c, walk + 1, DEGREE_CAP)
-        if k is None:
-            raise NonConvergenceError("k-search exhausted the degree cap")
+    k = _code_degree(ctx, theta)
     return LogScaled.from_log(_code_objective(0, ctx, k)), k
 
 
-# The degrees kl_spherical_code_bound walks root by root.  The walk up to
-# t_(k+1) costs about 6 Sturm passes of j rows at each degree j, 3 k^2 rows
-# in all, and bisecting t_k and t_(k+1) with no roots below cached 2 x 47
-# passes of k rows: the two meet near k = 31.  The walk also leaves the
-# roots below k cached, which hyp_bound_optimized reads next.
-_WALK_DEGREES = 32
+def _code_degree(ctx: GegenbauerContext, theta: float) -> int:
+    """The least degree k whose largest root t_(ctx.n,k) reaches cos(theta),
+    up to ``DEGREE_CAP``: 1 when cos(theta) <= 0, as t_1 = 0, and past it
+    one Sturm count per probe, without finding a root."""
+    # absolute slack so that boundary angles (cos(pi/2) = 6.1e-17 in floats,
+    # cos theta landing exactly on a root) select the intended degree
+    c = math.cos(theta) - 1e-12
+    if c <= 0.0:
+        return 1
+    k = ctx.first_degree_reaching(c, DEGREE_CAP)
+    if k is None:
+        raise NonConvergenceError("k-search exhausted the degree cap")
+    return k
 
 
 def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:

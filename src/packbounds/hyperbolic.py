@@ -27,14 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .euclid_bounds import BoundRecord, _code_objective, kl_spherical_code_bound
+from .euclid_bounds import BoundRecord, _code_degree, _code_objective
 from .orthopoly import shared_context
-from .specfun import (
-    LogScaled,
-    incomplete_beta,
-    integrate,
-    log_gamma,
-)
+from .specfun import LogScaled, integrate, log_gamma
 
 __all__ = [
     "hyp_ball_volume",
@@ -66,11 +61,11 @@ def hyp_ball_volume(n: int, r: float) -> LogScaled:
 
 def radius_from_angle(r: float, theta: float) -> float:
     """R with sinh R = sinh r / sin(theta/2); R in [r, 2r] when theta >= pi/3."""
-    if not r > 0:
-        raise ValueError("radius_from_angle requires r > 0")
-    if not 0.0 < theta <= math.pi:
-        raise ValueError("theta must lie in (0, pi]")
-    s = math.sin(theta / 2.0)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius_from_angle requires finite r > 0, got r = {r}")
+    s = math.sin(theta / 2.0) if 0.0 < theta <= math.pi else 0.0
+    if s == 0.0:  # also where theta/2 underflows to 0
+        raise ValueError(f"theta must lie in (0, pi] with sin(theta/2) > 0, got {theta}")
     try:
         x = math.sinh(r) / s
     except OverflowError:
@@ -114,7 +109,7 @@ def hyp_density_bound(n: int, r: float, theta: float, refined: bool = False) -> 
     theta: sin^(n-1)(theta/2) * A(n, theta), or with the volume ratio
     vol(B_r)/vol(B_R) in place of the sine power when ``refined``."""
     _check_geometry(n, r, theta, refined)
-    return _density_records(n, r, [theta], [kl_spherical_code_bound(n, theta)[1]], refined)[0]
+    return _density_records(n, r, [theta], [_code_degree(shared_context(n), theta)], refined)[0]
 
 
 def _density_records(
@@ -150,13 +145,13 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
     evaluated once at each of these angles, in that order, and the first
     minimal record is returned.  R(r, theta) is largest at pi/3, so the
-    domain check there covers every angle.  The degrees are walked once,
-    by the code bound at pi/3: its degree k0 is the first whose root
-    reaches 1/2, so the root angles are those of k = 1, ..., k0 - 1.
+    domain check there covers every angle.  The degree k0 at pi/3, the
+    first whose root reaches 1/2, comes from Sturm counts alone; the root
+    angles are those of k < k0, and t_1..t_(k0+1) are found in that order.
     """
     _check_geometry(n, r, math.pi / 3.0, refined)
     ctx = shared_context(n)
-    k0 = kl_spherical_code_bound(n, math.pi / 3.0)[1]
+    k0 = _code_degree(ctx, math.pi / 3.0)
     thetas = [math.pi / 3.0, *(math.acos(ctx.largest_root(k)) for k in range(1, k0))]
     degrees = [k0, *range(1, k0)]
     best = min(_density_records(n, r, thetas, degrees, refined), key=lambda rec: rec.value)
@@ -170,8 +165,9 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
 
 def overlap_limit(n: int, r: float) -> float:
     """R -> infinity limit of vol(B_R(x1) ^ B_R(x2))/vol(B_R) at center
-    distance r:  B(1/(1+e^r); (n-1)/2, (n-1)/2) / B(1/2; (n-1)/2, (n-1)/2).
-    """
+    distance r: B(u; a, a) / B(1/2; a, a), u = 1/(1+e^r), a = (n-1)/2, as
+    I_u(a, a) / I_(1/2)(a, a): B(a, a), which underflows near n = 1 080, cancels."""
+    from scipy.special import betainc
     if n < 2:
         raise ValueError("overlap_limit requires n >= 2")
     if not 0.0 <= r < math.inf:
@@ -181,7 +177,7 @@ def overlap_limit(n: int, r: float) -> float:
         u = 1.0 / (1.0 + math.exp(r))
     except OverflowError:
         u = math.exp(-r)  # 1 + e^(-r) rounds to 1 long before exp(r) overflows
-    return incomplete_beta(u, a, a) / incomplete_beta(0.5, a, a)
+    return float(betainc(a, a, u) / betainc(a, a, 0.5))
 
 
 # Below this radius two balls in H^n, n <= 200, overlap as in R^n to double

@@ -20,8 +20,9 @@ two ufunc calls per pivot and recurrence.  Newton's iterate may differ from
 the scalar one in the last bits, but the Sturm counts, which decide the
 cell, are the scalar ones bit for bit (numpy rounds elementwise as Python
 rounds floats), so each lane's root is the scalar one.
-:meth:`GegenbauerContext.first_degree_reaching` decides t_k >= x by the
-same Sturm counts, without the root.
+:meth:`GegenbauerContext.first_degree_reaching` finds the least degree
+k >= 2 with t_k >= x, the degree of the spherical-code bound, by the same
+Sturm counts, without a root.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ class GegenbauerContext:
         except KeyError:
             return None
 
-    def first_degree_reaching(self, x: float, lo: int, hi: int) -> int | None:
-        """The least degree k in [lo, hi], lo >= 2, whose largest root
-        t_k >= x, or None, found without finding a root.
+    def first_degree_reaching(self, x: float, hi: int) -> int | None:
+        """The least degree k in [2, hi] whose largest root t_k >= x, or
+        None, found without finding a root.
 
         t_k >= x holds iff t_k's cell lies at or above the first cell whose
         midpoint reaches x, that is iff the Sturm count of degree k at that
@@ -162,7 +163,7 @@ class GegenbauerContext:
         def reaches(k: int) -> bool:
             return _count_below(self._offdiag_sq(k), sigma) < k
 
-        below, k = lo - 1, lo
+        below, k = 1, 2
         while not reaches(k):
             if k >= hi:
                 return None

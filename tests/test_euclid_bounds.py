@@ -121,8 +121,8 @@ def test_code_bound_domain():
 
 
 def _walked_code_bound(n, theta):
-    # the k walk, one root per degree, that the Sturm-count search past the
-    # walked degrees replaced (without its degree cap)
+    # the k walk, one root per degree, that the Sturm-count search replaced
+    # (without its degree cap)
     ctx = shared_context(n)
     c = math.cos(theta) - 1e-12
     k = 1
@@ -133,11 +133,11 @@ def _walked_code_bound(n, theta):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 24, 101, 400, 801])
 def test_code_bound_search_matches_the_walk(monkeypatch, n):
-    # angles on both sides of the walked degrees, pi/2 and the root angles
-    # acos(t_k) themselves, with the floats next to them
+    # angles at small and large degrees, pi/2 and the root angles acos(t_k)
+    # themselves, with the floats next to them
     roots = orthopoly.GegenbauerContext(n)
     thetas = [math.pi, 2.5, math.pi / 2, math.pi / 3, 0.5]
-    for k in (2, 5, 31, 32, 33, 34, 64, 65, 100):
+    for k in (2, 3, 4, 5, 6, 8, 16, 31, 32, 33, 34, 64, 65, 100):
         at = math.acos(roots.largest_root(k))
         thetas += [at, math.nextafter(at, 0.0), math.nextafter(at, 4.0)]
     for theta in thetas:
@@ -148,9 +148,8 @@ def test_code_bound_search_matches_the_walk(monkeypatch, n):
 
 
 def test_code_bound_at_small_angles_finds_two_roots_past_the_walk(monkeypatch):
-    # (801, pi/62) reaches k = 7751 with the bound the old walk gave: the
-    # degrees past the walk cost one Sturm count each, and only t_k and
-    # t_(k+1) are found there
+    # (801, pi/62) reaches k = 7751 with the bound the old walk gave: each
+    # degree probed costs one Sturm count, and only t_k and t_(k+1) are found
     found = []
     uncached = orthopoly.GegenbauerContext._largest_root_uncached
 
@@ -163,12 +162,12 @@ def test_code_bound_at_small_angles_finds_two_roots_past_the_walk(monkeypatch):
     bound, k = kl_spherical_code_bound(801, math.pi / 62)
     assert k == 7751
     assert math.isclose(bound.log_value, 2658.169411621708, rel_tol=1e-14)
-    assert found == [*range(2, eb._WALK_DEGREES + 1), k, k + 1]
+    assert found == [k, k + 1]
 
 
 @pytest.mark.parametrize("cap", [4, 40])
 def test_code_bound_degree_cap(monkeypatch, cap):
-    # within the walk and past it, the cap ends the search with one message
+    # a cap below k, small or large, ends the search with one message
     monkeypatch.setattr(eb, "DEGREE_CAP", cap)
     with pytest.raises(NonConvergenceError, match=r"^k-search exhausted the degree cap$"):
         kl_spherical_code_bound(801, 0.05)

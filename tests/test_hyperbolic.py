@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from packbounds import hyperbolic as hyp
-from packbounds.euclid_bounds import _WALK_DEGREES, kl_spherical_code_bound
+from packbounds import orthopoly
+from packbounds.euclid_bounds import kl_spherical_code_bound
 from packbounds.orthopoly import shared_context
 
 # overlap_finite of the first release (the benchmark's reference values),
@@ -119,6 +120,14 @@ def test_overlap_edges():
     # the overlap checks its own domain, naming R
     with pytest.raises(ValueError, match="overlap_finite requires 1e-300 <= R <= 50"):
         hyp.overlap_finite(3, 1.0, 100.0)
+
+
+def test_overlap_limit_past_beta_underflow():
+    # B(1/2; a, a) underflows to 0 from n = 1 080 on; the ratio of the
+    # regularized incomplete betas does not, and is 1 at r = 0 exactly.
+    # The n = 100 000 value is a 30-digit mpmath quadrature of the ratio.
+    assert hyp.overlap_limit(5_000, 0.0) == hyp.overlap_limit(2, 0.0) == 1.0
+    assert hyp.overlap_limit(100_000, 1e-3) == pytest.approx(0.8743679981824184, rel=1e-13)
 
 
 def test_overlap_tends_to_limit():
@@ -468,11 +477,9 @@ def test_optimized_is_the_minimum(n, r, refined):
 @pytest.mark.parametrize("n", [400, 1000])
 @pytest.mark.parametrize("r", [0.5, 2.0])
 def test_optimized_is_the_minimum_past_the_walked_degrees(n, r):
-    # k0 = 39 and 88 exceed the degrees kl_spherical_code_bound walks, so
-    # the optimizer's k0 comes from first_degree_reaching and two bisected
-    # roots, and the walk over k < k0 runs below them; coarse only, as the
-    # refined bound stops at n = 200
-    assert kl_spherical_code_bound(n, math.pi / 3.0)[1] > _WALK_DEGREES
+    # k0 = 39 and 88, past the 32 degrees the code bound once walked root by
+    # root; coarse only, as the refined bound stops at n = 200
+    assert kl_spherical_code_bound(n, math.pi / 3.0)[1] == {400: 39, 1000: 88}[n]
     best = hyp.hyp_bound_optimized(n, r)
     candidates = _candidate_angles(n)
     assert best.theta_star in candidates
@@ -503,30 +510,54 @@ def test_volume_and_radius_domains():
     for n in (1, 201):
         with pytest.raises(ValueError, match="2 <= n <= 200"):
             hyp.hyp_ball_volume(n, 1.0)
-    with pytest.raises(ValueError, match="r > 0"):
-        hyp.radius_from_angle(0.0, math.pi / 3)
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="r > 0"):
+            hyp.radius_from_angle(r, math.pi / 3)
     for theta in (0.0, -1.0, 3.5):
         with pytest.raises(ValueError, match="theta must lie in"):
             hyp.radius_from_angle(1.0, theta)
+    # theta/2 underflows to 0, so sin(theta/2) is 0; one float up it is not
+    with pytest.raises(ValueError, match=r"sin\(theta/2\) > 0"):
+        hyp.radius_from_angle(1.0, 5e-324)
+    assert hyp.radius_from_angle(1.0, 1e-323) == 1.0 - math.log(5e-324)
 
 
 def test_optimized_walks_the_code_degree_once(monkeypatch):
     # the candidate angles acos(t_(n,k)) carry their degree k from the root
-    # walk; only pi/3 asks the code bound to find its own
+    # walk; only pi/3 asks for its degree, by Sturm counts
     calls = []
-    code_bound = hyp.kl_spherical_code_bound
+    code_degree = hyp._code_degree
 
-    def counted(n, theta):
+    def counted(ctx, theta):
         calls.append(theta)
-        return code_bound(n, theta)
+        return code_degree(ctx, theta)
 
-    monkeypatch.setattr(hyp, "kl_spherical_code_bound", counted)
+    monkeypatch.setattr(hyp, "_code_degree", counted)
     for n in (2, 24, 200):
         calls.clear()
         best = hyp.hyp_bound_optimized(n, 1.0)
         assert calls == [math.pi / 3.0]
-        assert best.k_star == code_bound(n, best.theta_star)[1]
+        assert best.k_star == kl_spherical_code_bound(n, best.theta_star)[1]
         assert best.value == hyp.hyp_density_bound(n, 1.0, best.theta_star).value
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_optimized_bisects_no_root(monkeypatch, n):
+    # the roots up to t_(k0+1) are found once each, in ascending order, so
+    # each starts from the roots below it and none falls back to bisection
+    bisected = []
+    bisect = orthopoly._bisect_largest
+
+    def counted(b2, k):
+        bisected.append(k)
+        return bisect(b2, k)
+
+    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
+    monkeypatch.setattr(orthopoly, "_bisect_largest", counted)
+    for r in (0.5, 2.0):
+        hyp.hyp_bound_optimized(n, r)
+    assert bisected == []
+    assert sorted(shared_context(n)._roots) == list(range(1, {400: 39, 1000: 88}[n] + 2))
 
 
 def test_optimized_takes_the_left_end_at_n4():

@@ -431,14 +431,14 @@ def test_scan_finds_each_context_and_degree_once(monkeypatch):
 def test_first_degree_reaching_is_the_root_test(n):
     # at each root, in its cell on either side of the midpoint, and on the
     # cell's edges, the Sturm-count search gives the least degree whose
-    # root reaches x, from either end of the range
+    # root reaches x, or None past the degree it is given
     roots = [GegenbauerContext(n).largest_root(k) for k in range(81)[1:]]
     ctx = GegenbauerContext(n)
     for t in roots[1:]:
         for x in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0), t - 2.0**-48, t + 2.0**-48):
-            for lo in (2, 10):
-                want = next((k for k in range(lo, 81) if roots[k - 1] >= x), None)
-                assert ctx.first_degree_reaching(x, lo, 80) == want, (x, lo)
+            for hi in (10, 80):
+                want = next((k for k in range(2, hi + 1) if roots[k - 1] >= x), None)
+                assert ctx.first_degree_reaching(x, hi) == want, (x, hi)
     assert len(ctx._roots) == 1  # no root was found
 
 
