@@ -273,7 +273,7 @@ def _lgammas(lo: int, hi: int) -> np.ndarray:
 
 
 # each k-scan method: the dimension offset of its Gegenbauer family (kl
-# passes the (n+1)-dimensional context, cz the n-dimensional one) and the
+# scans the roots of dimension m = n + 1, cz those of m = n) and the
 # cap on the roots t_(m,k) of the degrees it counts
 _SCANS = {"kl": (1, 1.0), "cz": (0, 0.5)}
 
@@ -284,7 +284,7 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
     every lane in lockstep.  cz counts only the degrees whose root
     t_(n,k) <= 1/2 (t_1 = 0).
 
-    The lanes still scanning keep as arrays their context, n, cap,
+    The lanes still scanning keep as arrays their alpha = m/2 - 1, n, cap,
     ln Gamma(m - 1), offset into the scan's table of ``math.lgamma`` over
     the integers, t_(k-2), t_(k-1), t_k, the objectives at k - 2 and k - 1
     and the squared off-diagonal rows of their Jacobi matrices, one (K, L)
@@ -303,8 +303,7 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
             raise ValueError("cz_bound is undefined for n = 1")
     if not lanes:
         return []
-    ctxs = [shared_context(n + _SCANS[method][0]) for n, method in lanes]
-    ms = [ctx.n for ctx in ctxs]
+    ms = [n + _SCANS[method][0] for n, method in lanes]
     # math.lgamma at lo, lo + 1, ..., top + K - 1: lane i reads
     # ln Gamma(m_i - 1 + k) at j_i + k, j_i = m_i - 1 - lo, for k <= K, and
     # K doubles when k passes it
@@ -314,7 +313,7 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
     t_1 = np.zeros(len(lanes))
     live = {  # each lane still scanning, at degree k
         "lane": np.arange(len(lanes)),
-        "ctx": np.array(ctxs, dtype=object),
+        "alpha": np.array(ms) / 2.0 - 1.0,
         "n": np.array([n for n, _ in lanes]),
         "j": j,
         "cap": np.array([_SCANS[method][1] for _, method in lanes]),
@@ -324,7 +323,7 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
         "obj_prev": np.full(len(lanes), np.nan),  # the objective at k - 2
     }
     live["t"], live["b2"] = _lockstep_roots(  # t_k
-        live["ctx"], 2, (t_1, t_1, t_1), np.empty((0, len(lanes))))
+        live["alpha"], 2, (t_1, t_1, t_1), np.empty((0, len(lanes))))
     live["obj"] = _code_objectives(live["n"], 1, t_1, live["t"], lgammas[j + 1], live["lgamma_m"])
     records: list[BoundRecord | None] = [None] * len(lanes)
 
@@ -358,7 +357,7 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
         if past.any() and not (live := stop(past, k, None)):
             return records
         t_next, live["b2"] = _lockstep_roots(
-            live["ctx"], k + 1, (live["t"], live["t_prev"], live["t_prev2"]), live["b2"])
+            live["alpha"], k + 1, (live["t"], live["t_prev"], live["t_prev2"]), live["b2"])
         if lo + lgammas.size < top + k:
             lgammas = np.append(lgammas, _lgammas(lo + lgammas.size, top + 2 * k))
         obj = _code_objectives(live["n"], k, live["t"], t_next,

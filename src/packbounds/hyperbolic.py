@@ -73,8 +73,6 @@ def radius_from_angle(r: float, theta: float) -> float:
     # where sinh r / s overflows, e^(-2r) is far below an ulp of 1 and
     # asinh(sinh r / s) = r - ln s in double precision
     R = math.asinh(x) if x < math.inf else r - math.log(s)
-    if theta >= math.pi / 3.0 - 1e-12:
-        assert r * (1 - 1e-12) <= R <= 2 * r * (1 + 1e-12)
     return R
 
 
@@ -231,9 +229,10 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     # R+s-r and R-s+r from the exact offset d = s - |R-r|: 2(R-r)+d and
     # 2r-d, or d and 2R-d when r > R; forming them from s cancels at r << R
     near, far = (2.0 * (R - r), 2.0 * r) if r < R else (0.0, 2.0 * R)
-    # each sinh factor of x times 2^e, e = -exponent of R: exact for every
-    # normal x, and the products no longer underflow at R r < 1e-308
-    e = -math.frexp(R)[1]
+    # each sinh factor of x times 2^e, e = -exponent of R for R < 1/2 and 0
+    # above: exact for every normal x, and the products no longer underflow
+    # at R r < 1e-308 (scaling down at R >= 1 would flush sinh r to 0)
+    e = max(-math.frexp(R)[1], 0)
     sinh_r = math.ldexp(math.sinh(r), e)
 
     def band(t: np.ndarray) -> np.ndarray:

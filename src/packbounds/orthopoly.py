@@ -8,18 +8,21 @@ of each degree is ever needed; it is the top eigenvalue of the symmetric
 tridiagonal Jacobi matrix, defined as the midpoint of the 2^-47-wide dyadic
 cell that Sturm-sequence bisection of [0, 1] ends on.  Sturm counts and
 Newton steps run on the LDL^T pivots of the matrix, so the (overflowing)
-polynomial itself is never evaluated.  Degrees 2 to 4 start from closed
-forms, higher ones from the three cached roots below, polished by Newton;
-Sturm counts confirm the cell, and without a start the bisection runs.
-:func:`_lockstep_roots` runs this for many contexts at one degree, one
-float64 array lane per context, on the state the kl/cz k-scan carries from
-one degree to the next: each lane's three roots below k and the squared
-off-diagonal rows of its Jacobi matrix, one (K, L) array grown by
-doubling.  The lane Newton step and Sturm count fill preallocated buffers,
-two ufunc calls per pivot and recurrence.  Newton's iterate may differ from
-the scalar one in the last bits, but the Sturm counts, which decide the
-cell, are the scalar ones bit for bit (numpy rounds elementwise as Python
-rounds floats), so each lane's root is the scalar one.
+polynomial itself is never evaluated.  :func:`_root_near` polishes a start
+by Newton, Sturm counts confirm the cell, and without a start the
+bisection runs.  The scalar route, :meth:`GegenbauerContext.largest_root`,
+memoizes its roots per context and starts degrees 2 to 4 from closed
+forms, higher ones from the three memoized roots below.
+:func:`_lockstep_roots` serves the kl/cz k-scan, which keeps no context:
+it runs on lane arrays, one float64 lane per dimension, on the state the
+scan carries from one degree to the next: each lane's three roots below k
+and the squared off-diagonal rows of its Jacobi matrix, one (K, L) array
+grown by doubling.  The lane Newton step and Sturm count fill preallocated
+buffers, two ufunc calls per pivot and recurrence.  Newton's iterate may
+differ from the scalar one in the last bits, but the Sturm counts, which
+decide the cell, are the scalar ones bit for bit (numpy rounds
+elementwise as Python rounds floats), so each lane's root is the scalar
+one.
 :meth:`GegenbauerContext.first_degree_reaching` finds the least degree
 k >= 2 with t_k >= x, the degree of the spherical-code bound, by the same
 Sturm counts, without a root.
@@ -43,7 +46,9 @@ class GegenbauerContext:
 
     Immutable after construction except two memos: the largest roots and
     the squared off-diagonal of the Jacobi matrix.  Both only ever gain
-    entries that do not depend on the order of the requests.
+    entries that do not depend on the order of the requests, and both
+    serve the scalar route only: the k-scan's :func:`_lockstep_roots`
+    carries its own lane arrays and neither reads nor fills them.
     """
 
     def __init__(self, n: int):
@@ -111,28 +116,7 @@ class GegenbauerContext:
         return b2[: k - 1].tolist()
 
     def _largest_root_uncached(self, k: int) -> float:
-        """The bisection's answer, found without bisecting from a start.
-
-        Bisection from [0, 1] stops after exactly 47 halvings, on the dyadic
-        cell [j, j + 1] * 2^-47 whose ends have Sturm counts < k and >= k, and
-        returns its midpoint.  A start polished by Newton lands in or next to
-        that cell, and Sturm counts confirm it; like the bisection, this takes
-        the count to be monotone in sigma, so only one cell passes.  Newton
-        stops after a step below 1e-8, which leaves an error far below 2^-47;
-        the closed forms need none, and their last pivot may be exactly 0.
-        """
-        b2 = self._offdiag_sq(k)
-        x = self._start(k)
-        try:
-            for _ in range(_NEWTON_STEPS if k > 4 and x is not None else 0):
-                step = _newton_step(b2, x)
-                x -= step
-                if abs(step) < 1e-8:
-                    break
-            root = None if x is None else _confirm_cell(b2, k, x)
-        except ZeroDivisionError:
-            root = None
-        return _bisect_largest(b2, k) if root is None else root
+        return _root_near(self._offdiag_sq(k), k, self._start(k))
 
     def _start(self, k: int) -> float | None:
         # The scalar route's start: the closed form up to k = 4, above it the
@@ -202,47 +186,36 @@ def _check_degree(k: int) -> None:
         raise ValueError(f"degree {k} exceeds the degree cap {DEGREE_CAP}")
 
 
-def _lockstep_roots(contexts, k: int, below, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root k of each lane, from the state a k-scan carries: lane i is
-    ``contexts[i]``, ``below`` holds its roots at k - 1, k - 2 and k - 3
-    (three rows) and ``b2`` its squared off-diagonal rows, (K, L).  Only
-    the contexts without a cached root k are solved, each once however many
-    lanes share it, polished and confirmed together from the closed forms
-    on their first three rows up to k = 4, above it from the cubic
-    extrapolation of ``below``.  A lone context goes scalar and reads no
-    rows, and so does a lane whose Newton or cell walk fails (a NaN start
-    among them).  Every root found is cached.  Returns the roots aligned
-    with ``contexts``, and ``b2``, grown by doubling to at least k - 1 rows
-    when the lanes solved together need them."""
-    _check_degree(k)
-    if k < 1:
-        raise ValueError("largest_root requires degree k >= 1")
-    todo = {c: i for i, c in enumerate(contexts) if k not in c._roots}
-    if len(todo) == 1:
-        c = next(iter(todo))
-        c._roots[k] = c._largest_root_uncached(k)
-    elif todo:
-        if len(b2) < max(k - 1, 3):
-            alpha = np.array([c.alpha for c in contexts])
-            b2 = _squared_offdiag(alpha, max(k - 1, 3, 2 * len(b2)))
-        cols = None if len(todo) == len(contexts) else list(todo.values())
-        rows = b2[: max(k - 1, 3)] if cols is None else b2[: max(k - 1, 3), cols]
-        if k <= 4:
-            x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, rows[:3], 0.0))
-        else:
-            x = _extrapolate(*(r if cols is None else r[cols] for r in below))
-        rows = rows[: k - 1]
-        # a lane reads NaN where the scalar route raises or gives up
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            roots = _confirm_cells(rows, k, _polish_lanes(rows, k, x))
-        todo = list(todo)
-        for i in np.flatnonzero(np.isnan(roots)).tolist():
-            roots[i] = todo[i]._largest_root_uncached(k)
-        for c, root in zip(todo, roots.tolist()):
-            c._roots[k] = root
-        if cols is None:  # every lane is a distinct context, in order
-            return roots, b2
-    return np.array([c._roots[k] for c in contexts], dtype=float), b2
+def _lockstep_roots(alpha: np.ndarray, k: int, below,
+                    b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root k of each lane of a k-scan, from the state it carries: lane i is
+    the family of ``alpha[i]``, ``below`` holds its roots at k - 1, k - 2
+    and k - 3 (three rows) and ``b2`` its squared off-diagonal rows, (K, L).
+    Every lane starts from the closed form on its first three rows up to
+    k = 4, above it from the cubic extrapolation of ``below``; the lanes are
+    polished and confirmed together, and a lane whose Newton step or cell
+    walk fails (a NaN start among them) bisects.  A single lane goes to
+    :func:`_root_near` on floats.  Returns the roots and ``b2``, grown by
+    doubling to at least k - 1 rows."""
+    if len(b2) < max(k - 1, 3):
+        b2 = _squared_offdiag(alpha, max(k - 1, 3, 2 * len(b2)))
+    if alpha.size == 1:  # Python floats beat 1-element arrays
+        col = b2[: k - 1, 0].tolist()
+        x = (_closed_form(*col, *[0.0] * (4 - k), math.sqrt) if k <= 4
+             else _extrapolate(*(r.item() for r in below)))
+        return np.array([_root_near(col, k, x)]), b2
+    rows = b2[: max(k - 1, 3)]
+    if k <= 4:
+        x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, rows[:3], 0.0))
+    else:
+        x = _extrapolate(*below)
+    rows = rows[: k - 1]
+    # a lane reads NaN where the scalar route raises or gives up
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = _confirm_cells(rows, k, _polish_lanes(rows, k, x))
+    for i in np.flatnonzero(np.isnan(roots)).tolist():
+        roots[i] = _bisect_largest(rows[:, i].tolist(), k)
+    return roots, b2
 
 
 def _squared_offdiag(alpha, m: int) -> np.ndarray:
@@ -326,6 +299,31 @@ def _newton_lanes(b2: np.ndarray, x: np.ndarray, u: np.ndarray, r: np.ndarray) -
         np.multiply(ri, prev, out=ri)
         np.add(ui, ri, out=ui)
     return 1.0 / u.sum(axis=0)
+
+
+def _root_near(b2: list[float], k: int, x: float | None) -> float:
+    """The bisection's answer, found without bisecting from a start x.
+
+    Bisection from [0, 1] stops after exactly 47 halvings, on the dyadic
+    cell [j, j + 1] * 2^-47 whose ends have Sturm counts < k and >= k, and
+    returns its midpoint.  A start polished by Newton lands in or next to
+    that cell, and Sturm counts confirm it; like the bisection, this takes
+    the count to be monotone in sigma, so only one cell passes.  Newton
+    stops after a step below 1e-8, which leaves an error far below 2^-47;
+    the closed forms (k <= 4) need none, and their last pivot may be
+    exactly 0.  Without a start, or when Newton or the walk fails, the
+    bisection runs.
+    """
+    try:
+        for _ in range(_NEWTON_STEPS if k > 4 and x is not None else 0):
+            step = _newton_step(b2, x)
+            x -= step
+            if abs(step) < 1e-8:
+                break
+        root = None if x is None else _confirm_cell(b2, k, x)
+    except ZeroDivisionError:
+        root = None
+    return _bisect_largest(b2, k) if root is None else root
 
 
 def _confirm_cell(b2: list[float], k: int, x: float) -> float | None:

@@ -270,10 +270,13 @@ def _real_line_lanes(f, count: int) -> list[QuadResult]:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    """ln Gamma(x) for 0 < x < inf, up to where it overflows (x near 2.5e305)."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"log_gamma requires 0 < x < inf, got {x}")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError(f"log_gamma overflows at x = {x}") from None
 
 
 def scaled_erfc_complex(z):

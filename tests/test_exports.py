@@ -73,3 +73,10 @@ def test_cli_uses_only_public_names():
         and node.value.id in aliases and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so no check of the package may be one
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

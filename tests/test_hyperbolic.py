@@ -122,6 +122,25 @@ def test_overlap_edges():
         hyp.overlap_finite(3, 1.0, 100.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 200])
+def test_overlap_at_the_least_distance_is_one(n):
+    # r = 5e-324 moves the centers by the least double: at R >= 1 the sinh
+    # factors were scaled down past it to 0, and the band divided 0/0
+    for R in (1e-300, 1e-9, 0.3, 0.7, 1.0, math.pi, 50.0):
+        assert hyp.overlap_finite(n, 5e-324, R) == 1.0
+
+
+def test_radius_from_angle_lies_between_r_and_2r():
+    # R in [r, 2r] for theta >= pi/3, from subnormal r to the branch where
+    # sinh r / sin(theta/2) overflows
+    rs = [5e-324, 1e-300, 1e-9, 0.01, 0.5, 1.0, 3.0, 20.0, 50.0, 300.0, 710.0, 1e5, 1e200, 1e308]
+    thetas = [math.pi / 3 - 1e-12, math.pi / 3, 1.2, 1.5, math.pi / 2, 2.0, 2.5, math.pi]
+    for r in rs:
+        for theta in thetas:
+            R = hyp.radius_from_angle(r, theta)
+            assert r * (1 - 1e-12) <= R <= 2 * r * (1 + 1e-12), (r, theta)
+
+
 def test_overlap_limit_past_beta_underflow():
     # B(1/2; a, a) underflows to 0 from n = 1 080 on; the ratio of the
     # regularized incomplete betas does not, and is 1 at r = 0 exactly.

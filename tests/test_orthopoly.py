@@ -349,17 +349,25 @@ def test_lane_reference_is_the_scalar_reference():
         assert _reference_largest_roots(ns, k) == [_reference_largest_root(n, k) for n in ns]
 
 
-def _lockstep(contexts, k):
-    # root k of each context in lockstep, from its cached roots below k (NaN where missing)
-    below = np.array([[c._roots.get(k - j, math.nan) for c in contexts] for j in (1, 2, 3)])
-    return orthopoly._lockstep_roots(contexts, k, below, np.empty((0, len(contexts))))[0]
+def _scan_roots(ns, ks):
+    # roots k = 2, 3, ... of each dimension in ns, one _lockstep_roots call
+    # per degree from the state a k-scan carries, yielded as (k, roots)
+    alpha = np.array(ns) / 2.0 - 1.0
+    zero = np.zeros(alpha.size)
+    below, b2 = [zero, zero, zero], np.empty((0, alpha.size))
+    for k in ks:
+        roots, b2 = orthopoly._lockstep_roots(alpha, k, below, b2)
+        assert b2.shape[1] == alpha.size and len(b2) >= k - 1
+        below = [roots, *below[:2]]
+        yield k, roots
 
 
 def test_lockstep_roots_bit_identical_on_table_contexts(monkeypatch):
-    # every lane of every degree up to 60 is found in lockstep, none by the
-    # scalar route, and some lanes confirm a cell next to their Newton iterate
-    def no_scalar(self, k):
-        raise AssertionError(f"scalar route at n={self.n}, k={k}")
+    # every lane of every degree up to 60 is found in lockstep from the
+    # carried state, none by bisection, and some lanes confirm a cell next
+    # to their Newton iterate
+    def no_bisection(*args):
+        raise AssertionError("bisection ran")
 
     walked = []
     confirm = orthopoly._confirm_cells
@@ -369,62 +377,70 @@ def test_lockstep_roots_bit_identical_on_table_contexts(monkeypatch):
         walked.append(int(np.sum(np.floor(np.ldexp(x, 47)) != np.floor(np.ldexp(roots, 47)))))
         return roots
 
-    monkeypatch.setattr(GegenbauerContext, "_largest_root_uncached", no_scalar)
+    monkeypatch.setattr(orthopoly, "_bisect_largest", no_bisection)
     monkeypatch.setattr(orthopoly, "_confirm_cells", recording)
-    ctxs = [GegenbauerContext(n) for n in TABLE_CONTEXTS]
-    for k in range(2, 61):
-        got = _lockstep(ctxs, k).tolist()  # returned, and cached
-        assert got == [ctx.largest_root(k) for ctx in ctxs]
-        assert got == _reference_largest_roots(TABLE_CONTEXTS, k), k
+    for k, roots in _scan_roots(TABLE_CONTEXTS, range(2, 61)):
+        assert roots.tolist() == _reference_largest_roots(TABLE_CONTEXTS, k), k
     assert len(walked) == 59 and sum(walked) > 0
 
 
-def test_lockstep_lanes_fall_back_to_the_scalar_route():
-    # fresh contexts have no neighbours above k = 4 and bisect alone; a
-    # context given twice is one lane; one context left is no lockstep
-    warm = [GegenbauerContext(n) for n in (3, 17, 200)]
-    for k in range(2, 30):
-        _lockstep(warm, k)
-    cold = [GegenbauerContext(n) for n in (6, 17)]
-    ctxs = warm + cold + warm[:1]
-    got = _lockstep(ctxs, 30)  # aligned with ctxs, repeat included
-    assert got.tolist() == [_reference_largest_root(ctx.n, 30) for ctx in ctxs]
-    for ctx in ctxs:
-        assert ctx.largest_root(30) == _reference_largest_root(ctx.n, 30)
-    lone = GegenbauerContext(9)
-    _lockstep([lone, lone], 2)
-    assert lone.largest_root(2) == _reference_largest_root(9, 2)
+def test_lockstep_lanes_fall_back_to_the_scalar_route(monkeypatch):
+    # a lane with a NaN start bisects, a repeated alpha gives equal roots,
+    # and a single lane goes to _root_near on floats, NaN start or not
+    bisected, near = [], []
+    bisect, root_near = orthopoly._bisect_largest, orthopoly._root_near
+
+    def counted_bisect(b2, k):
+        bisected.append(k)
+        return bisect(b2, k)
+
+    def counted_near(b2, k, x):
+        near.append((type(b2), type(x)))
+        return root_near(b2, k, x)
+
+    monkeypatch.setattr(orthopoly, "_bisect_largest", counted_bisect)
+    monkeypatch.setattr(orthopoly, "_root_near", counted_near)
+    ns, k = [3, 17, 200, 6, 17, 3], 30
+    below = np.array([_reference_largest_roots(ns, k - j) for j in (1, 2, 3)])
+    below[:, 3] = math.nan  # n = 6 has no roots below k
+    roots, b2 = orthopoly._lockstep_roots(np.array(ns) / 2.0 - 1.0, k, below, np.empty((0, 6)))
+    assert roots.tolist() == [_reference_largest_root(n, k) for n in ns]
+    assert bisected == [k] and near == [] and b2.shape == (k - 1, 6)
+    assert [got for _, got in _scan_roots([9], range(2, 31))] == [
+        [_reference_largest_root(9, k)] for k in range(2, 31)]
+    assert near == [(list, float)] * 29 and bisected == [k]
+    lone = orthopoly._lockstep_roots(np.array([2.0]), k, below[:, 3:4], np.empty((0, 1)))[0]
+    assert lone.tolist() == [_reference_largest_root(6, k)] and bisected == [k, k]
 
 
-def test_scan_finds_each_context_and_degree_once(monkeypatch):
-    # kl at n and cz at n + 1 share the context n + 1, and a lane given
-    # twice shares its own; kl at 200 scans on alone, by the scalar route.
-    # The scan polishes or scalar-solves each (context, degree) once, and
-    # every root it caches is the reference
+def test_scan_creates_no_context_and_caches_no_root(monkeypatch):
+    # the k-scan runs on lane arrays alone: on an empty context cache it
+    # creates no context, hands _lockstep_roots float alphas, leaves the
+    # cache empty, and each record is its one-lane call's, at the
+    # reference root; kl at n and cz at n + 1 share a dimension, and a lane
+    # given twice shares its own
     lanes = [(n, m) for n in range(3, 60, 4) for m in ("kl", "cz")]
     lanes += [(n + 1, "cz") for n in range(3, 60, 4)] + [(30, "kl"), (200, "kl"), (30, "kl")]
+    alphas = []
+    find = eb._lockstep_roots
+
+    def recording(alpha, k, below, b2):
+        alphas.append(alpha)
+        return find(alpha, k, below, b2)
+
+    def no_context(self, n):
+        raise AssertionError(f"context created at n={n}")
+
     monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-    polished, scalar = [], []
-    polish = orthopoly._polish_lanes
-    uncached = GegenbauerContext._largest_root_uncached
-
-    def counted_polish(b2, k, x):
-        polished.append(x.size)
-        return polish(b2, k, x)
-
-    def counted_scalar(self, k):
-        assert k not in self._roots
-        scalar.append((self.n, k))
-        return uncached(self, k)
-
-    monkeypatch.setattr(orthopoly, "_polish_lanes", counted_polish)
-    monkeypatch.setattr(GegenbauerContext, "_largest_root_uncached", counted_scalar)
-    eb._scan_k(lanes)
-    cached = {(n, k): root for n, ctx in orthopoly._CTX_CACHE.items()
-              for k, root in ctx._roots.items() if k > 1}
-    assert sum(polished) + len(scalar) == len(cached)
-    assert scalar and len(set(scalar)) == len(scalar)
-    assert cached == {key: _reference_largest_root(*key) for key in cached}
+    monkeypatch.setattr(GegenbauerContext, "__init__", no_context)
+    monkeypatch.setattr(eb, "_lockstep_roots", recording)
+    records = eb._scan_k(lanes)
+    assert alphas and all(a.dtype == np.float64 for a in alphas)
+    assert records == [eb._scan_k([lane])[0] for lane in lanes]  # diagnostics included
+    assert orthopoly._CTX_CACHE == {}
+    for (n, m), rec in zip(lanes, records):
+        t = _reference_largest_root(n + (m == "kl"), rec.k_star)
+        assert rec.theta_star == math.acos(t)
 
 
 @pytest.mark.parametrize("n", [2, 5, 24, 801])

@@ -73,6 +73,11 @@ def test_log_gamma_domain():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-2.5)
+    # not finite, or past where ln Gamma overflows (x near 2.5e305)
+    for x in (math.inf, math.nan, -math.inf, 1e306, 1e308):
+        with pytest.raises(ValueError, match="log_gamma"):
+            log_gamma(x)
+    assert math.isfinite(log_gamma(2e305))
 
 
 # ---------------------------------------------------------------------------
