@@ -36,7 +36,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .orthopoly import DEGREE_CAP, GegenbauerContext, _lockstep_roots, shared_context
+from .orthopoly import DEGREE_CAP, GegenbauerContext, _lockstep_roots
 from .specfun import (
     IntegrandError,
     LogScaled,
@@ -210,15 +210,15 @@ def kl_spherical_code_bound(n: int, theta: float) -> tuple[LogScaled, int]:
         A(n, theta) <= 4 C(k+n-2, k) / (1 - t_(n,k+1)).
 
     Returns the bound and the k used.  k comes from :func:`_code_degree`,
-    by Sturm counts alone, so only t_k and t_(k+1) are found.
+    by Sturm counts alone, so t_(k+1) is the one root found.
     """
     if n < 2:
         raise ValueError("kl_spherical_code_bound requires n >= 2")
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     k = _code_degree(ctx, theta)
-    return LogScaled.from_log(_code_objective(0, ctx, k)), k
+    return LogScaled.from_log(_code_bound_log(n, k, ctx.largest_root(k + 1))), k
 
 
 def _code_degree(ctx: GegenbauerContext, theta: float) -> int:
@@ -236,10 +236,11 @@ def _code_degree(ctx: GegenbauerContext, theta: float) -> int:
     return k
 
 
-def _code_objective(n: int, ctx: GegenbauerContext, k: int) -> float:
-    """:func:`_code_objectives` at one (n, ctx.n, k) lane, given as numbers."""
-    return _code_objectives(n, k, ctx.largest_root(k), ctx.largest_root(k + 1),
-                            math.lgamma(k + ctx.n - 1), math.lgamma(ctx.n - 1))
+def _code_bound_log(m: int, k: int, t_next: float) -> float:
+    """ln(4 C(k+m-2, k) / (1 - t_(m,k+1))), the code bound on S^(m-1) at
+    degree k given its root t_next = t_(m,k+1): :func:`_code_objectives` at
+    n = 0, where the t_k term is -0.0 whatever t_k, so 0.0 stands for it."""
+    return _code_objectives(0, k, 0.0, t_next, math.lgamma(k + m - 1), math.lgamma(m - 1))
 
 
 def _libm(f, x):

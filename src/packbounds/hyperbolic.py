@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .euclid_bounds import BoundRecord, _code_degree, _code_objective
-from .orthopoly import shared_context
+from .euclid_bounds import BoundRecord, _code_bound_log, _code_degree
+from .orthopoly import GegenbauerContext
 from .specfun import LogScaled, integrate, log_gamma
 
 __all__ = [
@@ -107,16 +107,19 @@ def hyp_density_bound(n: int, r: float, theta: float, refined: bool = False) -> 
     theta: sin^(n-1)(theta/2) * A(n, theta), or with the volume ratio
     vol(B_r)/vol(B_R) in place of the sine power when ``refined``."""
     _check_geometry(n, r, theta, refined)
-    return _density_records(n, r, [theta], [_code_degree(shared_context(n), theta)], refined)[0]
+    ctx = GegenbauerContext(n)
+    k = _code_degree(ctx, theta)
+    return _density_records(n, r, [theta], [k], [ctx.largest_root(k + 1)], refined)[0]
 
 
 def _density_records(
-    n: int, r: float, thetas: list[float], degrees: list[int], refined: bool
+    n: int, r: float, thetas: list[float], degrees: list[int], roots: list[float], refined: bool
 ) -> list[BoundRecord]:
-    """``hyp_density_bound`` at each angle and its code bound's degree, for
-    checked arguments.  The refined factor F(r)/F(R), F = int_0 sinh^(n-1),
-    takes one helper call over r and every R and is formed as one ratio:
-    ln F itself reaches -1.4e5 at n = 200, r = 1e-300, where its ulp is 3e-11."""
+    """``hyp_density_bound`` at each angle, given its code bound's degree k
+    and root t_(n,k+1), for checked arguments.  The refined factor F(r)/F(R),
+    F = int_0 sinh^(n-1), takes one helper call over r and every R and is
+    formed as one ratio: ln F itself reaches -1.4e5 at n = 200, r = 1e-300,
+    where its ulp is 3e-11."""
     Rs = [radius_from_angle(r, theta) for theta in thetas]
     if refined:
         ratio, sh = _sinh_power_integral(n - 1, np.array([r, *Rs]))
@@ -125,8 +128,7 @@ def _density_records(
     else:
         logs = [(n - 1) * math.log(math.sin(theta / 2.0)) for theta in thetas]
     method = "hyp_refined" if refined else "hyp_coarse"
-    ctx = shared_context(n)
-    codes = [LogScaled.from_log(_code_objective(0, ctx, k)) for k in degrees]
+    codes = [LogScaled.from_log(_code_bound_log(n, k, t)) for k, t in zip(degrees, roots)]
     return [
         BoundRecord(n, method, LogScaled.from_log(log) * code, k, theta,
                     {"r": r, "R": R, "code_bound_log": code.log_value})
@@ -145,14 +147,17 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     minimal record is returned.  R(r, theta) is largest at pi/3, so the
     domain check there covers every angle.  The degree k0 at pi/3, the
     first whose root reaches 1/2, comes from Sturm counts alone; the root
-    angles are those of k < k0, and t_1..t_(k0+1) are found in that order.
+    angles are those of k < k0, and one ascending walk finds t_1..t_(k0+1),
+    each root once.
     """
     _check_geometry(n, r, math.pi / 3.0, refined)
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     k0 = _code_degree(ctx, math.pi / 3.0)
-    thetas = [math.pi / 3.0, *(math.acos(ctx.largest_root(k)) for k in range(1, k0))]
+    roots = ctx.largest_roots(k0 + 1)  # roots[k] = t_(k+1)
+    thetas = [math.pi / 3.0, *map(math.acos, roots[: k0 - 1])]
     degrees = [k0, *range(1, k0)]
-    best = min(_density_records(n, r, thetas, degrees, refined), key=lambda rec: rec.value)
+    records = _density_records(n, r, thetas, degrees, [roots[k] for k in degrees], refined)
+    best = min(records, key=lambda rec: rec.value)
     return replace(best, diagnostics=dict(best.diagnostics, optimized=True))
 
 

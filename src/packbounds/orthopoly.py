@@ -10,13 +10,14 @@ cell that Sturm-sequence bisection of [0, 1] ends on.  Sturm counts and
 Newton steps run on the LDL^T pivots of the matrix, so the (overflowing)
 polynomial itself is never evaluated.  :func:`_root_near` polishes a start
 by Newton, Sturm counts confirm the cell, and without a start the
-bisection runs.  The scalar route, :meth:`GegenbauerContext.largest_root`,
-memoizes its roots per context and starts degrees 2 to 4 from closed
-forms, higher ones from the three memoized roots below.
-:func:`_lockstep_roots` serves the kl/cz k-scan, which keeps no context:
-it runs on lane arrays, one float64 lane per dimension, on the state the
-scan carries from one degree to the next: each lane's three roots below k
-and the squared off-diagonal rows of its Jacobi matrix, one (K, L) array
+bisection runs.  A context holds n and alpha and nothing else: one root,
+:meth:`GegenbauerContext.largest_root`, starts from a closed form up to
+degree 4 and bisects above it, and :meth:`GegenbauerContext.largest_roots`
+walks t_1..t_kmax in ascending order, each degree past 4 started from the
+three roots below it.  :func:`_lockstep_roots` serves the kl/cz k-scan on
+lane arrays, one float64 lane per dimension, from the state the scan
+carries from one degree to the next: each lane's three roots below k and
+the squared off-diagonal rows of its Jacobi matrix, one (K, L) array
 grown by doubling.  The lane Newton step and Sturm count fill preallocated
 buffers, two ufunc calls per pivot and recurrence.  Newton's iterate may
 differ from the scalar one in the last bits, but the Sturm counts, which
@@ -36,28 +37,19 @@ import numpy as np
 
 from .specfun import log_gamma
 
-__all__ = ["GegenbauerContext", "DEGREE_CAP", "shared_context"]
+__all__ = ["GegenbauerContext", "DEGREE_CAP"]
 
 DEGREE_CAP = 20000
 
 
 class GegenbauerContext:
-    """Dimension-bound Gegenbauer family with a cache of largest roots.
-
-    Immutable after construction except two memos: the largest roots and
-    the squared off-diagonal of the Jacobi matrix.  Both only ever gain
-    entries that do not depend on the order of the requests, and both
-    serve the scalar route only: the k-scan's :func:`_lockstep_roots`
-    carries its own lane arrays and neither reads nor fills them.
-    """
+    """Dimension-bound Gegenbauer family: n and alpha = n/2 - 1, no state."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("GegenbauerContext requires dimension n >= 2")
         self.n = int(n)
         self.alpha = n / 2.0 - 1.0
-        self._roots: dict[int, float] = {1: 0.0}
-        self._b2 = np.empty(0)
 
     def __repr__(self):
         return f"GegenbauerContext(n={self.n})"
@@ -99,36 +91,28 @@ class GegenbauerContext:
     # -- largest roots ------------------------------------------------------
 
     def largest_root(self, k: int) -> float:
+        """t_k alone: exactly 0.0 at k = 1, from the closed form's cell up
+        to k = 4, by bisection above."""
         _check_degree(k)
         if k < 1:
             raise ValueError("largest_root requires degree k >= 1")
-        root = self._roots.get(k)
-        if root is None:
-            root = self._roots[k] = self._largest_root_uncached(k)
-        return root
+        if k == 1:
+            return 0.0  # _root_near([], 1, .) would bisect to 2^-48
+        b2 = _squared_offdiag(self.alpha, k - 1).tolist()
+        return _root_near(b2, k, _guess(b2, k))
 
-    def _offdiag_sq(self, k: int) -> list[float]:
-        # One growing array (at least the 3 entries the closed forms read)
-        # serves every degree.
-        b2 = self._b2
-        if b2.size < k - 1:
-            b2 = self._b2 = _squared_offdiag(self.alpha, max(k - 1, 2 * b2.size, 3))
-        return b2[: k - 1].tolist()
-
-    def _largest_root_uncached(self, k: int) -> float:
-        return _root_near(self._offdiag_sq(k), k, self._start(k))
-
-    def _start(self, k: int) -> float | None:
-        # The scalar route's start: the closed form up to k = 4, above it the
-        # extrapolation of the three cached roots below k, if any.
-        if k <= 4:
-            b = self._offdiag_sq(k) + [0.0] * (4 - k)
-            return _closed_form(*b, math.sqrt)
-        roots = self._roots
-        try:
-            return _extrapolate(roots[k - 1], roots[k - 2], roots[k - 3])
-        except KeyError:
-            return None
+    def largest_roots(self, kmax: int) -> list[float]:
+        """t_1..t_kmax in one ascending walk, each degree past 4 started
+        from the three roots below it."""
+        _check_degree(kmax)
+        if kmax < 1:
+            raise ValueError("largest_roots requires degree kmax >= 1")
+        b2 = _squared_offdiag(self.alpha, kmax).tolist()
+        roots = [0.0]
+        for k in range(2, kmax + 1):
+            rows = b2[: k - 1]
+            roots.append(_root_near(rows, k, _guess(rows, k, roots[:-4:-1])))
+        return roots
 
     def first_degree_reaching(self, x: float, hi: int) -> int | None:
         """The least degree k in [2, hi] whose largest root t_k >= x, or
@@ -140,12 +124,17 @@ class GegenbauerContext:
         count of degree k + 1 runs the pivots of degree k and one more, so
         it grows by at most one and the test, once true, stays true; k is
         found by doubling, then bisection, one count per probe."""
+        if not -1.0 <= x <= 1.0:
+            raise ValueError(f"first_degree_reaching requires x in [-1, 1], got x = {x!r}")
         edge = math.floor(math.ldexp(x, _CELL_BITS))
         edge += math.ldexp(2 * edge + 1, -_CELL_BITS - 1) < x
         sigma = math.ldexp(edge, -_CELL_BITS)
+        b2 = []  # the rows of the largest degree probed so far
 
         def reaches(k: int) -> bool:
-            return _count_below(self._offdiag_sq(k), sigma) < k
+            if len(b2) < k - 1:
+                b2[:] = _squared_offdiag(self.alpha, k - 1).tolist()
+            return _count_below(b2[: k - 1], sigma) < k
 
         below, k = 1, 2
         while not reaches(k):
@@ -171,14 +160,13 @@ def _extrapolate(r1, r2, r3):
     return 3.0 * r1 - 3.0 * r2 + r3
 
 
-# one context per dimension, shared by every bound, and so its root cache
-_CTX_CACHE: dict[int, GegenbauerContext] = {}
-
-
-def shared_context(n: int) -> GegenbauerContext:
-    if n not in _CTX_CACHE:
-        _CTX_CACHE[n] = GegenbauerContext(n)
-    return _CTX_CACHE[n]
+def _guess(b2: list[float], k: int, below=None) -> float | None:
+    # a lone root's start from its k - 1 squared off-diagonal entries: the
+    # closed form up to k = 4, above it the extrapolation of ``below``, the
+    # roots at k - 1, k - 2 and k - 3, or None without them
+    if k <= 4:
+        return _closed_form(*b2, *[0.0] * (4 - k), math.sqrt)
+    return None if below is None else _extrapolate(*below)
 
 
 def _check_degree(k: int) -> None:
@@ -201,9 +189,7 @@ def _lockstep_roots(alpha: np.ndarray, k: int, below,
         b2 = _squared_offdiag(alpha, max(k - 1, 3, 2 * len(b2)))
     if alpha.size == 1:  # Python floats beat 1-element arrays
         col = b2[: k - 1, 0].tolist()
-        x = (_closed_form(*col, *[0.0] * (4 - k), math.sqrt) if k <= 4
-             else _extrapolate(*(r.item() for r in below)))
-        return np.array([_root_near(col, k, x)]), b2
+        return np.array([_root_near(col, k, _guess(col, k, (r.item() for r in below)))]), b2
     rows = b2[: max(k - 1, 3)]
     if k <= 4:
         x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, rows[:3], 0.0))

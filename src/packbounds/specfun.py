@@ -233,6 +233,8 @@ def integrate(
     bit-identical outputs.  This is the one-lane call of
     :func:`_integrate_lanes`, which every integral in the package runs.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrate requires finite ends, got [{a}, {b}]")
     return _integrate_lanes(_one_lane(f), [a], [b], rel_tol, abs_tol)[0]
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import GegenbauerContext, shared_context
+from .orthopoly import GegenbauerContext
 from .specfun import LogScaled, integrate, log_gamma
 
 __all__ = [
@@ -242,6 +242,8 @@ class _Tableau:
 
 def chebyshev_grid(theta: float, size: int) -> np.ndarray:
     """Chebyshev-extrema nodes on [-1, cos theta], endpoints included."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     hi = math.cos(theta)
     if size < 1:
         raise ValueError("grid size must be >= 1")
@@ -455,7 +457,7 @@ def _check_certificate(n: int, theta: float, coefficients) -> tuple[float, Verif
         raise ValueError("a certificate needs finite coefficients c_0 .. c_d with c_0 > 0")
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     parts = [c.as_integer_ratio() for c in coeffs.tolist()]
     den = max(d for _, d in parts)
     g1 = sum(m * (den // d) * (math.comb(k + n - 3, k) if n > 2 else 1)
@@ -497,7 +499,7 @@ def lp_solve_spherical(p: LPProblem) -> LPCertificate:
     coefficient nonnegative.  The returned certificate checks its own
     coefficients.
     """
-    ctx = shared_context(p.n)
+    ctx = GegenbauerContext(p.n)
     d = p.degree
     grid = p.constraint_grid
     table = ctx.eval_normalized_table(d, grid)  # (d+1, m)
@@ -731,7 +733,7 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     if not 2 <= n <= 8:
         raise ValueError("transfer_g_to_f supports 2 <= n <= 8")
     R = 1.0 / math.sin(cert.theta / 2.0)
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     coef = _chebyshev_coefficients(ctx, _normalized_weights(ctx, np.asarray(cert.coefficients)))
     eps = 1e-6
     radii = tuple(sorted({0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + eps, R, 2.0 * R - eps, 2.0 * R, 3.0 * R}))

@@ -16,7 +16,6 @@ import pytest
 
 from packbounds import cli
 from packbounds import euclid_bounds as eb
-from packbounds import orthopoly
 from packbounds import spherical_lp as slp
 from packbounds.specfun import IntegrandError, LogScaled
 
@@ -43,7 +42,6 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
     code, first, err = _run(capsys, TABLE_ARGV)
     assert code == 0 and err == ""
     assert hashlib.sha256(first.encode()).hexdigest() == TABLE_4_40_SHA256
-    orthopoly._CTX_CACHE.clear()  # a cold second run must give the same bytes
     code, second, _ = _run(capsys, TABLE_ARGV)
     assert code == 0 and second == first
 
@@ -491,14 +489,18 @@ def test_lp_exit_code_sweep(capsys, n):
     assert bad == []
 
 
-# ``hyperbolic``, ``overlap``, ``table`` and ``crossover`` at the edges of their domains:
-# n past both ends, radii from 0 to past exp overflow and invalid, theta near
-# 0, pi/3 and pi, and overlap windows R from tiny to past their range
-EDGE_NS = ("1", "2", "200", "201", "800", "801")
-EDGE_RS = ("0", "1e-300", "1e-9", "0.5", "1", "50", "709", "710.2", "1e308", "-1", "nan", "inf")
-EDGE_THETAS = ("1e-9", repr(math.pi / 3 - 1e-13), THETA, repr(math.pi / 3 + 1e-13),
-               repr(math.pi), "3.1416")
-EDGE_WINDOWS = ("1e-300", "1e-9", "1", "2", "50", "51")
+# ``hyperbolic``, ``overlap``, ``lp``, ``table`` and ``crossover`` at the
+# edges of their domains: n past both ends and far past them, radii from 0
+# and the least subnormal to past exp overflow and invalid, theta near 0,
+# pi/3 and pi, and overlap windows R from tiny to just past their range;
+# every float is passed as --opt=value, so -0 and -inf reach the parser
+EDGE_NS = ("1", "2", "3", "4", "200", "201", "400", "800", "801", "100000")
+EDGE_RS = ("0", "-0", "5e-324", "1e-300", "1e-9", "0.5", "1", "50", repr(50.0 + 1e-6), "709",
+           "710.2", "710.5", "1e308", "-1", "nan", "inf", "-inf")
+EDGE_THETAS = ("5e-324", "-0", "1e-9", repr(math.pi / 3 - 1e-13), THETA, repr(math.pi / 3 + 1e-13),
+               repr(math.pi), repr(math.nextafter(math.pi, 4.0)), "3.1416", "-inf")
+EDGE_WINDOWS = ("5e-324", "1e-300", "1e-9", "1", "2", "50", repr(50.0 + 1e-6), "51", "710.5", "-inf")
+EDGE_DEGREES = ("-1", "0", "1", "2", "3", "4", "201", "100000")
 
 
 # short ``crossover`` ranges at and past both ends of 4..800, and reversed
@@ -512,22 +514,26 @@ def _edge_argvs(command):
     if command == "crossover":
         return [["crossover", "--lo", str(lo), "--hi", str(hi), "--format", fmt]
                 for lo, hi in EDGE_RANGES for fmt in cli.ROW_FORMATS]
+    if command == "lp":
+        return [["lp", "--n", n, f"--theta={theta}", "--degree", d]
+                for n in EDGE_NS for theta in EDGE_THETAS for d in EDGE_DEGREES]
     argvs = []
     for n in EDGE_NS:
         for r in EDGE_RS:
             if command == "hyperbolic":
-                for theta in (None,) + EDGE_THETAS:
-                    argv = ["hyperbolic", "--n", n, "--r", r]
-                    argv += [] if theta is None else ["--theta", theta]
+                # without --theta, n = 100 000 walks 7 786 roots (about 9 s)
+                for theta in (None,) * (n != "100000") + EDGE_THETAS:
+                    argv = ["hyperbolic", "--n", n, f"--r={r}"]
+                    argv += [] if theta is None else [f"--theta={theta}"]
                     argvs += [argv, argv + ["--refined"]]
             else:
                 for R in EDGE_WINDOWS:
-                    argv = ["overlap", "--n", n, "--r", r, "--R", R]
+                    argv = ["overlap", "--n", n, f"--r={r}", f"--R={R}"]
                     argvs += [argv, argv + ["--format", "json"]]
     return argvs
 
 
-@pytest.mark.parametrize("command", ["hyperbolic", "overlap", "table", "crossover"])
+@pytest.mark.parametrize("command", ["hyperbolic", "overlap", "lp", "table", "crossover"])
 def test_exit_code_sweep(capsys, command):
     bad = []
     for argv in _edge_argvs(command):

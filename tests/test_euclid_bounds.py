@@ -7,7 +7,8 @@ from packbounds import cli, orthopoly
 from packbounds import euclid_bounds as eb
 from packbounds.cli import render_round_up
 from packbounds.euclid_bounds import (
-    _code_objective,
+    _code_bound_log,
+    _code_objectives,
     best_method,
     cz_bound,
     kl_bound,
@@ -16,7 +17,7 @@ from packbounds.euclid_bounds import (
     optimize_asymptotic_rate,
     rogers_bound,
 )
-from packbounds.orthopoly import shared_context
+from packbounds.orthopoly import GegenbauerContext
 from packbounds.specfun import IntegrandError, LogScaled, NonConvergenceError, integrate
 
 # golden values, rounded up to 4 significant digits
@@ -120,49 +121,54 @@ def test_code_bound_domain():
             kl_spherical_code_bound(4, theta)
 
 
+def _roots_reaching(n, x):
+    # t_1, t_2, ... of dimension n from one ascending walk, up to the first
+    # root that reaches x and at least one more
+    kmax = 8
+    while (roots := GegenbauerContext(n).largest_roots(kmax))[-2] < x:
+        kmax *= 2
+    return roots
+
+
 def _walked_code_bound(n, theta):
     # the k walk, one root per degree, that the Sturm-count search replaced
     # (without its degree cap)
-    ctx = shared_context(n)
     c = math.cos(theta) - 1e-12
+    roots = _roots_reaching(n, c)
     k = 1
-    while ctx.largest_root(k) < c:
+    while roots[k - 1] < c:
         k += 1
-    return LogScaled.from_log(_code_objective(0, ctx, k)), k
+    return LogScaled.from_log(_code_bound_log(n, k, roots[k])), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 24, 101, 400, 801])
-def test_code_bound_search_matches_the_walk(monkeypatch, n):
+def test_code_bound_search_matches_the_walk(n):
     # angles at small and large degrees, pi/2 and the root angles acos(t_k)
     # themselves, with the floats next to them
-    roots = orthopoly.GegenbauerContext(n)
+    roots = GegenbauerContext(n).largest_roots(100)
     thetas = [math.pi, 2.5, math.pi / 2, math.pi / 3, 0.5]
     for k in (2, 3, 4, 5, 6, 8, 16, 31, 32, 33, 34, 64, 65, 100):
-        at = math.acos(roots.largest_root(k))
+        at = math.acos(roots[k - 1])
         thetas += [at, math.nextafter(at, 0.0), math.nextafter(at, 4.0)]
     for theta in thetas:
-        monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-        searched = kl_spherical_code_bound(n, theta)
-        monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-        assert searched == _walked_code_bound(n, theta), theta
+        assert kl_spherical_code_bound(n, theta) == _walked_code_bound(n, theta), theta
 
 
-def test_code_bound_at_small_angles_finds_two_roots_past_the_walk(monkeypatch):
+def test_code_bound_at_small_angles_finds_one_root_past_the_walk(monkeypatch):
     # (801, pi/62) reaches k = 7751 with the bound the old walk gave: each
-    # degree probed costs one Sturm count, and only t_k and t_(k+1) are found
+    # degree probed costs one Sturm count, and t_(k+1) is the one root found
     found = []
-    uncached = orthopoly.GegenbauerContext._largest_root_uncached
+    largest_root = GegenbauerContext.largest_root
 
     def counted(self, k):
         found.append(k)
-        return uncached(self, k)
+        return largest_root(self, k)
 
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-    monkeypatch.setattr(orthopoly.GegenbauerContext, "_largest_root_uncached", counted)
+    monkeypatch.setattr(GegenbauerContext, "largest_root", counted)
     bound, k = kl_spherical_code_bound(801, math.pi / 62)
     assert k == 7751
     assert math.isclose(bound.log_value, 2658.169411621708, rel_tol=1e-14)
-    assert found == [k, k + 1]
+    assert found == [k + 1]
 
 
 @pytest.mark.parametrize("cap", [4, 40])
@@ -190,25 +196,25 @@ def test_k_search_certificates():
 def test_cz_k_star_feasible():
     for n in (8, 64, 333):
         rec = cz_bound(n)
-        ctx = shared_context(n)
-        assert ctx.largest_root(rec.k_star) <= 0.5
+        assert GegenbauerContext(n).largest_root(rec.k_star) <= 0.5
         # recomputing the objective at k_star reproduces the stored value
         assert math.isclose(rec.diagnostics["objective"], rec.value.log_value, rel_tol=1e-12)
 
 
 def _cz_full_range_scan(n):
-    # the cz scan over every k with t_(n,k) <= 1/2, kept verbatim from
-    # before cz stopped at its first local minimum
-    ctx = shared_context(n)
+    # the cz scan over every k with t_(n,k) <= 1/2, kept from before cz
+    # stopped at its first local minimum, on one ascending walk of the roots
+    roots = _roots_reaching(n, 0.5)
     best = None
     best_k = None
     k = 1
-    while ctx.largest_root(k) <= 0.5:
-        val = _code_objective(n, ctx, k)
+    while roots[k - 1] <= 0.5:
+        val = _code_objectives(n, k, roots[k - 1], roots[k],
+                               math.lgamma(k + n - 1), math.lgamma(n - 1))
         if best is None or val < best:
             best, best_k = val, k
         k += 1
-    return best, best_k, math.acos(ctx.largest_root(best_k))
+    return best, best_k, math.acos(roots[best_k - 1])
 
 
 def test_cz_first_local_minimum_is_the_full_range_minimum():
@@ -223,24 +229,20 @@ def test_cz_undefined_at_one():
 
 
 @pytest.mark.parametrize("method", ["kl", "cz"])
-def test_lockstep_scan_matches_single_dimension_records(monkeypatch, method):
-    # unsorted, with a repeat, over the whole domain; each scan on cold caches
+def test_lockstep_scan_matches_single_dimension_records(method):
+    # unsorted, with a repeat, over the whole domain
     dims = [800, 2, 2, 47] + list(range(3, 801, 13)) + ([1] if method == "kl" else [])
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     batched = eb._scan_k([(n, method) for n in dims])
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     alone = [_FUNCS[method](n) for n in dims]
     assert batched == alone  # diagnostics included
 
 
-def test_mixed_scan_matches_single_dimension_records(monkeypatch):
+def test_mixed_scan_matches_single_dimension_records():
     # kl and cz lanes in one scan, unsorted and with repeats; over 2..60 the
-    # kl lane at n and the cz lane at n + 1 share one context
+    # kl lane at n and the cz lane at n + 1 share one family
     lanes = [(800, "cz"), (1, "kl"), (47, "kl"), (47, "cz"), (2, "cz"), (800, "kl"),
              (47, "kl")] + [(n, m) for n in range(2, 61) for m in ("kl", "cz")]
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     mixed = eb._scan_k(lanes)
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     alone = [_FUNCS[m](n) for n, m in lanes]
     assert mixed == alone  # diagnostics included
 
@@ -253,7 +255,6 @@ def test_table_finds_each_degree_once_for_kl_and_cz(monkeypatch, capsys):
         degrees.append(k)
         return find(alpha, k, below, b2)
 
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     monkeypatch.setattr(eb, "_lockstep_roots", counted)
     dims = ",".join(str(n) for n in range(4, 201, 4))
     assert cli.main(["table", "--dims", dims, "--methods", "kl,cz", "--format", "csv"]) == 0
@@ -273,7 +274,6 @@ def test_table_scan_reads_no_root_lane_by_lane(monkeypatch, capsys):
         calls.append((self.n, k))
         return largest_root(self, k)
 
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     monkeypatch.setattr(orthopoly.GegenbauerContext, "largest_root", counted)
     dims = ",".join(str(n) for n in range(4, 201, 4))
     assert cli.main(["table", "--dims", dims, "--methods", "kl,cz", "--format", "csv"]) == 0
@@ -281,22 +281,14 @@ def test_table_scan_reads_no_root_lane_by_lane(monkeypatch, capsys):
     assert calls == []
 
 
-def test_warm_scan_matches_a_cold_one(monkeypatch):
+def test_warm_scan_matches_a_cold_one():
     lanes = [(n, m) for n in range(3, 400, 7) for m in ("kl", "cz")]
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     cold = eb._scan_k(lanes)
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-    # other dimensions scanned before, code bounds that leave gaps in the
-    # context caches, and roots asked for in a shuffled order
+    # other dimensions scanned before, and code bounds
     eb._scan_k([(n + 1, "cz") for n in range(3, 400, 14)]
                + [(n - 1, "kl") for n in range(10, 400, 14)])
     for n in range(4, 400, 21):
         kl_spherical_code_bound(n, 0.3)
-    order = list(range(1, 50))
-    np.random.default_rng(7).shuffle(order)
-    for n in range(3, 400, 35):
-        for k in order:
-            shared_context(n).largest_root(k)
     assert eb._scan_k(lanes) == cold  # diagnostics included
 
 

@@ -7,7 +7,7 @@ import pytest
 from packbounds import hyperbolic as hyp
 from packbounds import orthopoly
 from packbounds.euclid_bounds import kl_spherical_code_bound
-from packbounds.orthopoly import shared_context
+from packbounds.orthopoly import GegenbauerContext
 
 # overlap_finite of the first release (the benchmark's reference values),
 # each within about 6e-10 of the true overlap
@@ -471,7 +471,7 @@ def test_refined_at_most_coarse(n, r):
 
 
 def _candidate_angles(n):
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     angles = [math.pi / 3.0]
     k = 1
     while ctx.largest_root(k) <= 0.5:
@@ -564,19 +564,24 @@ def test_optimized_walks_the_code_degree_once(monkeypatch):
 def test_optimized_bisects_no_root(monkeypatch, n):
     # the roots up to t_(k0+1) are found once each, in ascending order, so
     # each starts from the roots below it and none falls back to bisection
-    bisected = []
-    bisect = orthopoly._bisect_largest
+    found, bisected = [], []
+    root_near, bisect = orthopoly._root_near, orthopoly._bisect_largest
 
-    def counted(b2, k):
+    def counted_near(b2, k, x):
+        found.append(k)
+        return root_near(b2, k, x)
+
+    def counted_bisect(b2, k):
         bisected.append(k)
         return bisect(b2, k)
 
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
-    monkeypatch.setattr(orthopoly, "_bisect_largest", counted)
+    monkeypatch.setattr(orthopoly, "_root_near", counted_near)
+    monkeypatch.setattr(orthopoly, "_bisect_largest", counted_bisect)
     for r in (0.5, 2.0):
+        found.clear()
         hyp.hyp_bound_optimized(n, r)
+        assert found == list(range(2, {400: 39, 1000: 88}[n] + 2))
     assert bisected == []
-    assert sorted(shared_context(n)._roots) == list(range(1, {400: 39, 1000: 88}[n] + 2))
 
 
 def test_optimized_takes_the_left_end_at_n4():

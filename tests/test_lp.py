@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from packbounds.euclid_bounds import cz_bound, kl_spherical_code_bound
-from packbounds.orthopoly import GegenbauerContext, shared_context
+from packbounds.orthopoly import GegenbauerContext
 from packbounds import spherical_lp
 from packbounds.spherical_lp import (
     MAX_DEGREE,
@@ -156,7 +156,7 @@ def _degenerate_lp(seed):
 
 
 def _lp_dual(n, degree):
-    table = shared_context(n).eval_normalized_table(degree, chebyshev_grid(math.pi / 3, 8 * degree))
+    table = GegenbauerContext(n).eval_normalized_table(degree, chebyshev_grid(math.pi / 3, 8 * degree))
     return -np.ones(table.shape[1]), -table[1:], np.ones(degree)
 
 
@@ -215,6 +215,9 @@ def test_grid_includes_endpoints():
     assert np.all(np.diff(g) >= 0)
     with pytest.raises(ValueError, match="grid size must be >= 1"):
         chebyshev_grid(math.pi / 2, 0)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            chebyshev_grid(theta, 8)
 
 
 def test_problem_validation():
@@ -315,7 +318,7 @@ def test_column_generation_reaches_the_whole_grid_optimum(monkeypatch, n, theta,
     grid = None if size is None else chebyshev_grid(theta, size)
     p = LPProblem(n=n, theta=theta, degree=degree, constraint_grid=grid)
     cert = lp_solve_spherical(p)
-    phi = shared_context(n).eval_normalized_table(degree, p.constraint_grid)[1:]
+    phi = GegenbauerContext(n).eval_normalized_table(degree, p.constraint_grid)[1:]
     assert np.all(-1.0 - final[-1] @ phi >= -PIVOT_TOL)
     full = simplex_minimize(-np.ones(phi.shape[1]), -phi, np.ones(degree))
     assert full.status == "optimal"
@@ -462,7 +465,7 @@ def test_eval_g_independent_of_point_count(n, theta, degree):
     # a matrix-vector product rounded g(cos 2.5) of the n = 3 degree-1
     # weights to 0.0 among 1 000 points and to 3.99e-18 among 2
     cert = lp_solve_spherical(LPProblem(n=n, theta=theta, degree=degree))
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     w = _normalized_weights(ctx, cert.coefficients)
     ts = np.linspace(-1.0, 1.0, 1000)
     ts[0] = math.cos(theta)
@@ -476,7 +479,7 @@ def test_eval_g_independent_of_point_count(n, theta, degree):
 def test_eval_g_is_the_scaled_table_summed_in_order(n, degree):
     # three rolling rows give what the whole table, its rows scaled and
     # added in index order, gave
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     w = np.random.default_rng(n + degree).random(degree + 1) * 10.0 ** -np.arange(degree + 1)
     ts = np.concatenate(([-1.0, -0.0, 0.0, 1.0], np.linspace(-1.0, 1.0, 2001)))
     table = ctx.eval_normalized_table(degree, ts) * w[:, None]
@@ -493,7 +496,7 @@ def test_sign_check_reaches_the_dense_grid_maximum(n, degree):
     # the exact critical points must find g's maximum on a dense grid
     p = LPProblem(n=n, theta=math.pi / 3, degree=degree)
     cert = lp_solve_spherical(p)
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     w = _normalized_weights(ctx, cert.coefficients)
     g1 = float(w.sum())
     dense = np.linspace(-1.0, math.cos(p.theta), 100_001)
@@ -544,7 +547,7 @@ def test_euclid_conversion_consistent_with_cz():
     # certified LP objective below that bound converts to a density below cz
     for n in (6, 24, 64):
         rec = cz_bound(n)
-        ctx = shared_context(n)
+        ctx = GegenbauerContext(n)
         theta = math.acos(ctx.largest_root(rec.k_star)) + 1e-13
         closed, k = kl_spherical_code_bound(n, theta)
         assert k == rec.k_star

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,29 +119,9 @@ def test_root_k3_n4():
 
 def test_roots_increasing_in_k():
     for n in range(3, 65):
-        ctx = GegenbauerContext(n)
-        roots = [ctx.largest_root(k) for k in range(1, 51)]
+        roots = GegenbauerContext(n).largest_roots(50)
         assert all(a < b for a, b in zip(roots, roots[1:]))
         assert roots[-1] < 1.0
-
-
-def test_root_cache_reuse_and_thread_safety():
-    import concurrent.futures
-    import sys
-
-    # mixed degrees up to 150 also make threads grow the off-diagonal memo
-    degrees = [1 + (37 * i) % 150 for i in range(600)]
-    ctx = GegenbauerContext(17)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            res = list(pool.map(ctx.largest_root, degrees, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    serial = GegenbauerContext(17)
-    for k, r in zip(degrees, res):
-        assert ctx.largest_root(k) == r == serial.largest_root(k)
 
 
 def _root_by_polynomial_bisection(ctx, k):
@@ -289,15 +270,10 @@ EXACT_DEGREES = range(1, 91)
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 24, 101, 400, 800, 801])
 def test_roots_bit_identical_to_bisection(n):
-    ref = {k: _reference_largest_root(n, k) for k in EXACT_DEGREES}
-    ascending = GegenbauerContext(n)  # extrapolation + Newton from k = 5 on
-    assert {k: ascending.largest_root(k) for k in EXACT_DEGREES} == ref
-    descending = GegenbauerContext(n)  # no cached neighbours: bisection
-    assert {k: descending.largest_root(k) for k in reversed(EXACT_DEGREES)} == ref
-    shuffled = GegenbauerContext(n)
-    order = list(EXACT_DEGREES)
-    np.random.default_rng(n).shuffle(order)
-    assert {k: shuffled.largest_root(k) for k in order} == ref
+    ref = [_reference_largest_root(n, k) for k in EXACT_DEGREES]
+    ctx = GegenbauerContext(n)
+    assert ctx.largest_roots(EXACT_DEGREES[-1]) == ref  # extrapolation + Newton from k = 5 on
+    assert [ctx.largest_root(k) for k in EXACT_DEGREES] == ref  # bisection from k = 5 on
 
 
 def test_closed_form_starts_need_no_bisection(monkeypatch):
@@ -414,11 +390,10 @@ def test_lockstep_lanes_fall_back_to_the_scalar_route(monkeypatch):
 
 
 def test_scan_creates_no_context_and_caches_no_root(monkeypatch):
-    # the k-scan runs on lane arrays alone: on an empty context cache it
-    # creates no context, hands _lockstep_roots float alphas, leaves the
-    # cache empty, and each record is its one-lane call's, at the
-    # reference root; kl at n and cz at n + 1 share a dimension, and a lane
-    # given twice shares its own
+    # the k-scan runs on lane arrays alone: it creates no context, hands
+    # _lockstep_roots float alphas, and each record is its one-lane call's,
+    # at the reference root; kl at n and cz at n + 1 share a dimension, and
+    # a lane given twice shares its own
     lanes = [(n, m) for n in range(3, 60, 4) for m in ("kl", "cz")]
     lanes += [(n + 1, "cz") for n in range(3, 60, 4)] + [(30, "kl"), (200, "kl"), (30, "kl")]
     alphas = []
@@ -431,31 +406,68 @@ def test_scan_creates_no_context_and_caches_no_root(monkeypatch):
     def no_context(self, n):
         raise AssertionError(f"context created at n={n}")
 
-    monkeypatch.setattr(orthopoly, "_CTX_CACHE", {})
     monkeypatch.setattr(GegenbauerContext, "__init__", no_context)
     monkeypatch.setattr(eb, "_lockstep_roots", recording)
     records = eb._scan_k(lanes)
     assert alphas and all(a.dtype == np.float64 for a in alphas)
     assert records == [eb._scan_k([lane])[0] for lane in lanes]  # diagnostics included
-    assert orthopoly._CTX_CACHE == {}
     for (n, m), rec in zip(lanes, records):
         t = _reference_largest_root(n + (m == "kl"), rec.k_star)
         assert rec.theta_star == math.acos(t)
 
 
 @pytest.mark.parametrize("n", [2, 5, 24, 801])
-def test_first_degree_reaching_is_the_root_test(n):
+def test_first_degree_reaching_is_the_root_test(monkeypatch, n):
     # at each root, in its cell on either side of the midpoint, and on the
     # cell's edges, the Sturm-count search gives the least degree whose
-    # root reaches x, or None past the degree it is given
-    roots = [GegenbauerContext(n).largest_root(k) for k in range(81)[1:]]
+    # root reaches x, or None past the degree it is given, without a root
+    roots = GegenbauerContext(n).largest_roots(80)
+
+    def no_root(*args):
+        raise AssertionError("a root was found")
+
+    monkeypatch.setattr(orthopoly, "_root_near", no_root)
+    monkeypatch.setattr(orthopoly, "_bisect_largest", no_root)
     ctx = GegenbauerContext(n)
     for t in roots[1:]:
         for x in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0), t - 2.0**-48, t + 2.0**-48):
             for hi in (10, 80):
                 want = next((k for k in range(2, hi + 1) if roots[k - 1] >= x), None)
                 assert ctx.first_degree_reaching(x, hi) == want, (x, hi)
-    assert len(ctx._roots) == 1  # no root was found
+
+
+def test_first_degree_reaching_rejects_x_off_the_root_range():
+    # a non-finite x, or one past [-1, 1] where ldexp overflows, is named
+    ctx = GegenbauerContext(5)
+    for x in (math.nan, math.inf, -math.inf, 1e300, -1e300, math.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
+            ctx.first_degree_reaching(x, 80)
+    assert ctx.first_degree_reaching(-1.0, 80) == 2
+    assert ctx.first_degree_reaching(1.0, 80) is None
+
+
+@pytest.mark.parametrize("n", [2, 5, 24, 801])
+def test_largest_roots_walk_is_the_reference_without_bisection(monkeypatch, n):
+    # each degree past 4 starts from the three roots below it, so the walk
+    # confirms its cells by Newton and Sturm counts and bisects none; at
+    # n = 2 from degree 80 on, Newton's first step falls below 1e-8 with
+    # the iterate still 10 to 18 cells off, and those degrees bisect
+    bisected = []
+    bisect = orthopoly._bisect_largest
+
+    def counted(b2, k):
+        bisected.append(k)
+        return bisect(b2, k)
+
+    monkeypatch.setattr(orthopoly, "_bisect_largest", counted)
+    assert GegenbauerContext(n).largest_roots(90) == [
+        _reference_largest_root(n, k) for k in range(1, 91)]
+    assert bisected == (list(range(80, 91)) if n == 2 else [])
+    assert GegenbauerContext(n).largest_roots(1) == [0.0]
+    with pytest.raises(ValueError, match="kmax >= 1"):
+        GegenbauerContext(n).largest_roots(0)
+    with pytest.raises(ValueError, match="degree cap"):
+        GegenbauerContext(n).largest_roots(DEGREE_CAP + 1)
 
 
 def test_sturm_count_takes_a_zero_pivot_as_negative_on_both_routes():

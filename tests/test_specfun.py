@@ -319,6 +319,20 @@ def test_integrate_nan_flagged():
         integrate(f, 0.0, 1.0)
 
 
+def test_integrate_rejects_non_finite_ends():
+    # an infinite or NaN end is a ValueError, not a RuntimeWarning from the panels
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.exp(-t)
+
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="integrate requires finite ends"):
+            integrate(f, a, b)
+    assert calls == []
+
+
 def test_integrate_nonconvergence_flagged(monkeypatch):
     # an interior kink needs more panel splits than the cap allows
     monkeypatch.setattr(specfun, "GL_MAX_SPLITS", 3)

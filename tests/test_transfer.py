@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from packbounds import spherical_lp
-from packbounds.orthopoly import shared_context
+from packbounds.orthopoly import GegenbauerContext
 from packbounds.specfun import log_gamma
 from packbounds.spherical_lp import LPProblem, lp_solve_spherical, transfer_g_to_f
 
@@ -108,7 +108,7 @@ def test_lens_value_independent_of_the_radii_sharing_the_call(n):
     # radius is reduced alone, so its value is the same bit for bit
     p = LPProblem(n=n, theta=math.pi / 3, degree=8)
     cert = lp_solve_spherical(p)
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     weights = spherical_lp._normalized_weights(ctx, np.asarray(cert.coefficients))
     coef = spherical_lp._chebyshev_coefficients(ctx, weights)
     R = 1.0 / math.sin(p.theta / 2.0)
@@ -140,7 +140,7 @@ def test_chebyshev_sum_matches_eval_g(n, degree):
     # the lens sums g from its interpolated Chebyshev coefficients; they lose
     # accuracy like degree^2 (the interpolation's own rounding, about
     # 0.1 (d+1)^2 ulps of sum |w_k| measured at d = 40 and 200)
-    ctx = shared_context(n)
+    ctx = GegenbauerContext(n)
     t = np.linspace(-1.0, 1.0, 10_000)
     rng = np.random.default_rng(1000 * n + degree)
     for w in (rng.standard_normal(degree + 1), rng.random(degree + 1)):
