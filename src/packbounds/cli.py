@@ -71,23 +71,21 @@ def _record_row(rec) -> dict:
     }
 
 
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r["n"],
-                    r["method"],
-                    repr(r["value_log10"]),
-                    r["value_rounded"],
-                    "" if r["k_star"] is None else r["k_star"],
-                    "" if r["theta_star"] is None else repr(r["theta_star"]),
-                ]
-            )
-        return buf.getvalue()
+        return _csv(CSV_HEADER, [
+            [r["n"], r["method"], repr(r["value_log10"]), r["value_rounded"],
+             "" if r["k_star"] is None else r["k_star"],
+             "" if r["theta_star"] is None else repr(r["theta_star"])]
+            for r in rows])
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     lines = [f"{'n':>5} {'method':<12} {'value':>12} {'log10':>18} {'k*':>5}"]
@@ -118,12 +116,7 @@ def _cmd_crossover(args: argparse.Namespace) -> str:
     trans = [{"n_before": n0, "from": m0, "n_after": n1, "to": m1}
              for (n0, m0), (n1, m1) in zip(scan, scan[1:]) if m0 != m1]
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "best_method"])
-        for n, m in scan:
-            w.writerow([n, m])
-        return buf.getvalue()
+        return _csv(["n", "best_method"], scan)
     if args.format == "json":
         doc = {"rows": [{"n": n, "best_method": m} for n, m in scan], "transitions": trans}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -230,7 +230,7 @@ def _code_degree(ctx: GegenbauerContext, theta: float) -> int:
     c = math.cos(theta) - 1e-12
     if c <= 0.0:
         return 1
-    k = ctx.first_degree_reaching(c, DEGREE_CAP)
+    k = ctx.first_degree_reaching(c)
     if k is None:
         raise NonConvergenceError("k-search exhausted the degree cap")
     return k
@@ -289,13 +289,14 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
     ln Gamma(m - 1), offset into the scan's table of ``math.lgamma`` over
     the integers, t_(k-2), t_(k-1), t_k, the objectives at k - 2 and k - 1
     and the squared off-diagonal rows of their Jacobi matrices, one (K, L)
-    array.  Each degree is one comparison with the caps, one
+    array.  Each degree, from k = 1, where every lane holds t_1 = 0, no
+    rows and the objective +inf, is one comparison with the caps, one
     :func:`_lockstep_roots` call for root k + 1 of the lanes within them,
     whatever their method, from the carried roots and rows, one
     :func:`_code_objectives` call with ln Gamma(k + m - 1) read from the
     table, and one comparison with the objectives at k - 1.  Only a lane
     that stops becomes a ``BoundRecord``, its ``objective_prev`` the stored
-    objective at k - 2."""
+    objective at k - 2, None at k* = 1."""
     for n, method in lanes:
         if n < 1 or n > 800:
             raise ValueError(f"{method}_bound requires 1 <= n <= 800")
@@ -311,7 +312,7 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
     lo, top = min(ms) - 1, max(ms)
     lgammas = _lgammas(lo, top + 2)
     j = np.array(ms) - 1 - lo
-    t_1 = np.zeros(len(lanes))
+    zero = np.zeros(len(lanes))
     live = {  # each lane still scanning, at degree k
         "lane": np.arange(len(lanes)),
         "alpha": np.array(ms) / 2.0 - 1.0,
@@ -319,13 +320,13 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
         "j": j,
         "cap": np.array([_SCANS[method][1] for _, method in lanes]),
         "lgamma_m": lgammas[j],
-        "t_prev2": t_1,  # t_(k-2), first read at k = 4
-        "t_prev": t_1,  # t_(k-1)
-        "obj_prev": np.full(len(lanes), np.nan),  # the objective at k - 2
+        "t_prev2": zero,  # t_(k-2), first read at k = 4
+        "t_prev": zero,  # t_(k-1)
+        "t": zero,  # t_k
+        "b2": np.empty((0, len(lanes))),
+        "obj_prev": np.full(len(lanes), np.inf),  # the objective at k - 2
+        "obj": np.full(len(lanes), np.inf),  # the objective at k - 1
     }
-    live["t"], live["b2"] = _lockstep_roots(  # t_k
-        live["alpha"], 2, (t_1, t_1, t_1), np.empty((0, len(lanes))))
-    live["obj"] = _code_objectives(live["n"], 1, t_1, live["t"], lgammas[j + 1], live["lgamma_m"])
     records: list[BoundRecord | None] = [None] * len(lanes)
 
     def stop(mask: np.ndarray, k: int, obj_next: np.ndarray | None) -> dict:
@@ -353,7 +354,7 @@ def _scan_k(lanes: list[tuple[int, str]]) -> list[BoundRecord]:
         keep = ~mask  # lanes are the last axis, of b2 too
         return {key: a[keep] if a.ndim == 1 else a[:, keep] for key, a in live.items()}
 
-    for k in range(2, DEGREE_CAP):  # the objective at k reads root k + 1
+    for k in range(1, DEGREE_CAP):  # the objective at k reads root k + 1
         past = live["t"] > live["cap"]  # no objective at k
         if past.any() and not (live := stop(past, k, None)):
             return records

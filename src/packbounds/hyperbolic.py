@@ -13,10 +13,11 @@ the incomplete beta function, a finite-R radial integral whose integrand is
 the regularized incomplete beta share of each sphere about one center,
 normalized by F(R), and a Monte-Carlo sampler in the hyperboloid model, an
 independent oracle for the other two that draws radii by Newton's method on
-ln F, without quadrature, for 2 <= n <= 200 and 1e-300 <= R <= 50.  A
-table of the radial quantile at 2048 nodes brackets each radius.  The
-bracket settles the side of the second sphere for nearly every sample, and
-Newton solves only the radii of the rest.
+ln F, without quadrature.  A table of the radial quantile at 2048 nodes
+brackets each radius.  The bracket settles the side of the second sphere
+for nearly every sample, and Newton solves only the radii of the rest.
+Each function that needs a ball volume checks its domain, 2 <= n <= 200
+and a radius in [1e-300, 50], by one helper, ``_check_ball``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .euclid_bounds import BoundRecord, _code_bound_log, _code_degree
 from .orthopoly import GegenbauerContext
-from .specfun import LogScaled, integrate, log_gamma
+from .specfun import LogScaled, _sphere_area, integrate
 
 __all__ = [
     "hyp_ball_volume",
@@ -42,21 +43,22 @@ __all__ = [
 ]
 
 
-def log_sphere_surface(n: int) -> float:
-    """ln of the surface volume of the unit (n-1)-sphere in R^n."""
-    return math.log(2.0) + (n / 2.0) * math.log(math.pi) - log_gamma(n / 2.0)
+def _check_ball(who: str, n: int, name: str, radius: float) -> None:
+    """Reject a ball outside the volume's domain, 2 <= n <= 200 and
+    1e-300 <= radius <= 50, naming the function and its radius."""
+    if not 2 <= n <= 200:
+        raise ValueError(f"{who} requires 2 <= n <= 200, got n = {n}")
+    if not 1e-300 <= radius <= 50.0:
+        raise ValueError(f"{who} requires 1e-300 <= {name} <= 50, got {name} = {radius}")
 
 
 def hyp_ball_volume(n: int, r: float) -> LogScaled:
     """Volume of a radius-r ball in H^n: Omega_n int_0^r sinh^(n-1) x dx,
     for 2 <= n <= 200 and 1e-300 <= r <= 50, from ``_sinh_power_integral``."""
-    if n < 2 or n > 200:
-        raise ValueError("hyp_ball_volume requires 2 <= n <= 200")
-    if not 1e-300 <= r <= 50.0:
-        raise ValueError(f"hyp_ball_volume requires 1e-300 <= r <= 50, got r = {r}")
+    _check_ball("hyp_ball_volume", n, "r", r)
     (ratio,), (sh,) = _sinh_power_integral(n - 1, np.array([r]))
     log_f = math.log(ratio) + (n - 1) * math.log(sh)
-    return LogScaled.from_log(log_sphere_surface(n) + log_f)
+    return LogScaled.from_log(math.log(_sphere_area(n)) + log_f)
 
 
 def radius_from_angle(r: float, theta: float) -> float:
@@ -211,10 +213,7 @@ def overlap_finite(n: int, r: float, R: float) -> float:
     share I_(1 - q^2)((n+1)/2, 1/2), q = r/(2R).  R must lie in [1e-300, 50].
     """
     from scipy.special import betainc
-    if not 2 <= n <= 200:
-        raise ValueError(f"overlap_finite requires 2 <= n <= 200, got n = {n}")
-    if not 1e-300 <= R <= 50.0:
-        raise ValueError(f"overlap_finite requires 1e-300 <= R <= 50, got R = {R}")
+    _check_ball("overlap_finite", n, "R", R)
     if not 0.0 <= r < math.inf:
         raise ValueError("overlap_finite requires finite r >= 0")
     if r == 0.0:
@@ -375,12 +374,10 @@ def overlap_monte_carlo(
     +-inf, and 0/0 (at s = 0 when r = R, at s = R when r = 0) gives nan,
     which decides nothing and leaves its samples to the polished test.
     """
-    if not 2 <= n <= 200:
-        raise ValueError(f"overlap_monte_carlo requires 2 <= n <= 200, got n = {n}")
     # below about 1e-300, R/2 and F(R)/sinh^(n-1) R ~ R/n near the subnormal floats
-    if not (1e-300 <= R <= 50.0 and 0.0 <= r < math.inf):
-        raise ValueError(f"overlap_monte_carlo requires 1e-300 <= R <= 50 and finite r >= 0, "
-                         f"got R = {R}, r = {r}")
+    _check_ball("overlap_monte_carlo", n, "R", R)
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"overlap_monte_carlo requires finite r >= 0, got r = {r}")
     if samples < 10**4:
         raise ValueError("use at least 10^4 samples")
     if seed < 0:

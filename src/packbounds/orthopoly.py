@@ -10,15 +10,17 @@ cell that Sturm-sequence bisection of [0, 1] ends on.  Sturm counts and
 Newton steps run on the LDL^T pivots of the matrix, so the (overflowing)
 polynomial itself is never evaluated.  :func:`_root_near` polishes a start
 by Newton, Sturm counts confirm the cell, and without a start the
-bisection runs.  A context holds n and alpha and nothing else: one root,
-:meth:`GegenbauerContext.largest_root`, starts from a closed form up to
-degree 4 and bisects above it, and :meth:`GegenbauerContext.largest_roots`
-walks t_1..t_kmax in ascending order, each degree past 4 started from the
-three roots below it.  :func:`_lockstep_roots` serves the kl/cz k-scan on
-lane arrays, one float64 lane per dimension, from the state the scan
-carries from one degree to the next: each lane's three roots below k and
-the squared off-diagonal rows of its Jacobi matrix, one (K, L) array
-grown by doubling.  The lane Newton step and Sturm count fill preallocated
+bisection runs.  Every start, on floats or on lane arrays, comes from one
+rule, :func:`_guess`: the closed form up to degree 4, above it the cubic
+extrapolation of the three roots below.  A context holds n and alpha and
+nothing else: one root, :meth:`GegenbauerContext.largest_root`, has no
+roots below it and bisects above degree 4, and
+:meth:`GegenbauerContext.largest_roots` walks t_1..t_kmax in ascending
+order.  :func:`_lockstep_roots` serves the kl/cz k-scan on lane arrays,
+one float64 lane per dimension, from the state the scan carries from one
+degree to the next: each lane's three roots below k and the squared
+off-diagonal rows of its Jacobi matrix, one (K, L) array grown by
+doubling.  The lane Newton step and Sturm count fill preallocated
 buffers, two ufunc calls per pivot and recurrence.  Newton's iterate may
 differ from the scalar one in the last bits, but the Sturm counts, which
 decide the cell, are the scalar ones bit for bit (numpy rounds
@@ -70,8 +72,10 @@ class GegenbauerContext:
         (at alpha = 0 it is Chebyshev's), and its values stay in [-1, 1].
         Row j is ((2(j + a - 1) t) row[j-1] - (j - 1) row[j-2]) / (j + 2a - 1),
         written in place with one scratch row by the operations of the plain
-        array expression, in their order, so each row is the same bit for bit."""
-        _check_degree(kmax)  # before the table is allocated
+        array expression, in their order, so each row is the same bit for bit.
+        Past |t| = 1 rows grow with j: a t that is non-finite or overflows
+        the table leaves the last row non-finite, and raises ValueError."""
+        _check_degree(kmax, 0, "eval_normalized_table requires kmax")  # before allocating
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((kmax + 1, t.size))
         out[0] = 1.0
@@ -79,13 +83,16 @@ class GegenbauerContext:
             out[1] = t
         a = self.alpha
         scratch = np.empty(t.size)
-        for j in range(2, kmax + 1):
-            row = out[j]
-            np.multiply(2 * (j + a - 1), t, out=scratch)
-            scratch *= out[j - 1]
-            np.multiply(j - 1, out[j - 2], out=row)
-            np.subtract(scratch, row, out=row)
-            row /= j + 2 * a - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(2, kmax + 1):
+                row = out[j]
+                np.multiply(2 * (j + a - 1), t, out=scratch)
+                scratch *= out[j - 1]
+                np.multiply(j - 1, out[j - 2], out=row)
+                np.subtract(scratch, row, out=row)
+                row /= j + 2 * a - 1
+        if not np.isfinite(out[-1]).all():
+            raise ValueError("eval_normalized_table requires finite t where the table stays finite")
         return out
 
     # -- largest roots ------------------------------------------------------
@@ -93,9 +100,7 @@ class GegenbauerContext:
     def largest_root(self, k: int) -> float:
         """t_k alone: exactly 0.0 at k = 1, from the closed form's cell up
         to k = 4, by bisection above."""
-        _check_degree(k)
-        if k < 1:
-            raise ValueError("largest_root requires degree k >= 1")
+        _check_degree(k, 1, "largest_root requires degree k")
         if k == 1:
             return 0.0  # _root_near([], 1, .) would bisect to 2^-48
         b2 = _squared_offdiag(self.alpha, k - 1).tolist()
@@ -104,9 +109,7 @@ class GegenbauerContext:
     def largest_roots(self, kmax: int) -> list[float]:
         """t_1..t_kmax in one ascending walk, each degree past 4 started
         from the three roots below it."""
-        _check_degree(kmax)
-        if kmax < 1:
-            raise ValueError("largest_roots requires degree kmax >= 1")
+        _check_degree(kmax, 1, "largest_roots requires degree kmax")
         b2 = _squared_offdiag(self.alpha, kmax).tolist()
         roots = [0.0]
         for k in range(2, kmax + 1):
@@ -114,9 +117,9 @@ class GegenbauerContext:
             roots.append(_root_near(rows, k, _guess(rows, k, roots[:-4:-1])))
         return roots
 
-    def first_degree_reaching(self, x: float, hi: int) -> int | None:
-        """The least degree k in [2, hi] whose largest root t_k >= x, or
-        None, found without finding a root.
+    def first_degree_reaching(self, x: float) -> int | None:
+        """The least degree k in [2, DEGREE_CAP] whose largest root t_k >= x,
+        or None, found without finding a root.
 
         t_k >= x holds iff t_k's cell lies at or above the first cell whose
         midpoint reaches x, that is iff the Sturm count of degree k at that
@@ -138,16 +141,16 @@ class GegenbauerContext:
 
         below, k = 1, 2
         while not reaches(k):
-            if k >= hi:
+            if k >= DEGREE_CAP:
                 return None
-            below, k = k, min(2 * k, hi)
+            below, k = k, min(2 * k, DEGREE_CAP)
         while k - below > 1:
             mid = (below + k) // 2
             below, k = (below, mid) if reaches(mid) else (mid, k)
         return k
 
 
-def _closed_form(b0, b1, b2, sqrt=np.sqrt):
+def _closed_form(b0, b1, b2, sqrt):
     # Up to k = 4 the characteristic polynomial is y^2 - S y + P in y = x^2,
     # S the sum of the first three squared off-diagonal entries (0 past
     # k - 1) and P = b2_0 b2_2; its larger root, per lane with np.sqrt.
@@ -160,18 +163,20 @@ def _extrapolate(r1, r2, r3):
     return 3.0 * r1 - 3.0 * r2 + r3
 
 
-def _guess(b2: list[float], k: int, below=None) -> float | None:
-    # a lone root's start from its k - 1 squared off-diagonal entries: the
-    # closed form up to k = 4, above it the extrapolation of ``below``, the
-    # roots at k - 1, k - 2 and k - 3, or None without them
+def _guess(rows, k: int, below=None, sqrt=math.sqrt):
+    # the start of root k, from its k - 1 squared off-diagonal rows, floats
+    # or lane arrays: the closed form up to k = 4, above it the extrapolation
+    # of ``below``, the roots at k - 1, k - 2 and k - 3, or None without them
     if k <= 4:
-        return _closed_form(*b2, *[0.0] * (4 - k), math.sqrt)
+        return _closed_form(*rows[: k - 1], *[0.0] * (4 - k), sqrt)
     return None if below is None else _extrapolate(*below)
 
 
-def _check_degree(k: int) -> None:
+def _check_degree(k: int, least: int, what: str) -> None:
     if k > DEGREE_CAP:
         raise ValueError(f"degree {k} exceeds the degree cap {DEGREE_CAP}")
+    if k < least:
+        raise ValueError(f"{what} >= {least}, got {k}")
 
 
 def _lockstep_roots(alpha: np.ndarray, k: int, below,
@@ -179,23 +184,18 @@ def _lockstep_roots(alpha: np.ndarray, k: int, below,
     """Root k of each lane of a k-scan, from the state it carries: lane i is
     the family of ``alpha[i]``, ``below`` holds its roots at k - 1, k - 2
     and k - 3 (three rows) and ``b2`` its squared off-diagonal rows, (K, L).
-    Every lane starts from the closed form on its first three rows up to
-    k = 4, above it from the cubic extrapolation of ``below``; the lanes are
-    polished and confirmed together, and a lane whose Newton step or cell
-    walk fails (a NaN start among them) bisects.  A single lane goes to
-    :func:`_root_near` on floats.  Returns the roots and ``b2``, grown by
-    doubling to at least k - 1 rows."""
-    if len(b2) < max(k - 1, 3):
-        b2 = _squared_offdiag(alpha, max(k - 1, 3, 2 * len(b2)))
+    Every lane starts by :func:`_guess`, the scalar start rule on lane
+    rows; the lanes are polished and confirmed together, and a lane whose
+    Newton step or cell walk fails (a NaN start among them) bisects.  A
+    single lane goes to :func:`_root_near` on floats.  Returns the roots and
+    ``b2``, grown by doubling to at least k - 1 rows."""
+    if len(b2) < k - 1:
+        b2 = _squared_offdiag(alpha, max(k - 1, 2 * len(b2)))
+    rows = b2[: k - 1]
     if alpha.size == 1:  # Python floats beat 1-element arrays
-        col = b2[: k - 1, 0].tolist()
+        col = rows[:, 0].tolist()
         return np.array([_root_near(col, k, _guess(col, k, (r.item() for r in below)))]), b2
-    rows = b2[: max(k - 1, 3)]
-    if k <= 4:
-        x = _closed_form(*np.where(np.arange(3)[:, None] < k - 1, rows[:3], 0.0))
-    else:
-        x = _extrapolate(*below)
-    rows = rows[: k - 1]
+    x = _guess(rows, k, below, np.sqrt)
     # a lane reads NaN where the scalar route raises or gives up
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = _confirm_cells(rows, k, _polish_lanes(rows, k, x))

@@ -281,14 +281,20 @@ def log_gamma(x: float) -> float:
         raise ValueError(f"log_gamma overflows at x = {x}") from None
 
 
-def scaled_erfc_complex(z):
-    """exp(z^2) * erfc(z) for complex z (entire, overflow-free).
+def _sphere_area(m: int) -> float:
+    """The area 2 pi^(m/2) / Gamma(m/2) of the unit sphere S^(m-1) in R^m."""
+    return 2.0 * math.pi ** (m / 2.0) / math.exp(log_gamma(m / 2.0))
 
-    Equals the Faddeeva function w evaluated at iz; accepts scalars or
-    arrays.
-    """
+
+def scaled_erfc_complex(z):
+    """exp(z^2) * erfc(z) = w(iz), w the Faddeeva function, for finite
+    complex z, a scalar or an array; inf where it passes the float range, as
+    on the real axis below about -26.6.  A non-finite z raises ValueError."""
     from scipy.special import wofz
-    return wofz(1j * np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("scaled_erfc_complex requires finite z")
+    return wofz(1j * z)
 
 
 def _first_zero_seed(nu: float) -> float:
@@ -384,13 +390,21 @@ def _first_zeros(nus) -> list[float]:
 
 
 def incomplete_beta(u: float, alpha: float, beta: float) -> float:
-    """B(u; alpha, beta) = integral_0^u t^(a-1) (1-t)^(b-1) dt (unregularized)."""
+    """B(u; alpha, beta) = integral_0^u t^(a-1) (1-t)^(b-1) dt (unregularized),
+    for u in [0, 1] and finite alpha, beta > 0 where B stays in the float
+    range (B(alpha, beta) ~ 1/alpha passes it below alpha = 5.6e-309)."""
     from scipy.special import betainc, betaln
     if not 0.0 <= u <= 1.0:
         raise ValueError("incomplete_beta requires u in [0, 1]")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("incomplete_beta requires alpha, beta > 0")
-    return float(betainc(alpha, beta, u) * math.exp(betaln(alpha, beta)))
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError("incomplete_beta requires finite alpha, beta > 0")
+    try:
+        value = float(betainc(alpha, beta, u)) * math.exp(betaln(alpha, beta))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"incomplete_beta passes the float range at alpha, beta = {alpha}, {beta}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +415,18 @@ def incomplete_beta(u: float, alpha: float, beta: float) -> float:
 def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Golden-section search for a minimum of f on [a, b].
 
-    The bracket shrinks until its width is <= tol and yields its midpoint.
-    To maximize, minimize the negation.  Raises ValueError unless tol > 0.
-    """
+    The bracket shrinks until its width is <= tol, or until rounding leaves
+    no two points inside it, and yields its midpoint.  To maximize, minimize
+    the negation.  Raises ValueError unless tol > 0 and b - a is finite."""
     if not tol > 0:
         raise ValueError("golden_section_min requires tol > 0")
+    if not math.isfinite(b - a):
+        raise ValueError(f"golden_section_min requires a finite bracket, got [{a}, {b}]")
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -419,4 +435,4 @@ def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: flo
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = f(d)
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b  # the midpoint, also where a + b overflows

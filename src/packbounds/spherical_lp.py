@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orthopoly import GegenbauerContext
-from .specfun import LogScaled, integrate, log_gamma
+from .specfun import LogScaled, _sphere_area, integrate
 
 __all__ = [
     "LPProblem",
@@ -600,15 +600,11 @@ class TransferProbe:
 # points of the lens integrand evaluated at once: four 64 x 64 segments, which
 # ran faster than two or eight (fewer numpy calls, temporaries still in cache)
 _LENS_BLOCK = 1 << 14
+# the Gauss-Legendre nodes and weights on [-1, 1] of every lens integral
+_LENS_RULE = np.polynomial.legendre.leggauss(64)
 
 
-def _lens_f(
-    coef: np.ndarray,
-    n: int,
-    R: float,
-    radii,
-    gauss: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
+def _lens_f(coef: np.ndarray, n: int, R: float, radii) -> np.ndarray:
     """f(rho) = integral over B_R(x) ^ B_R(y) of g(cos angle(x z y)) dz,
     |x - y| = rho, for each rho in ``radii``, reduced to 2-D by symmetry of
     revolution about the axis.  ``coef`` holds g's Chebyshev coefficients
@@ -623,9 +619,8 @@ def _lens_f(
         v = sqrt(u^2 + rho^2 - 2 u rho cos phi).
 
     phi_max leaves pi (or 0) with square-root behavior at the segment edge,
-    so the cut segment is parametrized by u = lo + (hi-lo) w^2.  ``gauss``
-    holds the Gauss-Legendre nodes and weights on [-1, 1] used for both
-    variables.
+    so the cut segment is parametrized by u = lo + (hi-lo) w^2.  Both
+    variables take the 64-point Gauss-Legendre rule ``_LENS_RULE``.
 
     Each (radius, u-segment) pair of the call is one product grid of
     (u, phi) nodes, and the integrand runs over _LENS_BLOCK points of these
@@ -639,8 +634,7 @@ def _lens_f(
     sin^(n-2) phi is ((1 - cos phi)(1 + cos phi))^((n-2)/2), from the cosine
     the integrand needs anyway.
     """
-    omega = 2.0 * math.pi ** ((n - 1) / 2.0) / math.exp(log_gamma((n - 1) / 2.0))
-    xg, wg = gauss
+    xg, wg = _LENS_RULE
     s01 = 0.5 * (xg + 1.0)  # nodes on (0,1)
     w01 = 0.5 * wg
     # phi = phimax * s^2 clusters nodes at phi = 0, where the integrand has a
@@ -709,7 +703,7 @@ def _lens_f(
     totals = [0.0] * len(radii)
     for (i, *_), value in zip(segments, values):
         totals[i] += value
-    return omega * np.array(totals)
+    return _sphere_area(n - 1) * np.array(totals)
 
 
 def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
@@ -720,8 +714,8 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     int f = vol(B_R)^2 mean(g) hold for exact arithmetic; the probe is the
     numerical check.  Small n only: the reduction is 2-D but the radial
     integral makes it a triple quadrature.  Every lens integral uses the
-    same 64-point Gauss-Legendre rule and g's Chebyshev coefficients, both
-    computed once here, the latter as the LP check computes them.  The
+    64-point Gauss-Legendre rule ``_LENS_RULE`` and g's Chebyshev
+    coefficients, computed once here as the LP check computes them.  The
     sample radii are one call of the lens evaluator :func:`_lens_f`, and so
     is each evaluation of a radial integrand over its quadrature nodes; a
     radius's value does not depend on the call it shares.  The radial
@@ -737,14 +731,11 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     coef = _chebyshev_coefficients(ctx, _normalized_weights(ctx, np.asarray(cert.coefficients)))
     eps = 1e-6
     radii = tuple(sorted({0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + eps, R, 2.0 * R - eps, 2.0 * R, 3.0 * R}))
-    gauss = np.polynomial.legendre.leggauss(64)
-    fvals = tuple(_lens_f(coef, n, R, radii, gauss).tolist())
+    fvals = tuple(_lens_f(coef, n, R, radii).tolist())
     f0 = fvals[0]  # the sample radii start at 0
 
-    surface = 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
-
     def radial(rho: np.ndarray) -> np.ndarray:
-        f = _lens_f(coef, n, R, rho, gauss).tolist()
+        f = _lens_f(coef, n, R, rho).tolist()
         # a scalar power per radius: numpy's array power may round otherwise
         return np.array([v * r ** (n - 1) for v, r in zip(f, rho)])
 
@@ -755,7 +746,7 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     abs_tol = abs(f0) * 1e-10
     part1 = integrate(radial, 0.0, R, rel_tol=1e-8, abs_tol=abs_tol)
     part2 = integrate(outer, 0.0, 1.0, rel_tol=1e-8, abs_tol=abs_tol)
-    integral_f = surface * (part1.value + part2.value)
+    integral_f = _sphere_area(n) * (part1.value + part2.value)
     return TransferProbe(
         n=n,
         theta=cert.theta,

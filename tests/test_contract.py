@@ -1,17 +1,25 @@
 """The error contract of the public API: over a fixed product of edge values
-for each argument, every public function of ``euclid_bounds`` and
-``hyperbolic``, and ``log_gamma``, returns finite values or raises one of
-the typed errors.  Under tier-1's RuntimeWarning-as-error setting a numpy
-warning on the way counts as a breach too."""
+for each argument, every public function of ``euclid_bounds``,
+``hyperbolic``, ``specfun``, ``orthopoly`` and ``spherical_lp`` but the few
+named in ``NOT_SWEPT`` returns finite values or raises one of the typed
+errors.  Under tier-1's RuntimeWarning-as-error setting a numpy warning on
+the way counts as a breach too."""
 
+import cmath
 import dataclasses
 import itertools
+import json
 import math
 
+import numpy as np
 import pytest
 
 from packbounds import euclid_bounds as eb
 from packbounds import hyperbolic as hyp
+from packbounds import orthopoly
+from packbounds import specfun as sf
+from packbounds import spherical_lp as slp
+from packbounds.orthopoly import DEGREE_CAP, GegenbauerContext
 from packbounds.specfun import IntegrandError, LogScaled, NonConvergenceError, log_gamma
 from packbounds.spherical_lp import LPInfeasibleError
 
@@ -19,6 +27,9 @@ FLOATS = [0.0, -0.0, 5e-324, 1e-300, 1e-9, math.pi / 3, math.nextafter(math.pi /
           math.pi, math.nextafter(math.pi, 4.0), 50.0, 50.0 + 1e-6, 710.5, 1e308,
           math.inf, -math.inf, math.nan, -1.0]
 INTS = [-1, 0, 1, 2, 3, 4, 200, 201, 400, 800, 801, 100_000]
+# degrees and sizes, capped so that each call stays cheap: the walks and
+# tables past these run the same code longer
+DEGREES = [-1, 0, 1, 2, 3, 4, 5, 40, DEGREE_CAP + 1]
 TYPED = (ValueError, NonConvergenceError, IntegrandError, LPInfeasibleError)
 
 
@@ -50,6 +61,35 @@ CALLS = {
     "overlap_monte_carlo": (lambda n, r, R: hyp.overlap_monte_carlo(n, r, R, 10**4),
                             [[1, 2, 200, 201], FLOATS, FLOATS]),
     "log_gamma": (log_gamma, [FLOATS + INTS]),
+    "scaled_erfc_complex": (sf.scaled_erfc_complex, [FLOATS]),
+    "bessel_first_zero": (sf.bessel_first_zero, [FLOATS + INTS]),
+    "incomplete_beta": (sf.incomplete_beta, [FLOATS, FLOATS, FLOATS]),
+    # a minimum at 1 inside, at or outside [a, b], and every tolerance
+    "golden_section_min": (lambda a, b, tol: sf.golden_section_min(lambda x: abs(x - 1.0), a, b, tol),
+                           [FLOATS, FLOATS, FLOATS]),
+    "GegenbauerContext.log_value_at_one":
+        (lambda n, k: GegenbauerContext(n).log_value_at_one(k), [INTS, DEGREES]),
+    "GegenbauerContext.eval_normalized_table":
+        (lambda n, k, t: GegenbauerContext(n).eval_normalized_table(k, [t]), [INTS, DEGREES, FLOATS]),
+    "GegenbauerContext.largest_root":
+        (lambda n, k: GegenbauerContext(n).largest_root(k), [INTS, DEGREES]),
+    "GegenbauerContext.largest_roots":
+        (lambda n, k: GegenbauerContext(n).largest_roots(k), [INTS, DEGREES]),
+    "GegenbauerContext.first_degree_reaching":
+        (lambda n, x: GegenbauerContext(n).first_degree_reaching(x), [INTS, FLOATS]),
+    "chebyshev_grid": (slp.chebyshev_grid, [FLOATS, INTS]),
+    "LPProblem": (slp.LPProblem, [INTS, FLOATS, DEGREES]),
+    # a degree-2 document whose n, theta and outer coefficients are edge numbers
+    "certificate_from_json": (lambda n, theta, c: slp.certificate_from_json(json.dumps(
+        {"n": n, "theta": theta, "degree": 2, "coefficients": [c, 1.0, c]})), [INTS, FLOATS, FLOATS]),
+}
+
+# public functions left out: integrate takes an integrand and
+# simplex_minimize an LP's arrays; the others take a problem or certificate
+# that the swept constructors above already check
+NOT_SWEPT = {
+    "integrate", "simplex_minimize", "lp_solve_spherical", "verify_certificate",
+    "euclid_bound_from_certificate", "transfer_g_to_f", "certificate_to_json",
 }
 
 
@@ -63,15 +103,20 @@ def _finite(value) -> bool:
         return all(map(_finite, value.values()))
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
-    if isinstance(value, float):
-        return math.isfinite(value)
+    if isinstance(value, (float, complex)):
+        return cmath.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
     return value is None or isinstance(value, (int, str))
 
 
 def test_every_public_function_is_swept():
-    public = {name for mod in (eb, hyp) for name in mod.__all__
+    public = {name for mod in (eb, hyp, sf, slp) for name in mod.__all__
               if callable(getattr(mod, name)) and not isinstance(getattr(mod, name), type)}
-    assert public | {"log_gamma"} == set(CALLS)
+    public |= {"LPProblem"} | {f"GegenbauerContext.{name}" for name in vars(GegenbauerContext)
+                               if not name.startswith("_")}
+    assert orthopoly.__all__ == ["GegenbauerContext", "DEGREE_CAP"]
+    assert public == set(CALLS) | NOT_SWEPT
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

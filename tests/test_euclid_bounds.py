@@ -174,7 +174,7 @@ def test_code_bound_at_small_angles_finds_one_root_past_the_walk(monkeypatch):
 @pytest.mark.parametrize("cap", [4, 40])
 def test_code_bound_degree_cap(monkeypatch, cap):
     # a cap below k, small or large, ends the search with one message
-    monkeypatch.setattr(eb, "DEGREE_CAP", cap)
+    monkeypatch.setattr(orthopoly, "DEGREE_CAP", cap)
     with pytest.raises(NonConvergenceError, match=r"^k-search exhausted the degree cap$"):
         kl_spherical_code_bound(801, 0.05)
 
@@ -358,23 +358,6 @@ def test_strict_improvement_and_ratio_corridor():
 def test_rate_corridor_at_600():
     per_dim = cz_bound(600).value.log_value / math.log(2.0) / 600.0
     assert -0.62 < per_dim < -0.50
-
-
-def test_table_shows_the_headline():
-    # the improvement over kl grows with n (1.14, 1.21, 1.24), and the
-    # per-dimension slope of log2 cz (-0.530 over 50..100, -0.584 over
-    # 700..800) nears the asymptotic rate -0.5991
-    dims = [50, 100, 200, 700, 800]
-    records = eb.bounds(["kl", "cz"], dims)
-    kl, cz = ({n: rec.value.log_value for n, rec in zip(dims, records[m])} for m in ("kl", "cz"))
-    ratios = [kl[n] - cz[n] for n in (50, 200, 800)]
-    assert 0.0 < ratios[0] < ratios[1] < ratios[2]
-
-    def slope(lo, hi):
-        return (cz[hi] - cz[lo]) / math.log(2.0) / (hi - lo)
-
-    rate = optimize_asymptotic_rate().rate_log2
-    assert abs(slope(700, 800) - rate) < abs(slope(50, 100) - rate)
 
 
 # ---------------------------------------------------------------------------

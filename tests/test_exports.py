@@ -80,3 +80,33 @@ def test_package_has_no_assert_statement():
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _private_helpers(tree):
+    # (name, node) of each module-level function and class method whose
+    # name starts with a single underscore
+    for node in tree.body:
+        bodies = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in bodies:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_") and not fn.name.startswith("__")):
+                yield fn.name, fn
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a helper that only tests call, or that nothing calls, is dead code:
+    # each needs a reference in the package outside its own definition
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for name, fn in _private_helpers(tree):
+            own = {id(node) for node in ast.walk(fn)}
+            used = any(
+                id(node) not in own
+                and (isinstance(node, ast.Name) and node.id == name
+                     or isinstance(node, ast.Attribute) and node.attr == name)
+                for other in trees.values() for node in ast.walk(other)
+            )
+            if not used:
+                unused.append(f"{module}:{name}")
+    assert unused == []

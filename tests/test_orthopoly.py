@@ -171,6 +171,20 @@ def test_degree_cap_enforced():
         ctx.eval_normalized_table(DEGREE_CAP + 1, [0.5])
 
 
+@pytest.mark.parametrize("n", [2, 5, 200])
+def test_normalized_table_rejects_what_it_cannot_tabulate(n):
+    # a negative degree, a non-finite t, and a t where the table overflows
+    ctx = GegenbauerContext(n)
+    with pytest.raises(ValueError, match="kmax >= 0"):
+        ctx.eval_normalized_table(-1, [0.5])
+    for kmax, t in [(1, math.inf), (2, math.nan), (40, -math.inf), (2, 1e308), (40, 1e200)]:
+        with pytest.raises(ValueError, match="finite t"):
+            ctx.eval_normalized_table(kmax, [0.5, t])
+    # past |t| = 1 the rows grow, but stay finite here
+    assert np.isfinite(ctx.eval_normalized_table(40, [-50.0, 1.5])).all()
+    assert ctx.eval_normalized_table(0, [math.nan]).tolist() == [[1.0]]
+
+
 # ---------------------------------------------------------------------------
 # means over the sphere: the LP's objective g(1)/c_0 takes c_0 as the mean
 # ---------------------------------------------------------------------------
@@ -420,8 +434,8 @@ def test_scan_creates_no_context_and_caches_no_root(monkeypatch):
 def test_first_degree_reaching_is_the_root_test(monkeypatch, n):
     # at each root, in its cell on either side of the midpoint, and on the
     # cell's edges, the Sturm-count search gives the least degree whose
-    # root reaches x, or None past the degree it is given, without a root
-    roots = GegenbauerContext(n).largest_roots(80)
+    # root reaches x, without a root
+    roots = GegenbauerContext(n).largest_roots(81)
 
     def no_root(*args):
         raise AssertionError("a root was found")
@@ -429,11 +443,10 @@ def test_first_degree_reaching_is_the_root_test(monkeypatch, n):
     monkeypatch.setattr(orthopoly, "_root_near", no_root)
     monkeypatch.setattr(orthopoly, "_bisect_largest", no_root)
     ctx = GegenbauerContext(n)
-    for t in roots[1:]:
+    for t in roots[1:-1]:
         for x in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0), t - 2.0**-48, t + 2.0**-48):
-            for hi in (10, 80):
-                want = next((k for k in range(2, hi + 1) if roots[k - 1] >= x), None)
-                assert ctx.first_degree_reaching(x, hi) == want, (x, hi)
+            want = next(k for k in range(2, 82) if roots[k - 1] >= x)
+            assert ctx.first_degree_reaching(x) == want, x
 
 
 def test_first_degree_reaching_rejects_x_off_the_root_range():
@@ -441,9 +454,9 @@ def test_first_degree_reaching_rejects_x_off_the_root_range():
     ctx = GegenbauerContext(5)
     for x in (math.nan, math.inf, -math.inf, 1e300, -1e300, math.nextafter(1.0, 2.0)):
         with pytest.raises(ValueError, match=re.escape(f"x = {x!r}")):
-            ctx.first_degree_reaching(x, 80)
-    assert ctx.first_degree_reaching(-1.0, 80) == 2
-    assert ctx.first_degree_reaching(1.0, 80) is None
+            ctx.first_degree_reaching(x)
+    assert ctx.first_degree_reaching(-1.0) == 2
+    assert ctx.first_degree_reaching(1.0) is None
 
 
 @pytest.mark.parametrize("n", [2, 5, 24, 801])

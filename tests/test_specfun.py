@@ -110,6 +110,19 @@ def test_scaled_erfc_complex_grid(z):
     assert abs(got - ref) / abs(ref) < 1e-12
 
 
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf),
+                               complex(math.nan, 0.0), np.array([1.0, math.inf])])
+def test_scaled_erfc_complex_rejects_a_non_finite_z(z):
+    # iz would form inf * 0 (a RuntimeWarning), and nan has no value
+    with pytest.raises(ValueError, match="finite z"):
+        scaled_erfc_complex(z)
+
+
+def test_scaled_erfc_complex_overflows_past_its_documented_edge():
+    assert math.isfinite(scaled_erfc_complex(-26.6).real)
+    assert scaled_erfc_complex(-26.7).real == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Bessel J and its first zero
 # ---------------------------------------------------------------------------
@@ -267,6 +280,15 @@ def test_incomplete_beta_monotone_in_u():
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf),
+                                         (5e-324, 1.0), (1e308, 1e308)])
+def test_incomplete_beta_rejects_what_leaves_the_float_range(alpha, beta):
+    # non-finite parameters, B(alpha, beta) ~ 1/alpha past the largest
+    # float, and parameters where betainc gives nan are all named
+    with pytest.raises(ValueError, match="finite alpha|float range"):
+        incomplete_beta(1.0, alpha, beta)
+
+
 def test_incomplete_beta_domain():
     with pytest.raises(ValueError):
         incomplete_beta(1.5, 1.0, 1.0)
@@ -343,6 +365,29 @@ def test_integrate_nonconvergence_flagged(monkeypatch):
     with pytest.raises(NonConvergenceError) as exc:
         integrate(kink, 0.0, 1.0)
     assert exc.value.partial.converged is False
+
+
+def test_golden_section_min_stops_where_rounding_ends_the_bracket():
+    # a tolerance below the spacing of the floats near the minimum leaves
+    # the bracket stuck a few ulps wide; the search stops there
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 10_000:
+            raise RuntimeError("the search does not stop")
+        return abs(x - 1.0)
+
+    for tol in (5e-324, 1e-300):
+        calls.clear()
+        assert abs(golden_section_min(f, 0.0, 3.0, tol) - 1.0) < 1e-15
+    assert golden_section_min(f, 1e308, 1e308, 1e-9) == 1e308
+
+
+@pytest.mark.parametrize("a, b", [(-math.inf, 1.0), (0.0, math.nan), (-1e308, 1e308)])
+def test_golden_section_min_requires_a_finite_bracket(a, b):
+    with pytest.raises(ValueError, match="finite bracket"):
+        golden_section_min(lambda x: x * x, a, b, 1e-9)
 
 
 def test_golden_section_min_brackets_the_minimum():

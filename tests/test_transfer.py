@@ -90,9 +90,9 @@ def test_f_at_zero_is_the_first_sample(monkeypatch):
     calls = []
     lens_f = spherical_lp._lens_f
 
-    def counted(coef, n, R, radii, gauss):
+    def counted(coef, n, R, radii):
         calls.append(np.asarray(radii, dtype=float).tolist())
-        return lens_f(coef, n, R, radii, gauss)
+        return lens_f(coef, n, R, radii)
 
     monkeypatch.setattr(spherical_lp, "_lens_f", counted)
     probe = transfer_g_to_f(cert, p)
@@ -112,10 +112,9 @@ def test_lens_value_independent_of_the_radii_sharing_the_call(n):
     weights = spherical_lp._normalized_weights(ctx, np.asarray(cert.coefficients))
     coef = spherical_lp._chebyshev_coefficients(ctx, weights)
     R = 1.0 / math.sin(p.theta / 2.0)
-    gauss = np.polynomial.legendre.leggauss(64)
     radii = [0.0, R, 2.0 * R - 1e-6, 0.5, 2.0 * R, 1.5 * R, 3.0 * R, R, 0.0, 0.5]
-    together = spherical_lp._lens_f(coef, n, R, radii, gauss)
-    alone = np.concatenate([spherical_lp._lens_f(coef, n, R, [r], gauss) for r in radii])
+    together = spherical_lp._lens_f(coef, n, R, radii)
+    alone = np.concatenate([spherical_lp._lens_f(coef, n, R, [r]) for r in radii])
     assert together.tobytes() == alone.tobytes()
     assert together[0] > 0.0 and together[4] == together[6] == 0.0
 
