@@ -57,7 +57,10 @@ class GegenbauerContext:
         return f"GegenbauerContext(n={self.n})"
 
     def log_value_at_one(self, k: int) -> float:
-        """ln C_k(1); C_k(1) = C(k + n - 3, k) for n > 2, T_k(1) = 1 for n = 2."""
+        """ln C_k(1); C_k(1) = C(k + n - 3, k) for n > 2, T_k(1) = 1 for n = 2.
+        Raises ValueError for k < 0."""
+        if k < 0:
+            raise ValueError(f"log_value_at_one requires k >= 0, got {k}")
         if self.n == 2 or k == 0:
             return 0.0
         two_alpha = self.n - 2.0

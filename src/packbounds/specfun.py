@@ -232,9 +232,10 @@ def integrate(
     unconverged result as its ``partial``.  Identical inputs always produce
     bit-identical outputs.  This is the one-lane call of
     :func:`_integrate_lanes`, which every integral in the package runs.
+    Raises ValueError unless b - a is finite, and with it a and b.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integrate requires finite ends, got [{a}, {b}]")
+    if not math.isfinite(b - a):
+        raise ValueError(f"integrate requires finite ends and a finite b - a, got [{a}, {b}]")
     return _integrate_lanes(_one_lane(f), [a], [b], rel_tol, abs_tol)[0]
 
 

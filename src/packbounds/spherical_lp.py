@@ -16,7 +16,10 @@ costs a quantified sliver of objective.
 A certificate is its coefficients: :class:`LPCertificate` derives what it
 claims from them in one check.  The objective is the exact g(1)/c_0 rounded
 up to a float; the sign residual is the maximum of g on [-1, cos theta],
-taken at both endpoints and at every root of g' in between.
+taken at both endpoints and at every root of g' in between.  The LP optimum
+leaves g's top coefficients exactly 0, so the sign check, like the solve's
+shift and the transfer probe, works at g's actual degree, that of its last
+nonzero coefficient, not at the declared one.
 
 The module also converts a certificate into a Euclidean packing bound and
 numerically probes the lens-integral construction that turns g into a
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +59,7 @@ PIVOT_TOL = 1e-9  # reduced costs and pivots within this of zero count as zero
 COEFF_TOL = 1e-12  # allowed negativity of c_k relative to c_0
 CERT_RESIDUAL_TOL = 1e-9  # certified iff max residual <= tol * g(1)
 MAX_DEGREE = 200  # of an LP problem or certificate; bounds the check's root solve
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of a larger float overflows
 
 
 class LPInfeasibleError(RuntimeError):
@@ -346,11 +351,33 @@ class LPCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_weights(ctx: GegenbauerContext, coefficients) -> np.ndarray:
-    # x_k with g = sum x_k phi_k; x_k = c_k * C_k(1)
-    return np.array(
-        [c * math.exp(ctx.log_value_at_one(k)) for k, c in enumerate(coefficients)]
-    )
+def _normalized_weights(ctx: GegenbauerContext, values, power: int = 1) -> np.ndarray:
+    """values[k] * C_k(1)^power for power 1 or -1: from g's coefficients c_k
+    to its weights x_k in the basis phi_k = C_k / C_k(1), and back.
+
+    An exact zero stays as it is and takes no C_k(1), however large that is.
+    Where C_k(1)^power alone passes the float range, the product is formed
+    from logs, and it reads +-inf where it passes the range too."""
+    out = np.asarray(values, dtype=float).tolist()
+    for k, v in enumerate(out):
+        if v:
+            log_scale = power * ctx.log_value_at_one(k)
+            try:
+                out[k] = v * math.exp(log_scale)
+            except OverflowError:
+                log_v = math.log(abs(v)) + log_scale
+                out[k] = math.copysign(math.exp(log_v) if log_v <= _LOG_FLOAT_MAX else math.inf, v)
+    return np.array(out)
+
+
+def _at_actual_degree(weights: np.ndarray) -> np.ndarray:
+    """g's weights up to its actual degree, that of the last nonzero one.
+
+    The LP optimum leaves g's top coefficients exactly 0, and interpolated
+    at the declared degree they come back as noise of 1e-14 to 1e-10 whose
+    spurious roots are so many more points to evaluate; so every routine
+    whose work grows with g's degree takes g from here.  w_0 > 0 is kept."""
+    return np.trim_zeros(weights, "b")
 
 
 def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
@@ -369,13 +396,15 @@ def _eval_g(ctx: GegenbauerContext, weights: np.ndarray, t) -> np.ndarray:
 
 
 def _chebyshev_coefficients(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
-    """g's d + 1 coefficients a_k in the Chebyshev basis, g = sum_k a_k T_k.
+    """g's d + 1 coefficients a_k in the Chebyshev basis, g = sum_k a_k T_k,
+    d = len(weights) - 1, g's actual degree (:func:`_at_actual_degree`).
 
     g is a polynomial of degree d, so numpy's interpolation at the d + 1
     Chebyshev points of the first kind, where :func:`_eval_g` evaluates it,
     is exact up to rounding.  That rounding grows like d^2: summed again,
     the coefficients give g within about 0.1 (d + 1)^2 ulps of sum |w_k|
-    (measured at d = 40 and 200).  The LP check roots their derivative;
+    (measured at d = 40 and 200).  Exact-zero top weights would raise d, and
+    with it the error, for nothing.  The LP check roots their derivative;
     the transfer probe sums them by :func:`_chebyshev_sum`."""
     d = len(weights) - 1
     return np.polynomial.chebyshev.chebinterpolate(lambda t: _eval_g(ctx, weights, t), d)
@@ -406,11 +435,13 @@ def _chebyshev_sum(coef: np.ndarray, x: np.ndarray, work: np.ndarray) -> np.ndar
 def _critical_points(ctx: GegenbauerContext, weights: np.ndarray) -> np.ndarray:
     """The real parts of all roots of g', none when g has degree < 2.
 
-    g is a polynomial of degree d; interpolating it exactly in the Chebyshev
-    basis and rooting the derivative enumerates every extremum.  A real root
-    that the eigenvalue solver returns with a small imaginary part keeps its
-    real part, and the real part of a genuinely complex root is just one
-    more point to test, so no tolerance decides which roots count.
+    g is a polynomial of degree d = len(weights) - 1, its actual degree;
+    interpolating it exactly in the Chebyshev basis and rooting the
+    derivative, a (d - 1) x (d - 1) companion matrix, enumerates every
+    extremum.  A real root that the eigenvalue solver returns with a small
+    imaginary part keeps its real part, and the real part of a genuinely
+    complex root is just one more point to test, so no tolerance decides
+    which roots count.
     """
     cheb = np.polynomial.chebyshev
     if len(weights) < 3:
@@ -426,7 +457,10 @@ def _max_violation(
     A polynomial attains its maximum on an interval at an endpoint or at a
     critical point, so one evaluation of g at -1, at cos theta and at the
     critical points in (-1, cos theta] finds it; when that interval is empty
-    (theta = pi) the point -1 alone is checked."""
+    (theta = pi) the point -1 alone is checked.  Both the roots and the
+    evaluation run at g's actual degree, so exact-zero top weights change
+    neither the maximum nor where it lies."""
+    weights = _at_actual_degree(weights)
     hi = math.cos(theta)
     ts = np.array([-1.0])
     if hi - (-1.0) >= 1e-15:
@@ -461,7 +495,7 @@ def _check_certificate(n: int, theta: float, coefficients) -> tuple[float, Verif
     parts = [c.as_integer_ratio() for c in coeffs.tolist()]
     den = max(d for _, d in parts)
     g1 = sum(m * (den // d) * (math.comb(k + n - 3, k) if n > 2 else 1)
-             for k, (m, d) in enumerate(parts))  # g(1) = g1 / den
+             for k, (m, d) in enumerate(parts) if m)  # g(1) = g1 / den
     num, div = g1 * parts[0][1], den * parts[0][0]  # g(1)/c_0 = num / div
     try:
         objective = num / div  # the nearest float; one step up if that lies below
@@ -550,7 +584,7 @@ def lp_solve_spherical(p: LPProblem) -> LPCertificate:
                 "round-off misled the dense simplex")
         weights = weights / (1.0 - shift)
         weights[0] = 1.0  # (g - shift)/(1 - shift) has constant term exactly 1
-    coeffs = tuple(float(w * math.exp(-ctx.log_value_at_one(k))) for k, w in enumerate(weights))
+    coeffs = tuple(_normalized_weights(ctx, weights, -1).tolist())
     diagnostics = {"raw_objective": raw_objective, "correction_shift": shift,
                    "rounds": rounds, "columns": int(in_lp.sum()),
                    "grid_size": int(grid.size), "simplex_iterations": res.iterations}
@@ -715,20 +749,21 @@ def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
     numerical check.  Small n only: the reduction is 2-D but the radial
     integral makes it a triple quadrature.  Every lens integral uses the
     64-point Gauss-Legendre rule ``_LENS_RULE`` and g's Chebyshev
-    coefficients, computed once here as the LP check computes them.  The
-    sample radii are one call of the lens evaluator :func:`_lens_f`, and so
-    is each evaluation of a radial integrand over its quadrature nodes; a
-    radius's value does not depend on the call it shares.  The radial
-    integral runs over [0, R] directly and over [R, 2R] after
-    rho = 2R - R s^2, s in [0, 1], which makes the integrand smooth at the
-    edge of the support, where f behaves like (2R - rho)^((n+1)/2).
+    coefficients at its actual degree, computed once here as the LP check
+    computes them.  The sample radii are one call of the lens evaluator
+    :func:`_lens_f`, and so is each evaluation of a radial integrand over
+    its quadrature nodes; a radius's value does not depend on the call it
+    shares.  The radial integral runs over [0, R] directly and over [R, 2R]
+    after rho = 2R - R s^2, s in [0, 1], which makes the integrand smooth at
+    the edge of the support, where f behaves like (2R - rho)^((n+1)/2).
     """
     n = cert.n
     if not 2 <= n <= 8:
         raise ValueError("transfer_g_to_f supports 2 <= n <= 8")
     R = 1.0 / math.sin(cert.theta / 2.0)
     ctx = GegenbauerContext(n)
-    coef = _chebyshev_coefficients(ctx, _normalized_weights(ctx, np.asarray(cert.coefficients)))
+    weights = _normalized_weights(ctx, cert.coefficients)
+    coef = _chebyshev_coefficients(ctx, _at_actual_degree(weights))
     eps = 1e-6
     radii = tuple(sorted({0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + eps, R, 2.0 * R - eps, 2.0 * R, 3.0 * R}))
     fvals = tuple(_lens_f(coef, n, R, radii).tolist())

@@ -388,13 +388,20 @@ THETA = "1.0471975511965976"  # pi/3, as the benchmark types it
 # these certificates change when the maximum that check finds moves by a bit.
 # Re-pinned when the LP came to be solved by column generation over its grid:
 # the simplex ends on another vertex of the same optimum, so every coefficient
-# moved by round-off (objectives within 1.4e-10 relative at n <= 32)
+# moved by round-off (objectives within 1.4e-10 relative at n <= 32).
+# Re-pinned when the sign check came to run at g's actual degree, its last
+# nonzero coefficient: the roots of g' moved by the noise that interpolating
+# the exact-zero top coefficients had added, and with them the shift.
+# Objectives: (3, 20) 13.158325232023888 -> 13.15832523202389, (8, 10)
+# 240.03865399081891 -> 240.03865399081909, (16, 10) 8373.089797140097 ->
+# 8373.089797139563, (32, 20) 3542749.414765318 -> 3542749.4147656723;
+# (24, 10) is at full degree and kept its bytes
 LP_SHA256 = {
-    (3, 20): "4ec1eab398585790dda7935884ce19b5eaacf3e5e1846086843749f54f346e4c",
-    (8, 10): "42c94d57c59bc608bcd7fd5618afd3a1aaec4349eb9faa0d2849f016ecb800fa",
-    (16, 10): "67de64987234722980891937867f26dd04c3b93170de7ff0216806319229f5b0",
+    (3, 20): "5ba48901c64325765bf2107ba438bca973e94ec9bb99f02f9074a89c6272e79d",
+    (8, 10): "da49ef3808a216c553bf52f3af57effacca71fb85c6edc2f94743e0e822d8b09",
+    (16, 10): "0c7a7882fa5d1392ae0427f9e59cec6594a6e9c7ab64ba5ba4741f65d01f3f44",
     (24, 10): "b8efc7d38f99932d29730bb69c1a51e79114c500b834764c7b7dbbc1c151b5e8",
-    (32, 20): "58451ba99f22b0b08ccb6bd9d038d0f55c4a058b0bcf04cd65e839057ab33607",
+    (32, 20): "7baedb3ed947034ae6378a852123f461c122bf2feadb2dcec8d2e76b283b0fce",
 }
 
 
@@ -411,13 +418,46 @@ def test_lp_bytes_pinned(capsys, n, degree):
     assert hashlib.sha256(out.encode()).hexdigest() == LP_SHA256[(n, degree)]
 
 
+# stdout of each LP_SHA256 command, run in the child, as one json list
+LP_PIN_PROBE = """
+import contextlib, io, json, sys
+import packbounds.cli
+outs = []
+for arg in sys.argv[1:]:
+    n, degree = arg.split(",")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        packbounds.cli.main(["lp", "--n", n, "--theta", %r, "--degree", degree])
+    outs.append(out.getvalue())
+print(json.dumps(outs))
+""" % THETA
+
+
+def test_lp_pins_hold_without_avx512(capsys):
+    # NPY_DISABLE_CPU_FEATURES acts only on the child, whose numpy takes its
+    # non-AVX-512 kernels: the LP certificates must print the same bytes
+    # there (a host without those kernels checks nothing new)
+    pins = sorted(LP_SHA256)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LP_PIN_PROBE, *(f"{n},{degree}" for n, degree in pins)],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    child = json.loads(proc.stdout)
+    assert child == [_lp(capsys, n, degree)[1] for n, degree in pins]
+    assert [hashlib.sha256(out.encode()).hexdigest() for out in child] == [LP_SHA256[p] for p in pins]
+
+
 # One sha256 over "<exit code>\n<stdout>" of the benchmark's 44 ``lp`` ops,
 # in order: 39 certificates and 5 exit-3 failures.  Re-pinned with LP_SHA256:
 # every certificate moved, by round-off at n <= 32 and by up to 4.1e-5
-# relative at n = 48 and 64, and the (64, 20) message reads 27.8925 for 27.8923
+# relative at n = 48 and 64, and the (64, 20) message reads 27.8925 for 27.8923.
+# Re-pinned with LP_SHA256 at g's actual degree: 35 of the 39 certificates
+# moved, objectives by at most 1.1e-10 relative; (3, 10), (5, 10), (6, 10)
+# and (24, 10), at full degree, and the 5 failures kept their bytes
 LP_SWEEP_NS = (3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
 LP_SWEEP_DEGREES = (10, 20, 30, 40)
-LP_SWEEP_SHA256 = "b094fa4ff26dbf88e2ea552137df331a1c028dafd3f33ce9774bfef3e8fa703e"
+LP_SWEEP_SHA256 = "3a558f325cd2d80a525d0ae8dcaaa8b47e43243d0c6a7f7ae19ba167156ea87a"
 # the kissing numbers: no certified objective at n = 8 or 24 may lie below
 KISSING = {8: 240, 24: 196560}
 
@@ -567,17 +607,24 @@ def test_exit_code_sweep(capsys, command):
 # when the lens came to sum g by Clenshaw's recurrence on its Chebyshev
 # coefficients, with sin^(n-2) phi from cos phi in the cut segments: f(0)
 # 2018.1033218176394 -> 2018.1033218176347, integral_f 6234.181826190535 ->
-# 6234.181826190536 (the identities' errors kept: 2e-15 and 2.3e-12)
-TRANSFER_4_SHA256 = "c60376db0fdc82e18d30e517bc397950576f132e10ad67c8dbc0d5dc9ced332f"
+# 6234.181826190536 (the identities' errors kept: 2e-15 and 2.3e-12).
+# Re-pinned with LP_SHA256 at g's actual degree, which moved the certificate
+# and the Chebyshev coefficients the lens sums: f(0) 2018.1033218176347 ->
+# 2018.1033218176437, integral_f 6234.181826190536 -> 6234.181826190531
+# (the identities' errors 1.8e-15 -> 2.2e-15 and 2.3e-12 kept)
+TRANSFER_4_SHA256 = "aad6688ab56256d27079b36b85d74511dec9cf4bf5da01db876e1545829e1b1d"
 
 
 # the same for ``lp --n 8 --theta pi/3 --degree 10``, the benchmark's other
 # transfer, pinned when the lens integrals came to run in blocks across radii
 # and re-pinned with TRANSFER_4_SHA256: f(0) 249407.435714891 ->
-# 249407.4357148905, integral_f 1079583.9733840225 -> 1079583.9733840353.
+# 249407.4357148905, integral_f 1079583.9733840225 -> 1079583.9733840353,
+# and re-pinned at g's actual degree, 6 of the declared 10: f(0) ->
+# 249407.43571489133, integral_f -> 1079583.9733840283 (the identities'
+# errors 5.8e-15 -> 3.1e-15 and 2.9e-15 -> 3.7e-15).
 # Both digests hold only where numpy takes the same SIMD kernels as where they
 # were taken; test_transfer.py checks the identities on both kernel sets
-TRANSFER_8_SHA256 = "1a4ca1918b73a252d254fa1f993d90aa9246cbceb84639c5738de0ae094367ff"
+TRANSFER_8_SHA256 = "ea38a10a315daa89ad6edc0176b111f93c62d480f5fd1f977bdd97d2fcc88ee3"
 
 
 def _transfer_digest(capsys, n):

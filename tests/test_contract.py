@@ -67,6 +67,8 @@ CALLS = {
     # a minimum at 1 inside, at or outside [a, b], and every tolerance
     "golden_section_min": (lambda a, b, tol: sf.golden_section_min(lambda x: abs(x - 1.0), a, b, tol),
                            [FLOATS, FLOATS, FLOATS]),
+    # a constant integrand over every pair of ends
+    "integrate": (lambda a, b: sf.integrate(np.ones_like, a, b), [FLOATS, FLOATS]),
     "GegenbauerContext.log_value_at_one":
         (lambda n, k: GegenbauerContext(n).log_value_at_one(k), [INTS, DEGREES]),
     "GegenbauerContext.eval_normalized_table":
@@ -84,11 +86,11 @@ CALLS = {
         {"n": n, "theta": theta, "degree": 2, "coefficients": [c, 1.0, c]})), [INTS, FLOATS, FLOATS]),
 }
 
-# public functions left out: integrate takes an integrand and
-# simplex_minimize an LP's arrays; the others take a problem or certificate
-# that the swept constructors above already check
+# public functions left out: simplex_minimize takes an LP's arrays; the
+# others take a problem or certificate that the swept constructors above
+# already check
 NOT_SWEPT = {
-    "integrate", "simplex_minimize", "lp_solve_spherical", "verify_certificate",
+    "simplex_minimize", "lp_solve_spherical", "verify_certificate",
     "euclid_bound_from_certificate", "transfer_g_to_f", "certificate_to_json",
 }
 

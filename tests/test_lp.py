@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -408,6 +409,88 @@ def test_certificate_past_the_float_range_is_a_value_error():
     # g(1) = 1 is finite, but g cannot be evaluated on [-1, 1] in floats
     with pytest.raises(ValueError, match="exceeds the float range"):
         LPCertificate(n=3, theta=math.pi / 3, coefficients=(1.0, -1e308, 1e308))
+
+
+def test_certificate_zero_coefficients_take_no_value_at_one():
+    # at n = 100 000, C_k(1) passes the float range from k = 90 on: an exact
+    # zero c_k must not reach it, and a nonzero c_k is judged by c_k C_k(1)
+    zeros = LPCertificate(n=100_000, theta=math.pi / 3, coefficients=(1.0,) + (0.0,) * 200)
+    assert zeros.objective == 1.0 and zeros.max_sign_residual == 1.0  # g is identically 1
+    assert not zeros.certified
+    # ln C_90(1) = 718.05 and c_90 C_90(1) = 5.4e11
+    small = (1.0,) + (0.0,) * 89 + (1e-300,)
+    cert = LPCertificate(n=100_000, theta=math.pi / 3, coefficients=small)
+    assert cert.objective == _exact_objective_up(100_000, small)
+    assert math.isfinite(cert.max_sign_residual)
+    # ln C_200(1) = 1439.5, so c_200 C_200(1) is about e^749
+    past = (1.0,) + (0.0,) * 199 + (1e-300,)
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        LPCertificate(n=100_000, theta=math.pi / 3, coefficients=past)
+
+
+@pytest.mark.parametrize(
+    "n, degree", [(3, 20), (4, 40), (8, 10), (8, 40), (24, 10), (24, 40), (64, 30)]
+)
+def test_zero_padding_leaves_the_certificate_claims_alone(n, degree):
+    # the check runs at g's actual degree: exact-zero coefficients that
+    # raise the declared degree change no claim, bit for bit
+    cert = lp_solve_spherical(LPProblem(n=n, theta=math.pi / 3, degree=degree))
+    for extra in (1, 7, MAX_DEGREE - degree):
+        padded = LPCertificate(n=n, theta=cert.theta, coefficients=cert.coefficients + (0.0,) * extra)
+        assert padded.degree == degree + extra
+        assert padded.objective == cert.objective and padded.certified == cert.certified
+        got, want = padded.report, cert.report
+        assert (got.max_sign_residual, got.residual_location) == (
+            want.max_sign_residual, want.residual_location)
+        # still taken over every coefficient, the padded zeros too
+        assert got.min_coefficient_ratio == min(want.min_coefficient_ratio, 0.0)
+
+
+def _mp_max_of_g(n, coefficients, hi, points=300):
+    # 40-digit max of g = sum c_k C_k^(alpha) on [-1, hi], n > 2, from the plain
+    # three-term recurrence (k + 1) C_(k+1) = 2 (k + alpha) t C_k
+    # - (k + 2 alpha - 1) C_(k-1) and its derivative: g and g' on a
+    # Chebyshev-spaced scan, then bisection of g' in every cell where it
+    # falls through zero
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(n - 2) / 2
+        c = [mpmath.mpf(ck) for ck in coefficients]
+
+        def g_and_slope(t):
+            p0, p1, d0, d1 = mpmath.mpf(1), 2 * alpha * t, mpmath.mpf(0), 2 * alpha
+            g, slope = c[0] + c[1] * p1, c[1] * d1
+            for k in range(1, len(c) - 1):
+                a, b, e = 2 * (k + alpha), k + 2 * alpha - 1, k + 1
+                p0, p1 = p1, (a * t * p1 - b * p0) / e
+                d0, d1 = d1, (a * (p0 + t * d1) - b * d0) / e
+                g, slope = g + c[k + 1] * p1, slope + c[k + 1] * d1
+            return g, slope
+
+        lo, top = mpmath.mpf(-1), mpmath.mpf(hi)
+        ts = [lo + (top - lo) * (1 - mpmath.cos(mpmath.pi * j / (points - 1))) / 2
+              for j in range(points)]
+        scan = [g_and_slope(t) for t in ts]
+        best = max(scan[0][0], scan[-1][0])
+        for (a, (_, sa)), (b, (_, sb)) in zip(zip(ts, scan), zip(ts[1:], scan[1:])):
+            if sa > 0 >= sb:
+                for _ in range(80):
+                    m = (a + b) / 2
+                    if g_and_slope(m)[1] > 0:
+                        a = m
+                    else:
+                        b = m
+                best = max(best, g_and_slope((a + b) / 2)[0])
+        return best
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 64])
+def test_sign_residual_matches_a_40_digit_maximum(n):
+    # measured within 3.3e-17 sum |w_k| (at n = 8); every residual here is
+    # larger than 1e-16 sum |w_k| in size, so a reported 0 would fail
+    cert = lp_solve_spherical(LPProblem(n=n, theta=math.pi / 3, degree=40))
+    scale = float(np.abs(_normalized_weights(GegenbauerContext(n), cert.coefficients)).sum())
+    exact = _mp_max_of_g(n, cert.coefficients, math.cos(cert.theta))
+    assert abs(cert.max_sign_residual - float(exact)) <= 1e-16 * scale
 
 
 def test_certificate_degree_is_capped_before_any_check(monkeypatch):

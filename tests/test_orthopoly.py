@@ -71,6 +71,14 @@ def test_normalized_matches_raw_ratio():
             )
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 100_000])
+@pytest.mark.parametrize("k", [-1, -5])
+def test_log_value_at_one_rejects_a_negative_degree(n, k):
+    # at n = 2 a negative degree returned ln C_k(1) = 0.0
+    with pytest.raises(ValueError, match="requires k >= 0"):
+        GegenbauerContext(n).log_value_at_one(k)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 24, 200])
 def test_normalized_table_bit_identical_to_array_expression(n):
     # the in-place recurrence performs the array expression's operations

@@ -355,6 +355,15 @@ def test_integrate_rejects_non_finite_ends():
     assert calls == []
 
 
+def test_integrate_rejects_an_interval_wider_than_the_float_range():
+    # finite ends whose b - a overflows made a panel half-width of inf and
+    # ended in a RuntimeWarning from the panels; (0, 1e308) stays valid
+    for a, b in ((-1e308, 1e308), (1e308, -1e308)):
+        with pytest.raises(ValueError, match="integrate requires finite ends"):
+            integrate(np.ones_like, a, b)
+    assert integrate(np.ones_like, 0.0, 1e308).value == 1e308
+
+
 def test_integrate_nonconvergence_flagged(monkeypatch):
     # an interior kink needs more panel splits than the cap allows
     monkeypatch.setattr(specfun, "GL_MAX_SPLITS", 3)
