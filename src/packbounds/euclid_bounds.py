@@ -224,7 +224,7 @@ def kl_spherical_code_bound(n: int, theta: float) -> tuple[LogScaled, int]:
 def _code_degree(ctx: GegenbauerContext, theta: float) -> int:
     """The least degree k whose largest root t_(ctx.n,k) reaches cos(theta),
     up to ``DEGREE_CAP``: 1 when cos(theta) <= 0, as t_1 = 0, and past it
-    one Sturm count per probe, without finding a root."""
+    one pass over the Sturm pivots, without finding a root."""
     # absolute slack so that boundary angles (cos(pi/2) = 6.1e-17 in floats,
     # cos theta landing exactly on a root) select the intended degree
     c = math.cos(theta) - 1e-12

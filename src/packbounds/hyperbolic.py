@@ -23,12 +23,11 @@ and a radius in [1e-300, 50], by one helper, ``_check_ball``.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from .euclid_bounds import BoundRecord, _code_bound_log, _code_degree
+from .euclid_bounds import BoundRecord, _code_bound_log, _code_degree, kl_spherical_code_bound
 from .orthopoly import GegenbauerContext
 from .specfun import LogScaled, _sphere_area, integrate
 
@@ -109,19 +108,17 @@ def hyp_density_bound(n: int, r: float, theta: float, refined: bool = False) -> 
     theta: sin^(n-1)(theta/2) * A(n, theta), or with the volume ratio
     vol(B_r)/vol(B_R) in place of the sine power when ``refined``."""
     _check_geometry(n, r, theta, refined)
-    ctx = GegenbauerContext(n)
-    k = _code_degree(ctx, theta)
-    return _density_records(n, r, [theta], [k], [ctx.largest_root(k + 1)], refined)[0]
+    code, k = kl_spherical_code_bound(n, theta)
+    return _least_density_record(n, r, [theta], [k], [code.log_value], refined)
 
 
-def _density_records(
-    n: int, r: float, thetas: list[float], degrees: list[int], roots: list[float], refined: bool
-) -> list[BoundRecord]:
-    """``hyp_density_bound`` at each angle, given its code bound's degree k
-    and root t_(n,k+1), for checked arguments.  The refined factor F(r)/F(R),
-    F = int_0 sinh^(n-1), takes one helper call over r and every R and is
-    formed as one ratio: ln F itself reaches -1.4e5 at n = 200, r = 1e-300,
-    where its ulp is 3e-11."""
+def _least_density_record(n: int, r: float, thetas: list[float], degrees: list[int],
+                          code_logs: list[float], refined: bool, **extra) -> BoundRecord:
+    """The record of the first least log ``hyp_density_bound`` over the
+    angles, given each one's code bound degree k and ln A(n, theta), for
+    checked arguments, with ``extra`` diagnostics.  The refined factor
+    F(r)/F(R), F = int_0 sinh^(n-1), takes one helper call over r and every
+    R and is one ratio: ln F reaches -1.4e5 at n = 200, r = 1e-300."""
     Rs = [radius_from_angle(r, theta) for theta in thetas]
     if refined:
         ratio, sh = _sinh_power_integral(n - 1, np.array([r, *Rs]))
@@ -129,13 +126,11 @@ def _density_records(
                 for q, x in zip(ratio[1:], sh[1:])]
     else:
         logs = [(n - 1) * math.log(math.sin(theta / 2.0)) for theta in thetas]
-    method = "hyp_refined" if refined else "hyp_coarse"
-    codes = [LogScaled.from_log(_code_bound_log(n, k, t)) for k, t in zip(degrees, roots)]
-    return [
-        BoundRecord(n, method, LogScaled.from_log(log) * code, k, theta,
-                    {"r": r, "R": R, "code_bound_log": code.log_value})
-        for theta, R, log, code, k in zip(thetas, Rs, logs, codes, degrees)
-    ]
+    values = [log + code for log, code in zip(logs, code_logs)]
+    i = values.index(min(values))
+    return BoundRecord(
+        n, "hyp_refined" if refined else "hyp_coarse", LogScaled.from_log(values[i]),
+        degrees[i], thetas[i], {"r": r, "R": Rs[i], "code_bound_log": code_logs[i], **extra})
 
 
 def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
@@ -144,13 +139,13 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     The code bound A(n, theta) is constant while its degree k is fixed, and
     both sin^(n-1)(theta/2) and vol(B_r)/vol(B_R(theta)) increase with
     theta, so on each piece the bound is least at the piece's left end:
-    pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound is
-    evaluated once at each of these angles, in that order, and the first
-    minimal record is returned.  R(r, theta) is largest at pi/3, so the
-    domain check there covers every angle.  The degree k0 at pi/3, the
-    first whose root reaches 1/2, comes from Sturm counts alone; the root
-    angles are those of k < k0, and one ascending walk finds t_1..t_(k0+1),
-    each root once.
+    pi/3, or acos(t_(n,k)) for a root t_(n,k) <= 1/2.  The bound's log is
+    formed at each of these angles, in that order, and the first least
+    becomes the one record.  R(r, theta) is largest at pi/3, so the domain
+    check there covers every angle.  The degree k0 at pi/3, the first whose
+    root reaches 1/2, comes from Sturm counts alone; the root angles are
+    those of k < k0, and one ascending walk finds t_1..t_(k0+1), each root
+    once.
     """
     _check_geometry(n, r, math.pi / 3.0, refined)
     ctx = GegenbauerContext(n)
@@ -158,9 +153,8 @@ def hyp_bound_optimized(n: int, r: float, refined: bool = False) -> BoundRecord:
     roots = ctx.largest_roots(k0 + 1)  # roots[k] = t_(k+1)
     thetas = [math.pi / 3.0, *map(math.acos, roots[: k0 - 1])]
     degrees = [k0, *range(1, k0)]
-    records = _density_records(n, r, thetas, degrees, [roots[k] for k in degrees], refined)
-    best = min(records, key=lambda rec: rec.value)
-    return replace(best, diagnostics=dict(best.diagnostics, optimized=True))
+    code_logs = [_code_bound_log(n, k, roots[k]) for k in degrees]
+    return _least_density_record(n, r, thetas, degrees, code_logs, refined, optimized=True)
 
 
 # ---------------------------------------------------------------------------

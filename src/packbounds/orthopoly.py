@@ -28,7 +28,7 @@ elementwise as Python rounds floats), so each lane's root is the scalar
 one.
 :meth:`GegenbauerContext.first_degree_reaching` finds the least degree
 k >= 2 with t_k >= x, the degree of the spherical-code bound, by the same
-Sturm counts, without a root.
+Sturm counts, without a root: one pass over the pivots, one more per degree.
 """
 
 from __future__ import annotations
@@ -127,30 +127,25 @@ class GegenbauerContext:
         t_k >= x holds iff t_k's cell lies at or above the first cell whose
         midpoint reaches x, that is iff the Sturm count of degree k at that
         cell's lower edge is below k: the cell test of the root itself.  The
-        count of degree k + 1 runs the pivots of degree k and one more, so
-        it grows by at most one and the test, once true, stays true; k is
-        found by doubling, then bisection, one count per probe."""
+        count of degree k is the count of degree k - 1 plus the sign of one
+        more pivot, so one pass over the pivots, in order of degree, meets
+        the first k whose count falls below k; the rows it reads grow by
+        doubling."""
         if not -1.0 <= x <= 1.0:
             raise ValueError(f"first_degree_reaching requires x in [-1, 1], got x = {x!r}")
         edge = math.floor(math.ldexp(x, _CELL_BITS))
         edge += math.ldexp(2 * edge + 1, -_CELL_BITS - 1) < x
-        sigma = math.ldexp(edge, -_CELL_BITS)
-        b2 = []  # the rows of the largest degree probed so far
-
-        def reaches(k: int) -> bool:
+        d = low = -math.ldexp(edge, -_CELL_BITS)
+        count = int(d < 0)  # the count of degree 1, which has no rows
+        b2 = []
+        for k in range(2, DEGREE_CAP + 1):
             if len(b2) < k - 1:
-                b2[:] = _squared_offdiag(self.alpha, k - 1).tolist()
-            return _count_below(b2[: k - 1], sigma) < k
-
-        below, k = 1, 2
-        while not reaches(k):
-            if k >= DEGREE_CAP:
-                return None
-            below, k = k, min(2 * k, DEGREE_CAP)
-        while k - below > 1:
-            mid = (below + k) // 2
-            below, k = (below, mid) if reaches(mid) else (mid, k)
-        return k
+                b2 = _squared_offdiag(self.alpha, min(2 * k, DEGREE_CAP)).tolist()
+            d = low - b2[k - 2] / (d or -1e-300)  # _count_below's pivot
+            count += d < 0
+            if count < k:
+                return k
+        return None
 
 
 def _closed_form(b0, b1, b2, sqrt):
@@ -298,16 +293,17 @@ def _root_near(b2: list[float], k: int, x: float | None) -> float:
     returns its midpoint.  A start polished by Newton lands in or next to
     that cell, and Sturm counts confirm it; like the bisection, this takes
     the count to be monotone in sigma, so only one cell passes.  Newton
-    stops after a step below 1e-8, which leaves an error far below 2^-47;
-    the closed forms (k <= 4) need none, and their last pivot may be
-    exactly 0.  Without a start, or when Newton or the walk fails, the
-    bisection runs.
+    stops after a step below 1e-8 (1 - x): near 1 the root gaps shrink
+    like 1 - x, and a fixed 1e-8 left n = 2, 8 and 24 cells off, to bisect,
+    from k = 80, 131 and 185 on.  The closed forms (k <= 4) need none, and
+    their last pivot may be exactly 0.  Without a start, or when Newton or
+    the walk fails, the bisection runs.
     """
     try:
         for _ in range(_NEWTON_STEPS if k > 4 and x is not None else 0):
             step = _newton_step(b2, x)
             x -= step
-            if abs(step) < 1e-8:
+            if abs(step) < 1e-8 * (1.0 - x):
                 break
         root = None if x is None else _confirm_cell(b2, k, x)
     except ZeroDivisionError:
@@ -332,7 +328,9 @@ def _confirm_cell(b2: list[float], k: int, x: float) -> float | None:
 
 def _polish_lanes(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     # the scalar Newton loop, run on every lane until the last one stops,
-    # each lane's iterate frozen after its own last step
+    # each lane's iterate frozen after its own last step; it keeps a fixed
+    # 1e-8 stop, since no kl or cz lane to n = 800 bisects with it and
+    # _root_near's rule adds Newton passes (127 to 130 over 4..800 step 4)
     if k <= 4:
         return x
     live = np.ones(x.size, dtype=bool)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,8 +20,13 @@ from packbounds import euclid_bounds as eb
 from packbounds import spherical_lp as slp
 from packbounds.specfun import IntegrandError, LogScaled
 
-# sha256 of the seed's CSV for this table; the benchmark pins the same bytes
-TABLE_4_40_SHA256 = "cc094244ad2f79d2c1d8b059d016bdfd0fde17f8ad473b6a8da01645ee91d9e5"
+# sha256 of the 4..40 table (the seed's CSV) and of the 4..800 table, each
+# stated once, in the benchmark's reference, which checks its table ops
+# against the same bytes
+TABLE_SHA256 = json.loads(
+    (Path(__file__).parents[1] / "bench" / "reference.json").read_text())["table_sha256"]
+TABLE_4_40_SHA256 = TABLE_SHA256["4:40:4"]
+TABLE_4_800_SHA256 = TABLE_SHA256["4:800:4"]
 TABLE_ARGV = [
     "table",
     "--dims",
@@ -46,29 +52,27 @@ def test_table_csv_bytes_pinned_and_repeatable(capsys):
     assert code == 0 and second == first
 
 
-# sha256 of the 4..800 table and of the 4..800 crossover json: the k-scans
-# run hundreds of dimensions in lockstep there (bench/reference.json pins
-# the same table bytes)
-TABLE_4_800_SHA256 = "763103faa1f26d1a0b37347e7e121283a1429713023d3aeb2311e58c135f3bb2"
+# sha256 of the 4..800 crossover json; the k-scans run hundreds of
+# dimensions in lockstep there, as in the 4..800 table
 CROSSOVER_4_800_SHA256 = "5dd61b7cfce792ff9f4cf5223d8586a853a569f3ba6ffe82d187cffff9ea4925"
+TABLE_4_800_ARGV = ["table", "--dims", ",".join(str(n) for n in range(4, 801, 4)), "--format", "csv"]
+CROSSOVER_4_800_ARGV = ["crossover", "--lo", "4", "--hi", "800", "--format", "json"]
 
 
 def test_table_4_800_csv_bytes_pinned(capsys):
-    dims = ",".join(str(n) for n in range(4, 801, 4))
-    code, out, err = _run(capsys, ["table", "--dims", dims, "--format", "csv"])
+    code, out, err = _run(capsys, TABLE_4_800_ARGV)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_4_800_SHA256
 
 
 def test_table_pins_are_the_benchmark_reference():
-    # the benchmark checks its table ops against these same digests
-    reference = Path(__file__).parents[1] / "bench" / "reference.json"
-    pins = json.loads(reference.read_text())["table_sha256"]
-    assert pins == {"4:800:4": TABLE_4_800_SHA256, "4:40:4": TABLE_4_40_SHA256}
+    # the two table digests the tests read, and nothing else, each a sha256
+    assert sorted(TABLE_SHA256) == ["4:40:4", "4:800:4"]
+    assert all(re.fullmatch("[0-9a-f]{64}", pin) for pin in TABLE_SHA256.values())
 
 
 def test_crossover_4_800_json_bytes_pinned(capsys):
-    code, out, err = _run(capsys, ["crossover", "--lo", "4", "--hi", "800", "--format", "json"])
+    code, out, err = _run(capsys, CROSSOVER_4_800_ARGV)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == CROSSOVER_4_800_SHA256
 
@@ -418,34 +422,50 @@ def test_lp_bytes_pinned(capsys, n, degree):
     assert hashlib.sha256(out.encode()).hexdigest() == LP_SHA256[(n, degree)]
 
 
-# stdout of each LP_SHA256 command, run in the child, as one json list
-LP_PIN_PROBE = """
+# stdout of each command, one argv per argument (as json), run in the child
+# as one json list
+CLI_PROBE = """
 import contextlib, io, json, sys
 import packbounds.cli
 outs = []
 for arg in sys.argv[1:]:
-    n, degree = arg.split(",")
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        packbounds.cli.main(["lp", "--n", n, "--theta", %r, "--degree", degree])
+        packbounds.cli.main(json.loads(arg))
     outs.append(out.getvalue())
 print(json.dumps(outs))
-""" % THETA
+"""
 
 
-def test_lp_pins_hold_without_avx512(capsys):
+def _stdout_without_avx512(argvs):
     # NPY_DISABLE_CPU_FEATURES acts only on the child, whose numpy takes its
-    # non-AVX-512 kernels: the LP certificates must print the same bytes
-    # there (a host without those kernels checks nothing new)
-    pins = sorted(LP_SHA256)
+    # non-AVX-512 kernels (a host without those kernels checks nothing new)
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", LP_PIN_PROBE, *(f"{n},{degree}" for n, degree in pins)],
+        [sys.executable, "-c", CLI_PROBE, *map(json.dumps, argvs)],
         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    child = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_lp_pins_hold_without_avx512(capsys):
+    # the LP certificates must print the same bytes without AVX-512
+    pins = sorted(LP_SHA256)
+    child = _stdout_without_avx512(
+        [["lp", "--n", str(n), "--theta", THETA, "--degree", str(degree)] for n, degree in pins])
     assert child == [_lp(capsys, n, degree)[1] for n, degree in pins]
     assert [hashlib.sha256(out.encode()).hexdigest() for out in child] == [LP_SHA256[p] for p in pins]
+
+
+def test_table_and_crossover_pins_hold_without_avx512(capsys):
+    # their hot paths run libm, complex numpy or scipy, so their bytes do
+    # not depend on the AVX-512 np.log and np.exp, whose last bits differ
+    # from libm's
+    argvs = [TABLE_ARGV, TABLE_4_800_ARGV, CROSSOVER_4_800_ARGV]
+    child = _stdout_without_avx512(argvs)
+    assert child == [_run(capsys, argv)[1] for argv in argvs]
+    pins = [TABLE_4_40_SHA256, TABLE_4_800_SHA256, CROSSOVER_4_800_SHA256]
+    assert [hashlib.sha256(out.encode()).hexdigest() for out in child] == pins
 
 
 # One sha256 over "<exit code>\n<stdout>" of the benchmark's 44 ``lp`` ops,

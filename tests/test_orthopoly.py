@@ -470,9 +470,8 @@ def test_first_degree_reaching_rejects_x_off_the_root_range():
 @pytest.mark.parametrize("n", [2, 5, 24, 801])
 def test_largest_roots_walk_is_the_reference_without_bisection(monkeypatch, n):
     # each degree past 4 starts from the three roots below it, so the walk
-    # confirms its cells by Newton and Sturm counts and bisects none; at
-    # n = 2 from degree 80 on, Newton's first step falls below 1e-8 with
-    # the iterate still 10 to 18 cells off, and those degrees bisect
+    # confirms its cells by Newton and Sturm counts and bisects none, also
+    # near 1, where Newton's stop rule scales with 1 - x
     bisected = []
     bisect = orthopoly._bisect_largest
 
@@ -483,12 +482,23 @@ def test_largest_roots_walk_is_the_reference_without_bisection(monkeypatch, n):
     monkeypatch.setattr(orthopoly, "_bisect_largest", counted)
     assert GegenbauerContext(n).largest_roots(90) == [
         _reference_largest_root(n, k) for k in range(1, 91)]
-    assert bisected == (list(range(80, 91)) if n == 2 else [])
+    assert bisected == []
     assert GegenbauerContext(n).largest_roots(1) == [0.0]
     with pytest.raises(ValueError, match="kmax >= 1"):
         GegenbauerContext(n).largest_roots(0)
     with pytest.raises(ValueError, match="degree cap"):
         GegenbauerContext(n).largest_roots(DEGREE_CAP + 1)
+
+
+def test_largest_roots_to_degree_200_bisect_none(monkeypatch):
+    # with a fixed 1e-8 stop, Newton's last step left the iterate cells off
+    # from degree 80, 94, 104, 112 and 131 on at these n, and those bisected
+    def no_bisection(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(orthopoly, "_bisect_largest", no_bisection)
+    for n in (2, 3, 4, 5, 8):
+        assert len(GegenbauerContext(n).largest_roots(200)) == 200
 
 
 def test_sturm_count_takes_a_zero_pivot_as_negative_on_both_routes():

@@ -4,10 +4,38 @@ arXiv:1212.5966)."""
 
 import math
 
+import numpy as np
 import pytest
+from scipy.special import zeta
 
 from packbounds import euclid_bounds as eb
 from packbounds import hyperbolic as hyp
+
+# The abstract's other claims, each with the ROADMAP items that will back it:
+# - "the Cohn-Elkies linear programming bound is always at least as strong
+#   as the Kabatiansky-Levenshtein bound": items 6 and 17;
+# - "this result is analogous to Rodemich's theorem in coding theory":
+#   items 1, 4 and 17;
+# - "we develop hyperbolic linear programming bounds and prove the analogue
+#   of Rodemich's theorem there as well": items 9 and 18.
+
+EUCLIDEAN_METHODS = ["rogers", "levenshtein", "kl", "cz"]
+
+# the densities of D4, D5, E6, E7, E8 and the Leech lattice
+LATTICE_DENSITY = {
+    4: math.pi**2 / 16,
+    5: math.pi**2 / (15 * math.sqrt(2)),
+    6: math.pi**3 / (48 * math.sqrt(3)),
+    7: math.pi**3 / 105,
+    8: math.pi**4 / 384,
+    24: math.pi**12 / math.factorial(12),
+}
+
+
+@pytest.fixture(scope="module")
+def euclidean_rows():
+    # every Euclidean method over n = 4..800, from one call
+    return eb.bounds(EUCLIDEAN_METHODS, list(range(4, 801)))
 
 
 def test_cz_never_exceeds_kl():
@@ -18,6 +46,52 @@ def test_cz_never_exceeds_kl():
     worse = [kl.dimension for kl, cz in zip(records["kl"], records["cz"])
              if not cz.value.log_value <= kl.value.log_value]
     assert worse == []
+
+
+def test_no_upper_bound_is_below_a_known_density(euclidean_rows):
+    # "The sphere packing problem asks for the greatest density of a
+    # packing of congruent balls in Euclidean space."
+    # an upper bound below a density that some packing reaches is wrong:
+    # every row is at least the Minkowski-Hlawka bound zeta(n) 2^(1-n)
+    # (least margin 1.57 in ln, rogers at n = 4) and the density of the
+    # best known lattice at n = 4..8 and 24 (least margin 0.012, rogers at
+    # n = 8, 1.2 % above E8)
+    below = []
+    for method, rows in euclidean_rows.items():
+        for rec in rows:
+            n = rec.dimension
+            floors = [math.log(zeta(n)) + (1 - n) * math.log(2.0)]
+            if n in LATTICE_DENSITY:
+                floors.append(math.log(LATTICE_DENSITY[n]))
+            if rec.value.log_value < max(floors):
+                below.append((method, n))
+    assert below == []
+
+
+def test_cz_improves_kl_by_a_constant_factor(euclidean_rows):
+    # "We revisit their argument and improve their bound by a constant
+    # factor using a simple geometric argument."
+    # the limit of log2(kl/cz) is this repo's own derivation, since the
+    # paper's text is not at hand (only its abstract): both methods pay the
+    # cap shrinkage sin^n(theta/2), kl with the code bound A(n + 1, theta)
+    # where cz has A(n, theta), and log2 A(n, theta) grows like n E(theta),
+    # E the entropy term of the asymptotic rate; so log2(kl/cz) tends to
+    # E(theta*) = 0.3375 bits.  It stays below that over n = 400..800
+    # (0.313 at most), and a + b/sqrt(n) + c/n fitted over n = 100..800
+    # puts a at 0.342
+    theta = eb.optimize_asymptotic_rate().theta_star
+    limit = eb._rate_objective(theta) - math.log2(math.sin(theta / 2.0))
+    kl, cz = ({rec.dimension: rec.value.log_value for rec in euclidean_rows[m]}
+              for m in ("kl", "cz"))
+
+    def gap(n):
+        return (kl[n] - cz[n]) / math.log(2.0)
+
+    assert max(gap(n) for n in range(400, 801)) < limit
+    dims = np.arange(100.0, 801.0, 20.0)
+    terms = np.stack([np.ones_like(dims), dims**-0.5, 1.0 / dims], axis=1)
+    fit = np.linalg.lstsq(terms, [gap(int(n)) for n in dims], rcond=None)[0]
+    assert abs(fit[0] - limit) < 0.015
 
 
 def test_table_shows_the_headline():
