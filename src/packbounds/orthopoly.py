@@ -9,9 +9,10 @@ tridiagonal Jacobi matrix, defined as the midpoint of the 2^-47-wide dyadic
 cell that Sturm-sequence bisection of [0, 1] ends on.  Sturm counts and
 Newton steps run on the LDL^T pivots of the matrix, so the (overflowing)
 polynomial itself is never evaluated.  :func:`_root_near` polishes a start
-by Newton, Sturm counts confirm the cell, and without a start the
-bisection runs.  Every start, on floats or on lane arrays, comes from one
-rule, :func:`_guess`: the closed form up to degree 4, above it the cubic
+by Newton, and two Sturm counts confirm its cell or the one below; a miss
+takes one more Newton step and test, then, as without a start, bisects.
+Every start, on floats or on lane arrays, comes from one rule,
+:func:`_guess`: the closed form up to degree 4, above it the cubic
 extrapolation of the three roots below.  A context holds n and alpha and
 nothing else: one root, :meth:`GegenbauerContext.largest_root`, has no
 roots below it and bisects above degree 4, and
@@ -21,11 +22,12 @@ one float64 lane per dimension, from the state the scan carries from one
 degree to the next: each lane's three roots below k and the squared
 off-diagonal rows of its Jacobi matrix, one (K, L) array grown by
 doubling.  The lane Newton step and Sturm count fill preallocated
-buffers, two ufunc calls per pivot and recurrence.  Newton's iterate may
-differ from the scalar one in the last bits, but the Sturm counts, which
-decide the cell, are the scalar ones bit for bit (numpy rounds
-elementwise as Python rounds floats), so each lane's root is the scalar
-one.
+buffers, two ufunc calls per pivot and recurrence, and one Sturm pass at
+four edges finds each lane's cell among its iterate's and the two below,
+or bisects.  Newton's iterate may differ from the scalar one in the last
+bits, but the Sturm counts, which decide the cell, are the scalar ones
+bit for bit (numpy rounds elementwise as Python rounds floats), so each
+lane's root is the scalar one.
 :meth:`GegenbauerContext.first_degree_reaching` finds the least degree
 k >= 2 with t_k >= x, the degree of the spherical-code bound, by the same
 Sturm counts, without a root: one pass over the pivots, one more per degree.
@@ -184,7 +186,7 @@ def _lockstep_roots(alpha: np.ndarray, k: int, below,
     and k - 3 (three rows) and ``b2`` its squared off-diagonal rows, (K, L).
     Every lane starts by :func:`_guess`, the scalar start rule on lane
     rows; the lanes are polished and confirmed together, and a lane whose
-    Newton step or cell walk fails (a NaN start among them) bisects.  A
+    Newton step or cell test fails (a NaN start among them) bisects.  A
     single lane goes to :func:`_root_near` on floats.  Returns the roots and
     ``b2``, grown by doubling to at least k - 1 rows."""
     if len(b2) < k - 1:
@@ -216,7 +218,6 @@ def _squared_offdiag(alpha, m: int) -> np.ndarray:
 
 # Bisection of [0, 1] to width <= 1e-14 halves it exactly 47 times.
 _CELL_BITS = 47
-_CELL_WALK = 2
 _NEWTON_STEPS = 8
 
 
@@ -290,14 +291,13 @@ def _root_near(b2: list[float], k: int, x: float | None) -> float:
 
     Bisection from [0, 1] stops after exactly 47 halvings, on the dyadic
     cell [j, j + 1] * 2^-47 whose ends have Sturm counts < k and >= k, and
-    returns its midpoint.  A start polished by Newton lands in or next to
-    that cell, and Sturm counts confirm it; like the bisection, this takes
-    the count to be monotone in sigma, so only one cell passes.  Newton
-    stops after a step below 1e-8 (1 - x): near 1 the root gaps shrink
-    like 1 - x, and a fixed 1e-8 left n = 2, 8 and 24 cells off, to bisect,
-    from k = 80, 131 and 185 on.  The closed forms (k <= 4) need none, and
-    their last pivot may be exactly 0.  Without a start, or when Newton or
-    the walk fails, the bisection runs.
+    returns its midpoint.  Newton from a start stops after a step below
+    1e-8 (1 - x), since near 1 the root gaps shrink like 1 - x, and lands in
+    that cell or the one below, which two Sturm counts confirm (taking the
+    count, like the bisection, to be monotone in sigma).  The closed forms
+    (k <= 4) take no step.  A miss (at n >= 5000 some iterates stop cells
+    off) takes one more step and test; without a start, or when Newton or
+    the retry fails, the bisection runs.
     """
     try:
         for _ in range(_NEWTON_STEPS if k > 4 and x is not None else 0):
@@ -306,24 +306,26 @@ def _root_near(b2: list[float], k: int, x: float | None) -> float:
             if abs(step) < 1e-8 * (1.0 - x):
                 break
         root = None if x is None else _confirm_cell(b2, k, x)
-    except ZeroDivisionError:
+        if root is None and x is not None:
+            root = _confirm_cell(b2, k, x - _newton_step(b2, x))
+    except ZeroDivisionError:  # e.g. at a closed form whose last pivot is exactly 0
         root = None
     return _bisect_largest(b2, k) if root is None else root
 
 
 def _confirm_cell(b2: list[float], k: int, x: float) -> float | None:
-    # The midpoint of the cell within _CELL_WALK cells of x (which may sit a
-    # rounding error outside it) that the Sturm counts confirm, or None:
-    # walk up while the lower edge counts < k, else down
+    # The midpoint of x's cell or of the cell below it (x may sit a rounding
+    # error above its root's cell), whichever the Sturm counts confirm, or
+    # None: two counts, at x's lower edge and at the edge above or below it
     if not 0.0 < x < 1.0:
         return None
     edge = math.floor(math.ldexp(x, _CELL_BITS))
-    up = _count_below(b2, math.ldexp(edge, -_CELL_BITS)) < k
-    for _ in range(_CELL_WALK):
-        edge += 1 if up else -1
-        if (_count_below(b2, math.ldexp(edge, -_CELL_BITS)) >= k) == up:
-            return math.ldexp(2 * (edge - up) + 1, -_CELL_BITS - 1)
-    return None
+    if _count_below(b2, math.ldexp(edge, -_CELL_BITS)) < k:
+        hit = _count_below(b2, math.ldexp(edge + 1, -_CELL_BITS)) >= k
+    else:
+        edge -= 1
+        hit = _count_below(b2, math.ldexp(edge, -_CELL_BITS)) < k
+    return math.ldexp(2 * edge + 1, -_CELL_BITS - 1) if hit else None
 
 
 def _polish_lanes(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
@@ -345,25 +347,20 @@ def _polish_lanes(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
 
 
 def _confirm_cells(b2: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
-    # _confirm_cell per lane, NaN where it gives None
+    # the confirmed root per lane, NaN outside a window of three cells: one
+    # Sturm pass counts at edges e - 2 .. e + 1, e the lower edge of the
+    # iterate's cell, and the root's cell is the one whose lower edge counts
+    # < k and whose upper edge >= k (in the kl and cz scans to n = 800 it
+    # lies 0, 1 or 2 cells below the iterate's, never above)
     roots = np.full(x.size, np.nan)
     live = np.flatnonzero((0.0 < x) & (x < 1.0))
-    edge = np.floor(np.ldexp(x[live], _CELL_BITS))
-    # one Sturm pass counts at edge - 1, edge and edge + 1 of every lane,
-    # which decides the walk's direction and its first step
-    sigma = np.ldexp(edge + [[-1.0], [0.0], [1.0]], -_CELL_BITS)
-    below, at, above = _count_below_lanes(b2 if live.size == x.size else b2[:, live], sigma)
-    up = at < k
-    count = np.where(up, above, below)
-    for step in range(_CELL_WALK):
-        edge = edge + np.where(up, 1.0, -1.0)
-        if step:  # each further step is one more pass, over the lanes it needs
-            count = _count_below_lanes(b2[:, live], np.ldexp(edge, -_CELL_BITS))
-        hit = (count >= k) == up
-        roots[live[hit]] = np.ldexp(2.0 * (edge[hit] - up[hit]) + 1.0, -_CELL_BITS - 1)
-        live, edge, up = live[~hit], edge[~hit], up[~hit]
-        if live.size == 0:
-            break
+    low = np.floor(np.ldexp(x[live], _CELL_BITS)) - 2.0
+    sigma = np.ldexp(low + [[0.0], [1.0], [2.0], [3.0]], -_CELL_BITS)
+    reach = _count_below_lanes(b2 if live.size == x.size else b2[:, live], sigma) >= k
+    hit = reach[1:] & ~reach[:-1]
+    found = hit.any(axis=0)
+    cell = low + hit.argmax(axis=0)
+    roots[live[found]] = np.ldexp(2.0 * cell[found] + 1.0, -_CELL_BITS - 1)
     return roots
 
 

@@ -741,7 +741,8 @@ def _lens_f(coef: np.ndarray, n: int, R: float, radii) -> np.ndarray:
 
 
 def transfer_g_to_f(cert: LPCertificate, p: LPProblem) -> TransferProbe:
-    """Probe the function f built from g by integrating over ball overlaps.
+    """Probe the function f built from g by integrating over ball overlaps;
+    ``p`` is not read.
 
     Returns f on the sample radii, f(0), and int_(R^n) f computed by radial
     quadrature.  The identities f(0) = vol(B_R) g(1) and

@@ -82,25 +82,40 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_helpers(tree):
     # (name, node) of each module-level function and class method whose
     # name starts with a single underscore
     for node in tree.body:
         bodies = node.body if isinstance(node, ast.ClassDef) else [node]
         for fn in bodies:
-            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and fn.name.startswith("_") and not fn.name.startswith("__")):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(fn.name):
                 yield fn.name, fn
 
 
-def test_every_private_helper_is_used_in_the_package():
-    # a helper that only tests call, or that nothing calls, is dead code:
-    # each needs a reference in the package outside its own definition
+def _private_constants(tree):
+    # (name, target) of each module-level name with a single leading
+    # underscore bound by assignment, each name of a tuple target included
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _is_private(name.id):
+                        yield name.id, name
+
+
+def _unused(definitions):
+    # a private name that only tests read, or that nothing reads, is dead
+    # code: each needs a reference in the package outside its own definition
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     unused = []
     for module, tree in trees.items():
-        for name, fn in _private_helpers(tree):
-            own = {id(node) for node in ast.walk(fn)}
+        for name, defn in definitions(tree):
+            own = {id(node) for node in ast.walk(defn)}
             used = any(
                 id(node) not in own
                 and (isinstance(node, ast.Name) and node.id == name
@@ -109,4 +124,12 @@ def test_every_private_helper_is_used_in_the_package():
             )
             if not used:
                 unused.append(f"{module}:{name}")
-    assert unused == []
+    return unused
+
+
+def test_every_private_helper_is_used_in_the_package():
+    assert _unused(_private_helpers) == []
+
+
+def test_every_private_constant_is_used_in_the_package():
+    assert _unused(_private_constants) == []

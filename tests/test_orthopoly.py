@@ -501,6 +501,89 @@ def test_largest_roots_to_degree_200_bisect_none(monkeypatch):
         assert len(GegenbauerContext(n).largest_roots(200)) == 200
 
 
+@pytest.mark.parametrize("n, kmax", [(5000, 406), (20000, 300), (100_000, 300)])
+def test_large_n_walks_bisect_none(monkeypatch, n, kmax):
+    # at large n Newton stops some iterates cells off their root's cell;
+    # one more step and cell test find it, where these walks bisected 54,
+    # 85 and 135 degrees when the walk reached two cells either way
+    def no_bisection(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(orthopoly, "_bisect_largest", no_bisection)
+    roots = GegenbauerContext(n).largest_roots(kmax)
+    assert len(roots) == kmax
+    for k in (2, 5, 24, 150, kmax):
+        assert roots[k - 1] == _reference_largest_root(n, k), k
+
+
+def _shifted_iterates(root, shifts):
+    # per shift s, three iterates in the cell s cells above the root's: its
+    # lower edge, its midpoint and the float below its upper edge
+    cell = math.floor(math.ldexp(root, 47))
+    return [(s, x) for s in shifts for x in (
+        math.ldexp(cell + s, -47), math.ldexp(2 * (cell + s) + 1, -48),
+        math.nextafter(math.ldexp(cell + s + 1, -47), 0.0))]
+
+
+@pytest.mark.parametrize("n", [5, 24, 401, 801])
+def test_cell_tests_decide_their_windows(monkeypatch, n):
+    # an iterate s cells above its root's cell: one Sturm pass of the lane
+    # test finds the root for s = 0, 1, 2 and reads NaN otherwise, the
+    # scalar test finds it for s = 0, 1 and gives None otherwise, and
+    # neither bisects; a miss that Newton does not mend bisects to the root
+    bisected, passes = [], []
+    bisect, count = orthopoly._bisect_largest, orthopoly._count_below_lanes
+
+    def counted_bisect(b2, k):
+        bisected.append(k)
+        return bisect(b2, k)
+
+    def counted_pass(b2, sigma):
+        passes.append(sigma.shape)
+        return count(b2, sigma)
+
+    monkeypatch.setattr(orthopoly, "_bisect_largest", counted_bisect)
+    monkeypatch.setattr(orthopoly, "_count_below_lanes", counted_pass)
+    for k in (5, 20, 60):
+        bisected.clear()
+        passes.clear()
+        root = _reference_largest_root(n, k)
+        b2 = orthopoly._squared_offdiag(n / 2.0 - 1.0, k - 1)
+        pairs = _shifted_iterates(root, range(-3, 5))
+        xs = np.array([x for _, x in pairs])
+        lanes = np.repeat(b2[:, None], xs.size, axis=1)
+        got = orthopoly._confirm_cells(lanes, k, xs)
+        assert passes == [(4, xs.size)]
+        for (s, _), lane in zip(pairs, got.tolist()):
+            assert lane == root if s in (0, 1, 2) else math.isnan(lane), (k, s)
+        for s, x in pairs:
+            want = root if s in (0, 1) else None
+            assert orthopoly._confirm_cell(b2.tolist(), k, x) == want, (k, s)
+        assert bisected == []
+
+        # Newton held still: a lane or a lone iterate outside the window
+        # bisects, and only those
+        missed = sum(s not in (0, 1, 2) for s, _ in pairs)
+        with monkeypatch.context() as still:
+            still.setattr(orthopoly, "_polish_lanes", lambda b2, k, x: x)
+            still.setattr(orthopoly, "_newton_step", lambda b2, x: 0.0)
+            alpha = np.full(xs.size, n / 2.0 - 1.0)
+            roots, _ = orthopoly._lockstep_roots(alpha, k, np.array([xs, xs, xs]), lanes)
+            assert roots.tolist() == [root] * xs.size and len(bisected) == missed
+            for s, x in pairs:
+                assert orthopoly._root_near(b2.tolist(), k, x) == root
+            assert len(bisected) == missed + sum(s not in (0, 1) for s, _ in pairs)
+        bisected.clear()
+
+        # with no Newton step before the test, the retry's one step finds
+        # the root of every iterate the test misses
+        with monkeypatch.context() as cold:
+            cold.setattr(orthopoly, "_NEWTON_STEPS", 0)
+            for s, x in pairs:
+                assert orthopoly._root_near(b2.tolist(), k, x) == root, (k, s)
+        assert bisected == []
+
+
 def test_sturm_count_takes_a_zero_pivot_as_negative_on_both_routes():
     # at sigma = 1/2 the second pivot is -1/2 + 0.25/0.5 = 0 exactly; taken
     # as -1e-300, the next one is about +1e299 and not counted
