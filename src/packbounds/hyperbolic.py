@@ -23,6 +23,7 @@ and a radius in [1e-300, 50], by one helper, ``_check_ball``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -277,6 +278,15 @@ def _sinh_power_integral(m: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # pay too often for the series' fixed loop in _sinh_power_integral
 _QUANTILE_NODES = 2048
 _QUANTILE_BLOCK = 1 << 15
+# overlap_monte_carlo's Gaussian rows come _MC_BLOCK floats (256 KB) at a time
+_MC_BLOCK = 1 << 15
+
+
+def _mc_chunk(n: int) -> int:
+    """The Monte-Carlo stream's unit in H^n: each chunk of this many samples
+    draws its uniforms, then its (chunk, n) Gaussian block, and polishes its
+    open samples in one batch.  Every seeded estimate depends on it."""
+    return (1 << 21) // max(n, 4)
 
 
 def _radial_quantile(m: int, R: float) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
@@ -324,6 +334,15 @@ def _radial_quantile(m: int, R: float) -> tuple[Callable[[np.ndarray], np.ndarra
     return quantile, table
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an integer, or a ValueError naming ``overlap_monte_carlo``'s argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"overlap_monte_carlo requires an integer {name}, got {name} = {value!r}") from None
+
+
 def overlap_monte_carlo(
     n: int,
     r: float,
@@ -362,7 +381,9 @@ def overlap_monte_carlo(
     miss in the polished test too.  The rest, about 5 in 10^4 samples at
     r = 1, R = 2, n = 2..4, take that test: the radius by Newton from the
     power-law start, then q.  The uniform and Gaussian draws do not depend
-    on how the radii are solved.
+    on how the radii are solved.  Each chunk's Gaussian block (``_mc_chunk``)
+    is drawn a few rows at a time; consecutive draws continue one stream, so
+    the draws are those of the whole block, in a few MB of memory.
 
     c is evaluated under ``np.errstate``: Q = 0 at s = 0 or r = 0 gives
     +-inf, and 0/0 (at s = 0 when r = R, at s = R when r = 0) gives nan,
@@ -372,6 +393,7 @@ def overlap_monte_carlo(
     _check_ball("overlap_monte_carlo", n, "R", R)
     if not 0.0 <= r < math.inf:
         raise ValueError(f"overlap_monte_carlo requires finite r >= 0, got r = {r}")
+    samples, seed = _index("samples", samples), _index("seed", seed)
     if samples < 10**4:
         raise ValueError("use at least 10^4 samples")
     if seed < 0:
@@ -401,22 +423,27 @@ def overlap_monte_carlo(
     low = np.min(c, axis=0) - 1e-9
 
     hits = 0
-    chunk = (1 << 21) // max(n, 4)  # caps the (chunk, n) Gaussian block at 16 MB
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
+    chunk, rows = _mc_chunk(n), _MC_BLOCK // n  # n <= 200, so 163 rows or more
+    for start in range(0, samples, chunk):
+        m = min(chunk, samples - start)
+        log_u = rng.random(m)
         with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(m))
-        w = rng.standard_normal((m, n))
-        w1 = w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w))
-        # each sample's bracket, as the quantile map finds it
-        j = np.minimum((np.exp(log_u / n) * K).astype(np.intp), K - 1)
-        hit = w1 >= high[j]
-        # a nan threshold fails both comparisons and leaves its samples open
-        open_ = np.flatnonzero(~(hit | (w1 < low[j])))
-        P, Q = terms(quantile(log_u[open_]))
-        hits += int(np.count_nonzero(hit)) + int(np.count_nonzero(P + Q * w1[open_] <= 1.0))
-        done += m
+            np.log(log_u, out=log_u)
+        # only the samples that a row block's brackets leave open are kept
+        open_, open_w1 = [], []
+        for lo in range(0, m, rows):
+            w = rng.standard_normal((min(rows, m - lo), n))
+            w1 = w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w))
+            # each sample's bracket, as the quantile map finds it
+            j = np.minimum((np.exp(log_u[lo:lo + rows] / n) * K).astype(np.intp), K - 1)
+            hit = w1 >= high[j]
+            # a nan threshold fails both comparisons and leaves its samples open
+            keep = np.flatnonzero(~(hit | (w1 < low[j])))
+            hits += int(np.count_nonzero(hit))
+            open_.append(keep + lo)
+            open_w1.append(w1[keep])
+        P, Q = terms(quantile(log_u[np.concatenate(open_)]))
+        hits += int(np.count_nonzero(P + Q * np.concatenate(open_w1) <= 1.0))
     mean = hits / samples
     stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)
     return mean, stderr

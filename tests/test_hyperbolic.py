@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,8 +187,10 @@ def test_monte_carlo_bytes_pinned(n, seed):
     assert hyp.overlap_monte_carlo(n, 1.0, 2.0, 200_000, seed=seed) == MONTE_CARLO_PINS[n, seed]
 
 
-@pytest.mark.parametrize("seed, pinned", [(1, (0.46552, 0.002230744851389329)),
-                                          (11, (0.46624, 0.002230965093406887))])
+MANY_CHUNK_PINS = [(1, (0.46552, 0.002230744851389329)), (11, (0.46624, 0.002230965093406887))]
+
+
+@pytest.mark.parametrize("seed, pinned", MANY_CHUNK_PINS)
 def test_monte_carlo_bytes_pinned_over_many_chunks(seed, pinned):
     # at n = 200 a chunk holds 10 485 samples, so 50 000 take five chunks,
     # the last one short; every chunk reads the same quantile table
@@ -234,19 +242,53 @@ def test_monte_carlo_domain():
             hyp.overlap_monte_carlo(*bad, 10**4)
     with pytest.raises(ValueError, match="seed = -1"):
         hyp.overlap_monte_carlo(3, 1.0, 2.0, 10**4, seed=-1)
+    # a float or a string is no sample count or seed, even when integral
+    for samples, seed, message in [(20000.0, 0, "samples, got samples = 20000.0"),
+                                   ("20000", 0, "samples, got samples = '20000'"),
+                                   (10**4, 1.5, "seed, got seed = 1.5"),
+                                   (10**4, None, "seed, got seed = None")]:
+        with pytest.raises(ValueError, match=re.escape(f"requires an integer {message}")):
+            hyp.overlap_monte_carlo(3, 1.0, 2.0, samples, seed=seed)
+    assert hyp.overlap_monte_carlo(3, 1.0, 2.0, np.int64(10**4), seed=np.uint8(1)) == \
+        hyp.overlap_monte_carlo(3, 1.0, 2.0, 10**4, seed=1)
     # cosh r overflows, but the balls are disjoint whenever r >= 2R
     assert hyp.overlap_monte_carlo(3, 800.0, 2.0, 10**4) == (0.0, 0.0)
 
 
 def test_monte_carlo_memory_is_bounded():
-    tracemalloc.start()
-    try:
-        hyp.overlap_monte_carlo(200, 0.05, 2.0, 40_000, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one (40 000, 200) Gaussian block alone would take 64 MB
-    assert peak < 40e6
+    # the whole (10 485, 200) and (200 000, 4) Gaussian blocks with their
+    # temporaries took 34 and 13 MB; a few rows at a time take under 4 MB
+    for n, r, R, samples, seed in [(200, 0.05, 2.0, 40_000, 3), (4, 1.0, 2.0, 200_000, 1)]:
+        tracemalloc.start()
+        try:
+            hyp.overlap_monte_carlo(n, r, R, samples, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (n, peak)
+
+
+MC_PROBE = """
+import json, sys
+from packbounds import hyperbolic as hyp
+print(json.dumps([hyp.overlap_monte_carlo(*call) for call in json.loads(sys.argv[1])]))
+"""
+
+
+def test_monte_carlo_pins_hold_without_avx512():
+    # the blocked np.exp and np.log slices must give the pinned estimates on
+    # numpy's non-AVX-512 kernels too; NPY_DISABLE_CPU_FEATURES acts only on
+    # the child (a host without those kernels checks nothing new)
+    calls = [(n, 1.0, 2.0, 200_000, seed) for n, seed in sorted(MONTE_CARLO_PINS)]
+    calls += [(200, 0.1, 2.0, 50_000, seed) for seed, _ in MANY_CHUNK_PINS]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", MC_PROBE, json.dumps(calls)],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    pins = [MONTE_CARLO_PINS[key] for key in sorted(MONTE_CARLO_PINS)]
+    assert [tuple(got) for got in json.loads(proc.stdout)] == pins + [p for _, p in MANY_CHUNK_PINS]
 
 
 # int_0^s sinh^(n-1) in closed form: the sampler's antiderivatives before
@@ -410,7 +452,7 @@ def _polished_overlap(n, r, R, samples, seed):
     sinh_hR = math.sinh(R / 2.0)
     b, cosh_r, cosh_hr = math.sinh(r / 2.0) / sinh_hR, math.cosh(r), math.cosh(r / 2.0)
     quantile, _ = hyp._radial_quantile(n - 1, R)
-    hits, done, chunk = 0, 0, (1 << 21) // max(n, 4)
+    hits, done, chunk = 0, 0, hyp._mc_chunk(n)
     while done < samples:
         m = min(chunk, samples - done)
         with np.errstate(divide="ignore"):
@@ -437,6 +479,20 @@ def test_monte_carlo_brackets_keep_every_verdict(n, R, share):
         assert got == _polished_overlap(n, r, R, 20_000, seed)
         if r == 0.0:
             assert got == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("n, samples", [
+    (2, lambda chunk, rows: rows - 1),  # one block, cut short
+    (3, lambda chunk, rows: chunk + rows + 7),  # a full chunk, then a full block and 7 rows
+    (200, lambda chunk, rows: 2 * chunk + 3),  # three chunks, the last of 3 samples
+], ids=["mid-block", "past-a-chunk", "three-chunks"])
+def test_monte_carlo_blocks_and_chunks_keep_the_stream(n, samples):
+    # the Gaussian rows drawn block by block are those of the whole
+    # (chunk, n) block that the reference draws at once
+    samples = samples(hyp._mc_chunk(n), hyp._MC_BLOCK // n)
+    for seed in (1, 11):
+        assert hyp.overlap_monte_carlo(n, 1.0, 2.0, samples, seed=seed) == \
+            _polished_overlap(n, 1.0, 2.0, samples, seed)
 
 
 @pytest.mark.parametrize("n, R", [(2, 1.0), (3, 1.0), (2, 10.0), (4, 1e-7), (4, 1e-100)])
