@@ -13,9 +13,10 @@ the incomplete beta function, a finite-R radial integral whose integrand is
 the regularized incomplete beta share of each sphere about one center,
 normalized by F(R), and a Monte-Carlo sampler in the hyperboloid model, an
 independent oracle for the other two that draws radii by Newton's method on
-ln F, without quadrature.  A table of the radial quantile at 2048 nodes
-brackets each radius.  The bracket settles the side of the second sphere
-for nearly every sample, and Newton solves only the radii of the rest.
+ln F, without quadrature, and direction cosines from two uniforms, without
+the beta function.  A table of the radial quantile at 2048 nodes brackets
+each radius.  The bracket settles the side of the second sphere for nearly
+every sample, and Newton solves only the radii of the rest.
 Each function that needs a ball volume checks its domain, 2 <= n <= 200
 and a radius in [1e-300, 50], by one helper, ``_check_ball``.
 """
@@ -278,15 +279,23 @@ def _sinh_power_integral(m: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # pay too often for the series' fixed loop in _sinh_power_integral
 _QUANTILE_NODES = 2048
 _QUANTILE_BLOCK = 1 << 15
-# overlap_monte_carlo's Gaussian rows come _MC_BLOCK floats (256 KB) at a time
-_MC_BLOCK = 1 << 15
+# overlap_monte_carlo draws and tests its samples _MC_BLOCK at a time (about
+# 1.2 MB with temporaries): the stream's unit, on which every seeded estimate
+# depends
+_MC_BLOCK = 1 << 14
 
 
-def _mc_chunk(n: int) -> int:
-    """The Monte-Carlo stream's unit in H^n: each chunk of this many samples
-    draws its uniforms, then its (chunk, n) Gaussian block, and polishes its
-    open samples in one batch.  Every seeded estimate depends on it."""
-    return (1 << 21) // max(n, 4)
+def _direction_cosine(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """cos(pi v) rho, exactly the cosine between a uniform direction of R^n
+    and a fixed axis, from uniforms z and v.  A uniform point of S^(n-1)
+    projected onto two axes has a uniform angle and 1 - rho^2 = z^(2/(n-2))
+    (Archimedes' projection theorem at n = 3), here by -expm1, which keeps
+    its digits at large n; rho = 1 at n = 2."""
+    w1 = np.cos(np.pi * v)
+    if n > 2:
+        with np.errstate(divide="ignore"):  # z = 0 gives rho = 1
+            w1 *= np.sqrt(-np.expm1(np.log(z) * (2.0 / (n - 2))))
+    return w1
 
 
 def _radial_quantile(m: int, R: float) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
@@ -356,8 +365,8 @@ def overlap_monte_carlo(
     Points are drawn exactly uniformly in a radius-R ball of H^n using the
     hyperboloid model: radius by the inverse of the radial CDF, whose
     density is sinh^(n-1), without the quadrature of ``overlap_finite``;
-    direction by normalized Gaussians.  Returns (mean, stderr);
-    deterministic for a fixed seed.
+    direction cosines by ``_direction_cosine``, O(1) per sample.  Returns
+    (mean, stderr); deterministic for a fixed seed.
 
     A point at radius s whose direction makes cosine w1 with the second
     center lies in the second ball exactly when w1 >= c(s), by the
@@ -380,10 +389,10 @@ def overlap_monte_carlo(
     w1 >= the high threshold is a hit and one with w1 < the low threshold a
     miss in the polished test too.  The rest, about 5 in 10^4 samples at
     r = 1, R = 2, n = 2..4, take that test: the radius by Newton from the
-    power-law start, then q.  The uniform and Gaussian draws do not depend
-    on how the radii are solved.  Each chunk's Gaussian block (``_mc_chunk``)
-    is drawn a few rows at a time; consecutive draws continue one stream, so
-    the draws are those of the whole block, in a few MB of memory.
+    power-law start, then q.  The draws do not depend on how the radii are
+    solved: each block of ``_MC_BLOCK`` samples draws one (3, block) array of
+    uniforms, for ln u, z and v, and keeps only its open samples, which are
+    polished together after the last block.
 
     c is evaluated under ``np.errstate``: Q = 0 at s = 0 or r = 0 gives
     +-inf, and 0/0 (at s = 0 when r = R, at s = R when r = 0) gives nan,
@@ -422,28 +431,22 @@ def overlap_monte_carlo(
     high = np.max(c[:2], axis=0) + 1e-9
     low = np.min(c, axis=0) - 1e-9
 
-    hits = 0
-    chunk, rows = _mc_chunk(n), _MC_BLOCK // n  # n <= 200, so 163 rows or more
-    for start in range(0, samples, chunk):
-        m = min(chunk, samples - start)
-        log_u = rng.random(m)
+    hits, open_log_u, open_w1 = 0, [], []
+    for lo in range(0, samples, _MC_BLOCK):
+        log_u, z, v = rng.random((3, min(_MC_BLOCK, samples - lo)))
         with np.errstate(divide="ignore"):
             np.log(log_u, out=log_u)
-        # only the samples that a row block's brackets leave open are kept
-        open_, open_w1 = [], []
-        for lo in range(0, m, rows):
-            w = rng.standard_normal((min(rows, m - lo), n))
-            w1 = w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w))
-            # each sample's bracket, as the quantile map finds it
-            j = np.minimum((np.exp(log_u[lo:lo + rows] / n) * K).astype(np.intp), K - 1)
-            hit = w1 >= high[j]
-            # a nan threshold fails both comparisons and leaves its samples open
-            keep = np.flatnonzero(~(hit | (w1 < low[j])))
-            hits += int(np.count_nonzero(hit))
-            open_.append(keep + lo)
-            open_w1.append(w1[keep])
-        P, Q = terms(quantile(log_u[np.concatenate(open_)]))
-        hits += int(np.count_nonzero(P + Q * np.concatenate(open_w1) <= 1.0))
+        w1 = _direction_cosine(n, z, v)
+        # each sample's bracket, as the quantile map finds it
+        j = np.minimum((np.exp(log_u / n) * K).astype(np.intp), K - 1)
+        hit = w1 >= high[j]
+        # a nan threshold fails both comparisons and leaves its samples open
+        keep = np.flatnonzero(~(hit | (w1 < low[j])))
+        hits += int(np.count_nonzero(hit))
+        open_log_u.append(log_u[keep])
+        open_w1.append(w1[keep])
+    P, Q = terms(quantile(np.concatenate(open_log_u)))
+    hits += int(np.count_nonzero(P + Q * np.concatenate(open_w1) <= 1.0))
     mean = hits / samples
     stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)
     return mean, stderr

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from packbounds import hyperbolic as hyp
 from packbounds import orthopoly
@@ -169,16 +170,16 @@ def test_overlap_agrees_with_monte_carlo(n, r, R):
     assert abs(mean - hyp.overlap_finite(n, r, R)) <= 4.0 * stderr
 
 
-# (mean, stderr) of the bisection sampler that Newton's method replaced, at
-# the test seed and at the benchmark's first seed: the draws are the same,
-# and the radii agree closely enough that no sample changes sides
+# (mean, stderr) at the test seed and at the benchmark's first seed; each
+# equals _polished_overlap's, and test_monte_carlo_pins_lie_within_4_sigma
+# checks them against overlap_finite
 MONTE_CARLO_PINS = {
-    (2, 11): (0.60042, 0.001095252992691643),
-    (3, 11): (0.479785, 0.001117119854301677),
-    (4, 11): (0.38997, 0.0010906268818894939),
-    (2, 1): (0.59992, 0.0010954816146334907),
-    (3, 1): (0.480485, 0.0011171820907421492),
-    (4, 1): (0.3904, 0.0010908433434732962),
+    (2, 11): (0.59769, 0.0010964868077181775),
+    (3, 11): (0.478595, 0.0011170090106507645),
+    (4, 11): (0.3885, 0.0010898801539618932),
+    (2, 1): (0.599955, 0.001095465649792361),
+    (3, 1): (0.481035, 0.001117229449967642),
+    (4, 1): (0.390355, 0.0010908207322355952),
 }
 
 
@@ -187,28 +188,28 @@ def test_monte_carlo_bytes_pinned(n, seed):
     assert hyp.overlap_monte_carlo(n, 1.0, 2.0, 200_000, seed=seed) == MONTE_CARLO_PINS[n, seed]
 
 
-MANY_CHUNK_PINS = [(1, (0.46552, 0.002230744851389329)), (11, (0.46624, 0.002230965093406887))]
+MANY_BLOCK_PINS = [(1, (0.46592, 0.002230867784517944)), (11, (0.46182, 0.002229539358701703))]
 
 
-@pytest.mark.parametrize("seed, pinned", MANY_CHUNK_PINS)
+@pytest.mark.parametrize("seed, pinned", MANY_BLOCK_PINS)
 def test_monte_carlo_bytes_pinned_over_many_chunks(seed, pinned):
-    # at n = 200 a chunk holds 10 485 samples, so 50 000 take five chunks,
-    # the last one short; every chunk reads the same quantile table
+    # at n = 200, 50 000 samples take four _MC_BLOCK blocks, the last of
+    # 848 samples; every block reads the same quantile table
     assert hyp.overlap_monte_carlo(200, 0.1, 2.0, 50_000, seed=seed) == pinned
 
 
 # geometries that the seeded pins above never sample: r > R, r = R, and
 # tiny balls with r > R, where c(s) is least at the half-angle s0 inside
-# the ball; taken from the sampler that polished every radius
+# the ball; each equals _polished_overlap's
 MONTE_CARLO_GEOMETRY_PINS = {
-    (3, 3.0, 2.0, 1): (0.02813, 0.0003697208615969621),
-    (3, 3.0, 2.0, 11): (0.02789, 0.00036818574048976964),
-    (10, 2.0, 2.0, 1): (0.00315, 0.00012530118714521423),
-    (10, 2.0, 2.0, 11): (0.00316, 0.00012549929083464974),
-    (10, 1.5e-7, 1e-7, 1): (0.002985, 0.00012198544534082744),
-    (10, 1.5e-7, 1e-7, 11): (0.002965, 0.00012157731644924558),
-    (3, 1.5e-100, 1e-100, 1): (0.085855, 0.0006264340307446587),
-    (3, 1.5e-100, 1e-100, 11): (0.085145, 0.0006240806397213424),
+    (3, 3.0, 2.0, 1): (0.028785, 0.0003738744694078482),
+    (3, 3.0, 2.0, 11): (0.029095, 0.00037582230491949254),
+    (10, 2.0, 2.0, 1): (0.00324, 0.00012707286098927653),
+    (10, 2.0, 2.0, 11): (0.00327, 0.00012765788459785787),
+    (10, 1.5e-7, 1e-7, 1): (0.00321, 0.00012648509595995886),
+    (10, 1.5e-7, 1e-7, 11): (0.003175, 0.0001257958539658601),
+    (3, 1.5e-100, 1e-100, 1): (0.0861, 0.000627243134677455),
+    (3, 1.5e-100, 1e-100, 11): (0.08608, 0.0006271771424406345),
 }
 
 
@@ -216,6 +217,47 @@ MONTE_CARLO_GEOMETRY_PINS = {
 def test_monte_carlo_bytes_pinned_off_the_bench(n, r, R, seed):
     pinned = MONTE_CARLO_GEOMETRY_PINS[n, r, R, seed]
     assert hyp.overlap_monte_carlo(n, r, R, 200_000, seed=seed) == pinned
+
+
+def test_monte_carlo_pins_lie_within_4_sigma():
+    # a pin taken from a biased stream would fail this: each pinned mean is
+    # within 4 sigma of the binomial count at the exact overlap p
+    pins = [((n, 1.0, 2.0), 200_000, MONTE_CARLO_PINS[n, seed]) for n, seed in MONTE_CARLO_PINS]
+    pins += [((200, 0.1, 2.0), 50_000, pinned) for _, pinned in MANY_BLOCK_PINS]
+    pins += [((n, r, R), 200_000, pinned)
+             for (n, r, R, _), pinned in MONTE_CARLO_GEOMETRY_PINS.items()]
+    assert len(pins) == 16
+    for geometry, samples, (mean, _) in pins:
+        exact = hyp.overlap_finite(*geometry)
+        assert abs(mean - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / samples), geometry
+
+
+@pytest.mark.parametrize("n, r, R", [(3, 1.0, 2.0), (2, 3.0, 2.0), (10, 2.0, 2.0)])
+def test_monte_carlo_is_unbiased_across_seeds(n, r, R):
+    # the mean of 64 binomial z-scores at the exact overlap has sd 1/8, so
+    # 0.5 is 4 sigma of it: a bias of a fraction of sigma per run fails
+    samples, exact = 20_000, hyp.overlap_finite(n, r, R)
+    sigma = math.sqrt(exact * (1.0 - exact) / samples)
+    scores = [(hyp.overlap_monte_carlo(n, r, R, samples, seed=seed)[0] - exact) / sigma
+              for seed in range(64)]
+    assert abs(sum(scores) / len(scores)) <= 0.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 200])
+def test_direction_cosine_has_the_exact_marginal(n):
+    # (1 + w1)/2 of a uniform direction is Beta((n-1)/2, (n-1)/2); the beta
+    # CDF is taken here only, so the sampler stays independent of it
+    rng = np.random.default_rng(7)
+    z, v = rng.random((2, 200_000))
+    w1 = hyp._direction_cosine(n, z, v)
+    half = (n - 1) / 2.0
+    assert stats.kstest(w1, lambda w: special.betainc(half, half, (1.0 + w) / 2.0)).pvalue > 1e-3
+    # against w[:, 0] / |w| of Gaussian rows, drawn 5 000 rows at a time
+    gauss = []
+    for _ in range(40):
+        w = rng.standard_normal((5_000, n))
+        gauss.append(w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w)))
+    assert stats.ks_2samp(w1, np.concatenate(gauss)).pvalue > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -256,8 +298,8 @@ def test_monte_carlo_domain():
 
 
 def test_monte_carlo_memory_is_bounded():
-    # the whole (10 485, 200) and (200 000, 4) Gaussian blocks with their
-    # temporaries took 34 and 13 MB; a few rows at a time take under 4 MB
+    # a block's (3, 2^14) uniforms and temporaries take about 1.2 MB at any
+    # n; Gaussian directions took 2.4 MB at n = 4 even drawn in row blocks
     for n, r, R, samples, seed in [(200, 0.05, 2.0, 40_000, 3), (4, 1.0, 2.0, 200_000, 1)]:
         tracemalloc.start()
         try:
@@ -265,7 +307,7 @@ def test_monte_carlo_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6, (n, peak)
+        assert peak < 2e6, (n, peak)
 
 
 MC_PROBE = """
@@ -280,7 +322,7 @@ def test_monte_carlo_pins_hold_without_avx512():
     # numpy's non-AVX-512 kernels too; NPY_DISABLE_CPU_FEATURES acts only on
     # the child (a host without those kernels checks nothing new)
     calls = [(n, 1.0, 2.0, 200_000, seed) for n, seed in sorted(MONTE_CARLO_PINS)]
-    calls += [(200, 0.1, 2.0, 50_000, seed) for seed, _ in MANY_CHUNK_PINS]
+    calls += [(200, 0.1, 2.0, 50_000, seed) for seed, _ in MANY_BLOCK_PINS]
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", MC_PROBE, json.dumps(calls)],
@@ -288,7 +330,7 @@ def test_monte_carlo_pins_hold_without_avx512():
         capture_output=True, text=True, timeout=120, check=True,
     )
     pins = [MONTE_CARLO_PINS[key] for key in sorted(MONTE_CARLO_PINS)]
-    assert [tuple(got) for got in json.loads(proc.stdout)] == pins + [p for _, p in MANY_CHUNK_PINS]
+    assert [tuple(got) for got in json.loads(proc.stdout)] == pins + [p for _, p in MANY_BLOCK_PINS]
 
 
 # int_0^s sinh^(n-1) in closed form: the sampler's antiderivatives before
@@ -446,23 +488,22 @@ def test_radial_quantile_memory_is_blocked():
 
 
 def _polished_overlap(n, r, R, samples, seed):
-    """``overlap_monte_carlo`` without the brackets, as a reference: every
-    radius polished by Newton from the table, then the test q <= 1."""
+    """``overlap_monte_carlo`` without the brackets, as a reference: the same
+    (3, block) uniforms, every radius polished by Newton from the table, then
+    the test q <= 1."""
     rng = np.random.default_rng(seed)
     sinh_hR = math.sinh(R / 2.0)
     b, cosh_r, cosh_hr = math.sinh(r / 2.0) / sinh_hR, math.cosh(r), math.cosh(r / 2.0)
     quantile, _ = hyp._radial_quantile(n - 1, R)
-    hits, done, chunk = 0, 0, hyp._mc_chunk(n)
-    while done < samples:
-        m = min(chunk, samples - done)
+    hits = 0
+    for lo in range(0, samples, hyp._MC_BLOCK):
+        u, z, v = rng.random((3, min(hyp._MC_BLOCK, samples - lo)))
         with np.errstate(divide="ignore"):
-            s = quantile(np.log(rng.random(m)))
-        w = rng.standard_normal((m, n))
-        w1 = w[:, 0] / np.sqrt(np.einsum("ij,ij->i", w, w))
+            s = quantile(np.log(u))
+        w1 = hyp._direction_cosine(n, z, v)
         a = np.minimum(np.sinh(s / 2.0) / sinh_hR, 1.0)
         q = a * a * cosh_r + b * b - 2.0 * a * b * np.cosh(s / 2.0) * cosh_hr * w1
         hits += int(np.count_nonzero(q <= 1.0))
-        done += m
     mean = hits / samples
     return mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)
 
@@ -481,15 +522,16 @@ def test_monte_carlo_brackets_keep_every_verdict(n, R, share):
             assert got == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("n, samples", [
-    (2, lambda chunk, rows: rows - 1),  # one block, cut short
-    (3, lambda chunk, rows: chunk + rows + 7),  # a full chunk, then a full block and 7 rows
-    (200, lambda chunk, rows: 2 * chunk + 3),  # three chunks, the last of 3 samples
-], ids=["mid-block", "past-a-chunk", "three-chunks"])
-def test_monte_carlo_blocks_and_chunks_keep_the_stream(n, samples):
-    # the Gaussian rows drawn block by block are those of the whole
-    # (chunk, n) block that the reference draws at once
-    samples = samples(hyp._mc_chunk(n), hyp._MC_BLOCK // n)
+@pytest.mark.parametrize("n", [2, 3, 200])
+@pytest.mark.parametrize("samples", [
+    lambda block: block - 1,  # one block, cut short
+    lambda block: block + 7,  # a full block, then 7 samples
+    lambda block: 3 * block + 3,  # four blocks, the last of 3 samples
+], ids=["mid-block", "past-a-block", "four-blocks"])
+def test_monte_carlo_blocks_keep_the_stream(n, samples):
+    # a short last block draws the same (3, k) uniforms as the reference,
+    # and its open samples are polished with those of the full blocks
+    samples = samples(hyp._MC_BLOCK)
     for seed in (1, 11):
         assert hyp.overlap_monte_carlo(n, 1.0, 2.0, samples, seed=seed) == \
             _polished_overlap(n, 1.0, 2.0, samples, seed)
